@@ -25,6 +25,12 @@
 // detached vs attached, demonstrating the <2% overhead bound the
 // observability layer promises.
 //
+// A third leg measures artifact export: one fixed recorded session
+// (Goo.ne.jp x GreenWeb-I full, seed 1, full hub, 1 ms meter sampling)
+// serialized again and again as the JSONL log (telemetry_export/jsonl)
+// and as Chrome-trace events (telemetry_export/trace, the per-record
+// loop; the session has no frame or cpu tracks), in ns per record.
+//
 // Writes BENCH_telemetry.json (override with --json=<path>); the
 // committed copy at the repo root records the numbers for the
 // environment that produced it — regenerate with:
@@ -34,6 +40,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "browser/TraceExport.h"
 #include "profiling/RunCompare.h"
 #include "support/StringUtils.h"
 #include "telemetry/AnomalyDetector.h"
@@ -46,6 +53,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace greenweb;
@@ -294,6 +302,48 @@ int main(int Argc, char **Argv) {
               SchedVerdict + "; gate on the telemetry_sweep/* sample "
                              "arrays via gw-diff, not this point value");
   Json.scalar("sched_overhead_p_value", SchedPValue);
+
+  // --- Export cost over one fixed recorded session ---
+  Telemetry SessionTel;
+  SessionTel.enableAnomalyDetectors();
+  SessionTel.enableFlightRecorder();
+  ExperimentConfig Session;
+  Session.AppName = "Goo.ne.jp";
+  Session.GovernorName = governors::GreenWebI;
+  Session.Mode = ExperimentMode::Full;
+  Session.Tel = &SessionTel;
+  Session.MeterSamplePeriod = Duration::milliseconds(1);
+  runExperiment(Session);
+  SessionTel.setClock(nullptr); // The run's simulator is gone.
+  const uint64_t Records = SessionTel.log().size();
+  size_t JsonlBytes = 0, TraceBytes = 0;
+  Measurement Jsonl = measure([&] {
+    JsonlBytes = SessionTel.log().toJsonl().size();
+    return Records;
+  });
+  Measurement Trace = measure([&] {
+    TraceBytes = exportChromeTrace({}, {}, SessionTel).size();
+    return Records;
+  });
+
+  TablePrinter ExportTable(formatString(
+      "Artifact export (Goo.ne.jp GreenWeb-I full session, %llu records)",
+      static_cast<unsigned long long>(Records)));
+  ExportTable.row().cell("Artifact").cell("ns/record").cell("ms/session").cell(
+      "bytes");
+  for (auto [Name, M, Bytes] :
+       {std::tuple{"jsonl", &Jsonl, JsonlBytes},
+        std::tuple{"trace", &Trace, TraceBytes}}) {
+    ExportTable.row()
+        .cell(Name)
+        .cell(M->nsPerOp(), 1)
+        .cell(M->nsPerOp() * double(Records) / 1e6, 2)
+        .cell(formatString("%zu", Bytes));
+    Json.metric(formatString("telemetry_export/%s", Name), M->Ops,
+                M->nsPerOp(), "records_per_sec", M->opsPerSec(), "",
+                M->SamplesNsPerOp);
+  }
+  ExportTable.print();
 
   std::printf("\nwrote %s\n", Flags.JsonPath.c_str());
   return 0;

@@ -10,38 +10,168 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <cassert>
+#include <charconv>
 #include <cmath>
 #include <map>
+#include <string_view>
 
 using namespace greenweb;
 
 namespace {
 
-/// Minimal JSON string escaping (quotes and backslashes; the inputs
-/// here are event names and config labels, all ASCII).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
+/// Decimal text of an id, usable as a name part.
+class UIntText {
+public:
+  explicit UIntText(uint64_t X)
+      : Len(size_t(std::to_chars(Buf, Buf + sizeof(Buf), X).ptr - Buf)) {}
+  std::string_view view() const { return {Buf, Len}; }
 
-/// Emits one complete ("X") trace event.
-void appendCompleteEvent(std::string &Out, const std::string &Name,
-                         const char *Track, TimePoint Begin,
-                         Duration DurationUs, const std::string &Args) {
+private:
+  char Buf[24];
+  size_t Len;
+};
+
+/// An event name as pieces that are escaped and written in order.
+using NameParts = std::initializer_list<std::string_view>;
+
+/// Opens one event: the separator, then the fields every event starts
+/// with, through its phase.
+void openEvent(std::string &Out, NameParts Name, char Phase) {
   if (Out.size() > 1)
     Out += ",\n";
-  Out += formatString(
-      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"X\","
-      "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":\"%s\"%s%s}",
-      jsonEscape(Name).c_str(), Begin.nanos() / 1e3,
-      DurationUs.nanos() / 1e3, Track, Args.empty() ? "" : ",\"args\":",
-      Args.c_str());
+  Out += "{\"name\":\"";
+  for (std::string_view Part : Name)
+    appendJsonEscaped(Out, Part);
+  Out += "\",\"cat\":\"greenweb\",\"ph\":\"";
+  Out += Phase;
+  Out += '"';
+}
+
+/// Appends `,"ts":` and a virtual time in microseconds, 3 decimals.
+void appendTs(std::string &Out, int64_t Nanos) {
+  Out += ",\"ts\":";
+  appendFixed(Out, Nanos / 1e3, 3);
+}
+
+/// Opens one complete ("X") event through `"args":`; the caller writes
+/// the args object and the closing '}'. \p Track is written unescaped.
+void openCompleteEvent(std::string &Out, NameParts Name,
+                       std::string_view Track, TimePoint Begin,
+                       Duration Dur) {
+  openEvent(Out, Name, 'X');
+  appendTs(Out, Begin.nanos());
+  Out += ",\"dur\":";
+  appendFixed(Out, Dur.nanos() / 1e3, 3);
+  Out += ",\"pid\":1,\"tid\":\"";
+  Out += Track;
+  Out += "\",\"args\":";
+}
+
+/// Opens one counter ("C") event through `"args":`.
+void openCounterEvent(std::string &Out, NameParts Name, TimePoint Ts) {
+  openEvent(Out, Name, 'C');
+  appendTs(Out, Ts.nanos());
+  Out += ",\"pid\":1,\"args\":";
+}
+
+/// Appends one counter event whose args hold a single series.
+void appendCounterEvent(std::string &Out, std::string_view Name,
+                        TimePoint Ts, const char *Series, double Value,
+                        int Precision) {
+  openCounterEvent(Out, {Name}, Ts);
+  Out += "{\"";
+  Out += Series;
+  Out += "\":";
+  appendFixed(Out, Value, Precision);
+  Out += "}}";
+}
+
+/// Opens one thread-scoped instant ("i") event on the governor track
+/// through `"args":`.
+void openInstantEvent(std::string &Out, NameParts Name, TimePoint Ts) {
+  openEvent(Out, Name, 'i');
+  Out += ",\"s\":\"t\"";
+  appendTs(Out, Ts.nanos());
+  Out += ",\"pid\":1,\"tid\":\"governor\",\"args\":";
+}
+
+/// Appends `"Key":X` with X as "%.*f"; \p Key carries its own leading
+/// ',' or '{'.
+void appendNumberArg(std::string &Out, const char *Key, double X,
+                     int Precision) {
+  Out += Key;
+  appendFixed(Out, X, Precision);
+}
+
+/// Appends a string arg: \p Key (with its leading punctuation and the
+/// opening quote) then the escaped value and the closing quote.
+void appendStringArg(std::string &Out, const char *Key,
+                     std::string_view Value) {
+  Out += Key;
+  appendJsonEscaped(Out, Value);
+  Out += '"';
+}
+
+/// Emits one flow event ("s"/"t"/"f"); binds to the enclosing slice on
+/// \p Track at \p TsUs.
+void appendFlowEvent(std::string &Out, std::string_view Name,
+                     uint64_t FlowId, char Phase, double TsUs,
+                     std::string_view Track) {
+  openEvent(Out, {Name}, Phase);
+  Out += ",\"id\":";
+  appendUInt(Out, FlowId);
+  Out += ",\"ts\":";
+  appendFixed(Out, TsUs, 3);
+  Out += ",\"pid\":1,\"tid\":\"";
+  appendJsonEscaped(Out, Track);
+  Out += Phase == 'f' ? "\",\"bp\":\"e\"}" : "\"}";
+}
+
+/// One hop of a causal flow: an anchor timestamp on a named track.
+struct FlowHop {
+  double TsUs = 0.0;
+  const char *Track = "";
+};
+
+/// The frames, inputs and cpu tracks both exports share.
+void appendFrameEvents(std::string &Out,
+                       const std::vector<FrameRecord> &Frames,
+                       const std::vector<ConfigInterval> &Cpu) {
+  for (const FrameRecord &Frame : Frames) {
+    // The frame's pipeline span on the "frames" track.
+    openCompleteEvent(Out, {"frame ", UIntText(Frame.FrameId).view()},
+                      "frames", Frame.BeginTime,
+                      Frame.ReadyTime - Frame.BeginTime);
+    Out += "{\"roots\":\"";
+    for (size_t I = 0; I < Frame.Latencies.size(); ++I) {
+      const FrameMsg &Msg = Frame.Latencies[I].Msg;
+      if (I)
+        Out += ", ";
+      appendJsonEscaped(Out, Msg.RootEvent);
+      Out += '#';
+      appendUInt(Out, Msg.RootId);
+    }
+    Out += '"';
+    appendNumberArg(Out, ",\"worst_latency_ms\":",
+                    Frame.maxLatency().millis(), 3);
+    appendNumberArg(Out, ",\"cycles\":", Frame.CyclesCharged, 0);
+    Out += "}}";
+
+    // One input->display span per contributing message.
+    for (const MsgLatency &L : Frame.Latencies) {
+      openCompleteEvent(Out,
+                        {L.Msg.RootEvent, "#", UIntText(L.Msg.RootId).view()},
+                        "inputs", L.Msg.StartTs, L.Latency);
+      appendNumberArg(Out, "{\"latency_ms\":", L.Latency.millis(), 3);
+      Out += "}}";
+    }
+  }
+
+  for (const ConfigInterval &Interval : Cpu) {
+    openCompleteEvent(Out, {Interval.Config.str()}, "cpu", Interval.Begin,
+                      Interval.End - Interval.Begin);
+    Out += "{}}";
+  }
 }
 
 } // namespace
@@ -50,180 +180,99 @@ std::string
 greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
                             const std::vector<ConfigInterval> &Cpu) {
   std::string Out = "[";
-
-  for (const FrameRecord &Frame : Frames) {
-    // The frame's pipeline span on the "frames" track.
-    std::string Roots;
-    for (const MsgLatency &L : Frame.Latencies) {
-      if (!Roots.empty())
-        Roots += ", ";
-      Roots += formatString("%s#%llu", L.Msg.RootEvent.c_str(),
-                            static_cast<unsigned long long>(L.Msg.RootId));
-    }
-    std::string Args = formatString(
-        "{\"roots\":\"%s\",\"worst_latency_ms\":%.3f,"
-        "\"cycles\":%.0f}",
-        jsonEscape(Roots).c_str(), Frame.maxLatency().millis(),
-        Frame.CyclesCharged);
-    appendCompleteEvent(
-        Out, formatString("frame %llu",
-                          static_cast<unsigned long long>(Frame.FrameId)),
-        "frames", Frame.BeginTime, Frame.ReadyTime - Frame.BeginTime,
-        Args);
-
-    // One input->display span per contributing message.
-    for (const MsgLatency &L : Frame.Latencies)
-      appendCompleteEvent(
-          Out,
-          formatString("%s#%llu", L.Msg.RootEvent.c_str(),
-                       static_cast<unsigned long long>(L.Msg.RootId)),
-          "inputs", L.Msg.StartTs, L.Latency,
-          formatString("{\"latency_ms\":%.3f}", L.Latency.millis()));
-  }
-
-  for (const ConfigInterval &Interval : Cpu)
-    appendCompleteEvent(Out, Interval.Config.str(), "cpu", Interval.Begin,
-                        Interval.End - Interval.Begin, "{}");
-
+  appendFrameEvents(Out, Frames, Cpu);
   Out += "]\n";
   return Out;
 }
-
-namespace {
-
-/// Emits one counter ("C") trace event; \p Args holds the series.
-void appendCounterEvent(std::string &Out, const char *Name, TimePoint Ts,
-                        const std::string &Args) {
-  if (Out.size() > 1)
-    Out += ",\n";
-  Out += formatString("{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"C\","
-                      "\"ts\":%.3f,\"pid\":1,\"args\":%s}",
-                      jsonEscape(Name).c_str(), Ts.nanos() / 1e3,
-                      Args.c_str());
-}
-
-/// Emits one thread-scoped instant ("i") event on the governor track.
-void appendInstantEvent(std::string &Out, const std::string &Name,
-                        TimePoint Ts, const std::string &Args) {
-  if (Out.size() > 1)
-    Out += ",\n";
-  Out += formatString(
-      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"i\",\"s\":\"t\","
-      "\"ts\":%.3f,\"pid\":1,\"tid\":\"governor\",\"args\":%s}",
-      jsonEscape(Name).c_str(), Ts.nanos() / 1e3, Args.c_str());
-}
-
-/// Emits one flow event ("s"/"t"/"f"); binds to the enclosing slice on
-/// \p Track at \p TsUs.
-void appendFlowEvent(std::string &Out, const std::string &Name,
-                     unsigned long long FlowId, const char *Phase,
-                     double TsUs, const std::string &Track) {
-  if (Out.size() > 1)
-    Out += ",\n";
-  Out += formatString(
-      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"%s\",\"id\":%llu,"
-      "\"ts\":%.3f,\"pid\":1,\"tid\":\"%s\"%s}",
-      jsonEscape(Name).c_str(), Phase, FlowId, TsUs,
-      jsonEscape(Track).c_str(),
-      Phase[0] == 'f' ? ",\"bp\":\"e\"" : "");
-}
-
-/// One hop of a causal flow: an anchor timestamp on a named track.
-struct FlowHop {
-  double TsUs = 0.0;
-  std::string Track;
-};
-
-} // namespace
 
 std::string
 greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
                             const std::vector<ConfigInterval> &Cpu,
                             const Telemetry &Tel) {
-  std::string Out = exportChromeTrace(Frames, Cpu);
-  assert(Out.size() >= 2 && "base export always ends with ]\\n");
-  Out.resize(Out.size() - 2); // Reopen the array; we keep appending.
+  const std::vector<TelemetryRecord> &Records = Tel.log().records();
+  std::string Out = "[";
+  // An energy sample, the bulk of a sampled session, exports as three
+  // counter events of about 100 bytes each.
+  Out.reserve((Records.size() + Frames.size() + Cpu.size()) * 300);
+  appendFrameEvents(Out, Frames, Cpu);
 
-  for (const TelemetryRecord &R : Tel.log().records()) {
+  for (const TelemetryRecord &R : Records) {
     switch (R.Kind) {
     case TelemetryEventKind::EnergySample:
-      appendCounterEvent(Out, "power_watts", R.Ts,
-                         formatString("{\"watts\":%.6f}",
-                                      R.numberOr("watts", 0.0)));
-      appendCounterEvent(Out, "energy_joules", R.Ts,
-                         formatString("{\"joules\":%.6f}",
-                                      R.numberOr("joules", 0.0)));
-      appendCounterEvent(Out, "sim_queue_depth", R.Ts,
-                         formatString("{\"events\":%.0f}",
-                                      R.numberOr("queue_depth", 0.0)));
+      appendCounterEvent(Out, "power_watts", R.Ts, "watts",
+                         R.numberOr("watts", 0.0), 6);
+      appendCounterEvent(Out, "energy_joules", R.Ts, "joules",
+                         R.numberOr("joules", 0.0), 6);
+      appendCounterEvent(Out, "sim_queue_depth", R.Ts, "events",
+                         R.numberOr("queue_depth", 0.0), 0);
       break;
     case TelemetryEventKind::ConfigSwitch: {
       // One series per cluster; the idle cluster drops to 0 so cluster
       // migrations are visible as the two series trading places.
       bool Big = R.numberOr("big", 0.0) != 0.0;
       double FreqMHz = R.numberOr("freq_mhz", 0.0);
-      appendCounterEvent(Out, "freq_mhz", R.Ts,
-                         formatString("{\"A15\":%.0f,\"A7\":%.0f}",
-                                      Big ? FreqMHz : 0.0,
-                                      Big ? 0.0 : FreqMHz));
+      openCounterEvent(Out, {"freq_mhz"}, R.Ts);
+      appendNumberArg(Out, "{\"A15\":", Big ? FreqMHz : 0.0, 0);
+      appendNumberArg(Out, ",\"A7\":", Big ? 0.0 : FreqMHz, 0);
+      Out += "}}";
       break;
     }
     case TelemetryEventKind::GovernorDecision:
-      appendInstantEvent(
-          Out,
-          R.stringOr("governor", "?") + ": " + R.stringOr("reason", "?"),
-          R.Ts,
-          formatString("{\"config\":\"%s\",\"predicted_ms\":%.3f,"
-                       "\"target_ms\":%.3f,\"offset\":%.0f}",
-                       jsonEscape(R.stringOr("config", "")).c_str(),
-                       R.numberOr("predicted_ms", -1.0),
-                       R.numberOr("target_ms", -1.0),
-                       R.numberOr("offset", 0.0)));
+      openInstantEvent(Out,
+                       {R.stringViewOr("governor", "?"), ": ",
+                        R.stringViewOr("reason", "?")},
+                       R.Ts);
+      appendStringArg(Out, "{\"config\":\"", R.stringViewOr("config", ""));
+      appendNumberArg(Out, ",\"predicted_ms\":",
+                      R.numberOr("predicted_ms", -1.0), 3);
+      appendNumberArg(Out, ",\"target_ms\":", R.numberOr("target_ms", -1.0),
+                      3);
+      appendNumberArg(Out, ",\"offset\":", R.numberOr("offset", 0.0), 0);
+      Out += "}}";
       break;
     case TelemetryEventKind::FeedbackAction:
-      appendInstantEvent(
-          Out,
-          R.stringOr("governor", "?") + " feedback: " +
-              R.stringOr("action", "?"),
-          R.Ts,
-          formatString("{\"key\":\"%s\",\"offset\":%.0f,"
-                       "\"measured_ms\":%.3f,\"target_ms\":%.3f}",
-                       jsonEscape(R.stringOr("key", "")).c_str(),
-                       R.numberOr("offset", 0.0),
-                       R.numberOr("measured_ms", -1.0),
-                       R.numberOr("target_ms", -1.0)));
+      openInstantEvent(Out,
+                       {R.stringViewOr("governor", "?"), " feedback: ",
+                        R.stringViewOr("action", "?")},
+                       R.Ts);
+      appendStringArg(Out, "{\"key\":\"", R.stringViewOr("key", ""));
+      appendNumberArg(Out, ",\"offset\":", R.numberOr("offset", 0.0), 0);
+      appendNumberArg(Out, ",\"measured_ms\":",
+                      R.numberOr("measured_ms", -1.0), 3);
+      appendNumberArg(Out, ",\"target_ms\":", R.numberOr("target_ms", -1.0),
+                      3);
+      Out += "}}";
       break;
     case TelemetryEventKind::CounterSample:
-      appendCounterEvent(Out,
-                         R.stringOr("track", "counter").c_str(), R.Ts,
-                         formatString("{\"value\":%.6f}",
-                                      R.numberOr("value", 0.0)));
+      appendCounterEvent(Out, R.stringViewOr("track", "counter"), R.Ts,
+                         "value", R.numberOr("value", 0.0), 6);
       break;
     case TelemetryEventKind::Span: {
       // Causal task spans on their own simulated-thread tracks; the
       // args carry the parent links so the span DAG survives export.
-      std::string Track = R.stringOr("thread", "?");
       double BeginUs = R.numberOr("begin_us", 0.0);
-      appendCompleteEvent(
-          Out, R.stringOr("name", "?"), Track.c_str(),
+      openCompleteEvent(
+          Out, {R.stringViewOr("name", "?")}, R.stringViewOr("thread", "?"),
           TimePoint::fromNanos(int64_t(std::llround(BeginUs * 1e3))),
-          Duration::fromMillis(R.numberOr("dur_ms", 0.0)),
-          formatString("{\"id\":%.0f,\"parent\":%.0f,\"root\":%.0f,"
-                       "\"frame\":%.0f,\"open\":%.0f}",
-                       R.numberOr("id", 0.0), R.numberOr("parent", 0.0),
-                       R.numberOr("root", 0.0), R.numberOr("frame", 0.0),
-                       R.numberOr("open", 0.0)));
+          Duration::fromMillis(R.numberOr("dur_ms", 0.0)));
+      appendNumberArg(Out, "{\"id\":", R.numberOr("id", 0.0), 0);
+      appendNumberArg(Out, ",\"parent\":", R.numberOr("parent", 0.0), 0);
+      appendNumberArg(Out, ",\"root\":", R.numberOr("root", 0.0), 0);
+      appendNumberArg(Out, ",\"frame\":", R.numberOr("frame", 0.0), 0);
+      appendNumberArg(Out, ",\"open\":", R.numberOr("open", 0.0), 0);
+      Out += "}}";
       break;
     }
     case TelemetryEventKind::Fault:
       // Window begin/end already export as "fault:<kind>" spans; the
       // discrete injections show as instants on the same track.
-      if (R.stringOr("phase", "") == "inject")
-        appendInstantEvent(
-            Out, "inject: " + R.stringOr("fault", "?"), R.Ts,
-            formatString("{\"detail\":\"%s\",\"value\":%.3f}",
-                         jsonEscape(R.stringOr("detail", "")).c_str(),
-                         R.numberOr("value", 0.0)));
+      if (R.stringViewOr("phase", "") == "inject") {
+        openInstantEvent(Out, {"inject: ", R.stringViewOr("fault", "?")},
+                         R.Ts);
+        appendStringArg(Out, "{\"detail\":\"", R.stringViewOr("detail", ""));
+        appendNumberArg(Out, ",\"value\":", R.numberOr("value", 0.0), 3);
+        Out += "}}";
+      }
       break;
     case TelemetryEventKind::FrameStage:
     case TelemetryEventKind::QosViolation:
@@ -239,28 +288,31 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
 
   // Flow arrows linking each input to the frames it produced and the
   // governor decisions made on its behalf (input -> decision -> frame).
-  std::map<unsigned long long, std::vector<FlowHop>> HopsByRoot;
-  std::map<unsigned long long, std::string> NameByRoot;
+  std::map<uint64_t, std::vector<FlowHop>> HopsByRoot;
+  std::map<uint64_t, std::string> NameByRoot;
   for (const FrameRecord &Frame : Frames) {
     for (const MsgLatency &L : Frame.Latencies) {
-      unsigned long long Root =
-          static_cast<unsigned long long>(L.Msg.RootId);
+      uint64_t Root = L.Msg.RootId;
       auto &Hops = HopsByRoot[Root];
       if (Hops.empty())
         Hops.push_back({L.Msg.StartTs.nanos() / 1e3, "inputs"});
       Hops.push_back({Frame.BeginTime.nanos() / 1e3, "frames"});
-      if (NameByRoot[Root].empty())
-        NameByRoot[Root] = formatString("flow:%s#%llu",
-                                        L.Msg.RootEvent.c_str(), Root);
+      std::string &Name = NameByRoot[Root];
+      if (Name.empty()) {
+        Name = "flow:";
+        Name += L.Msg.RootEvent;
+        Name += '#';
+        Name += UIntText(Root).view();
+      }
     }
   }
-  for (const TelemetryRecord &R : Tel.log().records()) {
+  for (const TelemetryRecord &R : Records) {
     if (R.Kind != TelemetryEventKind::GovernorDecision)
       continue;
     double Root = R.numberOr("root", 0.0);
     if (Root <= 0.0)
       continue;
-    auto It = HopsByRoot.find(static_cast<unsigned long long>(Root));
+    auto It = HopsByRoot.find(static_cast<uint64_t>(Root));
     if (It != HopsByRoot.end())
       It->second.push_back({R.Ts.nanos() / 1e3, "governor"});
   }
@@ -273,9 +325,8 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
                      });
     const std::string &Name = NameByRoot[Root];
     for (size_t I = 0; I < Hops.size(); ++I) {
-      const char *Phase = I == 0 ? "s" : I + 1 == Hops.size() ? "f" : "t";
-      appendFlowEvent(Out, Name, Root, Phase, Hops[I].TsUs,
-                      Hops[I].Track);
+      char Phase = I == 0 ? 's' : I + 1 == Hops.size() ? 'f' : 't';
+      appendFlowEvent(Out, Name, Root, Phase, Hops[I].TsUs, Hops[I].Track);
     }
   }
 

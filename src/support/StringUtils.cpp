@@ -6,7 +6,12 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -123,10 +128,104 @@ std::string greenweb::formatString(const char *Fmt, ...) {
 std::string greenweb::jsonEscape(std::string_view S) {
   std::string Out;
   Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
+  appendJsonEscaped(Out, S);
   return Out;
+}
+
+void greenweb::appendJsonEscaped(std::string &Out, std::string_view S) {
+  size_t Start = 0;
+  for (size_t I = 0, E = S.size(); I != E; ++I)
+    if (S[I] == '"' || S[I] == '\\') {
+      Out.append(S.data() + Start, I - Start);
+      Out += '\\';
+      Start = I; // The escaped character opens the next run.
+    }
+  Out.append(S.data() + Start, S.size() - Start);
+}
+
+void greenweb::appendInt(std::string &Out, int64_t X) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), X).ptr);
+}
+
+void greenweb::appendUInt(std::string &Out, uint64_t X) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), X).ptr);
+}
+
+/// 10^0 .. 10^17, every one exact as a double too.
+static constexpr std::array<uint64_t, 18> Pow10 = [] {
+  std::array<uint64_t, 18> T{1};
+  for (size_t I = 1; I < T.size(); ++I)
+    T[I] = T[I - 1] * 10;
+  return T;
+}();
+
+std::optional<uint64_t> greenweb::fixedDigits(double X, int Precision) {
+  assert(Precision >= 0 && Precision <= 17 && "precision out of range");
+  // 10^P is exact, so Scaled is the exact product rounded once.
+  // Rounding is monotone and every k + 0.5 below 2^52 is a double, so
+  // Scaled lies on the same side of each half-integer as the exact
+  // product, or exactly on it. NaN and infinities fail the range test.
+  double A = std::fabs(X);
+  double Scale = double(Pow10[Precision]);
+  double Scaled = A * Scale;
+  if (!(Scaled < 0x1p52))
+    return std::nullopt;
+  double Floor = std::floor(Scaled);
+  double Frac = Scaled - Floor;
+  uint64_t N = uint64_t(Floor);
+  if (Frac != 0.5)
+    return N + (Frac > 0.5 ? 1 : 0);
+  // On a half, the product's exact residual decides; a true tie rounds
+  // to even.
+  double Residual = std::fma(A, Scale, -Scaled);
+  return N + (Residual > 0.0 || (Residual == 0.0 && N % 2 == 1) ? 1 : 0);
+}
+
+char *greenweb::formatFixed(char *First, double X, int Precision) {
+  if (std::optional<uint64_t> N = fixedDigits(X, Precision)) {
+    uint64_t Unit = Pow10[Precision];
+    if (std::signbit(X))
+      *First++ = '-';
+    First = std::to_chars(First, First + 24, *N / Unit).ptr;
+    if (Precision == 0)
+      return First;
+    *First++ = '.';
+    uint64_t Digits = *N % Unit;
+    for (char *P = First + Precision; P != First; Digits /= 10)
+      *--P = char('0' + Digits % 10);
+    return First + Precision;
+  }
+  // printf spells non-finite values with the sign bit, NaN included.
+  if (!std::isfinite(X)) {
+    std::string_view Text = std::isnan(X) ? "-nan" : "-inf";
+    if (!std::signbit(X))
+      Text.remove_prefix(1);
+    return std::copy(Text.begin(), Text.end(), First);
+  }
+  // |X| * 10^P >= 2^52. std::to_chars with a precision is specified as
+  // printf's "%.*f".
+  std::to_chars_result R = std::to_chars(First, First + FixedBufferSize, X,
+                                         std::chars_format::fixed, Precision);
+  assert(R.ec == std::errc() && "FixedBufferSize too small");
+  return R.ptr;
+}
+
+void greenweb::appendFixed(std::string &Out, double X, int Precision) {
+  char Buf[FixedBufferSize];
+  Out.append(Buf, formatFixed(Buf, X, Precision));
+}
+
+void greenweb::appendTrimmedFixed6(std::string &Out, double X) {
+  char Buf[FixedBufferSize];
+  char *End = formatFixed(Buf, X, 6);
+  if (std::isfinite(X)) {
+    // A finite "%.6f" always has a point, which stops the scan.
+    while (End[-1] == '0')
+      --End;
+    if (End[-1] == '.')
+      ++End;
+  }
+  Out.append(Buf, End);
 }

@@ -13,6 +13,8 @@
 #ifndef GREENWEB_SUPPORT_STRINGUTILS_H
 #define GREENWEB_SUPPORT_STRINGUTILS_H
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,6 +51,41 @@ std::optional<double> parseDouble(std::string_view S);
 
 /// Escapes '"' and '\\' for embedding in a JSON string literal.
 std::string jsonEscape(std::string_view S);
+
+/// Append-in-place writers for the serializers' hot loops. Each emits
+/// exactly the bytes of the printf conversion it names, without a
+/// format parse or a temporary string.
+
+/// Appends jsonEscape(S).
+void appendJsonEscaped(std::string &Out, std::string_view S);
+
+/// Appends \p X as "%lld" / "%llu" would.
+void appendInt(std::string &Out, int64_t X);
+void appendUInt(std::string &Out, uint64_t X);
+
+/// |X| * 10^Precision rounded to an integer exactly as printf's "%.*f"
+/// rounds the exact binary value (halves to even): the digits of that
+/// conversion without the point. Nullopt when the product reaches 2^52,
+/// and for NaN and infinities.
+std::optional<uint64_t> fixedDigits(double X, int Precision);
+
+/// Bytes formatFixed may write: sign, the 309 integer digits of
+/// DBL_MAX, the point and up to 17 fraction digits.
+inline constexpr size_t FixedBufferSize = 330;
+
+/// Writes \p X as "%.*f" would with \p Precision (0..17) digits after
+/// the point into [First, First + FixedBufferSize), including
+/// "nan"/"-nan"/"inf"/"-inf" and round-half-even ties on the exact
+/// binary value. Returns the end of the written text.
+char *formatFixed(char *First, double X, int Precision);
+
+/// Appends formatFixed's text.
+void appendFixed(std::string &Out, double X, int Precision);
+
+/// Appends \p X as "%.6f" with trailing zeros trimmed down to one
+/// digit after the point ("1.5", "2.0", "-0.0", "0.000001"): the number
+/// format of telemetry log fields.
+void appendTrimmedFixed6(std::string &Out, double X);
 
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)

@@ -69,11 +69,11 @@ void FlightRecorder::onRecord(const TelemetryRecord &R) {
     break;
   }
   case TelemetryEventKind::GovernorDecision:
-    if (R.stringOr("reason", "") == "watchdog_fallback")
+    if (R.stringViewOr("reason", "") == "watchdog_fallback")
       trigger("watchdog_trip", R.stringOr("governor", ""), R);
     break;
   case TelemetryEventKind::Fault:
-    if (R.stringOr("phase", "") == "begin")
+    if (R.stringViewOr("phase", "") == "begin")
       trigger("fault_window", R.stringOr("fault", ""), R);
     break;
   case TelemetryEventKind::Alert:
@@ -87,18 +87,21 @@ void FlightRecorder::onRecord(const TelemetryRecord &R) {
   }
 }
 
-std::string BlackBoxDump::toJson() const {
-  std::string Out = formatString(
-      "{\"trigger\":\"%s\",\"detail\":\"%s\",\"ts_us\":%.3f,"
-      "\"seq\":%llu,\"records\":[\n",
-      jsonEscape(Trigger).c_str(), jsonEscape(Detail).c_str(),
-      Ts.nanos() / 1e3, static_cast<unsigned long long>(Seq));
+void BlackBoxDump::appendJson(std::string &Out) const {
+  Out += "{\"trigger\":\"";
+  appendJsonEscaped(Out, Trigger);
+  Out += "\",\"detail\":\"";
+  appendJsonEscaped(Out, Detail);
+  Out += "\",\"ts_us\":";
+  appendFixed(Out, Ts.nanos() / 1e3, 3);
+  Out += ",\"seq\":";
+  appendUInt(Out, Seq);
+  Out += ",\"records\":[\n";
   for (size_t I = 0; I < Records.size(); ++I) {
-    Out += telemetryRecordJson(Records[I]);
+    appendRecordJson(Out, Records[I]);
     Out += I + 1 < Records.size() ? ",\n" : "\n";
   }
   Out += "]}";
-  return Out;
 }
 
 std::string FlightRecorder::dumpsJson() const {
@@ -110,7 +113,7 @@ std::string FlightRecorder::dumpsJson() const {
       static_cast<unsigned long long>(Dropped),
       static_cast<unsigned long long>(Seq));
   for (size_t I = 0; I < Dumps.size(); ++I) {
-    Out += Dumps[I].toJson();
+    Dumps[I].appendJson(Out);
     Out += I + 1 < Dumps.size() ? ",\n" : "\n";
   }
   Out += "]}\n";

@@ -70,9 +70,9 @@ struct BlackBoxDump {
   uint64_t Seq = 0;    ///< Records observed when the trigger fired.
   std::vector<TelemetryRecord> Records; ///< Ring contents, oldest first.
 
-  /// Self-contained JSON object; records use the exact JSONL line
-  /// format of TelemetryLog::toJsonl.
-  std::string toJson() const;
+  /// Appends a self-contained JSON object; records use the exact JSONL
+  /// line format of TelemetryLog::toJsonl.
+  void appendJson(std::string &Out) const;
 };
 
 /// The recorder; see file comment.

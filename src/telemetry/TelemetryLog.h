@@ -72,11 +72,18 @@ struct TelemetryRecord {
   double numberOr(std::string_view Key, double Default) const;
   std::string stringOr(std::string_view Key,
                        const std::string &Default) const;
+  /// stringOr without the copy: a view into this record's field (valid
+  /// while the record lives) or \p Default.
+  std::string_view stringViewOr(std::string_view Key,
+                                std::string_view Default) const;
 };
 
-/// Serializes one record as the single-line JSON object toJsonl emits
-/// (no trailing newline). The flight recorder reuses this for black-box
+/// Appends one record as the single-line JSON object toJsonl emits (no
+/// trailing newline). The flight recorder reuses this for black-box
 /// dumps so a dumped record is byte-identical to its log line.
+void appendRecordJson(std::string &Out, const TelemetryRecord &R);
+
+/// appendRecordJson into a fresh string.
 std::string telemetryRecordJson(const TelemetryRecord &R);
 
 /// Round-trips \p X through the JSONL number format (%.6f, trailing
@@ -105,6 +112,8 @@ public:
 
   /// One JSON object per line: {"ts_us":...,"kind":"...",<fields>}.
   std::string toJsonl() const;
+  /// Appends toJsonl()'s text to \p Out (e.g. after a header line).
+  void appendJsonl(std::string &Out) const;
 
   /// Parses a toJsonl()-shaped document back into a log, so offline
   /// tools (gw-inspect) analyze the exact structures the in-process

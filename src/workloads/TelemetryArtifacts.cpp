@@ -136,9 +136,13 @@ void greenweb::writeTelemetryArtifacts(
       spliceBeforeClose(Trace, schedPerfettoTrackJson(*Sched));
     writeOne(Opts.TracePath, Trace, "chrome trace");
   }
-  if (!Opts.LogPath.empty())
-    writeOne(Opts.LogPath, Meta.toJsonlLine() + "\n" + Tel.log().toJsonl(),
-             "telemetry event log");
+  if (!Opts.LogPath.empty()) {
+    // Header line and body in one buffer: no whole-log temporaries.
+    std::string Log = Meta.toJsonlLine();
+    Log += '\n';
+    Tel.log().appendJsonl(Log);
+    writeOne(Opts.LogPath, Log, "telemetry event log");
+  }
   if (!Opts.MetricsPath.empty())
     writeOne(Opts.MetricsPath,
              Meta.wrapSnapshot(Tel.metrics().snapshotJson()),

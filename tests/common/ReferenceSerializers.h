@@ -1,0 +1,318 @@
+//===- tests/common/ReferenceSerializers.h - printf-based oracles -*- C++ -*-===//
+//
+// Part of the GreenWeb reproduction. Distributed under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The printf-per-field telemetry serializers that the append-in-place
+/// writers in src/ replaced, kept verbatim as reference oracles for the
+/// differential tests. Each formats through formatString, so it is
+/// correct by construction and slow; the production writers must match
+/// it byte for byte.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef GREENWEB_TESTS_COMMON_REFERENCESERIALIZERS_H
+#define GREENWEB_TESTS_COMMON_REFERENCESERIALIZERS_H
+
+#include "browser/TraceExport.h"
+#include "support/StringUtils.h"
+#include "telemetry/FlightRecorder.h"
+#include "telemetry/Telemetry.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <vector>
+
+namespace greenweb {
+namespace reference {
+
+/// Backslash-escapes '"' and '\\'.
+inline std::string jsonEscape(std::string_view S) {
+  std::string Out;
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    Out += C;
+  }
+  return Out;
+}
+
+/// "%.6f" with trailing zeros trimmed to one fraction digit.
+inline std::string fieldNumber(double X) {
+  std::string S = formatString("%.6f", X);
+  size_t Last = S.find_last_not_of('0');
+  if (S[Last] == '.')
+    ++Last;
+  S.erase(Last + 1);
+  return S;
+}
+
+inline double canonicalNumber(double X) {
+  return std::strtod(fieldNumber(X).c_str(), nullptr);
+}
+
+inline std::string recordJson(const TelemetryRecord &R) {
+  std::string Out = formatString("{\"ts_us\":%.3f,\"kind\":\"%s\"",
+                                 R.Ts.nanos() / 1e3,
+                                 telemetryEventKindName(R.Kind));
+  for (const TelemetryField &F : R.Fields) {
+    Out += formatString(",\"%s\":", jsonEscape(F.Key).c_str());
+    if (const int64_t *I = std::get_if<int64_t>(&F.Value))
+      Out += formatString("%lld", static_cast<long long>(*I));
+    else if (const double *D = std::get_if<double>(&F.Value))
+      Out += fieldNumber(*D);
+    else
+      Out += formatString(
+          "\"%s\"", jsonEscape(std::get<std::string>(F.Value)).c_str());
+  }
+  Out += "}";
+  return Out;
+}
+
+inline std::string jsonl(const TelemetryLog &Log) {
+  std::string Out;
+  for (const TelemetryRecord &R : Log.records()) {
+    Out += recordJson(R);
+    Out += "\n";
+  }
+  return Out;
+}
+
+inline std::string blackBoxJson(const BlackBoxDump &D) {
+  std::string Out = formatString(
+      "{\"trigger\":\"%s\",\"detail\":\"%s\",\"ts_us\":%.3f,"
+      "\"seq\":%llu,\"records\":[\n",
+      jsonEscape(D.Trigger).c_str(), jsonEscape(D.Detail).c_str(),
+      D.Ts.nanos() / 1e3, static_cast<unsigned long long>(D.Seq));
+  for (size_t I = 0; I < D.Records.size(); ++I) {
+    Out += recordJson(D.Records[I]);
+    Out += I + 1 < D.Records.size() ? ",\n" : "\n";
+  }
+  Out += "]}";
+  return Out;
+}
+
+namespace trace {
+
+inline void appendCompleteEvent(std::string &Out, const std::string &Name,
+                                const char *Track, TimePoint Begin,
+                                Duration DurationUs, const std::string &Args) {
+  if (Out.size() > 1)
+    Out += ",\n";
+  Out += formatString(
+      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"X\","
+      "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":\"%s\"%s%s}",
+      jsonEscape(Name).c_str(), Begin.nanos() / 1e3,
+      DurationUs.nanos() / 1e3, Track, Args.empty() ? "" : ",\"args\":",
+      Args.c_str());
+}
+
+inline void appendCounterEvent(std::string &Out, const char *Name,
+                               TimePoint Ts, const std::string &Args) {
+  if (Out.size() > 1)
+    Out += ",\n";
+  Out += formatString("{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"C\","
+                      "\"ts\":%.3f,\"pid\":1,\"args\":%s}",
+                      jsonEscape(Name).c_str(), Ts.nanos() / 1e3,
+                      Args.c_str());
+}
+
+inline void appendInstantEvent(std::string &Out, const std::string &Name,
+                               TimePoint Ts, const std::string &Args) {
+  if (Out.size() > 1)
+    Out += ",\n";
+  Out += formatString(
+      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"i\",\"s\":\"t\","
+      "\"ts\":%.3f,\"pid\":1,\"tid\":\"governor\",\"args\":%s}",
+      jsonEscape(Name).c_str(), Ts.nanos() / 1e3, Args.c_str());
+}
+
+inline void appendFlowEvent(std::string &Out, const std::string &Name,
+                            unsigned long long FlowId, const char *Phase,
+                            double TsUs, const std::string &Track) {
+  if (Out.size() > 1)
+    Out += ",\n";
+  Out += formatString(
+      "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"%s\",\"id\":%llu,"
+      "\"ts\":%.3f,\"pid\":1,\"tid\":\"%s\"%s}",
+      jsonEscape(Name).c_str(), Phase, FlowId, TsUs,
+      jsonEscape(Track).c_str(), Phase[0] == 'f' ? ",\"bp\":\"e\"" : "");
+}
+
+struct FlowHop {
+  double TsUs = 0.0;
+  std::string Track;
+};
+
+} // namespace trace
+
+inline std::string chromeTrace(const std::vector<FrameRecord> &Frames,
+                               const std::vector<ConfigInterval> &Cpu) {
+  using namespace trace;
+  std::string Out = "[";
+  for (const FrameRecord &Frame : Frames) {
+    std::string Roots;
+    for (const MsgLatency &L : Frame.Latencies) {
+      if (!Roots.empty())
+        Roots += ", ";
+      Roots += formatString("%s#%llu", L.Msg.RootEvent.c_str(),
+                            static_cast<unsigned long long>(L.Msg.RootId));
+    }
+    std::string Args = formatString(
+        "{\"roots\":\"%s\",\"worst_latency_ms\":%.3f,"
+        "\"cycles\":%.0f}",
+        jsonEscape(Roots).c_str(), Frame.maxLatency().millis(),
+        Frame.CyclesCharged);
+    appendCompleteEvent(
+        Out, formatString("frame %llu",
+                          static_cast<unsigned long long>(Frame.FrameId)),
+        "frames", Frame.BeginTime, Frame.ReadyTime - Frame.BeginTime, Args);
+    for (const MsgLatency &L : Frame.Latencies)
+      appendCompleteEvent(
+          Out,
+          formatString("%s#%llu", L.Msg.RootEvent.c_str(),
+                       static_cast<unsigned long long>(L.Msg.RootId)),
+          "inputs", L.Msg.StartTs, L.Latency,
+          formatString("{\"latency_ms\":%.3f}", L.Latency.millis()));
+  }
+  for (const ConfigInterval &Interval : Cpu)
+    appendCompleteEvent(Out, Interval.Config.str(), "cpu", Interval.Begin,
+                        Interval.End - Interval.Begin, "{}");
+  Out += "]\n";
+  return Out;
+}
+
+inline std::string chromeTrace(const std::vector<FrameRecord> &Frames,
+                               const std::vector<ConfigInterval> &Cpu,
+                               const Telemetry &Tel) {
+  using namespace trace;
+  std::string Out = chromeTrace(Frames, Cpu);
+  Out.resize(Out.size() - 2);
+  for (const TelemetryRecord &R : Tel.log().records()) {
+    switch (R.Kind) {
+    case TelemetryEventKind::EnergySample:
+      appendCounterEvent(Out, "power_watts", R.Ts,
+                         formatString("{\"watts\":%.6f}",
+                                      R.numberOr("watts", 0.0)));
+      appendCounterEvent(Out, "energy_joules", R.Ts,
+                         formatString("{\"joules\":%.6f}",
+                                      R.numberOr("joules", 0.0)));
+      appendCounterEvent(Out, "sim_queue_depth", R.Ts,
+                         formatString("{\"events\":%.0f}",
+                                      R.numberOr("queue_depth", 0.0)));
+      break;
+    case TelemetryEventKind::ConfigSwitch: {
+      bool Big = R.numberOr("big", 0.0) != 0.0;
+      double FreqMHz = R.numberOr("freq_mhz", 0.0);
+      appendCounterEvent(Out, "freq_mhz", R.Ts,
+                         formatString("{\"A15\":%.0f,\"A7\":%.0f}",
+                                      Big ? FreqMHz : 0.0,
+                                      Big ? 0.0 : FreqMHz));
+      break;
+    }
+    case TelemetryEventKind::GovernorDecision:
+      appendInstantEvent(
+          Out, R.stringOr("governor", "?") + ": " + R.stringOr("reason", "?"),
+          R.Ts,
+          formatString("{\"config\":\"%s\",\"predicted_ms\":%.3f,"
+                       "\"target_ms\":%.3f,\"offset\":%.0f}",
+                       jsonEscape(R.stringOr("config", "")).c_str(),
+                       R.numberOr("predicted_ms", -1.0),
+                       R.numberOr("target_ms", -1.0),
+                       R.numberOr("offset", 0.0)));
+      break;
+    case TelemetryEventKind::FeedbackAction:
+      appendInstantEvent(
+          Out,
+          R.stringOr("governor", "?") + " feedback: " +
+              R.stringOr("action", "?"),
+          R.Ts,
+          formatString("{\"key\":\"%s\",\"offset\":%.0f,"
+                       "\"measured_ms\":%.3f,\"target_ms\":%.3f}",
+                       jsonEscape(R.stringOr("key", "")).c_str(),
+                       R.numberOr("offset", 0.0),
+                       R.numberOr("measured_ms", -1.0),
+                       R.numberOr("target_ms", -1.0)));
+      break;
+    case TelemetryEventKind::CounterSample:
+      appendCounterEvent(Out, R.stringOr("track", "counter").c_str(), R.Ts,
+                         formatString("{\"value\":%.6f}",
+                                      R.numberOr("value", 0.0)));
+      break;
+    case TelemetryEventKind::Span: {
+      std::string Track = R.stringOr("thread", "?");
+      double BeginUs = R.numberOr("begin_us", 0.0);
+      appendCompleteEvent(
+          Out, R.stringOr("name", "?"), Track.c_str(),
+          TimePoint::fromNanos(int64_t(std::llround(BeginUs * 1e3))),
+          Duration::fromMillis(R.numberOr("dur_ms", 0.0)),
+          formatString("{\"id\":%.0f,\"parent\":%.0f,\"root\":%.0f,"
+                       "\"frame\":%.0f,\"open\":%.0f}",
+                       R.numberOr("id", 0.0), R.numberOr("parent", 0.0),
+                       R.numberOr("root", 0.0), R.numberOr("frame", 0.0),
+                       R.numberOr("open", 0.0)));
+      break;
+    }
+    case TelemetryEventKind::Fault:
+      if (R.stringOr("phase", "") == "inject")
+        appendInstantEvent(
+            Out, "inject: " + R.stringOr("fault", "?"), R.Ts,
+            formatString("{\"detail\":\"%s\",\"value\":%.3f}",
+                         jsonEscape(R.stringOr("detail", "")).c_str(),
+                         R.numberOr("value", 0.0)));
+      break;
+    default:
+      break;
+    }
+  }
+
+  std::map<unsigned long long, std::vector<FlowHop>> HopsByRoot;
+  std::map<unsigned long long, std::string> NameByRoot;
+  for (const FrameRecord &Frame : Frames) {
+    for (const MsgLatency &L : Frame.Latencies) {
+      unsigned long long Root = static_cast<unsigned long long>(L.Msg.RootId);
+      auto &Hops = HopsByRoot[Root];
+      if (Hops.empty())
+        Hops.push_back({L.Msg.StartTs.nanos() / 1e3, "inputs"});
+      Hops.push_back({Frame.BeginTime.nanos() / 1e3, "frames"});
+      if (NameByRoot[Root].empty())
+        NameByRoot[Root] =
+            formatString("flow:%s#%llu", L.Msg.RootEvent.c_str(), Root);
+    }
+  }
+  for (const TelemetryRecord &R : Tel.log().records()) {
+    if (R.Kind != TelemetryEventKind::GovernorDecision)
+      continue;
+    double Root = R.numberOr("root", 0.0);
+    if (Root <= 0.0)
+      continue;
+    auto It = HopsByRoot.find(static_cast<unsigned long long>(Root));
+    if (It != HopsByRoot.end())
+      It->second.push_back({R.Ts.nanos() / 1e3, "governor"});
+  }
+  for (auto &[Root, Hops] : HopsByRoot) {
+    if (Hops.size() < 2)
+      continue;
+    std::stable_sort(Hops.begin(), Hops.end(),
+                     [](const FlowHop &A, const FlowHop &B) {
+                       return A.TsUs < B.TsUs;
+                     });
+    const std::string &Name = NameByRoot[Root];
+    for (size_t I = 0; I < Hops.size(); ++I) {
+      const char *Phase = I == 0 ? "s" : I + 1 == Hops.size() ? "f" : "t";
+      appendFlowEvent(Out, Name, Root, Phase, Hops[I].TsUs, Hops[I].Track);
+    }
+  }
+  Out += "]\n";
+  return Out;
+}
+
+} // namespace reference
+} // namespace greenweb
+
+#endif // GREENWEB_TESTS_COMMON_REFERENCESERIALIZERS_H

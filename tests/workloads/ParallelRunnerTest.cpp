@@ -22,11 +22,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace greenweb;
@@ -92,12 +94,30 @@ TEST(ParallelRunnerTest, ForEachIndexWorkerSingleJobIsAllCallerThread) {
 TEST(ParallelRunnerTest, ThrowingItemRethrowsFirstExceptionOnCaller) {
   ParallelRunner Runner(4);
   std::atomic<int> Ran{0};
+  std::atomic<bool> Thrown{false};
+  // Items are handed out in index order, so every item after 7 is
+  // claimed once 7 is. Holding them until item 7 has thrown, plus a
+  // grace period for the runner to record the failure, keeps the other
+  // workers from draining the batch while item 7's worker is
+  // descheduled. Both waits are bounded so a broken runner fails
+  // rather than hangs.
+  auto WaitFor7 = [&] {
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!Thrown.load() && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
   EXPECT_THROW(
       Runner.forEachIndexWorker(200,
                                 [&](unsigned, size_t I) {
                                   Ran.fetch_add(1);
-                                  if (I == 7)
+                                  if (I == 7) {
+                                    Thrown.store(true);
                                     throw std::runtime_error("item 7");
+                                  }
+                                  if (I > 7)
+                                    WaitFor7();
                                 }),
       std::runtime_error);
   // The failure stops further handout: some items ran, not all 200
