@@ -2,22 +2,22 @@
 //
 // Part of the GreenWeb reproduction. Distributed under the MIT license.
 //
-// Measures the three hot paths the throughput overhaul targets, each
-// against its retained reference implementation in the same run:
+// Measures the hot paths the throughput work targets, each against the
+// reference implementation its differential tests use (tests/common/):
 //
-//   1. Event kernel: events/sec through the calendar-queue kernel vs
-//      the pooled-control-block binary heap vs an in-file replica of
-//      the original kernel (two std::make_shared<bool> flags per event,
-//      std::priority_queue with a full event copy per pop).
+//   1. Event kernel: events/sec through the simulator's calendar queue
+//      vs the binary-heap ReferenceEventQueue, on coalesced and on
+//      scattered timer churn.
 //   2. Style resolution: recalcs/sec through the bucketed rule index
 //      (cold after mutations, warm from the per-element cache) vs the
-//      retained naive O(rules x selectors) scan.
+//      naive O(rules x selectors) referenceMatchRules scan.
 //   3. Scenario throughput: the full_evaluation sweep wall-clock with
 //      --jobs=1 vs --jobs=N through ParallelRunner.
 //   4. Warm start: a repeat experiment run restoring shared page assets
-//      (snapshot clone + shared rule index + adopted style cache) vs a
-//      cold parse-everything run, plus a whole sweep with and without
-//      the warm-asset cache and its setup-phase attribution.
+//      from a prewarmed WarmCache (snapshot clone + shared rule index +
+//      adopted style cache) vs a cold parse-everything run, plus a
+//      whole sweep with and without the warm-asset cache and its
+//      setup-phase attribution.
 //
 // Writes BENCH_throughput.json (override with --json=<path>); the
 // committed copy at the repo root records the numbers for the
@@ -28,6 +28,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "ReferenceEventQueue.h"
+#include "ReferenceStyleMatch.h"
 #include "css/CssParser.h"
 #include "css/StyleResolver.h"
 #include "dom/Dom.h"
@@ -44,83 +46,13 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 using namespace greenweb;
+using reference::ReferenceEventQueue;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Legacy event kernel replica (the pre-overhaul design, kept here as the
-// same-run baseline). Two heap-allocated shared_ptr<bool> flags per
-// event, std::priority_queue, and a full event copy on every pop.
-//===----------------------------------------------------------------------===//
-
-class LegacyKernel {
-public:
-  struct Handle {
-    std::shared_ptr<bool> Cancelled;
-    void cancel() {
-      if (Cancelled)
-        *Cancelled = true;
-    }
-  };
-
-  TimePoint now() const { return Now; }
-
-  Handle schedule(Duration Delay, std::function<void()> Fn) {
-    return scheduleAt(Now + Delay, std::move(Fn));
-  }
-
-  Handle scheduleAt(TimePoint When, std::function<void()> Fn) {
-    Event E;
-    E.When = When < Now ? Now : When;
-    E.Seq = NextSeq++;
-    E.Fn = std::move(Fn);
-    E.Cancelled = std::make_shared<bool>(false);
-    E.Fired = std::make_shared<bool>(false);
-    Handle H{E.Cancelled};
-    Queue.push(std::move(E));
-    return H;
-  }
-
-  uint64_t run() {
-    uint64_t Fired = 0;
-    while (!Queue.empty()) {
-      Event E = Queue.top(); // Copy, as the old kernel did.
-      Queue.pop();
-      if (*E.Cancelled)
-        continue;
-      Now = E.When;
-      *E.Fired = true;
-      ++Fired;
-      E.Fn();
-    }
-    return Fired;
-  }
-
-private:
-  struct Event {
-    TimePoint When;
-    uint64_t Seq = 0;
-    std::function<void()> Fn;
-    std::shared_ptr<bool> Cancelled;
-    std::shared_ptr<bool> Fired;
-  };
-  struct Later {
-    bool operator()(const Event &A, const Event &B) const {
-      if (A.When != B.When)
-        return A.When > B.When;
-      return A.Seq > B.Seq;
-    }
-  };
-
-  TimePoint Now;
-  uint64_t NextSeq = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> Queue;
-};
 
 //===----------------------------------------------------------------------===//
 // Self-timed measurement loop
@@ -209,15 +141,6 @@ template <class Kernel> void churnTick(ChurnCtx<Kernel> *C) {
   }
 }
 
-/// Kernel-pinned simulators so the churn template measures each event
-/// kernel explicitly, independent of the process default.
-struct HeapSimulator : Simulator {
-  HeapSimulator() : Simulator(EventKernel::Heap) {}
-};
-struct CalendarSimulator : Simulator {
-  CalendarSimulator() : Simulator(EventKernel::Calendar) {}
-};
-
 template <class Kernel>
 uint64_t eventChurnRound(unsigned Count, unsigned Chains, bool Coalesced) {
   ChurnCtx<Kernel> C;
@@ -302,67 +225,51 @@ int main(int Argc, char **Argv) {
   constexpr unsigned ChurnChains = 1'024;
 
   // --- 1. Event kernel ---
-  Measurement Legacy = measure([] {
-    return eventChurnRound<LegacyKernel>(ChurnEvents, ChurnChains, true);
-  });
-  Measurement Pooled = measure([] {
-    return eventChurnRound<HeapSimulator>(ChurnEvents, ChurnChains, true);
+  Measurement Heap = measure([] {
+    return eventChurnRound<ReferenceEventQueue>(ChurnEvents, ChurnChains, true);
   });
   Measurement Calendar = measure([] {
-    return eventChurnRound<CalendarSimulator>(ChurnEvents, ChurnChains,
-                                              true);
+    return eventChurnRound<Simulator>(ChurnEvents, ChurnChains, true);
   });
-  double KernelSpeedup =
-      Legacy.nsPerOp() > 0 ? Legacy.nsPerOp() / Pooled.nsPerOp() : 0;
   double CalendarSpeedup =
-      Pooled.nsPerOp() > 0 ? Pooled.nsPerOp() / Calendar.nsPerOp() : 0;
+      Calendar.nsPerOp() > 0 ? Heap.nsPerOp() / Calendar.nsPerOp() : 0;
 
   TablePrinter Kernel("Event kernel (coalesced churn: 1024 chains on 1ms "
                       "deadlines, 1/3 decoys cancelled)");
   Kernel.row().cell("kernel").cell("ns/event").cell("events/sec");
   Kernel.row()
-      .cell("legacy (2x shared_ptr<bool>)")
-      .cell(Legacy.nsPerOp(), 1)
-      .cell(Legacy.opsPerSec(), 0);
+      .cell("reference binary heap")
+      .cell(Heap.nsPerOp(), 1)
+      .cell(Heap.opsPerSec(), 0);
   Kernel.row()
-      .cell("pooled binary heap")
-      .cell(Pooled.nsPerOp(), 1)
-      .cell(Pooled.opsPerSec(), 0);
-  Kernel.row()
-      .cell("calendar queue")
+      .cell("calendar queue (Simulator)")
       .cell(Calendar.nsPerOp(), 1)
       .cell(Calendar.opsPerSec(), 0);
   Kernel.print();
-  std::printf("event-kernel speedup: %.2fx heap vs legacy, %.2fx "
-              "calendar vs heap\n\n",
-              KernelSpeedup, CalendarSpeedup);
+  std::printf("event-kernel speedup: %.2fx calendar vs reference heap\n\n",
+              CalendarSpeedup);
 
-  Json.metric("event_kernel_legacy", Legacy.Ops, Legacy.nsPerOp(),
-              "events_per_sec", Legacy.opsPerSec(), "",
-              Legacy.SamplesNsPerOp);
-  Json.metric("event_kernel_pooled", Pooled.Ops, Pooled.nsPerOp(),
-              "events_per_sec", Pooled.opsPerSec(), "",
-              Pooled.SamplesNsPerOp);
+  Json.metric("event_kernel_reference_heap", Heap.Ops, Heap.nsPerOp(),
+              "events_per_sec", Heap.opsPerSec(), "", Heap.SamplesNsPerOp);
   Json.metric("event_kernel_calendar", Calendar.Ops, Calendar.nsPerOp(),
               "events_per_sec", Calendar.opsPerSec(), "",
               Calendar.SamplesNsPerOp);
-  Json.scalar("event_kernel_speedup", KernelSpeedup, "x");
   Json.scalar("event_kernel_calendar_speedup", CalendarSpeedup, "x");
 
   // Scattered variant: shallow 32-chain queue, uniform 100 us re-arms.
-  // No batch-drain advantage here; this is the calendar's worst case
-  // and must still not lose to the heap.
-  Measurement ScatHeap = measure(
-      [] { return eventChurnRound<HeapSimulator>(10'000, 32, false); });
-  Measurement ScatCal = measure([] {
-    return eventChurnRound<CalendarSimulator>(10'000, 32, false);
+  // No batch-drain advantage here; this is the calendar's worst case,
+  // roughly a tie with the reference heap, and is not gated.
+  Measurement ScatHeap = measure([] {
+    return eventChurnRound<ReferenceEventQueue>(10'000, 32, false);
   });
+  Measurement ScatCal =
+      measure([] { return eventChurnRound<Simulator>(10'000, 32, false); });
   double ScatSpeedup =
-      ScatHeap.nsPerOp() > 0 ? ScatHeap.nsPerOp() / ScatCal.nsPerOp() : 0;
-  std::printf("scattered churn (32 chains): heap %.1f ns/ev, calendar "
-              "%.1f ns/ev (%.2fx)\n\n",
+      ScatCal.nsPerOp() > 0 ? ScatHeap.nsPerOp() / ScatCal.nsPerOp() : 0;
+  std::printf("scattered churn (32 chains): reference heap %.1f ns/ev, "
+              "calendar %.1f ns/ev (%.2fx)\n\n",
               ScatHeap.nsPerOp(), ScatCal.nsPerOp(), ScatSpeedup);
-  Json.metric("event_churn_scattered_pooled", ScatHeap.Ops,
+  Json.metric("event_churn_scattered_reference_heap", ScatHeap.Ops,
               ScatHeap.nsPerOp(), "events_per_sec", ScatHeap.opsPerSec(),
               "", ScatHeap.SamplesNsPerOp);
   Json.metric("event_churn_scattered_calendar", ScatCal.Ops,
@@ -378,7 +285,7 @@ int main(int Argc, char **Argv) {
       W->Doc.bumpStyleVersion(); // Invalidates every cache entry.
     uint64_t Matched = 0;
     for (Element *E : W->Elements)
-      Matched += Naive ? Resolver.matchRulesNaive(*E).size()
+      Matched += Naive ? reference::referenceMatchRules(W->Sheet, *E).size()
                        : Resolver.matchRules(*E).size();
     // Ops = elements recalculated; fold Matched in so the work cannot
     // be optimized away.
@@ -398,7 +305,7 @@ int main(int Argc, char **Argv) {
       "Style resolution (400 rules, 160 elements per recalc)");
   Style.row().cell("resolver").cell("ns/element").cell("recalcs/sec");
   Style.row()
-      .cell("naive scan")
+      .cell("naive scan (reference)")
       .cell(Naive.nsPerOp(), 1)
       .cell(Naive.opsPerSec(), 0);
   Style.row()
@@ -438,6 +345,9 @@ int main(int Argc, char **Argv) {
     }
   auto SweepSecs = [&](unsigned Jobs, SchedTrace *Sched = nullptr,
                        WarmCache *Warm = nullptr) {
+    std::vector<ExperimentConfig> Runs = Configs;
+    for (ExperimentConfig &C : Runs)
+      C.WarmPool = Warm;
     // A metrics-only shared hub, as every real sweep runs (bench
     // prefetch, chaos soak): the post-batch config-order merge is part
     // of what the scheduler report attributes.
@@ -448,14 +358,13 @@ int main(int Argc, char **Argv) {
     Opts.SharedTel = &Tel;
     Opts.JobLogCapacity = 0;
     Opts.Sched = Sched;
-    Opts.Warm = Warm;
     SchedProgress Progress;
     if (Flags.Progress && Jobs > 1) {
       Opts.Progress = &Progress;
       Opts.ProgressLabel = formatString("sweep jobs=%u", Jobs);
     }
     auto Start = std::chrono::steady_clock::now();
-    runExperimentsParallel(Configs, Opts);
+    runExperimentsParallel(Runs, Opts);
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - Start)
         .count();
@@ -533,9 +442,11 @@ int main(int Argc, char **Argv) {
       runExperiment(RunCfg);
       return uint64_t(1);
     });
-    PageAssets Assets = buildPageAssets(RunCfg.AppName, RunCfg.Seed);
+    // Prewarmed, so every timed round restores.
+    WarmCache RunPool;
+    RunPool.get(RunCfg.AppName, RunCfg.Seed);
     ExperimentConfig WarmCfg = RunCfg;
-    WarmCfg.Warm = &Assets;
+    WarmCfg.WarmPool = &RunPool;
     Measurement WarmRun = measure([&] {
       runExperiment(WarmCfg);
       return uint64_t(1);

@@ -161,8 +161,7 @@ const StyleResolver::RuleIndex &StyleResolver::activeIndex() const {
   return Own;
 }
 
-std::vector<MatchedRule>
-StyleResolver::matchRulesIndexed(const Element &E) const {
+std::vector<MatchedRule> StyleResolver::matchRules(const Element &E) const {
   GW_PROF_SCOPE("css.match_indexed");
   const RuleIndex &Index = activeIndex();
   uint64_t Version = E.document().styleVersion();
@@ -235,39 +234,6 @@ StyleResolver::matchRulesIndexed(const Element &E) const {
   CacheEntry &Entry = Cache[E.nodeId()];
   Entry.Version = Version;
   Entry.Matches = Matches;
-  return Matches;
-}
-
-std::vector<MatchedRule> StyleResolver::matchRules(const Element &E) const {
-  if (!IndexEnabled)
-    return matchRulesNaive(E);
-  return matchRulesIndexed(E);
-}
-
-std::vector<MatchedRule>
-StyleResolver::matchRulesNaive(const Element &E) const {
-  GW_PROF_SCOPE("css.match_naive");
-  std::vector<MatchedRule> Matches;
-  for (size_t Order = 0; Order < Sheet.Rules.size(); ++Order) {
-    const StyleRule &Rule = Sheet.Rules[Order];
-    // A rule's cascade priority comes from its most specific matching
-    // selector.
-    const ComplexSelector *Best = nullptr;
-    for (const ComplexSelector &Selector : Rule.Selectors) {
-      if (!Selector.matches(E))
-        continue;
-      if (!Best || Best->specificity() < Selector.specificity())
-        Best = &Selector;
-    }
-    if (Best)
-      Matches.push_back({&Rule, Best->specificity(), Order});
-  }
-  std::stable_sort(Matches.begin(), Matches.end(),
-                   [](const MatchedRule &A, const MatchedRule &B) {
-                     if (A.Spec != B.Spec)
-                       return A.Spec < B.Spec;
-                     return A.Order < B.Order;
-                   });
   return Matches;
 }
 

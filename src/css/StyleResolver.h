@@ -28,10 +28,11 @@
 ///
 /// The index is an exact-output optimization: candidate buckets are a
 /// superset of the matching selectors, every candidate is confirmed
-/// with the same ComplexSelector::matches used by the naive scan, and
-/// results are ordered by (specificity, source order) exactly as
-/// before. matchRulesNaive retains the reference scan for parity tests
-/// and benchmarks.
+/// with ComplexSelector::matches, and results are ordered by
+/// (specificity, source order) exactly as a naive O(rules x selectors)
+/// scan orders them. That scan survives only as a test oracle
+/// (tests/common/ReferenceStyleMatch.h), which the randomized parity
+/// tests compare against on every element.
 ///
 /// For cross-run warm starts the index can be built once per stylesheet
 /// (buildIndex) and shared read-only between resolver instances
@@ -172,14 +173,6 @@ public:
   /// (later entries win).
   std::vector<MatchedRule> matchRules(const Element &E) const;
 
-  /// The reference O(rules x selectors) scan the index replaced. Same
-  /// output as matchRules; kept for parity testing and benchmarking.
-  std::vector<MatchedRule> matchRulesNaive(const Element &E) const;
-
-  /// Disables (or re-enables) the rule index and cache; matchRules then
-  /// falls back to the naive scan. Test/benchmark aid.
-  void setIndexEnabled(bool Enabled) { IndexEnabled = Enabled; }
-
   /// Computed value of \p Property for \p E after the cascade, with the
   /// element's inline style taking highest priority. Empty when unset.
   std::string computedValue(const Element &E,
@@ -227,10 +220,8 @@ private:
   /// The index lookups go through: the shared one when installed and
   /// still covering the sheet, else the lazily (re)built own index.
   const RuleIndex &activeIndex() const;
-  std::vector<MatchedRule> matchRulesIndexed(const Element &E) const;
 
   const Stylesheet &Sheet;
-  bool IndexEnabled = true;
 
   /// Prebuilt shared index (warm path); nullptr for self-built.
   std::shared_ptr<const RuleIndex> Shared;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 using namespace greenweb;
@@ -82,14 +81,6 @@ inline unsigned lowestBit(uint64_t W) {
 }
 
 } // namespace
-
-EventKernel greenweb::defaultEventKernel() {
-  if (const char *Env = std::getenv("GREENWEB_SIM_KERNEL")) {
-    if (std::strcmp(Env, "heap") == 0)
-      return EventKernel::Heap;
-  }
-  return EventKernel::Calendar;
-}
 
 void Simulator::setTelemetry(Telemetry *T) {
   Tel = T;
@@ -165,21 +156,9 @@ EventHandle Simulator::scheduleAt(TimePoint When, std::function<void()> Fn) {
   Payload &P = Payloads[Slot];
   P.Fn = std::move(Fn);
   P.SpanCtx = SpanCtx;
-  if (Kernel == EventKernel::Heap) {
-    Heap.push_back(E);
-    std::push_heap(Heap.begin(), Heap.end(), Later());
-  } else {
-    calSchedule(E);
-  }
+  calSchedule(E);
   noteScheduled();
   return Handle;
-}
-
-Simulator::Event Simulator::popTop() {
-  std::pop_heap(Heap.begin(), Heap.end(), Later());
-  Event E = Heap.back();
-  Heap.pop_back();
-  return E;
 }
 
 void Simulator::maybeCompact() {
@@ -187,28 +166,6 @@ void Simulator::maybeCompact() {
   if (Pending < CompactionMinQueueSize ||
       Ctrl->CancelledPending * 2 < Pending)
     return;
-  if (Kernel == EventKernel::Heap)
-    compactHeap();
-  else
-    compactCalendar();
-  Ctrl->CancelledPending = 0;
-  ++Compactions;
-}
-
-void Simulator::compactHeap() {
-  GW_PROF_SCOPE("sim.compact");
-  auto Dead = [this](const Event &E) {
-    if (!Ctrl->cancelled(E.Slot))
-      return false;
-    Payloads[E.Slot].Fn = nullptr;
-    Ctrl->release(E.Slot);
-    return true;
-  };
-  Heap.erase(std::remove_if(Heap.begin(), Heap.end(), Dead), Heap.end());
-  std::make_heap(Heap.begin(), Heap.end(), Later());
-}
-
-void Simulator::compactCalendar() {
   GW_PROF_SCOPE("sim.compact");
   auto Dead = [this](const Event &E) {
     if (!Ctrl->cancelled(E.Slot))
@@ -232,9 +189,11 @@ void Simulator::compactCalendar() {
   Removed += size_t(Overflow.end() - NewEnd);
   Overflow.erase(NewEnd, Overflow.end());
   CalSize -= Removed;
+  Ctrl->CancelledPending = 0;
+  ++Compactions;
 }
 
-//===--- Calendar kernel ---------------------------------------------------===//
+//===--- Calendar queue ---------------------------------------------------===//
 
 size_t Simulator::nextOccupied(size_t From) const {
   size_t W = From >> 6;
@@ -345,7 +304,7 @@ void Simulator::calPopFront() {
   --CalSize;
 }
 
-bool Simulator::fireNextCalendar() {
+bool Simulator::fireNext() {
   while (Event *Front = calFront()) {
     // Copy the entry out first: Fn below may grow this bucket and
     // invalidate the pointer.
@@ -384,54 +343,7 @@ bool Simulator::fireNextCalendar() {
   return false;
 }
 
-//===--- Heap kernel -------------------------------------------------------===//
-
-bool Simulator::fireNextHeap() {
-  while (!Heap.empty()) {
-    Event E = popTop();
-    if (Ctrl->cancelled(E.Slot)) {
-      --Ctrl->CancelledPending;
-      Payloads[E.Slot].Fn = nullptr;
-      Ctrl->release(E.Slot);
-      continue;
-    }
-    Payload P = std::move(Payloads[E.Slot]);
-    Payloads[E.Slot].Fn = nullptr;
-    Ctrl->release(E.Slot);
-    assert(E.When >= Now && "event queue went backwards");
-    Now = E.When;
-    noteFired();
-    if (P.SpanCtx != 0 && Tel && Tel->enabled()) {
-      int64_t Prev = Tel->spans().setCurrent(P.SpanCtx);
-      P.Fn();
-      if (Tel)
-        Tel->spans().setCurrent(Prev);
-    } else {
-      P.Fn();
-    }
-    return true;
-  }
-  return false;
-}
-
-bool Simulator::fireNext() {
-  return Kernel == EventKernel::Heap ? fireNextHeap() : fireNextCalendar();
-}
-
 bool Simulator::peekLiveWhen(TimePoint &WhenOut) {
-  if (Kernel == EventKernel::Heap) {
-    while (!Heap.empty()) {
-      if (!Ctrl->cancelled(Heap.front().Slot)) {
-        WhenOut = Heap.front().When;
-        return true;
-      }
-      Event Stub = popTop();
-      --Ctrl->CancelledPending;
-      Payloads[Stub.Slot].Fn = nullptr;
-      Ctrl->release(Stub.Slot);
-    }
-    return false;
-  }
   while (Event *E = calFront()) {
     if (!Ctrl->cancelled(E->Slot)) {
       WhenOut = E->When;

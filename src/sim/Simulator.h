@@ -14,27 +14,18 @@
 /// monotone sequence number breaks ties), so runs are reproducible across
 /// platforms and standard libraries.
 ///
-/// Two event-queue kernels implement the same (When, Seq) total order:
-///
-///  - EventKernel::Calendar (default): a calendar queue — a power-of-two
-///    wheel of time buckets (sorted lazily, on first touch, and drained
-///    through a cursor so same-timestamp clusters pop by a pointer bump)
-///    plus an unsorted overflow ladder for events beyond the wheel's
-///    horizon. An occupancy bitmap skips empty buckets in O(1), and
-///    drained buckets recycle their storage through a pool, so
-///    steady-state scheduling never touches the allocator. Schedule and
-///    pop are O(1) amortized.
-///
-///  - EventKernel::Heap: the previous binary-heap kernel, retained behind
-///    the kernel-select flag for differential testing.
-///
-/// Both kernels queue the same trivially-copyable 24-byte entries and
-/// keep callbacks in a slot-addressed payload side table, so entry moves
-/// (heap sifts, bucket sorts) are plain memcpys.
-///
-/// Both kernels drive the control slab, compaction trigger, and telemetry
-/// counters identically, so a run's exported artifacts are byte-identical
-/// regardless of kernel choice (the differential tests pin this down).
+/// The event queue is a calendar queue: a power-of-two wheel of time
+/// buckets (sorted lazily, on first touch, and drained through a cursor
+/// so same-timestamp clusters pop by a pointer bump) plus an unsorted
+/// overflow ladder for events beyond the wheel's horizon. An occupancy
+/// bitmap skips empty buckets in O(1), and drained buckets recycle their
+/// storage through a pool, so steady-state scheduling never touches the
+/// allocator. Schedule and pop are O(1) amortized. Queue entries are
+/// trivially-copyable 24-byte records and callbacks live in a
+/// slot-addressed payload side table, so bucket sorts move plain
+/// memcpys. A binary-heap reference queue with the same (When, Seq)
+/// order lives in tests/common/ReferenceEventQueue.h, and the
+/// randomized differential tests in tests/sim pin the two together.
 ///
 /// Event control state lives in a pooled slab shared by the simulator and
 /// every EventHandle: one {generation, cancelled} record per in-flight
@@ -154,36 +145,14 @@ private:
   uint32_t Gen = 0;
 };
 
-/// Which event-queue implementation a Simulator uses. Both produce the
-/// same (When, Seq) pop order and identical telemetry.
-enum class EventKernel {
-  /// Bucketed calendar queue with overflow ladder (default; O(1)
-  /// amortized schedule/pop, inline payloads, batch drain).
-  Calendar,
-  /// Binary heap over POD entries with a payload side table (the
-  /// previous kernel, kept for differential testing).
-  Heap,
-};
-
-/// The process-wide default kernel: Calendar, unless the environment
-/// variable GREENWEB_SIM_KERNEL is set to "heap" (or "calendar", which
-/// is a no-op spelled out). Lets any binary flip kernels without a
-/// rebuild for A/B runs.
-EventKernel defaultEventKernel();
-
 /// The simulation kernel: a virtual clock plus an event queue.
 class Simulator {
 public:
-  explicit Simulator(EventKernel Kind = defaultEventKernel())
-      : Ctrl(std::make_shared<detail::EventControlSlab>()), Kernel(Kind) {
-    if (Kernel == EventKernel::Calendar)
-      Buckets.resize(BucketCount);
-  }
+  Simulator()
+      : Buckets(BucketCount),
+        Ctrl(std::make_shared<detail::EventControlSlab>()) {}
   Simulator(const Simulator &) = delete;
   Simulator &operator=(const Simulator &) = delete;
-
-  /// The queue implementation this simulator was constructed with.
-  EventKernel kernel() const { return Kernel; }
 
   /// Current virtual time.
   TimePoint now() const { return Now; }
@@ -206,9 +175,7 @@ public:
 
   /// Number of events currently pending (including cancelled stubs not yet
   /// drained).
-  size_t pendingEvents() const {
-    return Kernel == EventKernel::Heap ? Heap.size() : CalSize;
-  }
+  size_t pendingEvents() const { return CalSize; }
 
   /// Number of live (non-cancelled) events currently queued. O(1): the
   /// queue size and the slab's cancelled-stub count are both maintained
@@ -249,29 +216,21 @@ private:
   void noteFired();
   /// Evicts cancelled stubs in bulk once they dominate the queue, so a
   /// cancellation-heavy workload cannot make the queue grow without
-  /// bound. (When, Seq) ordering of survivors is intact. Both kernels
-  /// evaluate the identical trigger on identical queue sizes, so the
-  /// compaction counter — and therefore exported telemetry — matches
-  /// across kernels event for event.
+  /// bound. (When, Seq) ordering of survivors is intact.
   void maybeCompact();
-  void compactHeap();
-  void compactCalendar();
 
   bool fireNext();
-  bool fireNextHeap();
-  bool fireNextCalendar();
   /// Drains cancelled stubs at the queue front and reports the timestamp
   /// of the earliest live event, or false when none remain.
   bool peekLiveWhen(TimePoint &WhenOut);
 
-  //===--- Queue entries (shared by both kernels) --------------------===//
+  //===--- Queue entries ---------------------------------------------===//
 
-  /// A queue entry is deliberately a trivially-copyable 24 bytes: heap
-  /// sifts and calendar bucket sorts move entries many times per event,
-  /// and keeping the std::function out of the entry turns each of those
-  /// moves into a plain memcpy instead of an indirect callable-manager
-  /// call. The callback lives in Payloads, indexed by the (stable)
-  /// control slot.
+  /// A queue entry is deliberately a trivially-copyable 24 bytes: bucket
+  /// sorts move entries many times per event, and keeping the
+  /// std::function out of the entry turns each of those moves into a
+  /// plain memcpy instead of an indirect callable-manager call. The
+  /// callback lives in Payloads, indexed by the (stable) control slot.
   struct Event {
     TimePoint When;
     uint64_t Seq;
@@ -286,18 +245,8 @@ private:
     /// context (carries causality across IPC delays and timers).
     int64_t SpanCtx = 0;
   };
-  struct Later {
-    bool operator()(const Event &A, const Event &B) const {
-      if (A.When != B.When)
-        return A.When > B.When;
-      return A.Seq > B.Seq;
-    }
-  };
 
-  /// Removes the front (minimum) heap element and returns it.
-  Event popTop();
-
-  //===--- Calendar kernel -------------------------------------------===//
+  //===--- Calendar queue --------------------------------------------===//
 
   /// Append-only within its tick window; sorted lazily when the scan
   /// cursor first touches it (Dirty), then drained through Cursor so a
@@ -341,17 +290,12 @@ private:
 
   TimePoint Now;
   uint64_t NextSeq = 0;
-  /// Min-heap over (When, Seq) maintained with std::push_heap/pop_heap
-  /// (Heap kernel only). Owning the vector (rather than hiding it in
-  /// std::priority_queue) lets maybeCompact() walk elements in place.
-  std::vector<Event> Heap;
-  /// Slot-indexed callback storage (parallel to Ctrl->Slots; both
-  /// kernels). Written once at schedule time, moved out at fire time,
-  /// cleared on release so captured state is not kept alive by a
-  /// retired slot.
+  /// Slot-indexed callback storage (parallel to Ctrl->Slots). Written
+  /// once at schedule time, moved out at fire time, cleared on release
+  /// so captured state is not kept alive by a retired slot.
   std::vector<Payload> Payloads;
 
-  /// Calendar kernel state. The wheel covers ticks
+  /// Calendar state. The wheel covers ticks
   /// [WindowBase, WindowBase + BucketCount); WindowBase is aligned to
   /// BucketCount so bucket index == tick & BucketMask scans
   /// monotonically. CurTick is the scan position; events that would
@@ -371,11 +315,10 @@ private:
   uint64_t WindowBase = 0;
   uint64_t CurTick = 0;
   /// Total entries queued across wheel + overflow, including cancelled
-  /// stubs (the calendar analog of Heap.size()).
+  /// stubs.
   size_t CalSize = 0;
 
   std::shared_ptr<detail::EventControlSlab> Ctrl;
-  EventKernel Kernel;
   uint64_t Compactions = 0;
 
   /// Optional telemetry hub (owned by the experiment driver). Cached

@@ -10,6 +10,7 @@
 #include <array>
 #include <cassert>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -90,8 +91,9 @@ std::optional<int64_t> greenweb::parseInt(std::string_view S) {
     return std::nullopt;
   std::string Buf(S);
   char *End = nullptr;
+  errno = 0;
   long long Value = std::strtoll(Buf.c_str(), &End, 10);
-  if (End != Buf.c_str() + Buf.size())
+  if (End != Buf.c_str() + Buf.size() || errno == ERANGE)
     return std::nullopt;
   return int64_t(Value);
 }

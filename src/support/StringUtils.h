@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,8 +44,18 @@ bool endsWith(std::string_view S, std::string_view Suffix);
 /// Case-insensitive ASCII equality.
 bool equalsIgnoreCase(std::string_view A, std::string_view B);
 
-/// Parses a decimal integer; rejects trailing junk.
+/// Parses a decimal integer; rejects trailing junk and values outside
+/// int64_t.
 std::optional<int64_t> parseInt(std::string_view S);
+
+/// Parses a count for the unsigned type T (CLI flag values): what
+/// parseInt accepts, minus negatives and values above T's range.
+template <class T> std::optional<T> parseCount(std::string_view S) {
+  std::optional<int64_t> N = parseInt(S);
+  if (!N || *N < 0 || uint64_t(*N) > std::numeric_limits<T>::max())
+    return std::nullopt;
+  return T(*N);
+}
 
 /// Parses a floating-point number; rejects trailing junk.
 std::optional<double> parseDouble(std::string_view S);

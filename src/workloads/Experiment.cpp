@@ -267,7 +267,9 @@ uint64_t hostNowNs() {
 
 /// Shared state for one experiment run.
 struct Harness {
-  explicit Harness(const ExperimentConfig &Config)
+  /// \p Assets are the pool's shared assets for (Config.AppName,
+  /// Config.Seed), or null for a cold run.
+  Harness(const ExperimentConfig &Config, const PageAssets *Assets)
       : Config(Config), Chip(Sim), Meter(Chip), Collector(Registry) {
     uint64_t SetupStart = hostNowNs();
     if (Config.Tel)
@@ -281,14 +283,10 @@ struct Harness {
           Chip.enforceThermalCap();
       });
     }
-    // Warm-start eligibility: the shared assets must be for exactly
-    // this (app, seed) and the run must load the page source verbatim
-    // (AutoGreen rewrites it, so those runs stay cold).
-    Warm = Config.Warm;
-    if (Warm && (Config.UseAutoGreenAnnotations ||
-                 Warm->AppName != Config.AppName ||
-                 Warm->Seed != Config.Seed || !Warm->Snapshot.Proto))
-      Warm = nullptr;
+    // Warm-start eligibility: the run must load the page source
+    // verbatim (AutoGreen rewrites it, so those runs stay cold).
+    if (Assets && !Config.UseAutoGreenAnnotations && Assets->Snapshot.Proto)
+      Warm = Assets;
     if (Warm) {
       App = &Warm->App;
     } else {
@@ -568,18 +566,18 @@ static ExperimentResult runMicroExperiment(Harness &H) {
 
 ExperimentResult greenweb::runExperiment(const ExperimentConfig &Config) {
   GW_PROF_SCOPE("workloads.experiment");
-  ExperimentConfig C = Config;
+  const PageAssets *Assets = nullptr;
   uint64_t PoolNs = 0;
-  if (!C.Warm && C.WarmPool) {
+  if (Config.WarmPool) {
     // The fetch may build the assets (first run for this key); that is
     // setup work and must be attributed as such.
     uint64_t PoolStart = hostNowNs();
-    C.Warm = &C.WarmPool->get(C.AppName, C.Seed);
+    Assets = &Config.WarmPool->get(Config.AppName, Config.Seed);
     PoolNs = hostNowNs() - PoolStart;
   }
-  Harness H(C);
+  Harness H(Config, Assets);
   H.SetupHostNs += PoolNs;
-  if (C.Mode == ExperimentMode::Full)
+  if (Config.Mode == ExperimentMode::Full)
     return runFullExperiment(H);
   return runMicroExperiment(H);
 }

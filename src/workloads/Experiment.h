@@ -33,7 +33,6 @@ namespace greenweb {
 
 class Telemetry;
 struct RunSample;
-struct PageAssets;
 class WarmCache;
 
 /// Which half of Table 3 drives the run.
@@ -87,17 +86,13 @@ struct ExperimentConfig {
   /// the paper's 1 kS/s), and a closing sample is taken when results
   /// are collected so the attribution ledger covers the full window.
   Duration MeterSamplePeriod = Duration::zero();
-  /// Optional warm-start assets for this run's (app, seed). When set,
-  /// page loads restore the shared snapshot instead of parsing —
-  /// byte-identical simulated behavior, less host-side setup. Ignored
-  /// (cold load) when the run rewrites the page source
-  /// (UseAutoGreenAnnotations) or the assets don't match (app, seed).
-  /// Not owned; must outlive the run.
-  const PageAssets *Warm = nullptr;
-  /// Optional warm-asset cache. When set (and Warm is null), the run
-  /// fetches — building on first use — the shared assets for its
-  /// (app, seed) at start, so median sweeps warm every seed. Not owned;
-  /// must outlive the run. Thread-safe across parallel runs.
+  /// Optional warm-asset cache, the one warm-start input. When set, the
+  /// run fetches — building on first use — the shared assets for its
+  /// (app, seed) at start, so median sweeps warm every seed, and page
+  /// loads restore the shared snapshot instead of parsing:
+  /// byte-identical simulated behavior, less host-side setup. Runs that
+  /// rewrite the page source (UseAutoGreenAnnotations) still load cold.
+  /// Not owned; must outlive the run. Thread-safe across parallel runs.
   WarmCache *WarmPool = nullptr;
   /// Model JSON for the Predictive governors (loaded per run). Ignored
   /// for other governors.

@@ -163,6 +163,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     for (uint64_t I = 0; I < Count; ++I) {
       BatchItems.push_back(Plan.item(First + I));
       Configs.push_back(Plan.config(BatchItems.back()));
+      Configs.back().WarmPool = &Warm;
     }
 
     // Per-item fold inputs, filled by the per-job hook on worker
@@ -185,7 +186,6 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     POpts.JobLogCapacity = 0;
     POpts.EnableDetectors = true;
     POpts.EnableFlightRecorder = true;
-    POpts.Warm = &Warm;
     POpts.ItemLabel = [&BatchItems](size_t I) {
       return BatchItems[I].label();
     };

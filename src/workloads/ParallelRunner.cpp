@@ -130,8 +130,6 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
       // once; isolation is the whole contract here.
       Config.Tel = nullptr;
     }
-    Config.Warm = nullptr;
-    Config.WarmPool = Opts.Warm;
     int64_t T1 = Timed ? HostNs() : 0;
     Results[I] = Opts.MedianSeeds.empty()
                      ? runExperiment(Config)

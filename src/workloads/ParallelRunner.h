@@ -36,7 +36,6 @@ class SchedProgress;
 class SchedTrace;
 class StreamAggregator;
 class Telemetry;
-class WarmCache;
 
 /// A minimal fork-join index pool: run Fn(0..Count-1) across up to
 /// `jobs` threads with dynamic work handout (an atomic next-index
@@ -125,18 +124,16 @@ struct ParallelExperimentOptions {
   std::function<std::string(size_t)> ItemLabel;
   /// Progress meter title ("sweep 3/4" beats bare numbers in a soak).
   std::string ProgressLabel = "sweep";
-  /// When set, runs warm-start from this shared asset cache: each
-  /// (app, seed)'s page is parsed/indexed once (on whichever worker
-  /// gets there first) and every other run of it restores the snapshot.
-  /// Simulated results stay bit-identical to cold runs; only host-side
-  /// setup shrinks (visible in Sched items' setup_ns). Not owned; must
-  /// outlive the batch. Configs' own Warm/WarmPool fields are ignored.
-  WarmCache *Warm = nullptr;
 };
 
 /// Runs every config and returns results in config order (never
 /// completion order). Each config executes exactly as it would serially;
 /// see the file comment for the isolation and merge-order guarantees.
+/// Configs sharing one ExperimentConfig::WarmPool warm-start from it:
+/// each (app, seed)'s page is parsed/indexed once (on whichever worker
+/// gets there first) and every other run of it restores the snapshot.
+/// Simulated results stay bit-identical to cold runs; only host-side
+/// setup shrinks (visible in Sched items' setup_ns).
 std::vector<ExperimentResult>
 runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                        const ParallelExperimentOptions &Opts = {});

@@ -4,12 +4,18 @@
 //
 // Randomized differential tests: the bucketed/Bloom-filtered/cached
 // matcher must produce byte-identical output to the reference
-// O(rules x selectors) scan on arbitrary documents and stylesheets,
-// including :QoS-qualified rules, and must stay identical across
-// cache-invalidating DOM mutations.
+// O(rules x selectors) scan (tests/common/ReferenceStyleMatch.h) on
+// arbitrary documents and stylesheets, including :QoS-qualified rules,
+// and must stay identical across cache-invalidating DOM mutations.
+//
+// Only matchRules is compared. computedStyle, transitionsFor and
+// qosAnnotationsFor are functions of matchRules' output plus the
+// element itself, so equal match lists on every element imply an
+// equal cascade and equal QoS annotations.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceStyleMatch.h"
 #include "css/CssParser.h"
 #include "css/StyleResolver.h"
 #include "dom/Dom.h"
@@ -22,6 +28,7 @@
 
 using namespace greenweb;
 using namespace greenweb::css;
+using reference::referenceMatchRules;
 
 namespace {
 
@@ -106,35 +113,13 @@ void expectSameMatches(const std::vector<MatchedRule> &A,
   }
 }
 
-void expectSameQos(const std::vector<QosAnnotation> &A,
-                   const std::vector<QosAnnotation> &B) {
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Target, B[I].Target);
-    EXPECT_EQ(A[I].EventName, B[I].EventName);
-    EXPECT_EQ(A[I].Value.Kind, B[I].Value.Kind);
-    EXPECT_EQ(A[I].Value.LongDuration, B[I].Value.LongDuration);
-    EXPECT_EQ(A[I].Value.Ti.has_value(), B[I].Value.Ti.has_value());
-    EXPECT_EQ(A[I].Value.Tu.has_value(), B[I].Value.Tu.has_value());
-    if (A[I].Value.Ti && B[I].Value.Ti)
-      EXPECT_EQ(A[I].Value.Ti->micros(), B[I].Value.Ti->micros());
-    if (A[I].Value.Tu && B[I].Value.Tu)
-      EXPECT_EQ(A[I].Value.Tu->micros(), B[I].Value.Tu->micros());
-  }
-}
-
-/// Full-document parity: indexed resolver vs a second resolver with the
-/// index disabled (which routes matchRules through the naive scan).
-void expectFullParity(const Stylesheet &Sheet, Document &Doc,
+/// Full-document parity: the indexed resolver against the reference
+/// scan on every element.
+void expectFullParity(const Stylesheet &Sheet,
                       const std::vector<Element *> &Elems) {
   StyleResolver Indexed(Sheet);
-  StyleResolver Naive(Sheet);
-  Naive.setIndexEnabled(false);
-  for (const Element *E : Elems) {
-    expectSameMatches(Indexed.matchRules(*E), Indexed.matchRulesNaive(*E));
-    EXPECT_EQ(Indexed.computedStyle(*E), Naive.computedStyle(*E));
-    expectSameQos(Indexed.qosAnnotationsFor(*E), Naive.qosAnnotationsFor(*E));
-  }
+  for (const Element *E : Elems)
+    expectSameMatches(Indexed.matchRules(*E), referenceMatchRules(Sheet, *E));
 }
 
 class StyleResolverParity : public ::testing::TestWithParam<uint64_t> {};
@@ -144,7 +129,7 @@ TEST_P(StyleResolverParity, RandomDocumentMatchesNaive) {
   Stylesheet Sheet = parseStylesheet(makeRandomSheet(R, 60));
   Document Doc;
   std::vector<Element *> Elems = makeRandomDom(R, Doc, 80);
-  expectFullParity(Sheet, Doc, Elems);
+  expectFullParity(Sheet, Elems);
 }
 
 TEST_P(StyleResolverParity, ParityHoldsAcrossMutationChurn) {
@@ -153,8 +138,6 @@ TEST_P(StyleResolverParity, ParityHoldsAcrossMutationChurn) {
   Document Doc;
   std::vector<Element *> Elems = makeRandomDom(R, Doc, 50);
   StyleResolver Indexed(Sheet);
-  StyleResolver Naive(Sheet);
-  Naive.setIndexEnabled(false);
   for (int Round = 0; Round < 5; ++Round) {
     // Warm the per-element cache, then mutate: every mutation bumps the
     // document's style version, so stale cache entries would surface as
@@ -176,12 +159,8 @@ TEST_P(StyleResolverParity, ParityHoldsAcrossMutationChurn) {
         break;
       }
     }
-    for (const Element *E : Elems) {
-      expectSameMatches(Indexed.matchRules(*E), Indexed.matchRulesNaive(*E));
-      EXPECT_EQ(Indexed.computedStyle(*E), Naive.computedStyle(*E));
-      expectSameQos(Indexed.qosAnnotationsFor(*E),
-                    Naive.qosAnnotationsFor(*E));
-    }
+    for (const Element *E : Elems)
+      expectSameMatches(Indexed.matchRules(*E), referenceMatchRules(Sheet, *E));
   }
   EXPECT_GT(Indexed.indexStats().CacheHits, 0u);
   EXPECT_GT(Indexed.indexStats().CacheMisses, 0u);
@@ -201,7 +180,7 @@ TEST(StyleResolverParityTest, GrowingSubtreeInvalidatesCache) {
   // New subtree attached after a cached lookup must still be seen.
   Element *Late = Parent->createChild("div");
   expectSameMatches(Resolver.matchRules(*Late),
-                    Resolver.matchRulesNaive(*Late));
+                    referenceMatchRules(Sheet, *Late));
   EXPECT_EQ(Resolver.matchRules(*Late).size(), 1u);
 }
 

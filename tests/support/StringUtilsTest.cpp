@@ -68,6 +68,20 @@ TEST(StringUtilsTest, ParseInt) {
   EXPECT_FALSE(parseInt("").has_value());
   EXPECT_FALSE(parseInt("12px").has_value());
   EXPECT_FALSE(parseInt("abc").has_value());
+  EXPECT_EQ(parseInt("-9223372036854775808"), INT64_MIN);
+  EXPECT_FALSE(parseInt("9223372036854775808").has_value());
+  EXPECT_FALSE(parseInt("-99999999999999999999").has_value());
+}
+
+TEST(StringUtilsTest, ParseCount) {
+  EXPECT_EQ(parseCount<unsigned>("4"), 4u);
+  EXPECT_EQ(parseCount<unsigned>("0"), 0u);
+  EXPECT_EQ(parseCount<unsigned>("4294967295"), 4294967295u);
+  EXPECT_FALSE(parseCount<unsigned>("4294967296").has_value());
+  EXPECT_FALSE(parseCount<unsigned>("-1").has_value());
+  EXPECT_FALSE(parseCount<unsigned>("3x").has_value());
+  EXPECT_FALSE(parseCount<unsigned>("").has_value());
+  EXPECT_EQ(parseCount<uint64_t>("9223372036854775807"), uint64_t(INT64_MAX));
 }
 
 TEST(StringUtilsTest, ParseDouble) {

@@ -10,7 +10,9 @@
 // metrics, and the full serialized telemetry log — because the warm
 // path only skips host-side work. These tests exercise the whole chain:
 // WarmCache build-once semantics, the experiment harness eligibility
-// rules, and end-to-end telemetry equality.
+// rule (AutoGreen runs stay cold), and end-to-end telemetry equality.
+// Every warm run gets its assets the one way production does: through
+// ExperimentConfig::WarmPool, keyed by (app, seed).
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,13 +77,13 @@ TEST(WarmStartTest, WarmRunTelemetryIsByteIdenticalToCold) {
     Cold.MeterSamplePeriod = Duration::milliseconds(1);
     ExperimentResult ColdR = runExperiment(Cold);
 
-    PageAssets Assets = buildPageAssets(App, Cold.Seed);
-    ASSERT_TRUE(Assets.Snapshot.Proto);
+    WarmCache Pool;
+    ASSERT_TRUE(Pool.get(App, Cold.Seed).Snapshot.Proto);
     ExperimentConfig Warm = baseConfig(App);
     Telemetry WarmTel;
     Warm.Tel = &WarmTel;
     Warm.MeterSamplePeriod = Duration::milliseconds(1);
-    Warm.Warm = &Assets;
+    Warm.WarmPool = &Pool;
     ExperimentResult WarmR = runExperiment(Warm);
 
     expectIdenticalResults(ColdR, WarmR);
@@ -99,22 +101,10 @@ TEST(WarmStartTest, FullModeWarmRunMatchesCold) {
   Cold.Mode = ExperimentMode::Full;
   ExperimentResult ColdR = runExperiment(Cold);
 
-  PageAssets Assets = buildPageAssets(Cold.AppName, Cold.Seed);
+  WarmCache Pool;
+  Pool.get(Cold.AppName, Cold.Seed); // prewarmed: the run restores
   ExperimentConfig Warm = Cold;
-  Warm.Warm = &Assets;
-  expectIdenticalResults(ColdR, runExperiment(Warm));
-}
-
-TEST(WarmStartTest, MismatchedAssetsFallBackToColdLoad) {
-  // Assets for the wrong seed: the harness must ignore them and still
-  // produce the cold run's exact results (silent fallback, not a skew).
-  ExperimentConfig Cold = baseConfig("Todo");
-  Cold.Seed = 2;
-  ExperimentResult ColdR = runExperiment(Cold);
-
-  PageAssets WrongSeed = buildPageAssets("Todo", 1);
-  ExperimentConfig Warm = Cold;
-  Warm.Warm = &WrongSeed;
+  Warm.WarmPool = &Pool;
   expectIdenticalResults(ColdR, runExperiment(Warm));
 }
 
@@ -125,9 +115,9 @@ TEST(WarmStartTest, AutoGreenRunsIgnoreWarmAssets) {
   Cold.UseAutoGreenAnnotations = true;
   ExperimentResult ColdR = runExperiment(Cold);
 
-  PageAssets Assets = buildPageAssets(Cold.AppName, Cold.Seed);
+  WarmCache Pool;
   ExperimentConfig Warm = Cold;
-  Warm.Warm = &Assets;
+  Warm.WarmPool = &Pool;
   expectIdenticalResults(ColdR, runExperiment(Warm));
 }
 
@@ -181,12 +171,14 @@ TEST(WarmStartTest, ParallelSweepWithWarmCacheMatchesColdSweep) {
       runExperimentsParallel(Configs, ColdOpts);
 
   WarmCache Cache;
+  std::vector<ExperimentConfig> WarmConfigs = Configs;
+  for (ExperimentConfig &C : WarmConfigs)
+    C.WarmPool = &Cache;
   Telemetry WarmTel;
   ParallelExperimentOptions WarmOpts = ColdOpts;
   WarmOpts.SharedTel = &WarmTel;
-  WarmOpts.Warm = &Cache;
   std::vector<ExperimentResult> WarmR =
-      runExperimentsParallel(Configs, WarmOpts);
+      runExperimentsParallel(WarmConfigs, WarmOpts);
 
   ASSERT_EQ(ColdR.size(), WarmR.size());
   for (size_t I = 0; I < ColdR.size(); ++I)

@@ -30,16 +30,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/StringUtils.h"
 #include "workloads/FleetRunner.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 using namespace greenweb;
 
@@ -67,18 +69,27 @@ int main(int Argc, char **Argv) {
         return Arg.data() + Flag.size();
       return nullptr;
     };
+    // Set to the flag's name when a count value fails to parse.
+    const char *BadFlag = nullptr;
+    auto Count = [&BadFlag](const char *V, auto &Out, const char *Flag) {
+      using T = std::remove_reference_t<decltype(Out)>;
+      if (std::optional<T> N = parseCount<T>(V))
+        Out = *N;
+      else
+        BadFlag = Flag;
+    };
     if (const char *V = Value("--plan="))
       PlanPath = V;
     else if (const char *V = Value("--jobs="))
-      Opts.Jobs = unsigned(std::atoi(V));
+      Count(V, Opts.Jobs, "--jobs");
     else if (const char *V = Value("--batch="))
-      Opts.BatchSize = uint64_t(std::atoll(V));
+      Count(V, Opts.BatchSize, "--batch");
     else if (const char *V = Value("--checkpoint-every="))
-      Opts.CheckpointEveryBatches = unsigned(std::atoi(V));
+      Count(V, Opts.CheckpointEveryBatches, "--checkpoint-every");
     else if (const char *V = Value("--checkpoint="))
       Opts.CheckpointPath = V;
     else if (const char *V = Value("--max-batches="))
-      Opts.MaxBatches = uint64_t(std::atoll(V));
+      Count(V, Opts.MaxBatches, "--max-batches");
     else if (const char *V = Value("--report="))
       ReportPath = V;
     else if (const char *V = Value("--features="))
@@ -89,6 +100,11 @@ int main(int Argc, char **Argv) {
       Opts.Progress = true;
     else {
       std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
+      return usage(Argv[0]);
+    }
+    if (BadFlag) {
+      std::fprintf(stderr, "error: invalid value for %s: %s\n", BadFlag,
+                   Argv[I]);
       return usage(Argv[0]);
     }
   }

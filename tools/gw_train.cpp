@@ -26,9 +26,9 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -59,18 +59,31 @@ int main(int Argc, char **Argv) {
         return Arg.data() + Flag.size();
       return nullptr;
     };
+    // Set to the flag's name when a count value fails to parse.
+    const char *BadFlag = nullptr;
+    auto Count = [&BadFlag](const char *V, unsigned &Out, const char *Flag) {
+      if (std::optional<unsigned> N = parseCount<unsigned>(V))
+        Out = *N;
+      else
+        BadFlag = Flag;
+    };
     if (const char *V = Value("--features="))
       FeaturesPath = V;
     else if (const char *V = Value("--out="))
       OutPath = V;
     else if (const char *V = Value("--max-depth="))
-      Opts.MaxDepth = unsigned(std::atoi(V));
+      Count(V, Opts.MaxDepth, "--max-depth");
     else if (const char *V = Value("--min-leaf="))
-      Opts.MinSamplesLeaf = unsigned(std::atoi(V));
+      Count(V, Opts.MinSamplesLeaf, "--min-leaf");
     else if (Arg == "--stats")
       Stats = true;
     else {
       std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
+      return usage(Argv[0]);
+    }
+    if (BadFlag) {
+      std::fprintf(stderr, "error: invalid value for %s: %s\n", BadFlag,
+                   Argv[I]);
       return usage(Argv[0]);
     }
   }
