@@ -18,6 +18,10 @@
 //      adopted style cache) vs a cold parse-everything run, plus a
 //      whole sweep with and without the warm-asset cache and its
 //      setup-phase attribution.
+//   5. Frame pipeline vs DOM size: host ns per requestAnimationFrame
+//      frame on pages with 100 / 1,000 / 10,000 filler elements. The
+//      style and layout stages price every node, so they must read the
+//      node count without walking the tree; the 10k/100 ratio is gated.
 //
 // Writes BENCH_throughput.json (override with --json=<path>); the
 // committed copy at the repo root records the numbers for the
@@ -30,9 +34,11 @@
 #include "BenchUtil.h"
 #include "ReferenceEventQueue.h"
 #include "ReferenceStyleMatch.h"
+#include "browser/Browser.h"
 #include "css/CssParser.h"
 #include "css/StyleResolver.h"
 #include "dom/Dom.h"
+#include "hw/AcmpChip.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
 #include "telemetry/SchedTrace.h"
@@ -207,6 +213,34 @@ std::unique_ptr<StyleWorld> makeStyleWorld(int Rules, int Elements) {
     Branch = I % 4 == 0 ? E : Branch;
   }
   return W;
+}
+
+/// Host cost of the frame pipeline on a page with \p Fillers inert
+/// elements and one rAF loop writing an inline style every frame. Each
+/// round advances 500 ms of simulated time; ops are the frames it
+/// presented.
+Measurement frameHostCost(int Fillers) {
+  std::string Html = "<div id=a></div>";
+  for (int I = 0; I < Fillers; ++I)
+    Html += "<div class=f></div>";
+  Html += R"(<script>
+    function step() {
+      document.getElementById('a').style.x = now();
+      requestAnimationFrame(step);
+    }
+    requestAnimationFrame(step);
+  </script>)";
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  Chip.setConfig(Chip.spec().maxConfig());
+  Browser B(Sim, Chip);
+  B.loadPage(Html);
+  Sim.runUntil(Sim.now() + Duration::seconds(1)); // load settles
+  return measure([&] {
+    size_t Before = B.frameTracker().frames().size();
+    Sim.runUntil(Sim.now() + Duration::milliseconds(500));
+    return uint64_t(B.frameTracker().frames().size() - Before);
+  });
 }
 
 } // namespace
@@ -524,6 +558,33 @@ int main(int Argc, char **Argv) {
     Json.scalar("sweep_warm_speedup", SweepWarmSpeedup, "x");
     Json.scalar("sweep_cold_setup_fraction", ColdSetupFrac);
     Json.scalar("sweep_warm_setup_fraction", WarmSetupFrac);
+  }
+
+  // --- 5. Frame pipeline vs DOM size ---
+  {
+    TablePrinter Frames("Frame pipeline host cost vs DOM size (rAF loop, "
+                        "one inline-style write a frame)");
+    Frames.row().cell("filler elements").cell("ns/frame").cell(
+        "frames/sec");
+    double NsAt100 = 0, NsAt10k = 0;
+    for (int Fillers : {100, 1'000, 10'000}) {
+      Measurement M = frameHostCost(Fillers);
+      Frames.row()
+          .cell(formatString("%d", Fillers))
+          .cell(M.nsPerOp(), 0)
+          .cell(M.opsPerSec(), 0);
+      Json.metric(formatString("frame_host_%d", Fillers), M.Ops,
+                  M.nsPerOp(), "frames_per_sec", M.opsPerSec(), "",
+                  M.SamplesNsPerOp);
+      if (Fillers == 100)
+        NsAt100 = M.nsPerOp();
+      if (Fillers == 10'000)
+        NsAt10k = M.nsPerOp();
+    }
+    Frames.print();
+    double Ratio = NsAt100 > 0 ? NsAt10k / NsAt100 : 0;
+    std::printf("frame host cost, 10k vs 100 fillers: %.2fx\n\n", Ratio);
+    Json.scalar("frame_host_ns_ratio_10k_vs_100", Ratio, "x");
   }
 
   if (!Flags.SchedPath.empty()) {

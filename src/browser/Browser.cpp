@@ -737,6 +737,8 @@ int64_t Browser::beginRootSpan(uint64_t RootId, const std::string &Type) {
 void Browser::runPipelineStage(unsigned StageIndex) {
   GW_PROF_SCOPE("browser.pipeline_stage");
   const RenderCostParams &Costs = Options.Costs;
+  // Read at every stage, not once per frame: a script task may run on
+  // the main thread between two stages and grow the DOM.
   double Nodes = double(Doc->elementCount());
 
   TaskCost Cost;

@@ -6,6 +6,7 @@
 
 #include "css/CssParser.h"
 
+#include "profiling/Profiler.h"
 #include "support/StringUtils.h"
 
 #include <cassert>
@@ -269,6 +270,7 @@ ComplexSelector Parser::parseOneSelector() {
 } // namespace
 
 Stylesheet greenweb::css::parseStylesheet(std::string_view Source) {
+  GW_PROF_SCOPE("css.parse");
   return Parser(Source).parseSheet();
 }
 

@@ -79,6 +79,8 @@ Element *Element::appendChild(std::unique_ptr<Element> Child) {
   assert(!Child->Parent && "child already attached");
   Child->Parent = this;
   Children.push_back(std::move(Child));
+  if (Connected)
+    Doc.ElementCount += Children.back()->connectSubtree();
   // Attachment changes ancestor chains, which descendant/child
   // combinators observe.
   Doc.bumpStyleVersion();
@@ -87,6 +89,14 @@ Element *Element::appendChild(std::unique_ptr<Element> Child) {
 
 Element *Element::createChild(std::string ChildTag) {
   return appendChild(Doc.createElement(std::move(ChildTag)));
+}
+
+size_t Element::connectSubtree() {
+  Connected = true;
+  size_t Count = 1;
+  for (const auto &Child : Children)
+    Count += Child->connectSubtree();
+  return Count;
 }
 
 void Element::forEachInclusiveDescendant(
@@ -135,6 +145,7 @@ std::unique_ptr<Element> Element::cloneInto(Document &NewDoc) const {
   Copy->Classes = Classes;
   Copy->Attributes = Attributes;
   Copy->InlineStyle = InlineStyle;
+  Copy->Connected = Connected;
   NewDoc.indexElementId(Copy->IdValue, Copy.get());
   Copy->Children.reserve(Children.size());
   for (const auto &Child : Children) {
@@ -151,6 +162,7 @@ std::unique_ptr<Element> Element::cloneInto(Document &NewDoc) const {
 
 Document::Document() {
   Root = std::make_unique<Element>(*this, "html");
+  Root->Connected = true;
 }
 
 std::unique_ptr<Document> Document::clone() const {
@@ -163,6 +175,7 @@ std::unique_ptr<Document> Document::clone() const {
   Copy->ScriptTexts = ScriptTexts;
   Copy->NextNodeId = NextNodeId;
   Copy->StyleVersion = StyleVersion;
+  Copy->ElementCount = ElementCount;
   return Copy;
 }
 
@@ -195,12 +208,6 @@ std::vector<Element *> Document::getElementsByTag(std::string_view Tag) {
 
 void Document::forEachElement(const std::function<void(Element &)> &Fn) {
   Root->forEachInclusiveDescendant(Fn);
-}
-
-size_t Document::elementCount() {
-  size_t Count = 0;
-  forEachElement([&](Element &) { ++Count; });
-  return Count;
 }
 
 void Document::indexElementId(const std::string &Id, Element *E) {

@@ -111,6 +111,8 @@ public:
     return Children;
   }
   /// Appends a child and returns it (ownership stays with this element).
+  /// Attaching under the document's tree counts the child's whole
+  /// subtree into Document::elementCount().
   Element *appendChild(std::unique_ptr<Element> Child);
   /// Creates and appends a child with the given tag.
   Element *createChild(std::string TagName);
@@ -133,6 +135,9 @@ private:
   /// Deep copy of this subtree into \p NewDoc, preserving node ids
   /// verbatim (Document::clone's contract). Listeners are not copied.
   std::unique_ptr<Element> cloneInto(Document &NewDoc) const;
+  /// Marks this subtree as reachable from the document root; returns
+  /// its element count.
+  size_t connectSubtree();
 
   Document &Doc;
   uint64_t NodeId;
@@ -142,6 +147,8 @@ private:
   std::map<std::string, std::string> Attributes;
   std::map<std::string, std::string> InlineStyle;
   Element *Parent = nullptr;
+  /// True once reachable from the document root (the DOM never detaches).
+  bool Connected = false;
   std::vector<std::unique_ptr<Element>> Children;
   std::map<std::string, std::vector<EventListener>> Listeners;
 };
@@ -183,8 +190,10 @@ public:
   /// Visits every element in the tree pre-order.
   void forEachElement(const std::function<void(Element &)> &Fn);
 
-  /// Total number of elements in the tree.
-  size_t elementCount();
+  /// Total number of elements in the tree. Maintained on attachment, so
+  /// reading it is O(1); the browser prices style and layout by it at
+  /// every pipeline stage.
+  size_t elementCount() const { return ElementCount; }
 
   /// Raw <style> block texts collected by the HTML parser, in document
   /// order. The CSS engine parses them into a stylesheet.
@@ -212,8 +221,11 @@ public:
   void indexElementId(const std::string &Id, Element *E);
 
 private:
+  friend class Element;
+
   uint64_t NextNodeId = 1;
   uint64_t StyleVersion = 1;
+  size_t ElementCount = 1;
   std::unique_ptr<Element> Root;
   std::map<std::string, Element *, std::less<>> IdIndex;
 };

@@ -6,8 +6,10 @@
 
 #include "html/HtmlParser.h"
 
+#include "profiling/Profiler.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
 
 using namespace greenweb;
@@ -28,6 +30,9 @@ bool isRawTextTag(std::string_view Tag) {
   return Tag == "style" || Tag == "script";
 }
 
+/// Scans the source in slices: tokens are taken whole with find() and
+/// substr() rather than built a character at a time, and line numbers
+/// are counted only when a diagnostic needs one.
 class HtmlParser {
 public:
   explicit HtmlParser(std::string_view Source) : Src(Source) {}
@@ -39,26 +44,41 @@ private:
   char peek(size_t Ahead = 0) const {
     return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
   }
-  char advance() {
-    char C = Src[Pos++];
-    if (C == '\n')
-      ++Line;
-    return C;
+  /// Takes the source from Pos up to \p End (clamped) and moves past it.
+  std::string_view take(size_t End) {
+    End = std::min(End, Src.size());
+    std::string_view Slice = Src.substr(Pos, End - Pos);
+    Pos = End;
+    return Slice;
+  }
+  /// Moves past the next \p C, or to the end when there is none.
+  void skipPast(char C) {
+    size_t At = Src.find(C, Pos);
+    Pos = At == std::string_view::npos ? Src.size() : At + 1;
   }
   void skipSpace() {
     while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
-      advance();
+      ++Pos;
+  }
+  /// 1-based line of Pos. Pos only moves forward, so each newline is
+  /// counted once over the whole parse.
+  unsigned line() {
+    Line += unsigned(std::count(Src.begin() + LineCountedTo,
+                                Src.begin() + Pos, '\n'));
+    LineCountedTo = Pos;
+    return Line;
   }
   void diagnose(std::string Message) {
-    Diags.push_back(formatString("line %u: %s", Line, Message.c_str()));
+    Diags.push_back(formatString("line %u: %s", line(), Message.c_str()));
   }
 
   static bool isNameChar(char C) {
     return std::isalnum(static_cast<unsigned char>(C)) || C == '-' ||
            C == '_';
   }
+  /// Reads a tag or attribute name, lowercased.
   std::string readName();
-  std::string readAttributeValue();
+  std::string_view readAttributeValue();
   void skipComment();
   /// Reads raw text up to `</tag>`; consumes the close tag.
   std::string readRawTextUntilClose(std::string_view Tag);
@@ -66,81 +86,77 @@ private:
   /// attributes to \p E. Returns true if the tag was self-closing.
   bool parseAttributes(Element &E);
 
-  void applyAttribute(Element &E, std::string Name, std::string Value);
+  void applyAttribute(Element &E, std::string &&Name, std::string_view Value);
 
   std::string_view Src;
   size_t Pos = 0;
   unsigned Line = 1;
+  size_t LineCountedTo = 0;
   std::vector<std::string> Diags;
 };
 
 std::string HtmlParser::readName() {
-  std::string Name;
-  while (!atEnd() && isNameChar(peek()))
-    Name += char(std::tolower(static_cast<unsigned char>(advance())));
-  return Name;
+  size_t End = Pos;
+  while (End < Src.size() && isNameChar(Src[End]))
+    ++End;
+  return toLower(take(End));
 }
 
-std::string HtmlParser::readAttributeValue() {
+std::string_view HtmlParser::readAttributeValue() {
   skipSpace();
   if (peek() == '"' || peek() == '\'') {
-    char Quote = advance();
-    std::string Value;
-    while (!atEnd() && peek() != Quote)
-      Value += advance();
+    char Quote = Src[Pos++];
+    std::string_view Value = take(Src.find(Quote, Pos));
     if (!atEnd())
-      advance();
+      ++Pos; // closing quote
     return Value;
   }
-  // Unquoted value: read to whitespace or '>'.
-  std::string Value;
-  while (!atEnd() && !std::isspace(static_cast<unsigned char>(peek())) &&
-         peek() != '>' && peek() != '/')
-    Value += advance();
-  return Value;
+  // Unquoted value: read to whitespace, '>' or '/'.
+  size_t End = Pos;
+  while (End < Src.size() &&
+         !std::isspace(static_cast<unsigned char>(Src[End])) &&
+         Src[End] != '>' && Src[End] != '/')
+    ++End;
+  return take(End);
 }
 
 void HtmlParser::skipComment() {
   // Caller consumed "<!--".
-  while (!atEnd()) {
-    if (peek() == '-' && peek(1) == '-' && peek(2) == '>') {
-      advance();
-      advance();
-      advance();
-      return;
-    }
-    advance();
+  size_t Close = Src.find("-->", Pos);
+  if (Close == std::string_view::npos) {
+    Pos = Src.size();
+    diagnose("unterminated comment");
+    return;
   }
-  diagnose("unterminated comment");
+  Pos = Close + 3;
 }
 
 std::string HtmlParser::readRawTextUntilClose(std::string_view Tag) {
-  std::string Body;
   std::string CloseTag = "</" + std::string(Tag);
-  while (!atEnd()) {
-    if (peek() == '<' && peek(1) == '/') {
-      // Check for the close tag case-insensitively.
-      if (Pos + CloseTag.size() <= Src.size() &&
-          equalsIgnoreCase(Src.substr(Pos, CloseTag.size()), CloseTag)) {
-        // Consume "</tag" then to '>'.
-        for (size_t I = 0; I < CloseTag.size(); ++I)
-          advance();
-        while (!atEnd() && advance() != '>')
-          ;
-        return Body;
-      }
+  for (size_t From = Pos;;) {
+    size_t At = Src.find("</", From);
+    if (At == std::string_view::npos)
+      break;
+    // Check for the close tag case-insensitively.
+    if (equalsIgnoreCase(Src.substr(At, CloseTag.size()), CloseTag)) {
+      std::string Body(take(At));
+      // Consume "</tag" then to '>'.
+      Pos += CloseTag.size();
+      skipPast('>');
+      return Body;
     }
-    Body += advance();
+    From = At + 1;
   }
+  std::string Body(take(Src.size()));
   diagnose(formatString("unterminated <%s> block",
                         std::string(Tag).c_str()));
   return Body;
 }
 
-void HtmlParser::applyAttribute(Element &E, std::string Name,
-                                std::string Value) {
+void HtmlParser::applyAttribute(Element &E, std::string &&Name,
+                                std::string_view Value) {
   if (Name == "id") {
-    E.setId(std::move(Value));
+    E.setId(std::string(Value));
     return;
   }
   if (Name == "class") {
@@ -159,7 +175,7 @@ void HtmlParser::applyAttribute(Element &E, std::string Name,
     }
     return;
   }
-  E.setAttribute(std::move(Name), std::move(Value));
+  E.setAttribute(std::move(Name), std::string(Value));
 }
 
 bool HtmlParser::parseAttributes(Element &E) {
@@ -170,27 +186,26 @@ bool HtmlParser::parseAttributes(Element &E) {
       return false;
     }
     if (peek() == '>') {
-      advance();
+      ++Pos;
       return false;
     }
     if (peek() == '/' && peek(1) == '>') {
-      advance();
-      advance();
+      Pos += 2;
       return true;
     }
     std::string Name = readName();
     if (Name.empty()) {
       diagnose(formatString("unexpected character '%c' in tag", peek()));
-      advance();
+      ++Pos;
       continue;
     }
     skipSpace();
-    std::string Value;
+    std::string_view Value;
     if (peek() == '=') {
-      advance();
+      ++Pos;
       Value = readAttributeValue();
     }
-    applyAttribute(E, std::move(Name), std::move(Value));
+    applyAttribute(E, std::move(Name), Value);
   }
 }
 
@@ -204,17 +219,14 @@ ParseResult HtmlParser::run() {
 
   while (!atEnd()) {
     if (peek() != '<') {
-      // Text content: accumulate and attach to the current element.
-      std::string Text;
-      while (!atEnd() && peek() != '<')
-        Text += advance();
-      std::string_view Trimmed = trim(Text);
+      // Text content: attach to the current element.
+      std::string_view Trimmed = trim(take(Src.find('<', Pos)));
       if (!Trimmed.empty()) {
         std::string Existing(Stack.back()->attribute("text"));
         if (!Existing.empty())
           Existing += ' ';
         Existing += Trimmed;
-        Stack.back()->setAttribute("text", Existing);
+        Stack.back()->setAttribute("text", std::move(Existing));
       }
       continue;
     }
@@ -222,25 +234,19 @@ ParseResult HtmlParser::run() {
     // '<' dispatch.
     if (peek(1) == '!') {
       if (peek(2) == '-' && peek(3) == '-') {
-        advance();
-        advance();
-        advance();
-        advance();
+        Pos += 4;
         skipComment();
         continue;
       }
       // DOCTYPE and friends: skip to '>'.
-      while (!atEnd() && advance() != '>')
-        ;
+      skipPast('>');
       continue;
     }
 
     if (peek(1) == '/') {
-      advance();
-      advance();
+      Pos += 2;
       std::string Name = readName();
-      while (!atEnd() && advance() != '>')
-        ;
+      skipPast('>');
       // Pop to the matching open tag if present.
       bool Found = false;
       for (size_t I = Stack.size(); I-- > 1;) {
@@ -255,7 +261,7 @@ ParseResult HtmlParser::run() {
       continue;
     }
 
-    advance(); // '<'
+    ++Pos; // '<'
     std::string Name = readName();
     if (Name.empty()) {
       diagnose("stray '<'");
@@ -294,5 +300,6 @@ ParseResult HtmlParser::run() {
 } // namespace
 
 ParseResult greenweb::html::parseHtml(std::string_view Source) {
+  GW_PROF_SCOPE("html.parse");
   return HtmlParser(Source).run();
 }

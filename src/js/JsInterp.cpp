@@ -7,8 +7,10 @@
 #include "js/JsInterp.h"
 
 #include "js/JsParser.h"
+#include "profiling/Profiler.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -41,6 +43,13 @@ bool Environment::assign(const std::string &Name, const Value &V) {
   if (Parent)
     return Parent->assign(Name, V);
   return false;
+}
+
+void Environment::clear() {
+  // Destroy the values after the map is empty: a value's destructor may
+  // free other scopes, never this one (the caller holds it).
+  std::map<std::string, Value> Dead;
+  Dead.swap(Vars);
 }
 
 //===----------------------------------------------------------------------===//
@@ -279,6 +288,7 @@ bool Evaluator::eval(const Expr &E, const std::shared_ptr<Environment> &Env,
     FV->Name = F.name().empty() ? "<anonymous>" : F.name();
     FV->Decl = &F;
     FV->Closure = Env;
+    I.noteCapturedEnv(Env);
     Out = Value::function(std::move(FV));
     return true;
   }
@@ -443,6 +453,28 @@ Interpreter::Interpreter() : Globals(std::make_shared<Environment>()) {
   defineGlobal("console", Value::host(std::make_shared<Console>()));
 }
 
+Interpreter::~Interpreter() {
+  for (const std::weak_ptr<Environment> &Captured : CapturedEnvs)
+    if (std::shared_ptr<Environment> Env = Captured.lock())
+      Env->clear();
+  // A global holding a nested closure is a cycle through that closure's
+  // scope chain, which clearing the captured scope alone leaves intact.
+  Globals->clear();
+}
+
+void Interpreter::noteCapturedEnv(const std::shared_ptr<Environment> &Env) {
+  if (Env->Captured)
+    return;
+  Env->Captured = true;
+  if (CapturedEnvs.size() >= CapturedPruneAt) {
+    std::erase_if(CapturedEnvs, [](const std::weak_ptr<Environment> &W) {
+      return W.expired();
+    });
+    CapturedPruneAt = std::max<size_t>(64, 2 * CapturedEnvs.size());
+  }
+  CapturedEnvs.push_back(Env);
+}
+
 void Interpreter::defineGlobal(const std::string &Name, Value V) {
   Globals->define(Name, std::move(V));
 }
@@ -459,6 +491,7 @@ bool Interpreter::runScript(std::string_view Source) {
 }
 
 std::shared_ptr<Program> Interpreter::compile(std::string_view Source) {
+  GW_PROF_SCOPE("js.compile");
   auto P = std::make_shared<Program>(parseProgram(Source));
   if (P->hadErrors()) {
     ErrorMessage = "parse error: " + P->Diagnostics.front();

@@ -47,9 +47,17 @@ public:
   /// (MiniScript is strict: assignment never creates globals implicitly).
   bool assign(const std::string &Name, const Value &V);
 
+  /// Drops every variable of this scope (interpreter teardown).
+  void clear();
+
 private:
+  friend class Interpreter;
+
   std::map<std::string, Value> Vars;
   std::shared_ptr<Environment> Parent;
+  /// Set once a closure has captured this scope (see
+  /// Interpreter::CapturedEnvs).
+  bool Captured = false;
 };
 
 /// A callable function value: either a native C++ function or a script
@@ -68,6 +76,14 @@ struct FunctionValue {
 class Interpreter {
 public:
   Interpreter();
+  /// Empties every scope a closure captured. A function value stored in
+  /// the scope its closure points at (any global function, any nested
+  /// function naming itself) is a reference cycle that shared_ptr alone
+  /// never frees.
+  ~Interpreter();
+
+  Interpreter(const Interpreter &) = delete;
+  Interpreter &operator=(const Interpreter &) = delete;
 
   /// Global scope accessors.
   void defineGlobal(const std::string &Name, Value V);
@@ -126,9 +142,15 @@ public:
 private:
   friend class Evaluator;
 
+  void noteCapturedEnv(const std::shared_ptr<Environment> &Env);
+
   std::shared_ptr<Environment> Globals;
   std::vector<std::shared_ptr<Program>> LoadedPrograms;
   std::vector<ExprPtr> LoadedExpressions;
+  /// Scopes captured by closures, each once, emptied by the destructor.
+  /// Expired entries are pruned whenever the list doubles.
+  std::vector<std::weak_ptr<Environment>> CapturedEnvs;
+  size_t CapturedPruneAt = 64;
 
   std::string ErrorMessage;
   uint64_t Ops = 0;

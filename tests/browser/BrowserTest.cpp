@@ -343,6 +343,68 @@ TEST_F(BrowserFixture, TodoStyleDomGrowth) {
   EXPECT_EQ(B.interpreter().findGlobal("n")->asNumber(), 3.0);
 }
 
+TEST_F(BrowserFixture, ScriptDomGrowthRaisesNextFrameByPerNodeCost) {
+  load(R"raw(
+    <div id=list></div>
+    <div id=b onclick="document.getElementById('b').style.r = now()"></div>
+  )raw");
+  B.FrameComplexityFn = [](uint64_t) { return 1.0; };
+  B.dispatchInput("click", "b");
+  Sim.runUntil(Sim.now() + Duration::seconds(1));
+  double Before = B.frameTracker().frames().back().CyclesCharged;
+
+  // k nodes appear between two otherwise identical frames; the style
+  // and layout stages must price every one of them.
+  const int K = 7;
+  ASSERT_TRUE(B.interpreter().runScript(R"(
+    var l = document.getElementById('list');
+    for (var i = 0; i < 7; i++) { l.createChild('div'); }
+  )"));
+  B.dispatchInput("click", "b");
+  Sim.runUntil(Sim.now() + Duration::seconds(1));
+  double After = B.frameTracker().frames().back().CyclesCharged;
+
+  const RenderCostParams &Costs = B.options().Costs;
+  EXPECT_DOUBLE_EQ(After - Before,
+                   (Costs.StyleCyclesPerNode + Costs.LayoutCyclesPerNode) *
+                       K);
+}
+
+TEST(BrowserLifetimeTest, ScriptEnvironmentsFreedWithBrowser) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  std::weak_ptr<js::Environment> Global, Nested;
+  {
+    Browser B(Sim, Chip);
+    ASSERT_NE(B.loadPage(R"raw(
+      <div id=b onclick="tick()"></div>
+      <script>
+        var n = 0;
+        function tick() { n = n + 1; }
+        function outer() {
+          var hits = 0;
+          function inner() { hits = hits + 1; return inner; }
+          return inner;
+        }
+        var keep = outer();
+      </script>
+    )raw"),
+              0u);
+    Sim.runUntil(Sim.now() + Duration::seconds(1));
+    ASSERT_TRUE(B.ScriptErrors.empty());
+    Global = B.interpreter().globalEnv();
+    js::Value *Keep = B.interpreter().findGlobal("keep");
+    ASSERT_NE(Keep, nullptr);
+    ASSERT_TRUE(Keep->isFunction());
+    Nested = Keep->asFunction()->Closure;
+    ASSERT_FALSE(Nested.expired());
+  }
+  // Function values live in the environments their closures capture;
+  // without breaking those cycles both scopes would outlive the browser.
+  EXPECT_TRUE(Global.expired());
+  EXPECT_TRUE(Nested.expired());
+}
+
 TEST_F(BrowserFixture, MsgUidsUniqueAcrossFrames) {
   load(R"raw(
     <div id=b onclick="document.getElementById('b').style.r = now()"></div>

@@ -133,3 +133,64 @@ TEST(DomTest, UserInputEventClassification) {
   EXPECT_FALSE(isUserInputEvent("mouseover"));
   EXPECT_FALSE(isUserInputEvent("drag"));
 }
+
+namespace {
+
+/// The count a fresh pre-order walk sees, independent of the document's
+/// maintained counter.
+size_t walkedCount(Document &Doc) {
+  size_t N = 0;
+  Doc.forEachElement([&](Element &) { ++N; });
+  return N;
+}
+
+} // namespace
+
+TEST(DomTest, ElementCountTracksEveryAttachment) {
+  Document Doc;
+  Element *Body = Doc.root().createChild("div");
+  Body->createChild("p");
+  EXPECT_EQ(Doc.elementCount(), 3u);
+  EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
+
+  // A detached three-level subtree counts only once it is attached, and
+  // then with all of its descendants.
+  std::unique_ptr<Element> Sub = Doc.createElement("ul");
+  Element *Li = Sub->createChild("li");
+  Li->createChild("a");
+  Li->createChild("b");
+  Sub->createChild("li");
+  EXPECT_EQ(Doc.elementCount(), 3u);
+  Element *Ul = Body->appendChild(std::move(Sub));
+  EXPECT_EQ(Doc.elementCount(), 8u);
+  EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
+
+  // Growing the attached subtree keeps counting.
+  Ul->children()[0]->children()[0]->createChild("i");
+  EXPECT_EQ(Doc.elementCount(), 9u);
+  EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
+
+  // Elements created but never attached are not counted.
+  std::unique_ptr<Element> Loose = Doc.createElement("span");
+  Loose->createChild("em");
+  EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
+}
+
+TEST(DomTest, ElementCountSurvivesCloneAndCloneGrowth) {
+  Document Doc;
+  Element *A = Doc.root().createChild("div");
+  A->createChild("span")->createChild("b");
+  std::unique_ptr<Document> Copy = Doc.clone();
+  EXPECT_EQ(Copy->elementCount(), 4u);
+  EXPECT_EQ(Copy->elementCount(), walkedCount(*Copy));
+
+  std::unique_ptr<Element> Sub = Copy->createElement("ul");
+  Sub->createChild("li")->createChild("a");
+  Copy->root().children()[0]->appendChild(std::move(Sub));
+  Copy->root().createChild("footer");
+  EXPECT_EQ(Copy->elementCount(), 8u);
+  EXPECT_EQ(Copy->elementCount(), walkedCount(*Copy));
+  // The original is untouched by the clone's growth.
+  EXPECT_EQ(Doc.elementCount(), 4u);
+  EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
+}
