@@ -821,7 +821,7 @@ void Browser::finishFrame() {
   if (Telemetry *T = Sim.telemetry(); T && T->enabled()) {
     T->metrics().counter("browser.frames").add(1);
     T->metrics()
-        .histogram("browser.frame_latency_ms", defaultLatencyBucketsMs())
+        .histogram("browser.frame_latency_ms")
         .observe(Record.maxLatency().millis());
   }
 

@@ -8,7 +8,7 @@
 
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
-#include "telemetry/MetricsRegistry.h"
+#include "telemetry/QuantileSketch.h"
 
 #include <algorithm>
 #include <chrono>
@@ -27,18 +27,6 @@ namespace {
 constexpr size_t RingCap = size_t(1) << 16;
 constexpr size_t RingMask = RingCap - 1;
 constexpr size_t MaxLiveDepth = 64;
-
-/// Inclusive-ns histogram bounds: a 1-2-5 ladder from 100 ns to 5 s.
-const std::vector<double> &inclBucketBoundsNs() {
-  static const std::vector<double> Bounds = [] {
-    std::vector<double> B;
-    for (double Decade = 100.0; Decade <= 1e9; Decade *= 10.0)
-      for (double Step : {1.0, 2.0, 5.0})
-        B.push_back(Decade * Step);
-    return B;
-  }();
-  return Bounds;
-}
 
 /// One ring record: a scope enter (Name set) or exit (Name null).
 struct ProfEvent {
@@ -62,7 +50,7 @@ struct ScopeTree {
     uint64_t Count = 0;
     uint64_t InclNs = 0;
     uint64_t SelfNs = 0;
-    Histogram InclHist{inclBucketBoundsNs()};
+    QuantileSketch InclSketch; ///< Inclusive ns per call.
   };
 
   std::vector<Node> Nodes;
@@ -166,7 +154,7 @@ void drainLocked(ThreadState &S) {
     ++N.Count;
     N.InclNs += Incl;
     N.SelfNs += Incl > F.ChildNs ? Incl - F.ChildNs : 0;
-    N.InclHist.observe(double(Incl));
+    N.InclSketch.observe(double(Incl));
     if (!S.ReplayStack.empty())
       S.ReplayStack.back().ChildNs += Incl;
     if (S.Spans.size() < Cap)
@@ -190,7 +178,7 @@ void retireLocked(ThreadState &S) {
     ++N.Count;
     N.InclNs += Incl;
     N.SelfNs += Incl > F.ChildNs ? Incl - F.ChildNs : 0;
-    N.InclHist.observe(double(Incl));
+    N.InclSketch.observe(double(Incl));
     if (!S.ReplayStack.empty())
       S.ReplayStack.back().ChildNs += Incl;
   }
@@ -379,10 +367,7 @@ Profile collect() {
 
   // Merge every thread tree into one path-keyed tree.
   ScopeTree Merged;
-  struct NodeExtra {
-    Histogram Hist{inclBucketBoundsNs()};
-  };
-  std::vector<NodeExtra> Extras;
+  std::vector<QuantileSketch> Sketches;
 
   Registry &R = registry();
   std::lock_guard<std::mutex> L(R.Mu);
@@ -401,13 +386,13 @@ Profile collect() {
       int32_t Parent = N.Parent < 0 ? -1 : Map[N.Parent];
       int32_t M = Merged.intern(Parent, N.Name.data());
       Map[I] = M;
-      if (size_t(M) >= Extras.size())
-        Extras.resize(M + 1);
+      if (size_t(M) >= Sketches.size())
+        Sketches.resize(M + 1);
       ScopeTree::Node &MN = Merged.Nodes[M];
       MN.Count += N.Count;
       MN.InclNs += N.InclNs;
       MN.SelfNs += N.SelfNs;
-      Extras[M].Hist.mergeFrom(N.InclHist);
+      Sketches[M].mergeFrom(N.InclSketch);
     }
     for (const RetainedSpan &Sp : S.Spans) {
       ProfileSpan Out;
@@ -429,10 +414,9 @@ Profile collect() {
     Out.Count = N.Count;
     Out.InclNs = N.InclNs;
     Out.SelfNs = N.SelfNs;
-    const Histogram &H = Extras[I].Hist;
-    Out.P50Ns = H.quantile(0.50);
-    Out.P95Ns = H.quantile(0.95);
-    Out.P99Ns = H.quantile(0.99);
+    Out.P50Ns = Sketches[I].quantile(0.50);
+    Out.P95Ns = Sketches[I].quantile(0.95);
+    Out.P99Ns = Sketches[I].quantile(0.99);
     P.Nodes.push_back(std::move(Out));
   }
   std::sort(P.Nodes.begin(), P.Nodes.end(),

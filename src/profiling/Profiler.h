@@ -20,8 +20,8 @@
 /// thread's first scope). Rings are drained — by the owning thread when
 /// its ring fills, and by collect() at report time — into per-thread
 /// scope trees that aggregate call counts, inclusive and self host-ns,
-/// and a log-bucketed latency histogram per unique call path, so
-/// p50/p95/p99 survive aggregation.
+/// and a QuantileSketch of inclusive ns per unique call path, so
+/// p50/p95/p99 survive aggregation (relative error <= 1.5625%).
 ///
 /// An optional timer-based sampler thread captures each live thread's
 /// current scope stack at a fixed period, for a statistical profile

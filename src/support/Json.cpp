@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace greenweb::json {
@@ -268,6 +269,13 @@ std::string Value::stringOr(std::string_view Key,
                             const std::string &Default) const {
   const Value *V = get(Key);
   return V && V->K == Kind::String ? V->Str : Default;
+}
+
+std::optional<uint64_t> asCount(const Value *V) {
+  if (!V || !V->isNumber() || !(V->Num >= 0.0 && V->Num <= 0x1p53) ||
+      V->Num != std::floor(V->Num))
+    return std::nullopt;
+  return uint64_t(V->Num);
 }
 
 std::optional<Value> parse(std::string_view Text, std::string *Error) {

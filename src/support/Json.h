@@ -17,6 +17,7 @@
 #ifndef GREENWEB_SUPPORT_JSON_H
 #define GREENWEB_SUPPORT_JSON_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -51,6 +52,12 @@ struct Value {
   std::string stringOr(std::string_view Key,
                        const std::string &Default) const;
 };
+
+/// \p V as an exact count: a number that is integral, non-negative and
+/// at most 2^53 (past which doubles skip integers). nullopt when \p V is
+/// null or anything else, so state loaders never truncate 1.5 to 1 or
+/// cast an out-of-range double.
+std::optional<uint64_t> asCount(const Value *V);
 
 /// Parses exactly one JSON value (plus surrounding whitespace). On
 /// failure returns nullopt and, when \p Error is given, a short

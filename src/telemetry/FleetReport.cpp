@@ -191,10 +191,10 @@ uint64_t FleetCheckpoint::doneCount() const {
 
 std::string FleetCheckpoint::serialize() const {
   std::string P = formatString(
-      "{\"kind\":\"fleet_checkpoint\",\"schema\":1,\"plan_name\":\"%s\","
+      "{\"kind\":\"fleet_checkpoint\",\"schema\":%d,\"plan_name\":\"%s\","
       "\"plan_hash\":\"%016llx\",\"baseline_governor\":\"%s\","
       "\"items_total\":%llu,\"items_done\":%llu,\"bitmap\":\"",
-      jsonEscape(PlanName).c_str(),
+      Schema, jsonEscape(PlanName).c_str(),
       static_cast<unsigned long long>(PlanHash),
       jsonEscape(BaselineGovernor).c_str(),
       static_cast<unsigned long long>(ItemsTotal),
@@ -232,8 +232,13 @@ bool FleetCheckpoint::load(const std::string &Text, FleetCheckpoint &Out,
                 (ParseError.empty() ? "unparseable" : ParseError) + ")");
   if (Doc->stringOr("kind", "") != "fleet_checkpoint")
     return Fail("not a fleet checkpoint (kind mismatch)");
-  if (int(Doc->numberOr("schema", 0)) != 1)
-    return Fail("unsupported fleet checkpoint schema");
+  // Refuse other schemas before reading anything else, so a state in
+  // another layout is never half-parsed.
+  double Got = Doc->numberOr("schema", 0);
+  if (Got != Schema)
+    return Fail(formatString("unsupported fleet checkpoint schema %g "
+                             "(this build reads schema %d)",
+                             Got, Schema));
   uint64_t Length = uint64_t(Doc->numberOr("payload_length", 0));
   if (Length != Footer)
     return Fail(formatString("checkpoint corrupt: payload length %llu "
@@ -352,7 +357,7 @@ std::string FleetReport::toJson() const {
       "\"baseline_governor\":\"%s\",\"items_total\":%llu,"
       "\"items_done\":%llu,\"population\":{\"runs\":%llu,"
       "\"frames\":%llu,\"qos_violations\":%llu,\"alerts\":%llu,"
-      "\"joules_total\":%.4f,\"violation_pct_le\":[",
+      "\"joules_total\":%.4f,\"violation_pct\":",
       jsonEscape(PlanName).c_str(), jsonEscape(BaselineGovernor).c_str(),
       static_cast<unsigned long long>(ItemsTotal),
       static_cast<unsigned long long>(ItemsDone),
@@ -360,15 +365,8 @@ std::string FleetReport::toJson() const {
       static_cast<unsigned long long>(T.Frames),
       static_cast<unsigned long long>(T.QosViolations),
       static_cast<unsigned long long>(T.Alerts), T.Joules);
-  const std::vector<double> &Bounds = T.ViolationPct.upperBounds();
-  for (size_t I = 0; I < Bounds.size(); ++I)
-    Out += formatString(I ? ",%.1f" : "%.1f", Bounds[I]);
-  Out += "],\"violation_pct_counts\":[";
-  const std::vector<uint64_t> &Counts = T.ViolationPct.bucketCounts();
-  for (size_t I = 0; I < Counts.size(); ++I)
-    Out += formatString(I ? ",%llu" : "%llu",
-                        static_cast<unsigned long long>(Counts[I]));
-  Out += "],\"frame_latency_ms\":" + sketchReportJson(T.FrameLatencyMs);
+  Out += sketchReportJson(T.ViolationPct.sketch());
+  Out += ",\"frame_latency_ms\":" + sketchReportJson(T.FrameLatencyMs);
   Out +=
       ",\"energy_per_frame_mj\":" + sketchReportJson(T.EnergyPerFrameMj);
   Out += "}";
@@ -482,20 +480,14 @@ std::string FleetReport::format() const {
                       static_cast<unsigned long long>(
                           T.FrameLatencyMs.count()));
 
-  Out += "\nviolation %% distribution (runs per band):\n";
-  const std::vector<double> &Bounds = T.ViolationPct.upperBounds();
-  const std::vector<uint64_t> &Counts = T.ViolationPct.bucketCounts();
-  for (size_t I = 0; I < Counts.size(); ++I) {
-    if (Counts[I] == 0)
-      continue;
-    if (I < Bounds.size())
-      Out += formatString("  <= %5.1f%% : %llu\n", Bounds[I],
-                          static_cast<unsigned long long>(Counts[I]));
-    else
-      Out += formatString("   > %5.1f%% : %llu\n", Bounds.back(),
-                          static_cast<unsigned long long>(Counts[I]));
-  }
-
+  Out += formatString("violation %%: p50 %.2f%%, p90 %.2f%%, p99 %.2f%%, "
+                      "max %.2f%% (n=%llu runs)\n",
+                      T.ViolationPct.quantile(0.5),
+                      T.ViolationPct.quantile(0.9),
+                      T.ViolationPct.quantile(0.99),
+                      T.ViolationPct.sketch().max(),
+                      static_cast<unsigned long long>(
+                          T.ViolationPct.sketch().count()));
   Out += formatString("\n  %-14s %6s %10s %10s %10s %10s\n", "governor",
                       "runs", "mean J", "viol p50", "viol p99",
                       "frame p99");

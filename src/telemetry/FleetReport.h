@@ -98,6 +98,11 @@ struct FleetState {
 /// (payload length + FNV-1a checksum) so truncation and corruption are
 /// detected rather than silently re-run.
 struct FleetCheckpoint {
+  /// Layout version of the serialized document. 2: aggregator
+  /// histograms carry a RunningStat plus a quantile sketch instead of
+  /// fixed bucket counts. load() refuses any other version outright.
+  static constexpr int Schema = 2;
+
   std::string PlanName;
   uint64_t PlanHash = 0; ///< FNV-1a of the canonical plan JSON.
   std::string BaselineGovernor;

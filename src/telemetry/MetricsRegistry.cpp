@@ -9,79 +9,8 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace greenweb;
-
-//===----------------------------------------------------------------------===//
-// Histogram
-//===----------------------------------------------------------------------===//
-
-Histogram::Histogram(std::vector<double> UpperBoundsIn)
-    : UpperBounds(std::move(UpperBoundsIn)),
-      Counts(UpperBounds.size() + 1, 0) {
-  assert(std::is_sorted(UpperBounds.begin(), UpperBounds.end()) &&
-         "histogram bounds must ascend");
-}
-
-void Histogram::observe(double X) {
-  size_t Bucket =
-      size_t(std::lower_bound(UpperBounds.begin(), UpperBounds.end(), X) -
-             UpperBounds.begin());
-  ++Counts[Bucket];
-  Summary.add(X);
-}
-
-void Histogram::mergeFrom(const Histogram &O) {
-  assert(UpperBounds == O.UpperBounds &&
-         "merging histograms with different bucket layouts");
-  for (size_t I = 0; I < Counts.size(); ++I)
-    Counts[I] += O.Counts[I];
-  Summary.merge(O.Summary);
-}
-
-void Histogram::reset() {
-  std::fill(Counts.begin(), Counts.end(), 0);
-  Summary = RunningStat();
-}
-
-void Histogram::restore(std::vector<uint64_t> BucketCounts,
-                        const RunningStat &S) {
-  assert(BucketCounts.size() == UpperBounds.size() + 1 &&
-         "restored counts must match the bucket layout");
-  Counts = std::move(BucketCounts);
-  Summary = S;
-}
-
-double Histogram::quantile(double Q) const {
-  uint64_t Total = Summary.count();
-  if (Total == 0)
-    return 0.0;
-  Q = std::min(1.0, std::max(0.0, Q));
-  double Rank = Q * double(Total);
-  double Cum = 0.0;
-  for (size_t I = 0; I < Counts.size(); ++I) {
-    double N = double(Counts[I]);
-    if (N == 0.0)
-      continue;
-    if (Cum + N + 1e-9 >= Rank) {
-      double Lo = I == 0 ? Summary.min() : UpperBounds[I - 1];
-      double Hi = I < UpperBounds.size() ? UpperBounds[I] : Summary.max();
-      double Frac = std::min(1.0, std::max(0.0, (Rank - Cum) / N));
-      double V = Lo + (Hi - Lo) * Frac;
-      return std::min(Summary.max(), std::max(Summary.min(), V));
-    }
-    Cum += N;
-  }
-  return Summary.max();
-}
-
-const std::vector<double> &greenweb::defaultLatencyBucketsMs() {
-  static const std::vector<double> Buckets = {
-      0.5, 1.0, 2.0, 4.0, 8.0, 16.7, 33.3, 50.0, 100.0, 200.0, 500.0,
-      1000.0};
-  return Buckets;
-}
 
 //===----------------------------------------------------------------------===//
 // MetricsRegistry
@@ -101,13 +30,11 @@ Gauge &MetricsRegistry::gauge(std::string_view Name) {
   return Gauges.emplace(std::string(Name), Gauge()).first->second;
 }
 
-Histogram &MetricsRegistry::histogram(std::string_view Name,
-                                      const std::vector<double> &Bounds) {
+Histogram &MetricsRegistry::histogram(std::string_view Name) {
   auto It = Histograms.find(Name);
   if (It != Histograms.end())
     return It->second;
-  return Histograms.emplace(std::string(Name), Histogram(Bounds))
-      .first->second;
+  return Histograms.emplace(std::string(Name), Histogram()).first->second;
 }
 
 void MetricsRegistry::markVolatile(std::string_view Name) {
@@ -147,10 +74,8 @@ void MetricsRegistry::mergeFrom(const MetricsRegistry &O) {
     counter(Name).add(C.value());
   for (const auto &[Name, G] : O.Gauges)
     gauge(Name).set(G.value());
-  for (const auto &[Name, H] : O.Histograms) {
-    Histogram &Mine = histogram(Name, H.upperBounds());
-    Mine.mergeFrom(H);
-  }
+  for (const auto &[Name, H] : O.Histograms)
+    histogram(Name).mergeFrom(H);
   for (const std::string &Name : O.VolatileNames)
     markVolatile(Name);
 }
@@ -212,19 +137,10 @@ std::string MetricsRegistry::snapshotJson(bool IncludeVolatile) const {
     if (!IncludeVolatile && isVolatile(Name))
       continue;
     const RunningStat &S = H.summary();
-    std::string Buckets;
-    for (size_t I = 0; I < H.bucketCounts().size(); ++I)
-      Buckets += formatString(
-          "%s%llu", I == 0 ? "" : ",",
-          static_cast<unsigned long long>(H.bucketCounts()[I]));
-    std::string Bounds;
-    for (size_t I = 0; I < H.upperBounds().size(); ++I)
-      Bounds += formatString("%s%s", I == 0 ? "" : ",",
-                             formatNumber(H.upperBounds()[I]).c_str());
     Out += formatString(
         "%s\n    \"%s\": {\"count\": %llu, \"mean\": %s, \"stddev\": %s, "
         "\"min\": %s, \"max\": %s, \"p50\": %s, \"p90\": %s, \"p95\": %s, "
-        "\"p99\": %s, \"bounds\": [%s], \"buckets\": [%s]}",
+        "\"p99\": %s}",
         First ? "" : ",", Name.c_str(),
         static_cast<unsigned long long>(S.count()),
         formatNumber(S.mean()).c_str(), formatNumber(S.stddev()).c_str(),
@@ -232,8 +148,7 @@ std::string MetricsRegistry::snapshotJson(bool IncludeVolatile) const {
         formatNumber(H.quantile(0.50)).c_str(),
         formatNumber(H.quantile(0.90)).c_str(),
         formatNumber(H.quantile(0.95)).c_str(),
-        formatNumber(H.quantile(0.99)).c_str(), Bounds.c_str(),
-        Buckets.c_str());
+        formatNumber(H.quantile(0.99)).c_str());
     First = false;
   }
   Out += First ? "}\n}\n" : "\n  }\n}\n";
@@ -276,14 +191,6 @@ std::string MetricsRegistry::snapshotCsv(bool IncludeVolatile) const {
                         formatNumber(H.quantile(0.95)).c_str());
     Out += formatString("%s,histogram,p99,%s\n", Name.c_str(),
                         formatNumber(H.quantile(0.99)).c_str());
-    for (size_t I = 0; I < H.bucketCounts().size(); ++I) {
-      std::string Edge = I < H.upperBounds().size()
-                             ? "le_" + formatNumber(H.upperBounds()[I])
-                             : std::string("overflow");
-      Out += formatString(
-          "%s,histogram,bucket_%s,%llu\n", Name.c_str(), Edge.c_str(),
-          static_cast<unsigned long long>(H.bucketCounts()[I]));
-    }
   }
   return Out;
 }

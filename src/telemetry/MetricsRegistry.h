@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A registry of named counters, gauges, and fixed-bucket histograms, the
-/// metric half of the telemetry subsystem. Producers register a metric
-/// once (names follow a "subsystem.metric" convention, e.g.
-/// "sim.events_fired") and keep the returned reference for hot-path
-/// updates; consumers snapshot the whole registry as JSON or CSV.
+/// A registry of named counters, gauges, and histograms, the metric half
+/// of the telemetry subsystem. Producers register a metric once (names
+/// follow a "subsystem.metric" convention, e.g. "sim.events_fired") and
+/// keep the returned reference for hot-path updates; consumers snapshot
+/// the whole registry as JSON or CSV.
 ///
 /// Snapshots iterate metrics in name order and format numbers with fixed
 /// printf conversions, so a snapshot of a deterministic simulation is
@@ -17,17 +17,25 @@
 /// (wall-clock timings) are marked volatile and excluded from snapshots
 /// unless explicitly requested, which keeps the determinism guarantee.
 ///
+/// A histogram is the repository's one distribution summary: a
+/// RunningStat for count / mean / stddev / min / max plus a
+/// QuantileSketch for percentiles. It has no bucket layout to choose, so
+/// per-run snapshots, gw-prof, and fleet reports all quote percentiles
+/// from the same estimator (relative error <= 1.5625%, exact merges).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GREENWEB_TELEMETRY_METRICSREGISTRY_H
 #define GREENWEB_TELEMETRY_METRICSREGISTRY_H
 
 #include "support/Statistics.h"
+#include "telemetry/QuantileSketch.h"
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace greenweb {
@@ -55,49 +63,39 @@ private:
   double Value = 0.0;
 };
 
-/// Fixed-bucket histogram plus a streaming summary (count / mean /
-/// stddev / min / max via the Welford accumulator in RunningStat).
+/// Streaming distribution summary: count / mean / stddev / min / max from
+/// the Welford accumulator in RunningStat, percentiles from a
+/// QuantileSketch. The sketch's bucket grid is fixed, so any two
+/// histograms merge without a layout check.
 class Histogram {
 public:
-  /// \p UpperBounds are the inclusive upper edges of the finite buckets,
-  /// strictly ascending; one overflow bucket is added implicitly.
-  explicit Histogram(std::vector<double> UpperBounds);
+  Histogram() = default;
+  /// Rebuilds a histogram from checkpointed state.
+  Histogram(const RunningStat &Stat, QuantileSketch Q)
+      : Summary(Stat), Sketch(std::move(Q)) {}
 
-  void observe(double X);
+  void observe(double X) {
+    Summary.add(X);
+    Sketch.observe(X);
+  }
 
-  /// Folds another histogram's counts and summary into this one. The
-  /// bucket layouts must match (same registration site in a merged
-  /// registry); asserts otherwise.
-  void mergeFrom(const Histogram &O);
+  /// Folds another histogram's summary and sketch into this one.
+  void mergeFrom(const Histogram &O) {
+    Summary.merge(O.Summary);
+    Sketch.mergeFrom(O.Sketch);
+  }
 
-  /// Estimated value at quantile \p Q in [0,1] by linear interpolation
-  /// within the bucket containing the rank, Prometheus-style. The first
-  /// bucket interpolates from the observed minimum and the overflow
-  /// bucket from the last bound to the observed maximum, so estimates
-  /// never leave [min, max]. Returns 0 with no observations.
-  double quantile(double Q) const;
+  /// Estimated value at quantile \p Q in [0,1]; see
+  /// QuantileSketch::quantile. Returns 0 with no observations.
+  double quantile(double Q) const { return Sketch.quantile(Q); }
 
-  const std::vector<double> &upperBounds() const { return UpperBounds; }
-  /// Per-bucket counts, size upperBounds().size() + 1 (last = overflow).
-  const std::vector<uint64_t> &bucketCounts() const { return Counts; }
   const RunningStat &summary() const { return Summary; }
-  void reset();
-
-  /// Exact state restore for durable checkpoints: replaces the bucket
-  /// counts and summary wholesale (the bucket layout stays as
-  /// constructed). \p BucketCounts must have upperBounds().size() + 1
-  /// entries; asserts otherwise.
-  void restore(std::vector<uint64_t> BucketCounts, const RunningStat &S);
+  const QuantileSketch &sketch() const { return Sketch; }
 
 private:
-  std::vector<double> UpperBounds;
-  std::vector<uint64_t> Counts;
   RunningStat Summary;
+  QuantileSketch Sketch;
 };
-
-/// Bucket edges suited to frame/stage latencies in milliseconds: sub-ms
-/// through the 16.7/33.3 ms VSync targets up to one second.
-const std::vector<double> &defaultLatencyBucketsMs();
 
 /// The metric registry. Not thread-safe (the simulator is
 /// single-threaded); registration is idempotent by name.
@@ -108,10 +106,7 @@ public:
   /// string_view (or literal) without materializing a std::string.
   Counter &counter(std::string_view Name);
   Gauge &gauge(std::string_view Name);
-  /// Returns the histogram named \p Name; \p UpperBounds applies only on
-  /// first registration (later calls reuse the existing buckets).
-  Histogram &histogram(std::string_view Name,
-                       const std::vector<double> &UpperBounds);
+  Histogram &histogram(std::string_view Name);
 
   /// Marks \p Name as host-dependent; volatile metrics are skipped by
   /// snapshots unless IncludeVolatile is set.
@@ -128,8 +123,8 @@ public:
 
   /// Folds another registry into this one: counters add, gauges take
   /// the other registry's value (last writer wins, matching Gauge::set
-  /// semantics in a sequential merge), histograms merge bucket counts
-  /// and summaries. Metrics absent here are created; volatile marks are
+  /// semantics in a sequential merge), histograms merge summaries and
+  /// sketches. Metrics absent here are created; volatile marks are
   /// unioned. Used to combine per-worker registries after a parallel
   /// sweep, in worker index order for determinism.
   void mergeFrom(const MetricsRegistry &O);
@@ -141,7 +136,7 @@ public:
   std::string snapshotJson(bool IncludeVolatile = false) const;
 
   /// CSV with header "metric,kind,field,value"; histograms expand to one
-  /// row per summary field and bucket.
+  /// row per summary field and percentile.
   std::string snapshotCsv(bool IncludeVolatile = false) const;
 
   /// Drops every metric and volatile mark.

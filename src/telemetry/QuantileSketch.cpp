@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 using namespace greenweb;
 
@@ -123,27 +124,40 @@ bool QuantileSketch::deserialize(const json::Value &V, QuantileSketch &Out,
   };
   if (!V.isObject())
     return Fail("sketch state is not an object");
-  if (int(V.numberOr("s", 0)) != S)
+  if (V.numberOr("s", 0) != S)
     return Fail("sketch sub-bucket constant mismatch");
+  std::optional<uint64_t> Count = json::asCount(V.get("count"));
+  std::optional<uint64_t> Zero = json::asCount(V.get("zero"));
+  if (!Count || !Zero)
+    return Fail("sketch sample count is not an integer in [0, 2^53]");
   QuantileSketch Q;
-  Q.Count = uint64_t(V.numberOr("count", 0));
-  Q.ZeroCount = uint64_t(V.numberOr("zero", 0));
+  Q.Count = *Count;
+  Q.ZeroCount = *Zero;
   Q.Lo = std::strtod(V.stringOr("min", "0x0p+0").c_str(), nullptr);
   Q.Hi = std::strtod(V.stringOr("max", "0x0p+0").c_str(), nullptr);
   const json::Value *Buckets = V.get("buckets");
   if (!Buckets || !Buckets->isArray())
     return Fail("sketch state has no bucket array");
+  // Every N is <= 2^53 and Sum stops at Count <= 2^53, so it never wraps.
   uint64_t Sum = Q.ZeroCount;
   for (const json::Value &Entry : Buckets->Arr) {
     if (!Entry.isArray() || Entry.Arr.size() != 2 ||
-        !Entry.Arr[0].isNumber() || !Entry.Arr[1].isNumber())
+        !Entry.Arr[0].isNumber())
       return Fail("malformed sketch bucket entry");
-    int32_t Key = int32_t(Entry.Arr[0].Num);
-    uint64_t N = uint64_t(Entry.Arr[1].Num);
-    if (Key < MinKey || Key > MaxKey)
-      return Fail("sketch bucket key out of range");
-    Q.Buckets[Key] += N;
-    Sum += N;
+    // Range-check the key as a double: casting 1e308 first is undefined.
+    double K = Entry.Arr[0].Num;
+    if (!(K >= MinKey && K <= MaxKey) || K != std::floor(K))
+      return Fail("sketch bucket key out of range or not an integer");
+    int32_t Key = int32_t(K);
+    if (!Q.Buckets.empty() && Key <= Q.Buckets.rbegin()->first)
+      return Fail("sketch bucket keys are not strictly ascending");
+    std::optional<uint64_t> N = json::asCount(&Entry.Arr[1]);
+    if (!N)
+      return Fail("sketch bucket count is not an integer in [0, 2^53]");
+    Q.Buckets.emplace_hint(Q.Buckets.end(), Key, *N);
+    Sum += *N;
+    if (Sum > Q.Count)
+      break;
   }
   if (Sum != Q.Count)
     return Fail("sketch bucket counts do not sum to the sample count");

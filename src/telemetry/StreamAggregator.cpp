@@ -10,31 +10,9 @@
 #include "support/StringUtils.h"
 
 #include <cstdlib>
+#include <optional>
 
 using namespace greenweb;
-
-namespace {
-
-/// Per-run total energy in joules: the full_evaluation sessions land in
-/// single-digit joules, chaos soaks in tens; the tail bucket absorbs
-/// pathological runs.
-const std::vector<double> &energyBucketsJ() {
-  static const std::vector<double> Buckets = {0.1, 0.2, 0.5, 1,  2,   5,
-                                              10,  20,  50,  100, 200, 500};
-  return Buckets;
-}
-
-/// Violation percentages; edges mirror the QoS bands the paper reports.
-const std::vector<double> &violationBucketsPct() {
-  static const std::vector<double> Buckets = {0.5, 1,  2,  5,  10, 15,
-                                              20,  30, 50, 75, 90, 100};
-  return Buckets;
-}
-
-} // namespace
-
-StreamAggregator::Group::Group()
-    : EnergyJ(energyBucketsJ()), ViolationPct(violationBucketsPct()) {}
 
 StreamAggregator::StreamAggregator() = default;
 
@@ -165,13 +143,18 @@ std::string statStateJson(const RunningStat &S) {
 
 bool statFromJson(const json::Value &V, RunningStat &Out,
                   std::string *Error) {
-  if (!V.isObject()) {
+  auto Fail = [&](const char *Msg) {
     if (Error)
-      *Error = "running-stat state is not an object";
+      *Error = Msg;
     return false;
-  }
+  };
+  if (!V.isObject())
+    return Fail("running-stat state is not an object");
+  std::optional<uint64_t> N = json::asCount(V.get("n"));
+  if (!N)
+    return Fail("running-stat sample count is not an integer in [0, 2^53]");
   RunningStatState St;
-  St.N = size_t(V.numberOr("n", 0));
+  St.N = size_t(*N);
   St.Sum = parseHexDouble(V, "sum");
   St.Min = parseHexDouble(V, "min");
   St.Max = parseHexDouble(V, "max");
@@ -181,43 +164,10 @@ bool statFromJson(const json::Value &V, RunningStat &Out,
   return true;
 }
 
-std::string histStateJson(const Histogram &H) {
-  std::string Out = "{\"counts\":[";
-  const std::vector<uint64_t> &Counts = H.bucketCounts();
-  for (size_t I = 0; I < Counts.size(); ++I)
-    Out += formatString(I ? ",%llu" : "%llu",
-                        static_cast<unsigned long long>(Counts[I]));
-  Out += "],\"stat\":" + statStateJson(H.summary()) + "}";
-  return Out;
-}
-
-bool histFromJson(const json::Value &V, Histogram &Out,
-                  std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("histogram state is not an object");
-  const json::Value *Counts = V.get("counts");
-  if (!Counts || !Counts->isArray())
-    return Fail("histogram state has no counts array");
-  if (Counts->Arr.size() != Out.upperBounds().size() + 1)
-    return Fail("histogram state counts do not match the bucket layout");
-  std::vector<uint64_t> C;
-  C.reserve(Counts->Arr.size());
-  for (const json::Value &N : Counts->Arr) {
-    if (!N.isNumber())
-      return Fail("histogram state count is not a number");
-    C.push_back(uint64_t(N.Num));
-  }
-  RunningStat S;
-  const json::Value *Stat = V.get("stat");
-  if (!Stat || !statFromJson(*Stat, S, Error))
-    return false;
-  Out.restore(std::move(C), S);
-  return true;
+/// A histogram's exact state: {"stat":<RunningStat>,"sketch":<sketch>}.
+std::string histogramStateJson(const Histogram &H) {
+  return "{\"stat\":" + statStateJson(H.summary()) +
+         ",\"sketch\":" + H.sketch().serialize() + "}";
 }
 
 std::string groupStateJson(const StreamAggregator::Group &G) {
@@ -227,8 +177,9 @@ std::string groupStateJson(const StreamAggregator::Group &G) {
                       static_cast<unsigned long long>(G.Frames),
                       static_cast<unsigned long long>(G.QosViolations),
                       static_cast<unsigned long long>(G.Alerts)) +
-         hexDouble(G.Joules) + ",\"energy_j\":" + histStateJson(G.EnergyJ) +
-         ",\"violation_pct\":" + histStateJson(G.ViolationPct) +
+         hexDouble(G.Joules) +
+         ",\"energy_j\":" + histogramStateJson(G.EnergyJ) +
+         ",\"violation_pct\":" + histogramStateJson(G.ViolationPct) +
          ",\"frame_latency_ms\":" + G.FrameLatencyMs.serialize() +
          ",\"energy_per_frame_mj\":" + G.EnergyPerFrameMj.serialize() + "}";
 }
@@ -242,24 +193,41 @@ bool groupFromJson(const json::Value &V, StreamAggregator::Group &Out,
   };
   if (!V.isObject())
     return Fail("group state is not an object");
-  Out.Runs = uint64_t(V.numberOr("runs", 0));
-  Out.Frames = uint64_t(V.numberOr("frames", 0));
-  Out.QosViolations = uint64_t(V.numberOr("qos", 0));
-  Out.Alerts = uint64_t(V.numberOr("alerts", 0));
+  std::optional<uint64_t> Runs = json::asCount(V.get("runs"));
+  std::optional<uint64_t> Frames = json::asCount(V.get("frames"));
+  std::optional<uint64_t> Qos = json::asCount(V.get("qos"));
+  std::optional<uint64_t> Alerts = json::asCount(V.get("alerts"));
+  if (!Runs || !Frames || !Qos || !Alerts)
+    return Fail("group state count is not an integer in [0, 2^53]");
+  Out.Runs = *Runs;
+  Out.Frames = *Frames;
+  Out.QosViolations = *Qos;
+  Out.Alerts = *Alerts;
   Out.Joules = parseHexDouble(V, "joules");
-  const json::Value *E = V.get("energy_j");
-  const json::Value *P = V.get("violation_pct");
-  const json::Value *L = V.get("frame_latency_ms");
-  const json::Value *M = V.get("energy_per_frame_mj");
-  if (!E || !histFromJson(*E, Out.EnergyJ, Error))
-    return false;
-  if (!P || !histFromJson(*P, Out.ViolationPct, Error))
-    return false;
-  if (!L || !QuantileSketch::deserialize(*L, Out.FrameLatencyMs, Error))
-    return false;
-  if (!M || !QuantileSketch::deserialize(*M, Out.EnergyPerFrameMj, Error))
-    return false;
-  return true;
+  auto ReadHistogram = [&](const char *Key, Histogram &H) {
+    const json::Value *Hist = V.get(Key);
+    const json::Value *StatV = Hist ? Hist->get("stat") : nullptr;
+    const json::Value *SketchV = Hist ? Hist->get("sketch") : nullptr;
+    if (!StatV || !SketchV)
+      return Fail("group state histogram is missing or incomplete");
+    RunningStat Stat;
+    QuantileSketch Sketch;
+    if (!statFromJson(*StatV, Stat, Error) ||
+        !QuantileSketch::deserialize(*SketchV, Sketch, Error))
+      return false;
+    H = Histogram(Stat, std::move(Sketch));
+    return true;
+  };
+  auto ReadSketch = [&](const char *Key, QuantileSketch &Q) {
+    const json::Value *SketchV = V.get(Key);
+    if (!SketchV)
+      return Fail("group state sketch is missing");
+    return QuantileSketch::deserialize(*SketchV, Q, Error);
+  };
+  return ReadHistogram("energy_j", Out.EnergyJ) &&
+         ReadHistogram("violation_pct", Out.ViolationPct) &&
+         ReadSketch("frame_latency_ms", Out.FrameLatencyMs) &&
+         ReadSketch("energy_per_frame_mj", Out.EnergyPerFrameMj);
 }
 
 } // namespace

@@ -6,17 +6,19 @@
 ///
 /// \file
 /// Streaming aggregation of per-run headline metrics into one
-/// fleet-level summary: run counts, energy and violation distributions
-/// (mergeable fixed-bucket histograms), frame-latency and energy-per-
-/// frame percentiles (mergeable quantile sketches), and alert totals,
-/// grouped overall / per-app / per-governor. A run folds in as one
+/// fleet-level summary: run counts, per-run energy and violation
+/// distributions (Histogram: RunningStat + quantile sketch), frame-
+/// latency and energy-per-frame percentiles (bare quantile sketches),
+/// and alert totals, grouped overall / per-app / per-governor. Every
+/// percentile comes from the same log-linear sketch, so its error bound
+/// (1.5625%) holds across the whole report. A run folds in as one
 /// RunSample — nothing per-run is retained — so aggregating thousands
-/// of device x app x fault runs costs a few histograms, not a few
+/// of device x app x fault runs costs a few sketches, not a few
 /// gigabytes of logs. This is the substrate the fleet driver sits on.
 ///
-/// Aggregation is associative and order-insensitive for counts,
-/// histograms, and sketches (RunningStat merges are order-sensitive
-/// only in floating-point rounding, which is why ParallelRunner and the
+/// Aggregation is associative and order-insensitive for counts and
+/// sketches (RunningStat merges are order-sensitive only in
+/// floating-point rounding, which is why ParallelRunner and the
 /// FleetRunner fold in config index order); toJson() iterates groups in
 /// name order with fixed formats, so a deterministic sweep yields a
 /// byte-identical summary. stateJson()/fromStateJson() round-trip the
@@ -64,7 +66,6 @@ class StreamAggregator {
 public:
   /// One aggregation group (overall, one app, or one governor).
   struct Group {
-    Group();
     uint64_t Runs = 0;
     uint64_t Frames = 0;
     uint64_t QosViolations = 0;
@@ -97,7 +98,7 @@ public:
 
   /// One deterministic JSON document with overall / by_app /
   /// by_governor groups, each carrying run counts, energy and
-  /// violation histogram summaries (count, mean, min, max, p50, p99),
+  /// violation summaries (count, mean, min, max, p50, p99),
   /// frame-latency and energy-per-frame sketch percentiles, and alert
   /// totals.
   std::string toJson() const;

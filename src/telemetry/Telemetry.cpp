@@ -139,10 +139,7 @@ void Telemetry::recordConfigSwitch(const ConfigSwitchRecord &R) {
 void Telemetry::recordFrameStage(const FrameStageRecord &R) {
   if (!Enabled)
     return;
-  Metrics
-      .histogram("browser.stage_" + R.Stage + "_ms",
-                 defaultLatencyBucketsMs())
-      .observe(R.DurationMs);
+  Metrics.histogram("browser.stage_" + R.Stage + "_ms").observe(R.DurationMs);
   // Hot per-frame path: build fields in place instead of copying an
   // initializer list of string-carrying variants.
   std::vector<TelemetryField> Fields;
@@ -157,7 +154,7 @@ void Telemetry::recordQosViolation(const QosViolationRecord &R) {
   if (!Enabled)
     return;
   Metrics.counter("qos.violations").add();
-  Metrics.histogram("qos.violation_overshoot_ms", defaultLatencyBucketsMs())
+  Metrics.histogram("qos.violation_overshoot_ms")
       .observe(R.LatencyMs - R.TargetMs);
   appendRecord(TelemetryEventKind::QosViolation,
                {{"governor", R.Governor},

@@ -138,7 +138,7 @@ TEST(ExportGoldenTest, FullHubSessionExportsAreByteIdentical) {
   expectGolden(E.Jsonl, {"jsonl", 1934705, 0xdc8566f09662b9e6ull});
   expectGolden(E.Trace, {"trace", 5728780, 0xa52536070c305e9dull});
   expectGolden(E.Blackbox, {"blackbox", 56041, 0x2e5175adf62e8a44ull});
-  expectGolden(E.Metrics, {"metrics", 3396, 0x148555d3ac1d06daull});
+  expectGolden(E.Metrics, {"metrics", 2356, 0xd47a664e9745f334ull});
 }
 
 TEST(ExportGoldenTest, ChaosSessionExportsAreByteIdentical) {
@@ -150,7 +150,7 @@ TEST(ExportGoldenTest, ChaosSessionExportsAreByteIdentical) {
   expectGolden(E.Jsonl, {"jsonl", 1377108, 0x034dbe9cf76319f0ull});
   expectGolden(E.Trace, {"trace", 4093215, 0x053719cfae8e161dull});
   expectGolden(E.Blackbox, {"blackbox", 124444, 0xab1c18836d7f12b4ull});
-  expectGolden(E.Metrics, {"metrics", 3925, 0xbdd6464143fdfbddull});
+  expectGolden(E.Metrics, {"metrics", 2856, 0xa96f0daeb1a6de5full});
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "telemetry/FleetReport.h"
 
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,24 @@ TEST(FleetReportTest, StateRoundTripIsByteExact) {
   ASSERT_TRUE(FleetState::fromJson(*Doc, Back, &Error)) << Error;
   EXPECT_EQ(Back.toJson(), Text);
   EXPECT_EQ(Back.Agg.runs(), 3u);
+
+  // Group and RunningStat counts must be exact integers in [0, 2^53]:
+  // a tampered count is refused with a diagnostic, never truncated.
+  for (auto [From, To] : {std::pair{"\"runs\":3,", "\"runs\":2.5,"},
+                          std::pair{"\"frames\":810,", "\"frames\":1e17,"},
+                          std::pair{"\"n\":3,", "\"n\":-3,"},
+                          std::pair{"\"n\":3,", "\"n\":3.5,"}}) {
+    std::string Tampered = Text;
+    size_t Pos = Tampered.find(From);
+    ASSERT_NE(Pos, std::string::npos) << From;
+    Tampered.replace(Pos, std::string(From).size(), To);
+    auto Bad = json::parse(Tampered);
+    ASSERT_TRUE(Bad.has_value());
+    Error.clear();
+    EXPECT_FALSE(FleetState::fromJson(*Bad, Back, &Error)) << To;
+    EXPECT_NE(Error.find("count is not an integer"), std::string::npos)
+        << To << ": " << Error;
+  }
 }
 
 TEST(FleetReportTest, TruncatedCheckpointRejectedWithClearError) {
@@ -130,6 +149,32 @@ TEST(FleetReportTest, ForeignInputRejected) {
   EXPECT_FALSE(FleetCheckpoint::load("{\"kind\":\"bench\"}", Out, &Error));
   EXPECT_NE(Error.find("not a fleet checkpoint"), std::string::npos)
       << Error;
+}
+
+TEST(FleetReportTest, SchemaOneCheckpointRefusedBeforeParsing) {
+  // A schema-1 checkpoint (fixed-bucket aggregator histograms) with an
+  // intact footer: only the schema check stands between it and a
+  // half-parsed state, and it must fire first.
+  std::string Text = makeCheckpoint().serialize();
+  size_t Pos = Text.find("\"schema\":2,");
+  ASSERT_NE(Pos, std::string::npos);
+  Text.replace(Pos, 11, "\"schema\":1,");
+  size_t Footer = Text.rfind(",\"payload_length\":");
+  ASSERT_NE(Footer, std::string::npos);
+  Text.resize(Footer);
+  Text += formatString(",\"payload_length\":%zu,\"checksum\":\"%016llx\"}\n",
+                       Footer,
+                       static_cast<unsigned long long>(fleetHash(Text)));
+
+  FleetCheckpoint Out;
+  Out.PlanName = "untouched";
+  std::string Error;
+  EXPECT_FALSE(FleetCheckpoint::load(Text, Out, &Error));
+  EXPECT_NE(Error.find("unsupported fleet checkpoint schema"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(Out.PlanName, "untouched");
+  EXPECT_EQ(Out.State.Agg.runs(), 0u);
 }
 
 TEST(FleetReportTest, EmbeddedReportExtractsByteForByte) {

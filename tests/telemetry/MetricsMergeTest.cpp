@@ -4,7 +4,9 @@
 //
 // Edge cases of MetricsRegistry / Histogram merging that the streaming
 // aggregation layer leans on: empty merges, single-sample quantiles,
-// and cross-run merge associativity.
+// and cross-run merge associativity. A Histogram is a RunningStat plus
+// a QuantileSketch, so merged state is compared through its count,
+// summary and quantiles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,43 +17,43 @@
 using namespace greenweb;
 
 TEST(HistogramMergeTest, EmptyIntoEmptyStaysEmpty) {
-  Histogram A({1.0, 10.0});
-  Histogram B({1.0, 10.0});
+  Histogram A;
+  Histogram B;
   A.mergeFrom(B);
   EXPECT_EQ(A.summary().count(), 0u);
+  EXPECT_EQ(A.sketch().count(), 0u);
   EXPECT_EQ(A.quantile(0.5), 0.0);
-  for (uint64_t C : A.bucketCounts())
-    EXPECT_EQ(C, 0u);
+  EXPECT_EQ(A.quantile(0.99), 0.0);
 }
 
 TEST(HistogramMergeTest, EmptyMergeIsIdentityBothWays) {
-  Histogram Filled({1.0, 10.0, 100.0});
+  Histogram Filled;
   for (double X : {0.5, 3.0, 42.0, 250.0})
     Filled.observe(X);
-  std::vector<uint64_t> Before = Filled.bucketCounts();
+  std::string Before = Filled.sketch().serialize();
   double P50 = Filled.quantile(0.5), P99 = Filled.quantile(0.99);
 
   // Merging an empty histogram in changes nothing.
-  Histogram Empty({1.0, 10.0, 100.0});
+  Histogram Empty;
   Filled.mergeFrom(Empty);
-  EXPECT_EQ(Filled.bucketCounts(), Before);
+  EXPECT_EQ(Filled.sketch().serialize(), Before);
   EXPECT_EQ(Filled.summary().count(), 4u);
   EXPECT_DOUBLE_EQ(Filled.quantile(0.5), P50);
   EXPECT_DOUBLE_EQ(Filled.quantile(0.99), P99);
 
   // Merging into an empty histogram adopts the other side wholesale.
   Empty.mergeFrom(Filled);
-  EXPECT_EQ(Empty.bucketCounts(), Before);
+  EXPECT_EQ(Empty.sketch().serialize(), Before);
   EXPECT_EQ(Empty.summary().count(), 4u);
   EXPECT_DOUBLE_EQ(Empty.summary().min(), 0.5);
   EXPECT_DOUBLE_EQ(Empty.summary().max(), 250.0);
 }
 
 TEST(HistogramMergeTest, SingleSampleQuantilesCollapseToTheSample) {
-  Histogram H({1.0, 10.0, 100.0});
+  Histogram H;
   H.observe(7.0);
   // With one observation every quantile is that observation: the
-  // interpolation is clamped to [min, max] = [7, 7].
+  // sketch's bucket midpoint is clamped to [min, max] = [7, 7].
   EXPECT_DOUBLE_EQ(H.quantile(0.0), 7.0);
   EXPECT_DOUBLE_EQ(H.quantile(0.5), 7.0);
   EXPECT_DOUBLE_EQ(H.quantile(0.99), 7.0);
@@ -59,15 +61,19 @@ TEST(HistogramMergeTest, SingleSampleQuantilesCollapseToTheSample) {
 }
 
 TEST(HistogramMergeTest, SingleSampleOverflowBucketQuantiles) {
-  Histogram H({1.0, 10.0});
-  H.observe(500.0); // Lands in the implicit overflow bucket.
-  EXPECT_DOUBLE_EQ(H.quantile(0.5), 500.0);
-  EXPECT_DOUBLE_EQ(H.quantile(0.99), 500.0);
+  Histogram H;
+  // Beyond the sketch's top octave (~2.2e12): the sample saturates into
+  // the edge bucket, the sketch's overflow bucket, and the [min, max]
+  // clamp still returns it exactly.
+  H.observe(5e12);
+  EXPECT_DOUBLE_EQ(H.quantile(0.5), 5e12);
+  EXPECT_DOUBLE_EQ(H.quantile(0.99), 5e12);
+  EXPECT_DOUBLE_EQ(H.summary().max(), 5e12);
 }
 
 TEST(HistogramMergeTest, MergeIsAssociativeOnCountsAndQuantiles) {
   auto Make = [](std::initializer_list<double> Xs) {
-    Histogram H({1.0, 5.0, 25.0, 125.0});
+    Histogram H;
     for (double X : Xs)
       H.observe(X);
     return H;
@@ -89,11 +95,11 @@ TEST(HistogramMergeTest, MergeIsAssociativeOnCountsAndQuantiles) {
   Right.mergeFrom(A);
   Right.mergeFrom(Bc);
 
-  EXPECT_EQ(Left.bucketCounts(), Right.bucketCounts());
+  EXPECT_EQ(Left.sketch().serialize(), Right.sketch().serialize());
   EXPECT_EQ(Left.summary().count(), Right.summary().count());
   EXPECT_DOUBLE_EQ(Left.summary().min(), Right.summary().min());
   EXPECT_DOUBLE_EQ(Left.summary().max(), Right.summary().max());
-  // Quantiles only read buckets + min/max, so they agree exactly.
+  // Quantiles only read sketch buckets + min/max, so they agree exactly.
   for (double Q : {0.25, 0.5, 0.9, 0.99})
     EXPECT_DOUBLE_EQ(Left.quantile(Q), Right.quantile(Q));
 }
@@ -105,7 +111,7 @@ TEST(MetricsRegistryMergeTest, CrossRunMergeMatchesSequentialFold) {
     MetricsRegistry M;
     M.counter("qos.violations").add(unsigned(Seed * 3));
     M.gauge("frames").set(double(60 * Seed));
-    Histogram &H = M.histogram("latency_ms", {5.0, 20.0, 50.0});
+    Histogram &H = M.histogram("latency_ms");
     for (int I = 0; I < Seed * 4; ++I)
       H.observe(double(I % 60));
     return M;
@@ -134,14 +140,16 @@ TEST(MetricsRegistryMergeTest, CrossRunMergeMatchesSequentialFold) {
   const Histogram *Hr = Right.findHistogram("latency_ms");
   ASSERT_NE(Hl, nullptr);
   ASSERT_NE(Hr, nullptr);
-  EXPECT_EQ(Hl->bucketCounts(), Hr->bucketCounts());
+  EXPECT_EQ(Hl->sketch().serialize(), Hr->sketch().serialize());
   EXPECT_EQ(Hl->summary().count(), 24u);
+  for (double Q : {0.5, 0.9, 0.99})
+    EXPECT_DOUBLE_EQ(Hl->quantile(Q), Hr->quantile(Q));
 }
 
 TEST(MetricsRegistryMergeTest, MergeIntoEmptyCreatesAllMetrics) {
   MetricsRegistry Src;
   Src.counter("a").add(7);
-  Src.histogram("h", {1.0}).observe(0.5);
+  Src.histogram("h").observe(0.5);
   MetricsRegistry Dst;
   Dst.mergeFrom(Src);
   ASSERT_NE(Dst.findCounter("a"), nullptr);

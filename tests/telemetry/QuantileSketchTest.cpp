@@ -167,6 +167,43 @@ TEST(QuantileSketchTest, DeserializeRejectsInconsistentCounts) {
   std::string Error;
   EXPECT_FALSE(QuantileSketch::deserialize(*Doc, Back, &Error));
   EXPECT_NE(Error.find("sum"), std::string::npos) << Error;
+
+  // Counts must be exact integers in [0, 2^53] and keys must lie in the
+  // saturated octave range, checked before any integer cast: a bucket
+  // count of 1.5 used to truncate to 1 and match "count":1, and a key
+  // of 1e308 was cast to int32_t before its range check.
+  struct Case {
+    const char *Count;
+    const char *Buckets;
+    const char *Expect;
+  };
+  for (const Case &C : {
+           Case{"1", "[[0,1.5]]", "bucket count"},
+           Case{"1", "[[0,-1]]", "bucket count"},
+           Case{"1", "[[0,1e300]]", "bucket count"},
+           Case{"1", "[[1e308,1]]", "key out of range"},
+           Case{"1", "[[-1e308,1]]", "key out of range"},
+           Case{"1", "[[0.5,1]]", "key out of range"},
+           Case{"1", "[[1312,1]]", "key out of range"},
+           Case{"1", "[[-1281,1]]", "key out of range"},
+           Case{"2", "[[32,1],[0,1]]", "ascending"},
+           Case{"1.5", "[[0,1]]", "sample count"},
+           Case{"-1", "[]", "sample count"},
+           Case{"1e17", "[[0,1]]", "sample count"},
+       }) {
+    std::string Tampered =
+        std::string("{\"s\":32,\"count\":") + C.Count +
+        ",\"zero\":0,\"min\":\"0x1p+0\",\"max\":\"0x1p+1\","
+        "\"buckets\":" +
+        C.Buckets + "}";
+    auto Bad = json::parse(Tampered);
+    ASSERT_TRUE(Bad.has_value()) << Tampered;
+    Error.clear();
+    EXPECT_FALSE(QuantileSketch::deserialize(*Bad, Back, &Error))
+        << Tampered;
+    EXPECT_NE(Error.find(C.Expect), std::string::npos)
+        << Tampered << ": " << Error;
+  }
 }
 
 } // namespace

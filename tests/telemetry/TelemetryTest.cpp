@@ -38,49 +38,64 @@ TEST(MetricsRegistryTest, CounterAndGaugeBasics) {
 
 TEST(MetricsRegistryTest, HistogramBucketsAndSummary) {
   MetricsRegistry M;
-  Histogram &H = M.histogram("lat", {1.0, 10.0});
-  H.observe(0.5);  // first bucket (<= 1)
-  H.observe(1.0);  // boundary is inclusive -> first bucket
-  H.observe(5.0);  // second bucket (<= 10)
-  H.observe(99.0); // overflow
-  ASSERT_EQ(H.bucketCounts().size(), 3u);
-  EXPECT_EQ(H.bucketCounts()[0], 2u);
-  EXPECT_EQ(H.bucketCounts()[1], 1u);
-  EXPECT_EQ(H.bucketCounts()[2], 1u);
+  Histogram &H = M.histogram("lat");
+  for (double X : {0.5, 1.0, 5.0, 99.0})
+    H.observe(X);
+  // Summary fields are exact; the sketch buckets carry the same count.
   EXPECT_EQ(H.summary().count(), 4u);
+  EXPECT_EQ(H.sketch().count(), 4u);
+  EXPECT_DOUBLE_EQ(H.summary().mean(), 105.5 / 4.0);
   EXPECT_DOUBLE_EQ(H.summary().min(), 0.5);
   EXPECT_DOUBLE_EQ(H.summary().max(), 99.0);
-  // Later registrations ignore differing bounds and reuse the original.
-  EXPECT_EQ(&M.histogram("lat", {42.0}), &H);
-  EXPECT_EQ(H.upperBounds().size(), 2u);
+  // Quantiles are sketch bucket midpoints: within 1/64 of the sample.
+  EXPECT_NEAR(H.quantile(0.0), 0.5, 0.5 / 64.0);
+  EXPECT_NEAR(H.quantile(0.5), 1.0, 1.0 / 64.0);
+  EXPECT_NEAR(H.quantile(1.0), 99.0, 99.0 / 64.0);
+  // Later registrations return the same histogram.
+  EXPECT_EQ(&M.histogram("lat"), &H);
+  EXPECT_EQ(M.size(), 1u);
 }
 
-TEST(MetricsRegistryTest, HistogramQuantilesInterpolateWithinBuckets) {
+TEST(MetricsRegistryTest, HistogramQuantilesMatchOrderStatistics) {
   MetricsRegistry M;
-  Histogram &H = M.histogram("lat", {10.0, 20.0, 30.0, 40.0});
+  Histogram &H = M.histogram("browser.frame_latency_ms");
   EXPECT_DOUBLE_EQ(H.quantile(0.5), 0.0); // No observations yet.
+  // 99 frames at 20 ms and one at 30 ms, between the Table 1 continuous
+  // targets (16.6 and 33.3 ms). Interpolating inside a (16.7, 33.3]
+  // bucket reported p50 = 25 ms; the exact order statistic is 20 ms,
+  // and the sketch stays within its 1/(2*32) relative bound of it.
+  for (int I = 0; I < 99; ++I)
+    H.observe(20.0);
+  H.observe(30.0);
+  const double Bound = 1.0 / 64.0;
+  EXPECT_NEAR(H.quantile(0.50), 20.0, 20.0 * Bound);
+  EXPECT_NEAR(H.quantile(0.99), 20.0, 20.0 * Bound);
+  EXPECT_DOUBLE_EQ(H.quantile(1.0), 30.0);
+  std::string Json = M.snapshotJson();
+  EXPECT_EQ(Json.find("\"p50\": 25.0"), std::string::npos) << Json;
+
+  // Spread samples: quantile Q reads the order statistic at rank
+  // floor(Q * (n - 1)), not a value interpolated between samples.
+  Histogram &S = M.histogram("spread");
   for (double X : {5.0, 15.0, 25.0, 35.0})
-    H.observe(X);
-  // Rank 1 lands at the first bucket's upper edge; the first bucket
-  // interpolates from the observed minimum.
-  EXPECT_DOUBLE_EQ(H.quantile(0.25), 10.0);
-  EXPECT_DOUBLE_EQ(H.quantile(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(H.quantile(0.75), 30.0);
-  // Estimates never leave [min, max]: the last bucket would
-  // extrapolate to its 40.0 bound but clamps to the observed 35.0.
-  EXPECT_DOUBLE_EQ(H.quantile(1.0), 35.0);
-  EXPECT_DOUBLE_EQ(H.quantile(0.0), 5.0);
+    S.observe(X);
+  EXPECT_NEAR(S.quantile(0.25), 5.0, 5.0 * Bound);
+  EXPECT_NEAR(S.quantile(0.50), 15.0, 15.0 * Bound);
+  EXPECT_NEAR(S.quantile(0.75), 25.0, 25.0 * Bound);
+  EXPECT_DOUBLE_EQ(S.quantile(1.0), 35.0);
 }
 
 TEST(MetricsRegistryTest, SnapshotsCarryQuantileFields) {
   MetricsRegistry M;
-  M.histogram("h", {1.0}).observe(0.5);
+  M.histogram("h").observe(0.5);
   std::string Json = M.snapshotJson();
   // A single observation pins every estimate to that value.
   EXPECT_NE(Json.find("\"p50\": 0.5"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"p90\": 0.5"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"p95\": 0.5"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"p99\": 0.5"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"bounds\""), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("\"buckets\""), std::string::npos) << Json;
   std::string Csv = M.snapshotCsv();
   EXPECT_NE(Csv.find("h,histogram,p50,0.5"), std::string::npos) << Csv;
   EXPECT_NE(Csv.find("h,histogram,p99,0.5"), std::string::npos) << Csv;
@@ -91,7 +106,7 @@ TEST(MetricsRegistryTest, JsonSnapshotIsValidAndOrdered) {
   M.counter("z.last").add(1);
   M.counter("a.first").add(2);
   M.gauge("m.mid").set(1.25);
-  M.histogram("h.lat", {1.0}).observe(0.25);
+  M.histogram("h.lat").observe(0.25);
   std::string Json = M.snapshotJson();
   EXPECT_TRUE(minijson::valid(Json)) << Json;
   // std::map iteration puts a.first before z.last regardless of
@@ -105,7 +120,7 @@ TEST(MetricsRegistryTest, SnapshotsAreByteStable) {
     MetricsRegistry M;
     M.counter("c").add(7);
     M.gauge("g").set(0.123456789);
-    M.histogram("h", {1.0, 2.0}).observe(1.5);
+    M.histogram("h").observe(1.5);
     return std::make_pair(M.snapshotJson(), M.snapshotCsv());
   };
   EXPECT_EQ(Build(), Build());
@@ -128,12 +143,14 @@ TEST(MetricsRegistryTest, VolatileMetricsExcludedByDefault) {
 TEST(MetricsRegistryTest, CsvShapeAndClear) {
   MetricsRegistry M;
   M.counter("c").add(3);
-  M.histogram("h", {1.0}).observe(0.5);
+  M.histogram("h").observe(0.5);
   std::string Csv = M.snapshotCsv();
   EXPECT_EQ(Csv.rfind("metric,kind,field,value\n", 0), 0u) << Csv;
   EXPECT_NE(Csv.find("c,counter,value,3"), std::string::npos);
-  EXPECT_NE(Csv.find("h,histogram,bucket_le_1.0,1"), std::string::npos);
-  EXPECT_NE(Csv.find("h,histogram,bucket_overflow,0"), std::string::npos);
+  EXPECT_NE(Csv.find("h,histogram,count,1"), std::string::npos) << Csv;
+  EXPECT_NE(Csv.find("h,histogram,p99,0.5"), std::string::npos) << Csv;
+  // Percentiles come from the sketch; there is no bucket layout to dump.
+  EXPECT_EQ(Csv.find("bucket"), std::string::npos) << Csv;
   M.clear();
   EXPECT_EQ(M.size(), 0u);
   EXPECT_FALSE(M.has("c"));
