@@ -238,20 +238,6 @@ Browser::Browser(Simulator &Sim, AcmpChip &Chip, BrowserOptions OptionsIn)
 
 Browser::~Browser() { *Alive = false; }
 
-void Browser::scheduleGuarded(Duration Delay, std::function<void()> Fn) {
-  Sim.schedule(Delay, [Token = Alive, Fn = std::move(Fn)] {
-    if (*Token)
-      Fn();
-  });
-}
-
-void Browser::scheduleGuardedAt(TimePoint When, std::function<void()> Fn) {
-  Sim.scheduleAt(When, [Token = Alive, Fn = std::move(Fn)] {
-    if (*Token)
-      Fn();
-  });
-}
-
 void Browser::installBindings() {
   Interp.defineGlobal("document",
                       js::Value::host(std::make_shared<DocumentHost>(*this)));
@@ -812,7 +798,7 @@ void Browser::finishFrame() {
       Tr->end(FrameSpan);
     FrameSpan = 0;
   }
-  FrameRecord Record =
+  const FrameRecord &Record =
       Tracker.finishFrame(NextFrameId++, FrameBeginTime, Sim.now(),
                           std::move(FrameMsgs), FrameCycles, FrameFixed);
   FrameMsgs.clear();

@@ -112,6 +112,17 @@ public:
   /// Number of root input events still active (non-quiescent).
   size_t activeRootCount() const { return RootActivity.size(); }
 
+  /// Schedules \p Fn on the simulator; the event becomes a no-op if
+  /// this browser is destroyed first (fresh browsers share a Simulator
+  /// across page loads in the experiment harness). The guard wraps \p Fn
+  /// directly, so a small closure stays inline in the event queue.
+  template <class F> void scheduleGuarded(Duration Delay, F &&Fn) {
+    Sim.schedule(Delay, guarded(std::forward<F>(Fn)));
+  }
+  template <class F> void scheduleGuardedAt(TimePoint When, F &&Fn) {
+    Sim.scheduleAt(When, guarded(std::forward<F>(Fn)));
+  }
+
   /// --- Infrastructure accessors ---
   Simulator &simulator() { return Sim; }
   AcmpChip &chip() { return Chip; }
@@ -163,6 +174,13 @@ public:
   uint64_t rafRegisteredBy(uint64_t RootId) const;
 
 private:
+  template <class F> auto guarded(F &&Fn) {
+    return [Token = Alive, Fn = std::forward<F>(Fn)]() mutable {
+      if (*Token)
+        Fn();
+    };
+  }
+
   /// What started an active animation; decides which end event fires.
   enum class AnimKind {
     CssTransition, ///< `transition:` property change -> transitionend
@@ -185,12 +203,6 @@ private:
     uint64_t RootId = 0;
     std::string RootEvent;
   };
-
-  /// Schedules \p Fn on the simulator; the event becomes a no-op if
-  /// this browser is destroyed first (fresh browsers share a Simulator
-  /// across page loads in the experiment harness).
-  void scheduleGuarded(Duration Delay, std::function<void()> Fn);
-  void scheduleGuardedAt(TimePoint When, std::function<void()> Fn);
 
   /// --- Root activity accounting (quiescence detection, Sec. 6.4) ---
   void retainRoot(uint64_t RootId);

@@ -24,6 +24,19 @@ Duration FrameRecord::maxLatency() const {
   return Max;
 }
 
+void FrameRecord::worstLatencyByRoot(std::vector<RootLatency> &Out) const {
+  Out.clear();
+  for (const MsgLatency &L : Latencies) {
+    auto It = std::lower_bound(Out.begin(), Out.end(), L.Msg.RootId,
+                               [](const RootLatency &R, uint64_t Id) {
+                                 return R.RootId < Id;
+                               });
+    if (It == Out.end() || It->RootId != L.Msg.RootId)
+      It = Out.insert(It, {L.Msg.RootId, Duration()});
+    It->Worst = std::max(It->Worst, L.Latency);
+  }
+}
+
 FrameObserver::~FrameObserver() = default;
 
 void FrameObserver::onInputDispatched(uint64_t /*RootId*/,
@@ -52,23 +65,29 @@ std::vector<FrameMsg> FrameTracker::takeQueuedMsgs() {
   return Taken;
 }
 
-FrameRecord FrameTracker::finishFrame(uint64_t FrameId, TimePoint BeginTime,
-                                      TimePoint ReadyTime,
-                                      std::vector<FrameMsg> Msgs,
-                                      double CyclesCharged,
-                                      Duration FixedCharged) {
-  FrameRecord Record;
+const FrameRecord &FrameTracker::finishFrame(uint64_t FrameId,
+                                             TimePoint BeginTime,
+                                             TimePoint ReadyTime,
+                                             std::vector<FrameMsg> Msgs,
+                                             double CyclesCharged,
+                                             Duration FixedCharged) {
+  FrameRecord &Record = Frames.emplace_back();
   Record.FrameId = FrameId;
   Record.BeginTime = BeginTime;
   Record.ReadyTime = ReadyTime;
   Record.CyclesCharged = CyclesCharged;
   Record.FixedCharged = FixedCharged;
+  Record.Latencies.reserve(Msgs.size());
   for (FrameMsg &Msg : Msgs) {
-    MsgLatency L;
+    MsgLatency &L = Record.Latencies.emplace_back();
     L.Latency = ReadyTime - Msg.StartTs;
     L.Msg = std::move(Msg);
-    Record.Latencies.push_back(std::move(L));
   }
-  Frames.push_back(Record);
+  // takeQueuedMsgs handed the queue's buffer out with the messages;
+  // take it back (drained) so the next frame's messages reuse it.
+  if (Queue.capacity() == 0) {
+    Msgs.clear();
+    Queue.swap(Msgs);
+  }
   return Record;
 }

@@ -50,6 +50,12 @@ struct MsgLatency {
   Duration Latency;
 };
 
+/// The worst latency one root input saw within a frame.
+struct RootLatency {
+  uint64_t RootId = 0;
+  Duration Worst;
+};
+
 /// A completed frame with its attributed inputs.
 struct FrameRecord {
   /// Monotone frame number.
@@ -70,6 +76,10 @@ struct FrameRecord {
   bool hasRoot(uint64_t RootId) const;
   /// Worst (max) latency across contributing messages.
   Duration maxLatency() const;
+  /// Each contributing root once, with its worst latency in this frame,
+  /// in ascending root id order. \p Out is cleared first, so a consumer
+  /// that keeps one buffer across frames does not allocate per frame.
+  void worstLatencyByRoot(std::vector<RootLatency> &Out) const;
 };
 
 class Element;
@@ -114,8 +124,10 @@ public:
   /// True if messages are waiting for a frame.
   bool hasQueuedMsgs() const { return !Queue.empty(); }
 
-  /// Part III of Fig. 8: computes latencies for a ready frame.
-  FrameRecord finishFrame(uint64_t FrameId, TimePoint BeginTime,
+  /// Part III of Fig. 8: computes latencies for a ready frame. The
+  /// record is built once, in place in frames(); the reference stays
+  /// valid until the next finishFrame or clearFrames.
+  const FrameRecord &finishFrame(uint64_t FrameId, TimePoint BeginTime,
                           TimePoint ReadyTime, std::vector<FrameMsg> Msgs,
                           double CyclesCharged, Duration FixedCharged);
 

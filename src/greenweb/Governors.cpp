@@ -44,7 +44,9 @@ Governor::~Governor() = default;
 void Governor::detach() {}
 
 std::vector<AcmpConfig> greenweb::buildConfigLadder(const AcmpChip &Chip) {
-  std::vector<AcmpConfig> Ladder = Chip.spec().allConfigs();
+  std::vector<AcmpConfig> Ladder;
+  for (const AcmpChip::ConfigPoint &Point : Chip.configPoints())
+    Ladder.push_back(Point.Config);
   std::stable_sort(Ladder.begin(), Ladder.end(),
                    [&Chip](const AcmpConfig &A, const AcmpConfig &B) {
                      return Chip.effectiveHzFor(A) < Chip.effectiveHzFor(B);

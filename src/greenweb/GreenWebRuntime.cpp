@@ -236,13 +236,8 @@ void GreenWebRuntime::onFrameReady(const FrameRecord &Frame) {
 
   // An event may appear in several messages of one frame (batched
   // ticks); handle each root once with its worst latency.
-  std::map<uint64_t, Duration> WorstByRoot;
-  for (const MsgLatency &L : Frame.Latencies) {
-    Duration &Slot = WorstByRoot[L.Msg.RootId];
-    Slot = std::max(Slot, L.Latency);
-  }
-
-  std::vector<uint64_t> SinglesDone;
+  Frame.worstLatencyByRoot(WorstByRoot);
+  SinglesDone.clear();
   for (const auto &[Root, Latency] : WorstByRoot) {
     auto It = ActiveEvents.find(Root);
     if (It == ActiveEvents.end())

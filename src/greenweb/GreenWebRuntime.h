@@ -230,6 +230,9 @@ protected:
 
   std::map<std::string, ModelState> Models;
   std::map<uint64_t, ActiveEvent> ActiveEvents;
+  /// Per-frame buffer of onFrameReady, reused across frames.
+  std::vector<RootLatency> WorstByRoot;
+  std::vector<uint64_t> SinglesDone;
   EventHandle IdleDrop;
   Stats Counters;
 

@@ -44,16 +44,15 @@ ConfigChoice greenweb::chooseMinEnergyConfig(const AcmpChip &Chip,
   Duration Budget = Target * SafetyMargin;
 
   std::optional<ConfigChoice> Best;
-  for (const AcmpConfig &Config : Chip.spec().allConfigs()) {
-    Duration Pred = Model.predict(Chip.effectiveHzFor(Config));
+  for (const AcmpChip::ConfigPoint &Point : Chip.configPoints()) {
+    Duration Pred = Model.predict(Point.Hz);
     // Per-frame energy with one core active for the frame's duration;
     // this mirrors the paper's E = P(c, f) * T_pred sweep.
-    double Joules =
-        Power.clusterPower(Config.Core, Config.FreqMHz, 1) * Pred.secs();
+    double Joules = Point.OneCoreWatts * Pred.secs();
     if (Pred > Budget)
       continue;
     if (!Best || Joules < Best->PredictedJoules)
-      Best = ConfigChoice{Config, Pred, Joules, true};
+      Best = ConfigChoice{Point.Config, Pred, Joules, true};
   }
   if (Best)
     return *Best;

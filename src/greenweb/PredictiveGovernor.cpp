@@ -79,12 +79,8 @@ void PredictiveGovernor::onFrameReady(const FrameRecord &Frame) {
   // events: violations on model-driven frames boost the chosen level,
   // comfortable streaks decay the boost.
   if (B && LadderMatches) {
-    std::map<uint64_t, Duration> WorstByRoot;
-    for (const MsgLatency &L : Frame.Latencies) {
-      Duration &Slot = WorstByRoot[L.Msg.RootId];
-      Slot = std::max(Slot, L.Latency);
-    }
-    for (const auto &[Root, Latency] : WorstByRoot) {
+    Frame.worstLatencyByRoot(BoostRoots);
+    for (const auto &[Root, Latency] : BoostRoots) {
       auto It = ActiveEvents.find(Root);
       if (It == ActiveEvents.end())
         continue;

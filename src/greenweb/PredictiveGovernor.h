@@ -119,6 +119,9 @@ private:
   bool Quarantined = false;
   FeatureExtractor Extractor;
   std::map<std::string, Feedback> Boosts;
+  /// Per-frame buffer of onFrameReady, reused (the base class keeps
+  /// its own, filled after this one is consumed).
+  std::vector<RootLatency> BoostRoots;
   PredictiveStats PStats;
 };
 

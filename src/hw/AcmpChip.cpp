@@ -7,27 +7,45 @@
 #include "hw/AcmpChip.h"
 
 #include "faults/FaultInjector.h"
+#include "hw/EnergyMeter.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace greenweb;
 
 AcmpChip::AcmpChip(Simulator &Sim, AcmpSpec SpecIn)
     : Sim(Sim), Spec(std::move(SpecIn)), Power(Spec) {
+  for (const AcmpConfig &C : Spec.allConfigs())
+    Points.push_back({C, effectiveHzFor(C),
+                      Power.clusterPower(C.Core, C.FreqMHz, 1)});
   // Boot on the little cluster at its lowest level, the idle state a
   // governor would leave the chip in.
   Config = Spec.minConfig();
+  cacheConfigState();
   LastChange = Sim.now();
 }
 
+void AcmpChip::cacheConfigState() {
+  ConfigHz = effectiveHzFor(Config);
+  for (unsigned Busy = 0; Busy < std::size(PowerByBusy); ++Busy)
+    PowerByBusy[Busy] = Power.clusterPower(Config.Core, Config.FreqMHz, Busy);
+  ConfigSlot = nullptr;
+}
+
 void AcmpChip::accountInterval() {
+  if (Meter)
+    Meter->integrate();
   for (const auto &Listener : PreChangeListeners)
     Listener();
   Duration Elapsed = Sim.now() - LastChange;
-  if (!Elapsed.isZero())
-    ConfigTime[Config] += Elapsed;
+  if (!Elapsed.isZero()) {
+    if (!ConfigSlot)
+      ConfigSlot = &ConfigTime[Config];
+    *ConfigSlot += Elapsed;
+  }
   LastChange = Sim.now();
 }
 
@@ -88,6 +106,7 @@ bool AcmpChip::setConfig(AcmpConfig NewConfig) {
                            Penalty.micros()});
 
   Config = NewConfig;
+  cacheConfigState();
   // The stall models the period during which no instructions retire;
   // replanning reprices remaining work at the new effective speed.
   if (!Penalty.isZero())
@@ -112,7 +131,7 @@ bool AcmpChip::stepFrequency(int Levels) {
 }
 
 double AcmpChip::effectiveHz(unsigned /*ThreadId*/) const {
-  return effectiveHzFor(Config);
+  return ConfigHz;
 }
 
 double AcmpChip::effectiveHzFor(const AcmpConfig &C) const {
@@ -131,6 +150,8 @@ void AcmpChip::onThreadActivity(unsigned /*ThreadId*/, bool Busy) {
 }
 
 double AcmpChip::currentPowerWatts() const {
+  if (BusyCount < std::size(PowerByBusy))
+    return PowerByBusy[BusyCount];
   return Power.clusterPower(Config.Core, Config.FreqMHz, BusyCount);
 }
 
@@ -148,6 +169,7 @@ std::map<AcmpConfig, Duration> AcmpChip::configTimeDistribution() const {
 void AcmpChip::resetStats() {
   accountInterval();
   ConfigTime.clear();
+  ConfigSlot = nullptr;
   FreqSwitchCount = 0;
   MigrationCount = 0;
 }

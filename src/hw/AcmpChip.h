@@ -11,6 +11,12 @@
 /// time-at-configuration and switch statistics (the raw data behind
 /// Fig. 11 and Fig. 12 of the paper).
 ///
+/// The chip caches what every thread busy/idle flip reads: the active
+/// configuration's effective cycle rate and its power at each busy-core
+/// count. Both come from the same PowerModel/effectiveHzFor calls as an
+/// uncached read, so the cached doubles are bitwise those values; they
+/// are recomputed only when the configuration changes.
+///
 /// Transition penalties are modeled as stalls injected into in-flight
 /// tasks: 100 us for a frequency change and 20 us for a cluster
 /// migration (both at once costs the sum). The paper notes these are
@@ -30,8 +36,11 @@
 
 #include <functional>
 #include <map>
+#include <vector>
 
 namespace greenweb {
+
+class EnergyMeter;
 
 /// Runtime ACMP model; the CpuModel all browser threads execute against.
 class AcmpChip : public CpuModel {
@@ -77,6 +86,21 @@ public:
   /// GreenWeb runtime uses this for its prediction sweep.
   double effectiveHzFor(const AcmpConfig &C) const;
 
+  /// One configuration with the constants a configuration sweep reads.
+  struct ConfigPoint {
+    AcmpConfig Config;
+    /// effectiveHzFor(Config).
+    double Hz = 0.0;
+    /// PowerModel::clusterPower of Config with one busy core, watts.
+    double OneCoreWatts = 0.0;
+  };
+
+  /// Every configuration of the spec, in AcmpSpec::allConfigs order,
+  /// with its rate and one-core power. Built once at construction, so a
+  /// per-decision sweep neither rebuilds the list nor re-evaluates the
+  /// power model; the doubles are bitwise the uncached values.
+  const std::vector<ConfigPoint> &configPoints() const { return Points; }
+
   void onThreadActivity(unsigned ThreadId, bool Busy) override;
 
   /// Number of threads currently executing.
@@ -87,7 +111,8 @@ public:
 
   /// Registered observers run immediately *before* any accounted state
   /// change (configuration or busy count), while the old state is still
-  /// visible; the energy meter integrates the elapsed interval there.
+  /// visible, after the attached energy meter has integrated the
+  /// elapsed interval.
   void addPreChangeListener(std::function<void()> Listener);
 
   /// --- Statistics (Fig. 11 / Fig. 12 raw data) ---
@@ -105,9 +130,14 @@ public:
   void resetStats();
 
 private:
+  friend class EnergyMeter;
+
   /// Folds the interval since the last state change into the accounting
-  /// structures and notifies pre-change listeners.
+  /// structures, integrates the meter and notifies pre-change listeners.
   void accountInterval();
+
+  /// Refreshes the cached rate and per-busy-count power of Config.
+  void cacheConfigState();
 
   /// Clamps \p C to the injector's active thermal cap (identity when no
   /// injector or no open throttle window).
@@ -117,14 +147,28 @@ private:
   AcmpSpec Spec;
   PowerModel Power;
 
+  std::vector<ConfigPoint> Points;
+
   AcmpConfig Config;
   unsigned BusyCount = 0;
+  /// effectiveHzFor(Config).
+  double ConfigHz = 0.0;
+  /// Power.clusterPower(Config, N) for N busy cores; larger counts are
+  /// computed on demand.
+  double PowerByBusy[4] = {};
 
   TimePoint LastChange;
   std::map<AcmpConfig, Duration> ConfigTime;
+  /// ConfigTime's entry for Config, looked up on the configuration's
+  /// first non-zero interval (a config held for zero time never gets an
+  /// entry) and dropped on every change.
+  Duration *ConfigSlot = nullptr;
   uint64_t FreqSwitchCount = 0;
   uint64_t MigrationCount = 0;
 
+  /// The energy meter's direct hook (EnergyMeter attaches itself);
+  /// integrated before any listener runs.
+  EnergyMeter *Meter = nullptr;
   std::vector<std::function<void()>> PreChangeListeners;
 };
 

@@ -10,13 +10,22 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <stdexcept>
 
 using namespace greenweb;
 
 EnergyMeter::EnergyMeter(AcmpChip &Chip) : Chip(Chip), Sim(Chip.simulator()) {
   LastUpdate = Sim.now();
   WindowStart = Sim.now();
-  Chip.addPreChangeListener([this] { integrate(); });
+  if (Chip.Meter)
+    throw std::logic_error("EnergyMeter: chip already has a meter");
+  Chip.Meter = this;
+}
+
+EnergyMeter::~EnergyMeter() {
+  if (Chip.Meter == this)
+    Chip.Meter = nullptr;
 }
 
 void EnergyMeter::integrate() const {

@@ -26,10 +26,16 @@ namespace greenweb {
 /// Integrates chip power into per-cluster energy totals.
 class EnergyMeter {
 public:
-  /// Attaches to \p Chip; the meter registers a pre-change listener so
-  /// every interval is integrated at the power level that was actually in
-  /// effect. The meter must outlive the chip's listener invocations.
+  /// Attaches to \p Chip as its meter hook, so every interval is
+  /// integrated (before any state change) at the power level that was
+  /// actually in effect. A chip carries at most one meter at a time
+  /// (a second one throws std::logic_error); the meter detaches itself
+  /// on destruction.
   explicit EnergyMeter(AcmpChip &Chip);
+  ~EnergyMeter();
+
+  EnergyMeter(const EnergyMeter &) = delete;
+  EnergyMeter &operator=(const EnergyMeter &) = delete;
 
   /// Total energy since construction (or the last reset), joules.
   double totalJoules() const;
@@ -71,6 +77,8 @@ public:
   double sampledJoules() const;
 
 private:
+  friend class AcmpChip;
+
   /// Integrates the interval since the last update at current power.
   void integrate() const;
   void scheduleNextSample();

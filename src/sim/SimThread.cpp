@@ -37,6 +37,26 @@ void CpuModel::stallAttachedThreads(Duration D) {
     Thread->stall(D);
 }
 
+void TaskRing::push(SimTask &&Task) {
+  if (Count == Slots.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<SimTask> Grown(std::max<size_t>(8, Slots.size() * 2));
+    for (size_t I = 0; I < Count; ++I)
+      Grown[I] = std::move(Slots[(Head + I) & (Slots.size() - 1)]);
+    Slots = std::move(Grown);
+    Head = 0;
+  }
+  Slots[(Head + Count) & (Slots.size() - 1)] = std::move(Task);
+  ++Count;
+}
+
+void TaskRing::popInto(SimTask &Out) {
+  assert(Count > 0 && "pop from an empty task ring");
+  Out = std::move(Slots[Head]);
+  Head = (Head + 1) & (Slots.size() - 1);
+  --Count;
+}
+
 SimThread::SimThread(Simulator &Sim, CpuModel &Cpu, std::string Name,
                      unsigned Id)
     : Sim(Sim), Cpu(Cpu), Name(std::move(Name)), Id(Id) {
@@ -58,7 +78,7 @@ void SimThread::post(SimTask Task) {
   if (Task.ParentSpan == 0)
     if (SpanTracer *Tr = tracer())
       Task.ParentSpan = Tr->current();
-  Queue.push_back(std::move(Task));
+  Queue.push(std::move(Task));
   if (!Running)
     startNext();
 }
@@ -68,11 +88,10 @@ void SimThread::postDelayed(SimTask Task, Duration Delay) {
   if (Task.ParentSpan == 0)
     if (SpanTracer *Tr = tracer())
       Task.ParentSpan = Tr->current();
-  // Park the payload in a pooled slot (the timer closure stays
-  // copyable for std::function without boxing the task in a fresh
-  // shared_ptr per call). The Alive token drops the task if the thread
-  // dies while the delay is pending; its parked slot dies with the
-  // pool.
+  // Park the payload in a pooled slot, so the timer closure stays small
+  // enough to sit inline in the event queue. The Alive token drops the
+  // task if the thread dies while the delay is pending; its parked slot
+  // dies with the pool.
   uint32_t Slot;
   if (DelayedFree.empty()) {
     Slot = static_cast<uint32_t>(DelayedPool.size());
@@ -97,8 +116,7 @@ void SimThread::startNext() {
     return;
   GW_PROF_SCOPE("sim.thread.start_task");
   Running = true;
-  Current = std::move(Queue.front());
-  Queue.pop_front();
+  Queue.popInto(Current);
   SpanTracer *Tr = tracer();
   if (Tr)
     CurrentSpan = Tr->begin(Current.Label, Name, 0, 0, Current.ParentSpan);
@@ -164,7 +182,7 @@ void SimThread::finishCurrent() {
   Cpu.onThreadActivity(Id, /*Busy=*/false);
   ++TasksCompleted;
   // Move the callback out first: it may post new tasks to this thread.
-  std::function<void()> Done = std::move(Current.OnComplete);
+  EventCallback Done = std::move(Current.OnComplete);
   Current = SimTask();
   int64_t Span = CurrentSpan;
   CurrentSpan = 0;

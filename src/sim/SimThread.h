@@ -13,17 +13,23 @@
 /// CpuModel retunes, in-flight tasks are re-planned from their remaining
 /// work.
 ///
+/// SimTask is move-only: its ComputeCost and OnComplete callables are
+/// InlineFunctions that keep captures of up to EventCallableBytes inline,
+/// and a thread's run queue is a ring buffer that keeps its capacity, so
+/// a steady stream of post/complete cycles (and delayed posts) runs
+/// without the allocator.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GREENWEB_SIM_SIMTHREAD_H
 #define GREENWEB_SIM_SIMTHREAD_H
 
 #include "sim/Simulator.h"
+#include "support/InlineFunction.h"
 #include "support/Time.h"
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,7 +85,7 @@ struct TaskCost {
   double Cycles = 0.0;
 };
 
-/// A unit of simulated work executed by a SimThread.
+/// A unit of simulated work executed by a SimThread. Move-only.
 struct SimTask {
   /// Debug label, e.g. "style" or "callback:onclick".
   std::string Label;
@@ -90,12 +96,29 @@ struct SimTask {
   /// known only after the interpreter runs; the closure's side effects
   /// (DOM mutation, dirty-bit writes) take effect at task start, and the
   /// simulated duration elapses before OnComplete fires.
-  std::function<TaskCost()> ComputeCost;
+  InlineFunction<TaskCost(), EventCallableBytes> ComputeCost;
   /// Logical effect of the task; runs when the simulated work completes.
-  std::function<void()> OnComplete;
+  EventCallback OnComplete;
   /// Causal span this task descends from. 0 (the default) captures the
   /// ambient context at post() time; producers may pin it explicitly.
   int64_t ParentSpan = 0;
+};
+
+/// FIFO of tasks over a power-of-two ring that keeps its capacity, so
+/// steady-state queueing moves tasks through existing slots instead of
+/// allocating.
+class TaskRing {
+public:
+  bool empty() const { return Count == 0; }
+  size_t size() const { return Count; }
+  void push(SimTask &&Task);
+  /// Moves the oldest task into \p Out and removes it.
+  void popInto(SimTask &Out);
+
+private:
+  std::vector<SimTask> Slots;
+  size_t Head = 0;
+  size_t Count = 0;
 };
 
 /// A serial task executor bound to a CpuModel.
@@ -164,7 +187,7 @@ private:
   std::string Name;
   unsigned Id;
 
-  std::deque<SimTask> Queue;
+  TaskRing Queue;
   bool Running = false;
   SimTask Current;
   /// Span covering the in-flight task's execution window.

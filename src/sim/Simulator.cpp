@@ -13,6 +13,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 using namespace greenweb;
 
@@ -33,6 +34,15 @@ struct EntryBefore {
     if (A.When != B.When)
       return A.When < B.When;
     return A.Seq < B.Seq;
+  }
+};
+
+/// Heap comparator that puts the (When, Seq)-earliest entry at the
+/// front of the overflow ladder.
+struct EntryAfter {
+  template <class EventT>
+  bool operator()(const EventT &A, const EventT &B) const {
+    return EntryBefore()(B, A);
   }
 };
 
@@ -129,14 +139,19 @@ void Simulator::noteFired() {
     FiredCtr->add();
 }
 
-EventHandle Simulator::schedule(Duration Delay, std::function<void()> Fn) {
+EventHandle Simulator::schedule(Duration Delay, EventCallback Fn) {
   if (Delay.isNegative())
     Delay = Duration::zero();
-  return scheduleAt(Now + Delay, std::move(Fn));
+  return enqueue(Now + Delay, Fn);
 }
 
-EventHandle Simulator::scheduleAt(TimePoint When, std::function<void()> Fn) {
-  assert(Fn && "scheduling a null callback");
+EventHandle Simulator::scheduleAt(TimePoint When, EventCallback Fn) {
+  return enqueue(When, Fn);
+}
+
+EventHandle Simulator::enqueue(TimePoint When, EventCallback &Fn) {
+  if (!Fn)
+    throw std::invalid_argument("Simulator: scheduling an empty callback");
   if (When < Now)
     When = Now;
   maybeCompact();
@@ -161,6 +176,11 @@ EventHandle Simulator::scheduleAt(TimePoint When, std::function<void()> Fn) {
   return Handle;
 }
 
+void Simulator::dropStub(uint32_t Slot) {
+  Payloads[Slot].Fn.reset();
+  Ctrl->release(Slot);
+}
+
 void Simulator::maybeCompact() {
   size_t Pending = pendingEvents();
   if (Pending < CompactionMinQueueSize ||
@@ -170,8 +190,7 @@ void Simulator::maybeCompact() {
   auto Dead = [this](const Event &E) {
     if (!Ctrl->cancelled(E.Slot))
       return false;
-    Payloads[E.Slot].Fn = nullptr;
-    Ctrl->release(E.Slot);
+    dropStub(E.Slot);
     return true;
   };
   size_t Removed = 0;
@@ -186,8 +205,11 @@ void Simulator::maybeCompact() {
     B.Events.erase(NewEnd, B.Events.end());
   }
   auto NewEnd = std::remove_if(Overflow.begin(), Overflow.end(), Dead);
-  Removed += size_t(Overflow.end() - NewEnd);
-  Overflow.erase(NewEnd, Overflow.end());
+  if (NewEnd != Overflow.end()) {
+    Removed += size_t(Overflow.end() - NewEnd);
+    Overflow.erase(NewEnd, Overflow.end());
+    std::make_heap(Overflow.begin(), Overflow.end(), EntryAfter());
+  }
   CalSize -= Removed;
   Ctrl->CancelledPending = 0;
   ++Compactions;
@@ -209,19 +231,7 @@ size_t Simulator::nextOccupied(size_t From) const {
   }
 }
 
-void Simulator::calSchedule(const Event &E) {
-  uint64_t Tick = tickOf(E.When);
-  // Behind the scan position (possible when a horizon jump ran ahead of
-  // the clock): clamp into the current bucket, where (When, Seq)
-  // sorting still pops it before everything later.
-  if (Tick < CurTick)
-    Tick = CurTick;
-  ++CalSize;
-  if (Tick >= WindowBase + BucketCount) {
-    Overflow.push_back(E);
-    return;
-  }
-  size_t Idx = Tick & BucketMask;
+void Simulator::calInsert(size_t Idx, const Event &E) {
   CalBucket &B = Buckets[Idx];
   if (B.Events.capacity() == 0 && !BucketPool.empty()) {
     B.Events = std::move(BucketPool.back());
@@ -232,39 +242,50 @@ void Simulator::calSchedule(const Event &E) {
   OccBits[Idx >> 6] |= uint64_t(1) << (Idx & 63);
 }
 
+void Simulator::calSchedule(const Event &E) {
+  uint64_t Tick = tickOf(E.When);
+  // Behind the scan position (possible when a horizon jump ran ahead of
+  // the clock): clamp into the current bucket, where (When, Seq)
+  // sorting still pops it before everything later.
+  if (Tick < CurTick)
+    Tick = CurTick;
+  ++CalSize;
+  if (Tick >= WindowBase + BucketCount) {
+    Overflow.push_back(E);
+    std::push_heap(Overflow.begin(), Overflow.end(), EntryAfter());
+    return;
+  }
+  calInsert(Tick & BucketMask, E);
+}
+
 void Simulator::calAdvanceHorizon() {
   GW_PROF_SCOPE("sim.calendar.advance");
   assert(!Overflow.empty() && "advancing horizon with no overflow");
-  uint64_t MinTick = UINT64_MAX;
-  for (const Event &E : Overflow)
-    MinTick = std::min(MinTick, tickOf(E.When));
+  uint64_t MinTick = tickOf(Overflow.front().When);
   // Anchor the new window at the earliest pending tick, aligned so
   // bucket index scans stay monotone in time.
   WindowBase = MinTick & ~uint64_t(BucketMask);
   CurTick = MinTick;
-  size_t Keep = 0;
-  for (size_t I = 0; I < Overflow.size(); ++I) {
-    uint64_t Tick = tickOf(Overflow[I].When);
-    if (Tick < WindowBase + BucketCount) {
-      size_t Idx = Tick & BucketMask;
-      CalBucket &B = Buckets[Idx];
-      if (B.Events.capacity() == 0 && !BucketPool.empty()) {
-        B.Events = std::move(BucketPool.back());
-        BucketPool.pop_back();
-      }
-      B.Events.push_back(Overflow[I]);
-      B.Dirty = true;
-      OccBits[Idx >> 6] |= uint64_t(1) << (Idx & 63);
-    } else {
-      if (Keep != I)
-        Overflow[Keep] = Overflow[I];
-      ++Keep;
-    }
+  // Insertion order into a bucket does not matter: the bucket is
+  // marked dirty and sorted by (When, Seq) on first touch.
+  while (!Overflow.empty()) {
+    uint64_t Tick = tickOf(Overflow.front().When);
+    if (Tick >= WindowBase + BucketCount)
+      break;
+    std::pop_heap(Overflow.begin(), Overflow.end(), EntryAfter());
+    calInsert(Tick & BucketMask, Overflow.back());
+    Overflow.pop_back();
   }
-  Overflow.resize(Keep);
 }
 
 Simulator::Event *Simulator::calFront() {
+  // Fast path: the bucket under the scan position still holds sorted
+  // entries, so it is the front (every earlier bucket is drained).
+  if (CurTick < WindowBase + BucketCount) {
+    CalBucket &B = Buckets[CurTick & BucketMask];
+    if (B.Cursor < B.Events.size() && !B.Dirty)
+      return &B.Events[B.Cursor];
+  }
   for (;;) {
     if (CalSize == 0)
       return nullptr;
@@ -304,57 +325,44 @@ void Simulator::calPopFront() {
   --CalSize;
 }
 
-bool Simulator::fireNext() {
+Simulator::Event *Simulator::liveFront() {
   while (Event *Front = calFront()) {
-    // Copy the entry out first: Fn below may grow this bucket and
-    // invalidate the pointer.
-    Event E = *Front;
-    if (Ctrl->cancelled(E.Slot)) {
-      --Ctrl->CancelledPending;
-      Payloads[E.Slot].Fn = nullptr;
-      Ctrl->release(E.Slot);
-      calPopFront();
-      continue;
-    }
+    if (!Ctrl->cancelled(Front->Slot))
+      return Front;
+    --Ctrl->CancelledPending;
+    dropStub(Front->Slot);
     calPopFront();
-    // Move the payload out and retire the slot before running Fn: the
-    // event counts as fired the moment it is dequeued, so handles
-    // observed from inside the callback are inert and cancelling them
-    // is a no-op — and the slot is free for immediate reuse by
-    // whatever Fn schedules.
-    Payload P = std::move(Payloads[E.Slot]);
-    Payloads[E.Slot].Fn = nullptr;
-    Ctrl->release(E.Slot);
-    assert(E.When >= Now && "event queue went backwards");
-    Now = E.When;
-    noteFired();
-    if (P.SpanCtx != 0 && Tel && Tel->enabled()) {
-      int64_t Prev = Tel->spans().setCurrent(P.SpanCtx);
-      P.Fn();
-      // The callback may have detached the hub; only restore into a
-      // live tracer.
-      if (Tel)
-        Tel->spans().setCurrent(Prev);
-    } else {
-      P.Fn();
-    }
-    return true;
   }
-  return false;
+  return nullptr;
 }
 
-bool Simulator::peekLiveWhen(TimePoint &WhenOut) {
-  while (Event *E = calFront()) {
-    if (!Ctrl->cancelled(E->Slot)) {
-      WhenOut = E->When;
-      return true;
-    }
-    --Ctrl->CancelledPending;
-    Payloads[E->Slot].Fn = nullptr;
-    Ctrl->release(E->Slot);
-    calPopFront();
+void Simulator::fire(Event *Front) {
+  // Copy the entry out first: Fn below may grow this bucket and
+  // invalidate the pointer.
+  Event E = *Front;
+  calPopFront();
+  // Move the payload out and retire the slot before running Fn: the
+  // event counts as fired the moment it is dequeued, so handles
+  // observed from inside the callback are inert and cancelling them
+  // is a no-op — and the slot is free for immediate reuse by whatever
+  // Fn schedules.
+  Payload &P = Payloads[E.Slot];
+  EventCallback Fn = std::move(P.Fn);
+  int64_t SpanCtx = P.SpanCtx;
+  Ctrl->release(E.Slot);
+  assert(E.When >= Now && "event queue went backwards");
+  Now = E.When;
+  noteFired();
+  if (SpanCtx != 0 && Tel && Tel->enabled()) {
+    int64_t Prev = Tel->spans().setCurrent(SpanCtx);
+    Fn();
+    // The callback may have detached the hub; only restore into a live
+    // tracer.
+    if (Tel)
+      Tel->spans().setCurrent(Prev);
+  } else {
+    Fn();
   }
-  return false;
 }
 
 namespace {
@@ -391,8 +399,13 @@ uint64_t Simulator::run(uint64_t Limit) {
   GW_PROF_SCOPE("sim.run");
   RunTimer Timer(Tel, Now);
   uint64_t Count = 0;
-  while (Count < Limit && fireNext())
+  while (Count < Limit) {
+    Event *Front = liveFront();
+    if (!Front)
+      break;
+    fire(Front);
     ++Count;
+  }
   return Count;
 }
 
@@ -400,11 +413,10 @@ uint64_t Simulator::runUntil(TimePoint Until) {
   GW_PROF_SCOPE("sim.run_until");
   RunTimer Timer(Tel, Now);
   uint64_t Count = 0;
-  TimePoint FrontWhen;
-  while (peekLiveWhen(FrontWhen)) {
-    if (FrontWhen > Until)
+  while (Event *Front = liveFront()) {
+    if (Front->When > Until)
       break;
-    fireNext();
+    fire(Front);
     ++Count;
   }
   if (Now < Until)

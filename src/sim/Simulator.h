@@ -16,16 +16,24 @@
 ///
 /// The event queue is a calendar queue: a power-of-two wheel of time
 /// buckets (sorted lazily, on first touch, and drained through a cursor
-/// so same-timestamp clusters pop by a pointer bump) plus an unsorted
-/// overflow ladder for events beyond the wheel's horizon. An occupancy
+/// so same-timestamp clusters pop by a pointer bump) plus an overflow
+/// ladder for events beyond the wheel's horizon. The ladder is a
+/// min-heap ordered by When, so advancing the horizon pops exactly the
+/// entries that enter the new window instead of rescanning the whole
+/// ladder (full sessions schedule every input up front). An occupancy
 /// bitmap skips empty buckets in O(1), and drained buckets recycle their
-/// storage through a pool, so steady-state scheduling never touches the
-/// allocator. Schedule and pop are O(1) amortized. Queue entries are
-/// trivially-copyable 24-byte records and callbacks live in a
-/// slot-addressed payload side table, so bucket sorts move plain
-/// memcpys. A binary-heap reference queue with the same (When, Seq)
-/// order lives in tests/common/ReferenceEventQueue.h, and the
-/// randomized differential tests in tests/sim pin the two together.
+/// storage through a pool. Queue entries are trivially-copyable 24-byte
+/// records and callbacks live in a slot-addressed payload side table, so
+/// bucket sorts move plain memcpys. A binary-heap reference queue with
+/// the same (When, Seq) order lives in tests/common/ReferenceEventQueue.h,
+/// and the randomized differential tests in tests/sim pin the two
+/// together.
+///
+/// Callbacks are EventCallbacks: move-only InlineFunctions that keep
+/// captures of up to EventCallableBytes inline in the payload table, so
+/// steady-state scheduling and firing never touch the allocator; only a
+/// larger capture is boxed. The run loop looks the queue front up once
+/// per event and fires from that entry.
 ///
 /// Event control state lives in a pooled slab shared by the simulator and
 /// every EventHandle: one {generation, cancelled} record per in-flight
@@ -44,10 +52,11 @@
 #ifndef GREENWEB_SIM_SIMULATOR_H
 #define GREENWEB_SIM_SIMULATOR_H
 
+#include "support/InlineFunction.h"
 #include "support/Time.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -57,6 +66,15 @@ class Counter;
 class FaultInjector;
 class Gauge;
 class Telemetry;
+
+/// Inline capture budget of an event callback, in bytes: enough for the
+/// hot producers (a SimThread completion, a delayed-post timer, a
+/// lifetime-guarded browser timer, at most 32 bytes each) with room to
+/// spare, and small enough that a payload-table entry (callable plus
+/// span context) is 64 bytes, one cache line, on a 64-bit host. A larger
+/// capture still works; it is boxed on the heap.
+inline constexpr std::size_t EventCallableBytes = 40;
+using EventCallback = InlineFunction<void(), EventCallableBytes>;
 
 namespace detail {
 
@@ -158,12 +176,15 @@ public:
   TimePoint now() const { return Now; }
 
   /// Schedules \p Fn to run \p Delay after the current time. Negative
-  /// delays are clamped to zero.
-  EventHandle schedule(Duration Delay, std::function<void()> Fn);
+  /// delays are clamped to zero. Throws std::invalid_argument when \p Fn
+  /// is empty, so a missing callback fails at the caller rather than
+  /// when the event fires.
+  EventHandle schedule(Duration Delay, EventCallback Fn);
 
   /// Schedules \p Fn at an absolute instant; instants in the past fire at
-  /// the current time (still in FIFO order).
-  EventHandle scheduleAt(TimePoint When, std::function<void()> Fn);
+  /// the current time (still in FIFO order). Throws std::invalid_argument
+  /// when \p Fn is empty.
+  EventHandle scheduleAt(TimePoint When, EventCallback Fn);
 
   /// Runs events until the queue is empty or \p Limit events have fired.
   /// Returns the number of events processed.
@@ -219,16 +240,23 @@ private:
   /// bound. (When, Seq) ordering of survivors is intact.
   void maybeCompact();
 
-  bool fireNext();
-  /// Drains cancelled stubs at the queue front and reports the timestamp
-  /// of the earliest live event, or false when none remain.
-  bool peekLiveWhen(TimePoint &WhenOut);
+  struct Event;
+  /// Drains cancelled stubs at the queue front and returns the earliest
+  /// live entry, or nullptr when none remain.
+  Event *liveFront();
+  /// Shared body of schedule/scheduleAt; takes the callback by reference
+  /// so it moves once, into the payload table.
+  EventHandle enqueue(TimePoint When, EventCallback &Fn);
+  /// Dequeues \p Front (the entry liveFront just returned) and runs it.
+  void fire(Event *Front);
+  /// Retires the slot of a dequeued or evicted cancelled stub.
+  void dropStub(uint32_t Slot);
 
   //===--- Queue entries ---------------------------------------------===//
 
   /// A queue entry is deliberately a trivially-copyable 24 bytes: bucket
   /// sorts move entries many times per event, and keeping the
-  /// std::function out of the entry turns each of those moves into a
+  /// callback out of the entry turns each of those moves into a
   /// plain memcpy instead of an indirect callable-manager call. The
   /// callback lives in Payloads, indexed by the (stable) control slot.
   struct Event {
@@ -239,7 +267,7 @@ private:
     uint32_t Slot;
   };
   struct Payload {
-    std::function<void()> Fn;
+    EventCallback Fn;
     /// Ambient causal span at scheduling time; restored around Fn so
     /// spans begun inside the callback parent under the scheduler's
     /// context (carries causality across IPC delays and timers).
@@ -282,9 +310,11 @@ private:
   Event *calFront();
   /// Consumes the entry calFront returned.
   void calPopFront();
-  /// Moves overflow entries whose time fell inside a new wheel window
-  /// anchored at the earliest overflow tick.
+  /// Anchors a new wheel window at the earliest overflow tick and pops
+  /// the overflow entries that fall inside it into their buckets.
   void calAdvanceHorizon();
+  /// Appends \p E to the bucket at wheel index \p Idx.
+  void calInsert(size_t Idx, const Event &E);
   /// First occupied bucket index >= From, or BucketCount when none.
   size_t nextOccupied(size_t From) const;
 
@@ -303,6 +333,8 @@ private:
   /// clamped into the CurTick bucket, where (When, Seq) sorting still
   /// pops them first.
   std::vector<CalBucket> Buckets;
+  /// The overflow ladder: entries beyond the wheel's horizon, kept as a
+  /// min-heap on (When, Seq) so the earliest is at the front.
   std::vector<Event> Overflow;
   /// Recycled bucket storage: a fully drained bucket donates its vector
   /// here instead of freeing it, and the next bucket to go occupied

@@ -88,11 +88,7 @@ public:
       return;
     // Attribute the frame once per contributing root, at the root's
     // worst latency in this frame.
-    std::map<uint64_t, Duration> Worst;
-    for (const MsgLatency &L : Frame.Latencies) {
-      Duration &Slot = Worst[L.Msg.RootId];
-      Slot = std::max(Slot, L.Latency);
-    }
+    Frame.worstLatencyByRoot(Worst);
     for (const auto &[Root, Latency] : Worst) {
       auto It = Index.find(Root);
       if (It == Index.end())
@@ -112,6 +108,8 @@ public:
 private:
   const AnnotationRegistry &Registry;
   std::map<uint64_t, size_t> Index;
+  /// Per-frame buffer of onFrameReady, reused across frames.
+  std::vector<RootLatency> Worst;
   bool Armed = false;
 };
 

@@ -4,8 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "faults/FaultInjector.h"
 #include "hw/AcmpChip.h"
 #include "hw/PowerModel.h"
+
+#include <bit>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -231,4 +235,107 @@ TEST(AcmpChipTest, BusyCountTracksThreads) {
   EXPECT_EQ(Chip.busyThreads(), 2u);
   Sim.run();
   EXPECT_EQ(Chip.busyThreads(), 0u);
+}
+
+namespace {
+
+uint64_t bitsOf(double V) { return std::bit_cast<uint64_t>(V); }
+
+/// Walks the busy count 0..4 on \p Chip's current configuration and
+/// checks that the cached power and rate are bitwise the uncached
+/// PowerModel / effectiveHzFor values (4 exercises the uncached path).
+void expectCachesExact(AcmpChip &Chip) {
+  const PowerModel &Power = Chip.powerModel();
+  AcmpConfig C = Chip.config();
+  for (unsigned Busy = 0; Busy <= 4; ++Busy) {
+    ASSERT_EQ(Chip.busyThreads(), Busy);
+    EXPECT_EQ(bitsOf(Chip.currentPowerWatts()),
+              bitsOf(Power.clusterPower(C.Core, C.FreqMHz, Busy)))
+        << C.str() << " busy " << Busy;
+    EXPECT_EQ(bitsOf(Chip.effectiveHz(Busy)), bitsOf(Chip.effectiveHzFor(C)))
+        << C.str();
+    if (Busy < 4)
+      Chip.onThreadActivity(Busy, /*Busy=*/true);
+  }
+  for (unsigned Busy = 0; Busy < 4; ++Busy)
+    Chip.onThreadActivity(Busy, /*Busy=*/false);
+}
+
+} // namespace
+
+TEST(AcmpChipTest, CachedPowerAndHzAreBitwiseUncachedValues) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  expectCachesExact(Chip); // boot configuration
+  const PowerModel &Power = Chip.powerModel();
+  std::vector<AcmpConfig> All = Chip.spec().allConfigs();
+  ASSERT_EQ(Chip.configPoints().size(), All.size());
+  for (size_t I = 0; I < All.size(); ++I) {
+    const AcmpChip::ConfigPoint &P = Chip.configPoints()[I];
+    ASSERT_EQ(P.Config, All[I]);
+    EXPECT_EQ(bitsOf(P.Hz), bitsOf(Chip.effectiveHzFor(P.Config)));
+    EXPECT_EQ(bitsOf(P.OneCoreWatts),
+              bitsOf(Power.clusterPower(P.Config.Core, P.Config.FreqMHz, 1)));
+  }
+  for (const AcmpConfig &C : All) {
+    Chip.setConfig(C);
+    ASSERT_EQ(Chip.config(), C);
+    expectCachesExact(Chip);
+  }
+}
+
+TEST(AcmpChipTest, CachedPowerAndHzFollowThermalClamp) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  Chip.setConfig({CoreKind::Big, 1800});
+  FaultPlan Plan;
+  FaultSpec Thermal;
+  Thermal.Kind = FaultKind::ThermalThrottle;
+  Thermal.Start = Duration::zero();
+  Thermal.Length = Duration::seconds(10);
+  Thermal.CapMHz = 1000;
+  Plan.Faults = {Thermal};
+  FaultInjector Inj(Sim, Plan);
+  Inj.arm(Sim.now());
+  Sim.runUntil(Sim.now() + Duration::milliseconds(1));
+  ASSERT_EQ(Inj.thermalCapMHz(), 1000u);
+  // The throttle window clamps the running peak configuration in place.
+  Chip.enforceThermalCap();
+  ASSERT_EQ(Chip.config(), (AcmpConfig{CoreKind::Big, 1000}));
+  expectCachesExact(Chip);
+  for (const AcmpConfig &C : Chip.spec().allConfigs()) {
+    Chip.setConfig(C);
+    if (C.Core == CoreKind::Big && C.FreqMHz > 1000)
+      ASSERT_EQ(Chip.config(), (AcmpConfig{CoreKind::Big, 1000}));
+    else
+      ASSERT_EQ(Chip.config(), C);
+    expectCachesExact(Chip);
+  }
+}
+
+TEST(AcmpChipTest, ConfigHeldForZeroTimeGetsNoDistributionEntry) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  AcmpConfig Passing{CoreKind::Big, 1200};
+  AcmpConfig Held{CoreKind::Big, 1800};
+  Sim.schedule(Duration::milliseconds(10), [&] {
+    // Two changes at one instant: Passing is in effect for zero time.
+    Chip.setConfig(Passing);
+    Chip.setConfig(Held);
+  });
+  Sim.schedule(Duration::milliseconds(15), [] {});
+  Sim.run();
+  auto Dist = Chip.configTimeDistribution();
+  EXPECT_EQ(Dist.count(Passing), 0u);
+  EXPECT_EQ(Dist.size(), 2u);
+  EXPECT_EQ(Dist[Chip.spec().minConfig()], Duration::milliseconds(10));
+  EXPECT_EQ(Dist[Held], Duration::milliseconds(5));
+  // The same holds for a config passed through again after time
+  // accrued to it: its entry keeps exactly its non-zero time.
+  Chip.setConfig(Passing);
+  Chip.setConfig(Held);
+  Sim.runUntil(Sim.now() + Duration::milliseconds(5));
+  Dist = Chip.configTimeDistribution();
+  EXPECT_EQ(Dist.count(Passing), 0u);
+  EXPECT_EQ(Dist[Held], Duration::milliseconds(10));
 }

@@ -6,6 +6,8 @@
 
 #include "hw/EnergyMeter.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 using namespace greenweb;
@@ -123,4 +125,20 @@ TEST(EnergyMeterTest, EnergyScalesWithFrequencyCubed) {
   double E1800 = EnergyFor(1800);
   // Same cycle count, higher frequency: more joules despite less time.
   EXPECT_GT(E1800, E800);
+}
+
+TEST(EnergyMeterTest, OneMeterPerChipAndDetachOnDestruction) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  {
+    EnergyMeter First(Chip);
+    EXPECT_THROW(EnergyMeter Second(Chip), std::logic_error);
+  }
+  // The destroyed meter detached itself: the chip keeps accounting
+  // without it, and a fresh meter can attach.
+  Chip.setConfig({CoreKind::Big, 1800});
+  EnergyMeter Fresh(Chip);
+  Sim.schedule(Duration::milliseconds(10), [] {});
+  Sim.run();
+  EXPECT_DOUBLE_EQ(Fresh.totalJoules(), Chip.currentPowerWatts() * 0.010);
 }

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,6 +101,119 @@ FiringLog runProgram(uint64_t Seed, uint64_t TargetEvents) {
   Sim.run();
   EXPECT_TRUE(Sim.idle());
   return Log;
+}
+
+/// Ladder-heavy variant: at least a third of all delays land past the
+/// wheel horizon, and cancellations outpace reschedules, so stubs pile
+/// up in the overflow ladder and compaction runs while the ladder holds
+/// live entries. On the Simulator it also reports how often that
+/// happened (\p LadderCompactions; the reference queue has no
+/// compaction).
+template <class Queue>
+FiringLog runLadderProgram(uint64_t Seed, uint64_t TargetEvents,
+                           uint64_t *FarScheduled,
+                           uint64_t *LadderCompactions) {
+  using Handle = decltype(std::declval<Queue &>().schedule(Duration(), {}));
+  struct PendingEvent {
+    Handle H;
+    uint64_t Id;
+    TimePoint When;
+  };
+  // One wheel span: 2048 buckets x 2^16 ns. In a run() loop the wheel
+  // window starts at or before the current tick, so an event this far
+  // ahead of now is in the overflow ladder.
+  const Duration Horizon = Duration::nanoseconds(int64_t(2048) << 16);
+  Queue Sim;
+  Rng R(Seed);
+  FiringLog Log;
+  std::vector<PendingEvent> Pending;
+  *FarScheduled = 0;
+  *LadderCompactions = 0;
+
+  auto PickDelay = [&R]() -> Duration {
+    switch (R.uniformInt(0, 5)) {
+    case 0:
+      return Duration::zero();
+    case 1:
+      return Duration::nanoseconds(R.uniformInt(1, 60000));
+    case 2:
+    case 3:
+      return Duration::microseconds(R.uniformInt(1, 20000));
+    default:
+      return Duration::milliseconds(R.uniformInt(140, 2000));
+    }
+  };
+
+  std::function<void(uint64_t)> OnFire;
+  auto Schedule = [&](uint64_t Id) {
+    Duration D = PickDelay();
+    if (D >= Horizon)
+      ++*FarScheduled;
+    bool LadderLive = false;
+    for (const PendingEvent &P : Pending)
+      LadderLive |= P.When - Sim.now() >= Horizon;
+    uint64_t Before = 0;
+    if constexpr (std::is_same_v<Queue, Simulator>)
+      Before = Sim.queueCompactions();
+    Handle H = Sim.schedule(D, [&, Id] { OnFire(Id); });
+    if constexpr (std::is_same_v<Queue, Simulator>)
+      if (LadderLive && Sim.queueCompactions() > Before)
+        ++*LadderCompactions;
+    return PendingEvent{H, Id, Sim.now() + D};
+  };
+
+  OnFire = [&](uint64_t Id) {
+    Log.Fired.push_back({(Sim.now() - TimePoint::origin()).nanos(), Id});
+    for (size_t I = 0; I < Pending.size(); ++I)
+      if (Pending[I].Id == Id) {
+        Pending.erase(Pending.begin() + int64_t(I));
+        break;
+      }
+    int Spawn = int(R.uniformInt(1, 3));
+    for (int I = 0; I < Spawn && Log.Scheduled < TargetEvents; ++I)
+      Pending.push_back(Schedule(Log.Scheduled++));
+    // Cancel up to two pending events; reschedule only a quarter of
+    // them, so stubs accumulate faster than they drain.
+    for (int K = 0; K < 2 && !Pending.empty(); ++K) {
+      if (!R.chance(0.6))
+        continue;
+      size_t Victim = size_t(R.uniformInt(0, int64_t(Pending.size()) - 1));
+      Pending[Victim].H.cancel();
+      ++Log.Cancelled;
+      if (R.chance(0.25) && Log.Scheduled < TargetEvents)
+        Pending[Victim] = Schedule(Log.Scheduled++);
+      else
+        Pending.erase(Pending.begin() + int64_t(Victim));
+    }
+  };
+
+  for (int I = 0; I < 128; ++I)
+    Pending.push_back(Schedule(Log.Scheduled++));
+  Sim.run();
+  EXPECT_TRUE(Sim.idle());
+  return Log;
+}
+
+TEST(EventKernelParityTest, LadderHeavyMixWithCompactionMatchesHeap) {
+  const uint64_t Target = 40000;
+  uint64_t HeapFar = 0, HeapCompactions = 0;
+  uint64_t CalFar = 0, CalLadderCompactions = 0;
+  FiringLog Heap =
+      runLadderProgram<ReferenceEventQueue>(0x1ADD, Target, &HeapFar,
+                                            &HeapCompactions);
+  FiringLog Calendar = runLadderProgram<Simulator>(0x1ADD, Target, &CalFar,
+                                                   &CalLadderCompactions);
+  ASSERT_EQ(Heap.Scheduled, Target);
+  ASSERT_EQ(Calendar.Scheduled, Target);
+  EXPECT_EQ(HeapFar, CalFar);
+  // The mix really exercises the ladder and compaction over it.
+  EXPECT_GE(double(CalFar), 0.3 * double(Target));
+  EXPECT_GE(CalLadderCompactions, 3u);
+  EXPECT_EQ(Heap.Cancelled, Calendar.Cancelled);
+  ASSERT_EQ(Heap.Fired.size(), Calendar.Fired.size());
+  for (size_t I = 0; I < Heap.Fired.size(); ++I)
+    ASSERT_EQ(Heap.Fired[I], Calendar.Fired[I])
+        << "first (When, Seq) order divergence at firing #" << I;
 }
 
 TEST(EventKernelParityTest, CalendarMatchesHeapOrderOver100kEvents) {

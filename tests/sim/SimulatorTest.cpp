@@ -6,6 +6,10 @@
 
 #include "sim/Simulator.h"
 
+#include <functional>
+#include <memory>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 using namespace greenweb;
@@ -272,4 +276,50 @@ TEST(SimulatorPoolTest, HandleOutlivesSimulator) {
   // a harmless slab update, not use-after-free.
   H.cancel();
   EXPECT_FALSE(H.isActive());
+}
+
+TEST(SimulatorTest, EmptyCallbackIsRefusedAtScheduleTime) {
+  Simulator Sim;
+  std::function<void()> Empty;
+  void (*NullFn)() = nullptr;
+  EXPECT_THROW(Sim.schedule(Duration::milliseconds(1), EventCallback()),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.schedule(Duration::milliseconds(1), Empty),
+               std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleAt(Sim.now(), NullFn), std::invalid_argument);
+  EXPECT_THROW(Sim.scheduleAt(Sim.now(), nullptr), std::invalid_argument);
+  // A refused schedule leaves no trace in the queue.
+  EXPECT_EQ(Sim.pendingEvents(), 0u);
+  EXPECT_EQ(Sim.controlSlots(), 0u);
+  EXPECT_EQ(Sim.run(), 0u);
+}
+
+TEST(SimulatorPoolTest, CancelledCaptureReleasedWhenItsStubDrains) {
+  // Both capture layouts: one inline in the payload table, one boxed
+  // because it exceeds the inline budget.
+  for (bool Boxed : {false, true}) {
+    Simulator Sim;
+    auto Token = std::make_shared<int>(3);
+    std::weak_ptr<int> Weak = Token;
+    EventHandle H;
+    if (Boxed) {
+      struct {
+        char Pad[EventCallableBytes] = {};
+      } Big;
+      H = Sim.schedule(Duration::microseconds(1),
+                       [Token, Big] { (void)Big.Pad[0]; });
+    } else {
+      H = Sim.schedule(Duration::microseconds(1), [Token] {});
+    }
+    Token.reset();
+    H.cancel();
+    EXPECT_FALSE(Weak.expired()) << "boxed " << Boxed;
+    // The next live event fires right after the stub surfaces: the
+    // capture must already be gone, not merely released at teardown.
+    bool ExpiredAtNext = false;
+    Sim.schedule(Duration::microseconds(2),
+                 [&] { ExpiredAtNext = Weak.expired(); });
+    Sim.run();
+    EXPECT_TRUE(ExpiredAtNext) << "boxed " << Boxed;
+  }
 }
