@@ -6,11 +6,12 @@
 
 #include "browser/TraceExport.h"
 
-#include "support/StringUtils.h"
+#include "profiling/Profiler.h"
+#include "support/Json.h"
+#include "telemetry/SchedTrace.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <map>
 #include <string_view>
@@ -19,33 +20,35 @@ using namespace greenweb;
 
 namespace {
 
-/// Decimal text of an id, usable as a name part.
-class UIntText {
-public:
-  explicit UIntText(uint64_t X)
-      : Len(size_t(std::to_chars(Buf, Buf + sizeof(Buf), X).ptr - Buf)) {}
-  std::string_view view() const { return {Buf, Len}; }
-
-private:
-  char Buf[24];
-  size_t Len;
-};
-
 /// An event name as pieces that are escaped and written in order.
 using NameParts = std::initializer_list<std::string_view>;
 
-/// Opens one event: the separator, then the fields every event starts
-/// with, through its phase.
-void openEvent(std::string &Out, NameParts Name, char Phase) {
-  if (Out.size() > 1)
-    Out += ",\n";
-  Out += "{\"name\":\"";
-  for (std::string_view Part : Name)
-    appendJsonEscaped(Out, Part);
-  Out += "\",\"cat\":\"greenweb\",\"ph\":\"";
-  Out += Phase;
-  Out += '"';
-}
+/// The simulated-time events. Each is formatted by fused appends
+/// straight into the trace's one writer as a complete value: over the
+/// ~60k events of a sampled session, one json::Writer call per member
+/// costs about twice these appends. Every event after the first starts
+/// a new line.
+struct Events {
+  json::Writer &W;
+  std::string &Out; ///< What W writes to.
+  bool First = true;
+
+  /// Starts one event: the fields every event starts with, through its
+  /// phase. Returns the buffer the caller appends the rest to.
+  std::string &open(NameParts Name, char Phase) {
+    if (!First)
+      W.lineBreak();
+    First = false;
+    W.rawValue();
+    Out += "{\"name\":\"";
+    for (std::string_view Part : Name)
+      appendJsonEscaped(Out, Part);
+    Out += "\",\"cat\":\"greenweb\",\"ph\":\"";
+    Out += Phase;
+    Out += '"';
+    return Out;
+  }
+};
 
 /// Appends `,"ts":` and a virtual time in microseconds, 3 decimals.
 void appendTs(std::string &Out, int64_t Nanos) {
@@ -54,31 +57,32 @@ void appendTs(std::string &Out, int64_t Nanos) {
 }
 
 /// Opens one complete ("X") event through `"args":`; the caller writes
-/// the args object and the closing '}'. \p Track is written unescaped.
-void openCompleteEvent(std::string &Out, NameParts Name,
-                       std::string_view Track, TimePoint Begin,
-                       Duration Dur) {
-  openEvent(Out, Name, 'X');
+/// the args object and the closing '}'.
+std::string &openCompleteEvent(Events &E, NameParts Name,
+                               std::string_view Track, TimePoint Begin,
+                               Duration Dur) {
+  std::string &Out = E.open(Name, 'X');
   appendTs(Out, Begin.nanos());
   Out += ",\"dur\":";
   appendFixed(Out, Dur.nanos() / 1e3, 3);
   Out += ",\"pid\":1,\"tid\":\"";
-  Out += Track;
+  appendJsonEscaped(Out, Track);
   Out += "\",\"args\":";
+  return Out;
 }
 
 /// Opens one counter ("C") event through `"args":`.
-void openCounterEvent(std::string &Out, NameParts Name, TimePoint Ts) {
-  openEvent(Out, Name, 'C');
+std::string &openCounterEvent(Events &E, NameParts Name, TimePoint Ts) {
+  std::string &Out = E.open(Name, 'C');
   appendTs(Out, Ts.nanos());
   Out += ",\"pid\":1,\"args\":";
+  return Out;
 }
 
 /// Appends one counter event whose args hold a single series.
-void appendCounterEvent(std::string &Out, std::string_view Name,
-                        TimePoint Ts, const char *Series, double Value,
-                        int Precision) {
-  openCounterEvent(Out, {Name}, Ts);
+void appendCounterEvent(Events &E, std::string_view Name, TimePoint Ts,
+                        const char *Series, double Value, int Precision) {
+  std::string &Out = openCounterEvent(E, {Name}, Ts);
   Out += "{\"";
   Out += Series;
   Out += "\":";
@@ -88,11 +92,12 @@ void appendCounterEvent(std::string &Out, std::string_view Name,
 
 /// Opens one thread-scoped instant ("i") event on the governor track
 /// through `"args":`.
-void openInstantEvent(std::string &Out, NameParts Name, TimePoint Ts) {
-  openEvent(Out, Name, 'i');
+std::string &openInstantEvent(Events &E, NameParts Name, TimePoint Ts) {
+  std::string &Out = E.open(Name, 'i');
   Out += ",\"s\":\"t\"";
   appendTs(Out, Ts.nanos());
   Out += ",\"pid\":1,\"tid\":\"governor\",\"args\":";
+  return Out;
 }
 
 /// Appends `"Key":X` with X as "%.*f"; \p Key carries its own leading
@@ -114,10 +119,9 @@ void appendStringArg(std::string &Out, const char *Key,
 
 /// Emits one flow event ("s"/"t"/"f"); binds to the enclosing slice on
 /// \p Track at \p TsUs.
-void appendFlowEvent(std::string &Out, std::string_view Name,
-                     uint64_t FlowId, char Phase, double TsUs,
-                     std::string_view Track) {
-  openEvent(Out, {Name}, Phase);
+void appendFlowEvent(Events &E, std::string_view Name, uint64_t FlowId,
+                     char Phase, double TsUs, std::string_view Track) {
+  std::string &Out = E.open({Name}, Phase);
   Out += ",\"id\":";
   appendUInt(Out, FlowId);
   Out += ",\"ts\":";
@@ -134,14 +138,13 @@ struct FlowHop {
 };
 
 /// The frames, inputs and cpu tracks both exports share.
-void appendFrameEvents(std::string &Out,
-                       const std::vector<FrameRecord> &Frames,
+void appendFrameEvents(Events &E, const std::vector<FrameRecord> &Frames,
                        const std::vector<ConfigInterval> &Cpu) {
   for (const FrameRecord &Frame : Frames) {
     // The frame's pipeline span on the "frames" track.
-    openCompleteEvent(Out, {"frame ", UIntText(Frame.FrameId).view()},
-                      "frames", Frame.BeginTime,
-                      Frame.ReadyTime - Frame.BeginTime);
+    std::string &Out = openCompleteEvent(
+        E, {"frame ", std::to_string(Frame.FrameId)}, "frames",
+        Frame.BeginTime, Frame.ReadyTime - Frame.BeginTime);
     Out += "{\"roots\":\"";
     for (size_t I = 0; I < Frame.Latencies.size(); ++I) {
       const FrameMsg &Msg = Frame.Latencies[I].Msg;
@@ -159,51 +162,34 @@ void appendFrameEvents(std::string &Out,
 
     // One input->display span per contributing message.
     for (const MsgLatency &L : Frame.Latencies) {
-      openCompleteEvent(Out,
-                        {L.Msg.RootEvent, "#", UIntText(L.Msg.RootId).view()},
+      openCompleteEvent(E,
+                        {L.Msg.RootEvent, "#", std::to_string(L.Msg.RootId)},
                         "inputs", L.Msg.StartTs, L.Latency);
       appendNumberArg(Out, "{\"latency_ms\":", L.Latency.millis(), 3);
       Out += "}}";
     }
   }
 
-  for (const ConfigInterval &Interval : Cpu) {
-    openCompleteEvent(Out, {Interval.Config.str()}, "cpu", Interval.Begin,
-                      Interval.End - Interval.Begin);
-    Out += "{}}";
-  }
+  for (const ConfigInterval &Interval : Cpu)
+    openCompleteEvent(E, {Interval.Config.str()}, "cpu", Interval.Begin,
+                      Interval.End - Interval.Begin) += "{}}";
 }
 
-} // namespace
-
-std::string
-greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
-                            const std::vector<ConfigInterval> &Cpu) {
-  std::string Out = "[";
-  appendFrameEvents(Out, Frames, Cpu);
-  Out += "]\n";
-  return Out;
-}
-
-std::string
-greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
-                            const std::vector<ConfigInterval> &Cpu,
-                            const Telemetry &Tel) {
+/// The counter and governor tracks from the hub's log, then the flow
+/// arrows linking each input to the frames it produced and the
+/// governor decisions made on its behalf (input -> decision -> frame).
+void appendTelemetryEvents(Events &E, const std::vector<FrameRecord> &Frames,
+                           const Telemetry &Tel) {
+  std::string &Out = E.Out;
   const std::vector<TelemetryRecord> &Records = Tel.log().records();
-  std::string Out = "[";
-  // An energy sample, the bulk of a sampled session, exports as three
-  // counter events of about 100 bytes each.
-  Out.reserve((Records.size() + Frames.size() + Cpu.size()) * 300);
-  appendFrameEvents(Out, Frames, Cpu);
-
   for (const TelemetryRecord &R : Records) {
     switch (R.Kind) {
     case TelemetryEventKind::EnergySample:
-      appendCounterEvent(Out, "power_watts", R.Ts, "watts",
+      appendCounterEvent(E, "power_watts", R.Ts, "watts",
                          R.numberOr("watts", 0.0), 6);
-      appendCounterEvent(Out, "energy_joules", R.Ts, "joules",
+      appendCounterEvent(E, "energy_joules", R.Ts, "joules",
                          R.numberOr("joules", 0.0), 6);
-      appendCounterEvent(Out, "sim_queue_depth", R.Ts, "events",
+      appendCounterEvent(E, "sim_queue_depth", R.Ts, "events",
                          R.numberOr("queue_depth", 0.0), 0);
       break;
     case TelemetryEventKind::ConfigSwitch: {
@@ -211,14 +197,14 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       // migrations are visible as the two series trading places.
       bool Big = R.numberOr("big", 0.0) != 0.0;
       double FreqMHz = R.numberOr("freq_mhz", 0.0);
-      openCounterEvent(Out, {"freq_mhz"}, R.Ts);
+      openCounterEvent(E, {"freq_mhz"}, R.Ts);
       appendNumberArg(Out, "{\"A15\":", Big ? FreqMHz : 0.0, 0);
       appendNumberArg(Out, ",\"A7\":", Big ? 0.0 : FreqMHz, 0);
       Out += "}}";
       break;
     }
     case TelemetryEventKind::GovernorDecision:
-      openInstantEvent(Out,
+      openInstantEvent(E,
                        {R.stringViewOr("governor", "?"), ": ",
                         R.stringViewOr("reason", "?")},
                        R.Ts);
@@ -231,7 +217,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       Out += "}}";
       break;
     case TelemetryEventKind::FeedbackAction:
-      openInstantEvent(Out,
+      openInstantEvent(E,
                        {R.stringViewOr("governor", "?"), " feedback: ",
                         R.stringViewOr("action", "?")},
                        R.Ts);
@@ -244,7 +230,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       Out += "}}";
       break;
     case TelemetryEventKind::CounterSample:
-      appendCounterEvent(Out, R.stringViewOr("track", "counter"), R.Ts,
+      appendCounterEvent(E, R.stringViewOr("track", "counter"), R.Ts,
                          "value", R.numberOr("value", 0.0), 6);
       break;
     case TelemetryEventKind::Span: {
@@ -252,7 +238,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       // args carry the parent links so the span DAG survives export.
       double BeginUs = R.numberOr("begin_us", 0.0);
       openCompleteEvent(
-          Out, {R.stringViewOr("name", "?")}, R.stringViewOr("thread", "?"),
+          E, {R.stringViewOr("name", "?")}, R.stringViewOr("thread", "?"),
           TimePoint::fromNanos(int64_t(std::llround(BeginUs * 1e3))),
           Duration::fromMillis(R.numberOr("dur_ms", 0.0)));
       appendNumberArg(Out, "{\"id\":", R.numberOr("id", 0.0), 0);
@@ -267,7 +253,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       // Window begin/end already export as "fault:<kind>" spans; the
       // discrete injections show as instants on the same track.
       if (R.stringViewOr("phase", "") == "inject") {
-        openInstantEvent(Out, {"inject: ", R.stringViewOr("fault", "?")},
+        openInstantEvent(E, {"inject: ", R.stringViewOr("fault", "?")},
                          R.Ts);
         appendStringArg(Out, "{\"detail\":\"", R.stringViewOr("detail", ""));
         appendNumberArg(Out, ",\"value\":", R.numberOr("value", 0.0), 3);
@@ -281,7 +267,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
       // Stages already show as pipeline spans; violations surface in
       // the metrics snapshot; alerts replay through gw-inspect; and
       // scheduler timelines get their own host-time tracks via
-      // schedPerfettoTrackJson. None needs a dedicated track here.
+      // appendSchedTraceEvents. None needs a dedicated track here.
       break;
     }
   }
@@ -302,7 +288,7 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
         Name = "flow:";
         Name += L.Msg.RootEvent;
         Name += '#';
-        Name += UIntText(Root).view();
+        Name += std::to_string(Root);
       }
     }
   }
@@ -326,12 +312,49 @@ greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
     const std::string &Name = NameByRoot[Root];
     for (size_t I = 0; I < Hops.size(); ++I) {
       char Phase = I == 0 ? 's' : I + 1 == Hops.size() ? 'f' : 't';
-      appendFlowEvent(Out, Name, Root, Phase, Hops[I].TsUs, Hops[I].Track);
+      appendFlowEvent(E, Name, Root, Phase, Hops[I].TsUs, Hops[I].Track);
     }
   }
+}
 
-  Out += "]\n";
+std::string exportTrace(const std::vector<FrameRecord> &Frames,
+                        const std::vector<ConfigInterval> &Cpu,
+                        const Telemetry *Tel, const prof::Profile *Prof,
+                        const SchedTrace *Sched) {
+  std::string Out;
+  // An energy sample, the bulk of a sampled session, exports as three
+  // counter events of about 100 bytes each.
+  if (Tel)
+    Out.reserve((Tel->log().size() + Frames.size() + Cpu.size()) * 300);
+  json::Writer W(Out);
+  W.beginArray();
+  Events E{W, Out};
+  appendFrameEvents(E, Frames, Cpu);
+  if (Tel)
+    appendTelemetryEvents(E, Frames, *Tel);
+  if (Prof)
+    prof::appendHostTraceEvents(W, *Prof);
+  if (Sched)
+    appendSchedTraceEvents(W, *Sched);
+  W.endArray();
+  Out += '\n';
   return Out;
+}
+
+} // namespace
+
+std::string
+greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
+                            const std::vector<ConfigInterval> &Cpu) {
+  return exportTrace(Frames, Cpu, nullptr, nullptr, nullptr);
+}
+
+std::string
+greenweb::exportChromeTrace(const std::vector<FrameRecord> &Frames,
+                            const std::vector<ConfigInterval> &Cpu,
+                            const Telemetry &Tel, const prof::Profile *Prof,
+                            const SchedTrace *Sched) {
+  return exportTrace(Frames, Cpu, &Tel, Prof, Sched);
 }
 
 ConfigTimelineRecorder::ConfigTimelineRecorder(AcmpChip &ChipIn)

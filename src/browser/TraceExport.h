@@ -26,7 +26,11 @@
 
 namespace greenweb {
 
+class SchedTrace;
 class Telemetry;
+namespace prof {
+struct Profile;
+}
 
 /// One configuration-residency interval for the timeline's CPU track.
 struct ConfigInterval {
@@ -56,9 +60,16 @@ std::string exportChromeTrace(const std::vector<FrameRecord> &Frames,
 ///  * instant ("i") events on the "governor" track for every governor
 ///    decision and feedback action, carrying the decision's reason,
 ///    chosen configuration, and predicted-vs-target latency as args.
+///
+/// One writer emits the whole event array: after these events come the
+/// host-time spans of \p Prof (prof::appendHostTraceEvents) and one
+/// track per sweep worker of \p Sched (appendSchedTraceEvents), each
+/// when given.
 std::string exportChromeTrace(const std::vector<FrameRecord> &Frames,
                               const std::vector<ConfigInterval> &Cpu,
-                              const Telemetry &Tel);
+                              const Telemetry &Tel,
+                              const prof::Profile *Prof = nullptr,
+                              const SchedTrace *Sched = nullptr);
 
 /// Records the chip's configuration timeline while attached (the chip
 /// only keeps aggregate residency; this observer keeps the sequence).

@@ -11,8 +11,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace greenweb;
 
@@ -49,33 +47,6 @@ std::optional<FaultKind> greenweb::faultKindFromName(const std::string &Name) {
 bool greenweb::faultPerturbsQos(FaultKind Kind) {
   return Kind != FaultKind::MeterNoise;
 }
-
-namespace {
-
-/// Shortest decimal rendering that parses back to the same double, so
-/// toJson -> fromJson round-trips exactly and equal plans serialize to
-/// byte-equal text.
-std::string formatNumber(double V) {
-  char Buf[40];
-  for (int Precision : {15, 16, 17}) {
-    std::snprintf(Buf, sizeof(Buf), "%.*g", Precision, V);
-    if (std::strtod(Buf, nullptr) == V)
-      break;
-  }
-  return Buf;
-}
-
-void appendField(std::string &Out, const char *Name, double V,
-                 double SkipValue) {
-  if (V == SkipValue)
-    return;
-  Out += ",\"";
-  Out += Name;
-  Out += "\":";
-  Out += formatNumber(V);
-}
-
-} // namespace
 
 std::string FaultSpec::str() const {
   std::string Out = faultKindName(Kind);
@@ -116,35 +87,35 @@ bool FaultPlan::hasKind(FaultKind Kind) const {
 }
 
 std::string FaultPlan::toJson() const {
-  std::string Out = "{\"seed\":";
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%llu", (unsigned long long)Seed);
-  Out += Buf;
-  Out += ",\"faults\":[";
-  for (size_t I = 0; I < Faults.size(); ++I) {
-    const FaultSpec &S = Faults[I];
-    if (I)
-      Out += ',';
-    Out += "{\"kind\":\"";
-    Out += faultKindName(S.Kind);
-    Out += '"';
-    appendField(Out, "start_ms", S.Start.millis(), 0.0);
-    appendField(Out, "duration_ms", S.Length.millis(), 0.0);
-    appendField(Out, "cap_mhz", double(S.CapMHz), 0.0);
-    appendField(Out, "fail_prob", S.FailProb, 0.0);
-    appendField(Out, "extra_delay_us", S.ExtraDelay.micros(), 0.0);
-    appendField(Out, "drop_prob", S.DropProb, 0.0);
-    appendField(Out, "sigma_watts", S.SigmaWatts, 0.0);
-    appendField(Out, "spike_prob", S.SpikeProb, 0.0);
-    appendField(Out, "spike_scale", S.SpikeScale, 1.0);
-    appendField(Out, "jitter_ms", S.JitterMax.millis(), 0.0);
-    appendField(Out, "mislabel_prob", S.MislabelProb, 0.0);
-    appendField(Out, "target_scale", S.TargetScale, 1.0);
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("seed").uinteger(Seed).key("faults").beginArray();
+  for (const FaultSpec &S : Faults) {
+    W.beginObject().key("kind").str(faultKindName(S.Kind));
+    // Fields at their default are omitted. Numbers use the shortest
+    // text that parses back exactly, so toJson -> fromJson round-trips
+    // and equal plans serialize to byte-equal text.
+    auto Field = [&W](const char *Name, double V, double Default) {
+      if (V != Default)
+        W.key(Name).shortest(V);
+    };
+    Field("start_ms", S.Start.millis(), 0.0);
+    Field("duration_ms", S.Length.millis(), 0.0);
+    Field("cap_mhz", double(S.CapMHz), 0.0);
+    Field("fail_prob", S.FailProb, 0.0);
+    Field("extra_delay_us", S.ExtraDelay.micros(), 0.0);
+    Field("drop_prob", S.DropProb, 0.0);
+    Field("sigma_watts", S.SigmaWatts, 0.0);
+    Field("spike_prob", S.SpikeProb, 0.0);
+    Field("spike_scale", S.SpikeScale, 1.0);
+    Field("jitter_ms", S.JitterMax.millis(), 0.0);
+    Field("mislabel_prob", S.MislabelProb, 0.0);
+    Field("target_scale", S.TargetScale, 1.0);
     if (S.FlipType)
-      Out += ",\"flip_type\":true";
-    Out += '}';
+      W.key("flip_type").boolean(true);
+    W.endObject();
   }
-  Out += "]}";
+  W.endArray().endObject();
   return Out;
 }
 

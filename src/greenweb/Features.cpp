@@ -126,17 +126,25 @@ int greenweb::bestLadderLevel(const AcmpChip &Chip,
 // Feature table (JSONL)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+void writeFeatureNames(json::Writer &W) {
+  W.key("features").beginArray();
+  for (size_t I = 0; I < kNumFeatures; ++I)
+    W.str(featureNames()[I]);
+  W.endArray();
+}
+
+} // namespace
+
 std::string greenweb::featureHeaderLine(size_t LadderLevels) {
-  std::string Out = formatString(
-      "{\"kind\":\"feature_header\",\"schema\":1,\"ladder_levels\":%zu,"
-      "\"safety_margin\":%.17g,\"features\":[",
-      LadderLevels, FeatureProbe::kLabelSafetyMargin);
-  for (size_t I = 0; I < kNumFeatures; ++I) {
-    if (I)
-      Out += ",";
-    Out += formatString("\"%s\"", featureNames()[I]);
-  }
-  Out += "]}";
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("feature_header").key("schema").integer(1);
+  W.key("ladder_levels").uinteger(LadderLevels);
+  W.key("safety_margin").g17(FeatureProbe::kLabelSafetyMargin);
+  writeFeatureNames(W);
+  W.endObject();
   return Out;
 }
 
@@ -144,17 +152,14 @@ std::string greenweb::featureRowLine(const FeatureRow &Row,
                                      const std::string &App,
                                      const std::string &Governor,
                                      uint64_t Seed) {
-  std::string Out = formatString(
-      "{\"kind\":\"feature_row\",\"app\":\"%s\",\"governor\":\"%s\","
-      "\"seed\":%llu,\"f\":[",
-      jsonEscape(App).c_str(), jsonEscape(Governor).c_str(),
-      static_cast<unsigned long long>(Seed));
-  for (size_t I = 0; I < kNumFeatures; ++I) {
-    if (I)
-      Out += ",";
-    Out += formatString("%.17g", Row.F[I]);
-  }
-  Out += formatString("],\"label\":%d}", Row.Label);
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("feature_row").key("app").str(App);
+  W.key("governor").str(Governor).key("seed").uinteger(Seed);
+  W.key("f").beginArray();
+  for (double X : Row.F)
+    W.g17(X);
+  W.endArray().key("label").integer(Row.Label).endObject();
   return Out;
 }
 
@@ -240,32 +245,27 @@ DecisionTreeModel::predict(const std::array<double, kNumFeatures> &F) const {
 }
 
 std::string DecisionTreeModel::toJson() const {
-  std::string Out = formatString(
-      "{\"kind\":\"gw_model\",\"schema\":1,\"ladder_levels\":%zu,"
-      "\"max_depth\":%u,\"min_samples_leaf\":%u,\"rows\":%llu,"
-      "\"features\":[",
-      LadderLevels, MaxDepth, MinSamplesLeaf,
-      static_cast<unsigned long long>(TrainedRows));
-  for (size_t I = 0; I < kNumFeatures; ++I) {
-    if (I)
-      Out += ",";
-    Out += formatString("\"%s\"", featureNames()[I]);
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("gw_model").key("schema").integer(1);
+  W.key("ladder_levels").uinteger(LadderLevels);
+  W.key("max_depth").uinteger(MaxDepth);
+  W.key("min_samples_leaf").uinteger(MinSamplesLeaf);
+  W.key("rows").uinteger(TrainedRows);
+  writeFeatureNames(W);
+  W.key("nodes").beginArray();
+  for (const TreeNode &N : Nodes) {
+    W.beginObject();
+    if (N.Feature >= 0) {
+      W.key("split").integer(N.Feature).key("threshold").g17(N.Threshold);
+      W.key("left").integer(N.Left).key("right").integer(N.Right);
+    } else {
+      W.key("leaf").integer(N.Leaf).key("confidence").g17(N.Confidence);
+      W.key("count").uinteger(N.Count);
+    }
+    W.endObject();
   }
-  Out += "],\"nodes\":[";
-  for (size_t I = 0; I < Nodes.size(); ++I) {
-    const TreeNode &N = Nodes[I];
-    if (I)
-      Out += ",";
-    if (N.Feature >= 0)
-      Out += formatString(
-          "{\"split\":%d,\"threshold\":%.17g,\"left\":%d,\"right\":%d}",
-          N.Feature, N.Threshold, N.Left, N.Right);
-    else
-      Out += formatString(
-          "{\"leaf\":%d,\"confidence\":%.17g,\"count\":%llu}", N.Leaf,
-          N.Confidence, static_cast<unsigned long long>(N.Count));
-  }
-  Out += "]}";
+  W.endArray().endObject();
   return Out;
 }
 

@@ -6,7 +6,7 @@
 
 #include "profiling/Profiler.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 #include "support/TablePrinter.h"
 #include "telemetry/QuantileSketch.h"
 
@@ -499,33 +499,33 @@ std::string collapsedSampleStacks(const Profile &P) {
   return Out;
 }
 
-std::string perfettoHostTrackJson(const Profile &P) {
+void appendHostTraceEvents(json::Writer &W, const Profile &P) {
   if (P.Spans.empty())
-    return {};
+    return;
   // A dedicated pid keeps the host timebase visually separate from the
   // simulated-time tracks that share the trace.
   constexpr int HostPid = 9000;
-  std::string Out = formatString(
-      ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
-      "\"args\":{\"name\":\"gw-prof host time\"}}",
-      HostPid);
+  auto Meta = [&W](const char *Name, uint64_t Tid, std::string_view Label) {
+    W.lineBreak().beginObject().key("name").str(Name).key("ph").str("M");
+    W.key("pid").integer(HostPid).key("tid").uinteger(Tid);
+    W.key("args").beginObject().key("name").str(Label);
+    W.endObject().endObject();
+  };
+  Meta("process_name", 0, "gw-prof host time");
   for (size_t TI = 0; TI < P.ThreadLabels.size(); ++TI)
-    Out += formatString(
-        ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%zu,"
-        "\"args\":{\"name\":\"%s\"}}",
-        HostPid, TI, jsonEscape(P.ThreadLabels[TI]).c_str());
+    Meta("thread_name", TI, P.ThreadLabels[TI]);
   for (const ProfileSpan &S : P.Spans) {
     std::string_view Leaf = S.Path;
     if (size_t Semi = Leaf.rfind(';'); Semi != std::string_view::npos)
       Leaf = Leaf.substr(Semi + 1);
-    Out += formatString(
-        ",\n{\"name\":\"%s\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":%d,"
-        "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"path\":\"%s\"}}",
-        jsonEscape(std::string(Leaf)).c_str(), HostPid, S.ThreadIndex,
-        double(S.BeginNs) / 1e3,
-        double(S.EndNs - S.BeginNs) / 1e3, jsonEscape(S.Path).c_str());
+    W.lineBreak().beginObject().key("name").str(Leaf);
+    W.key("cat").str("host").key("ph").str("X").key("pid").integer(HostPid);
+    W.key("tid").uinteger(S.ThreadIndex);
+    W.key("ts").fixed(double(S.BeginNs) / 1e3, 3);
+    W.key("dur").fixed(double(S.EndNs - S.BeginNs) / 1e3, 3);
+    W.key("args").beginObject().key("path").str(S.Path);
+    W.endObject().endObject();
   }
-  return Out;
 }
 
 std::string reportTable(const Profile &P, size_t MaxRows) {

@@ -42,6 +42,10 @@
 #include <string>
 #include <vector>
 
+namespace greenweb::json {
+class Writer;
+}
+
 namespace greenweb::prof {
 
 namespace detail {
@@ -159,14 +163,13 @@ std::string collapsedStacks(const Profile &P);
 /// counts); empty string when no samples were taken.
 std::string collapsedSampleStacks(const Profile &P);
 
-/// Chrome-trace event fragments for the retained spans: a leading
-/// comma, then one "X" event per span under a dedicated host-time pid,
-/// with thread_name metadata. Splice into an existing trace array
-/// right before its closing ']'. Timestamps are host microseconds from
-/// profile start — a separate timebase from the simulated tracks,
-/// which is why they live under their own process. Empty when no spans
-/// were retained.
-std::string perfettoHostTrackJson(const Profile &P);
+/// Appends the retained spans to an open Chrome-trace event array: one
+/// "X" event per span under a dedicated host-time pid, with
+/// thread_name metadata, each event on a new line. Timestamps are host
+/// microseconds from profile start — a separate timebase from the
+/// simulated tracks, which is why they live under their own process.
+/// Writes nothing when no spans were retained.
+void appendHostTraceEvents(json::Writer &W, const Profile &P);
 
 /// Human-readable aggregate table, hottest self-time first.
 std::string reportTable(const Profile &P, size_t MaxRows = 40);

@@ -165,7 +165,8 @@ std::optional<RunSnapshot> RunSnapshot::parse(const std::string &Text,
     return std::nullopt;
   }
 
-  std::optional<json::Value> Doc = json::parse(Trimmed);
+  std::string ParseError;
+  std::optional<json::Value> Doc = json::parse(Trimmed, &ParseError);
   // A bench document is recognized by any of its top-level keys, not
   // just "harness": bench JSONs from before the harness field existed
   // still carry "benchmarks"/"scalars" and must compare, not refuse.
@@ -186,9 +187,12 @@ std::optional<RunSnapshot> RunSnapshot::parse(const std::string &Text,
     // Not a single recognized document: treat as a telemetry JSONL log.
     parseTelemetryJsonl(Text, Snap);
     if (Snap.Metrics.empty() && !Snap.HasMeta) {
-      if (Error)
+      if (Error) {
         *Error = "unrecognized artifact (not bench JSON, metrics "
                  "snapshot, or telemetry JSONL)";
+        if (!Doc)
+          *Error += "; as one JSON document: " + ParseError;
+      }
       return std::nullopt;
     }
   }

@@ -6,7 +6,7 @@
 
 #include "profiling/RunMeta.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <thread>
@@ -35,32 +35,23 @@ RunMeta RunMeta::current(std::string Flags) {
   return M;
 }
 
-std::string RunMeta::toJsonObject() const {
-  std::string Out = formatString(
-      "{\"schema\":%d,\"git_commit\":\"%s\",\"build_type\":\"%s\","
-      "\"compiler\":\"%s\",\"hardware_threads\":%u,\"flags\":\"%s\"",
-      Schema, jsonEscape(GitCommit).c_str(), jsonEscape(BuildType).c_str(),
-      jsonEscape(Compiler).c_str(), HardwareThreads,
-      jsonEscape(Flags).c_str());
-  if (!Governor.empty())
-    Out += formatString(",\"governor\":\"%s\"",
-                        jsonEscape(Governor).c_str());
-  Out += "}";
-  return Out;
-}
+std::string RunMeta::toJsonObject() const { return serialize(false); }
 
-std::string RunMeta::toJsonlLine() const {
-  std::string Out = formatString(
-      "{\"kind\":\"meta\",\"schema\":%d,\"git_commit\":\"%s\","
-      "\"build_type\":\"%s\",\"compiler\":\"%s\",\"hardware_threads\":%u,"
-      "\"flags\":\"%s\"",
-      Schema, jsonEscape(GitCommit).c_str(), jsonEscape(BuildType).c_str(),
-      jsonEscape(Compiler).c_str(), HardwareThreads,
-      jsonEscape(Flags).c_str());
+std::string RunMeta::toJsonlLine() const { return serialize(true); }
+
+std::string RunMeta::serialize(bool WithKind) const {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject();
+  if (WithKind)
+    W.key("kind").str("meta");
+  W.key("schema").integer(Schema).key("git_commit").str(GitCommit);
+  W.key("build_type").str(BuildType).key("compiler").str(Compiler);
+  W.key("hardware_threads").uinteger(HardwareThreads);
+  W.key("flags").str(Flags);
   if (!Governor.empty())
-    Out += formatString(",\"governor\":\"%s\"",
-                        jsonEscape(Governor).c_str());
-  Out += "}";
+    W.key("governor").str(Governor);
+  W.endObject();
   return Out;
 }
 

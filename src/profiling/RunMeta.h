@@ -58,6 +58,9 @@ struct RunMeta {
   /// leading "meta" member: {"meta":{...},<original members>}. The
   /// snapshot must start with '{'; returned unchanged otherwise.
   std::string wrapSnapshot(const std::string &SnapshotJson) const;
+
+private:
+  std::string serialize(bool WithKind) const;
 };
 
 /// Joins argv into the Flags string ("prog --a --b").

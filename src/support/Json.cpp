@@ -1,4 +1,4 @@
-//===- support/Json.cpp - Minimal JSON document parser --------------------===//
+//===- support/Json.cpp - JSON document parser and writer -----------------===//
 //
 // Part of the GreenWeb reproduction. Distributed under the MIT license.
 //
@@ -9,12 +9,63 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace greenweb::json {
 
 namespace {
+
+/// Decodes the escape sequence after a backslash at \p P (which points
+/// past the backslash) and appends the character to \p Out, advancing
+/// \p P. False on an unknown or truncated escape.
+bool decodeEscape(const char *&P, const char *End, std::string &Out) {
+  if (P == End)
+    return false;
+  switch (*P++) {
+  case '"': Out += '"'; return true;
+  case '\\': Out += '\\'; return true;
+  case '/': Out += '/'; return true;
+  case 'b': Out += '\b'; return true;
+  case 'f': Out += '\f'; return true;
+  case 'n': Out += '\n'; return true;
+  case 'r': Out += '\r'; return true;
+  case 't': Out += '\t'; return true;
+  case 'u': break;
+  default: return false;
+  }
+  if (End - P < 4)
+    return false;
+  unsigned Code = 0;
+  for (int I = 0; I < 4; ++I) {
+    char H = *P++;
+    Code <<= 4;
+    if (H >= '0' && H <= '9')
+      Code |= unsigned(H - '0');
+    else if (H >= 'a' && H <= 'f')
+      Code |= unsigned(H - 'a' + 10);
+    else if (H >= 'A' && H <= 'F')
+      Code |= unsigned(H - 'A' + 10);
+    else
+      return false;
+  }
+  // UTF-8 encode the BMP code point (surrogate pairs in this repo's
+  // artifacts do not occur; a lone surrogate encodes as-is, which
+  // round-trips harmlessly).
+  if (Code < 0x80) {
+    Out += char(Code);
+  } else if (Code < 0x800) {
+    Out += char(0xC0 | (Code >> 6));
+    Out += char(0x80 | (Code & 0x3F));
+  } else {
+    Out += char(0xE0 | (Code >> 12));
+    Out += char(0x80 | ((Code >> 6) & 0x3F));
+    Out += char(0x80 | (Code & 0x3F));
+  }
+  return true;
+}
 
 class Parser {
 public:
@@ -39,7 +90,62 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+  unsigned Depth = 0;
   std::string Msg = "malformed JSON";
+
+  bool consume(char C) {
+    if (Pos >= Text.size() || Text[Pos] != C)
+      return false;
+    ++Pos;
+    return true;
+  }
+
+  bool element(Value &V) {
+    V.Arr.emplace_back();
+    return value(V.Arr.back());
+  }
+
+  bool member(Value &V) {
+    std::string Key;
+    if (Pos >= Text.size() || Text[Pos] != '"') {
+      Msg = "expected object key";
+      return false;
+    }
+    if (!string(Key))
+      return false;
+    skipWs();
+    if (!consume(':')) {
+      Msg = "expected ':'";
+      return false;
+    }
+    skipWs();
+    V.Obj.emplace_back(std::move(Key), Value());
+    return value(V.Obj.back().second);
+  }
+
+  /// An object (\p Close '}') or array (']') from its opening bracket.
+  bool container(Value &V, char Close) {
+    if (++Depth > MaxDepth) {
+      Msg = formatString("nesting deeper than %u levels", MaxDepth);
+      return false;
+    }
+    ++Pos;
+    skipWs();
+    if (!consume(Close)) {
+      do {
+        skipWs();
+        if (!(Close == ']' ? element(V) : member(V)))
+          return false;
+        skipWs();
+      } while (consume(','));
+      if (!consume(Close)) {
+        Msg = std::string("expected ',' or '") + Close + "'";
+        return false;
+      }
+    }
+    --Depth;
+    return true;
+  }
 
   void fail(std::string *Error) const {
     if (Error)
@@ -65,90 +171,66 @@ private:
       return false;
     ++Pos;
     Out.clear();
+    const char *End = Text.data() + Text.size();
     while (Pos < Text.size() && Text[Pos] != '"') {
       char C = Text[Pos++];
+      if (static_cast<unsigned char>(C) < 0x20) {
+        --Pos;
+        Msg = "raw control character in string";
+        return false;
+      }
       if (C != '\\') {
         Out += C;
         continue;
       }
-      if (Pos >= Text.size())
-        return false;
-      char E = Text[Pos++];
-      switch (E) {
-      case '"': Out += '"'; break;
-      case '\\': Out += '\\'; break;
-      case '/': Out += '/'; break;
-      case 'b': Out += '\b'; break;
-      case 'f': Out += '\f'; break;
-      case 'n': Out += '\n'; break;
-      case 'r': Out += '\r'; break;
-      case 't': Out += '\t'; break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return false;
-        unsigned Code = 0;
-        for (int I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code |= unsigned(H - '0');
-          else if (H >= 'a' && H <= 'f')
-            Code |= unsigned(H - 'a' + 10);
-          else if (H >= 'A' && H <= 'F')
-            Code |= unsigned(H - 'A' + 10);
-          else
-            return false;
-        }
-        // UTF-8 encode the BMP code point (surrogate pairs in this
-        // repo's artifacts do not occur; a lone surrogate encodes
-        // as-is, which round-trips harmlessly).
-        if (Code < 0x80) {
-          Out += char(Code);
-        } else if (Code < 0x800) {
-          Out += char(0xC0 | (Code >> 6));
-          Out += char(0x80 | (Code & 0x3F));
-        } else {
-          Out += char(0xE0 | (Code >> 12));
-          Out += char(0x80 | ((Code >> 6) & 0x3F));
-          Out += char(0x80 | (Code & 0x3F));
-        }
-        break;
-      }
-      default:
+      const char *P = Text.data() + Pos;
+      if (!decodeEscape(P, End, Out)) {
+        Msg = "invalid escape in string";
         return false;
       }
+      Pos = size_t(P - Text.data());
     }
-    if (Pos >= Text.size())
+    if (Pos >= Text.size()) {
+      Msg = "unterminated string";
       return false;
+    }
     ++Pos; // closing quote
     return true;
   }
 
-  bool number(double &Out) {
+  /// Consumes one or more digits; false when there are none.
+  bool digits() {
     size_t Start = Pos;
-    if (Pos < Text.size() && Text[Pos] == '-')
-      ++Pos;
     while (Pos < Text.size() &&
            std::isdigit(static_cast<unsigned char>(Text[Pos])))
       ++Pos;
-    if (Pos == Start || (Text[Start] == '-' && Pos == Start + 1))
+    return Pos != Start;
+  }
+
+  bool number(Value &V) {
+    size_t Start = Pos;
+    if (Pos < Text.size() && Text[Pos] == '-')
+      ++Pos;
+    size_t IntStart = Pos;
+    if (!digits() || (Text[IntStart] == '0' && Pos - IntStart > 1))
       return false;
+    V.Integral = true;
     if (Pos < Text.size() && Text[Pos] == '.') {
       ++Pos;
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+      V.Integral = false;
+      if (!digits())
+        return false;
     }
     if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
       ++Pos;
+      V.Integral = false;
       if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
         ++Pos;
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
+      if (!digits())
+        return false;
     }
-    Out = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                      nullptr);
+    V.Num = std::strtod(std::string(Text.substr(Start, Pos - Start)).c_str(),
+                        nullptr);
     return true;
   }
 
@@ -156,78 +238,15 @@ private:
     if (Pos >= Text.size())
       return false;
     switch (Text[Pos]) {
-    case '{': {
-      ++Pos;
+    case '{':
       V.K = Value::Kind::Object;
-      skipWs();
-      if (Pos < Text.size() && Text[Pos] == '}') {
-        ++Pos;
-        return true;
-      }
-      while (true) {
-        skipWs();
-        std::string Key;
-        if (!string(Key)) {
-          Msg = "expected object key";
-          return false;
-        }
-        skipWs();
-        if (Pos >= Text.size() || Text[Pos] != ':') {
-          Msg = "expected ':'";
-          return false;
-        }
-        ++Pos;
-        skipWs();
-        Value Member;
-        if (!value(Member))
-          return false;
-        V.Obj.emplace_back(std::move(Key), std::move(Member));
-        skipWs();
-        if (Pos < Text.size() && Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        if (Pos < Text.size() && Text[Pos] == '}') {
-          ++Pos;
-          return true;
-        }
-        Msg = "expected ',' or '}'";
-        return false;
-      }
-    }
-    case '[': {
-      ++Pos;
+      return container(V, '}');
+    case '[':
       V.K = Value::Kind::Array;
-      skipWs();
-      if (Pos < Text.size() && Text[Pos] == ']') {
-        ++Pos;
-        return true;
-      }
-      while (true) {
-        skipWs();
-        Value Elem;
-        if (!value(Elem))
-          return false;
-        V.Arr.push_back(std::move(Elem));
-        skipWs();
-        if (Pos < Text.size() && Text[Pos] == ',') {
-          ++Pos;
-          continue;
-        }
-        if (Pos < Text.size() && Text[Pos] == ']') {
-          ++Pos;
-          return true;
-        }
-        Msg = "expected ',' or ']'";
-        return false;
-      }
-    }
+      return container(V, ']');
     case '"':
       V.K = Value::Kind::String;
-      if (string(V.Str))
-        return true;
-      Msg = "unterminated string";
-      return false;
+      return string(V.Str);
     case 't':
       V.K = Value::Kind::Bool;
       V.B = true;
@@ -241,7 +260,7 @@ private:
       return literal("null");
     default:
       V.K = Value::Kind::Number;
-      if (number(V.Num))
+      if (number(V))
         return true;
       Msg = "malformed number";
       return false;
@@ -271,6 +290,12 @@ std::string Value::stringOr(std::string_view Key,
   return V && V->K == Kind::String ? V->Str : Default;
 }
 
+double Value::hexfloatOr(std::string_view Key, double Default) const {
+  const Value *V = get(Key);
+  return V && V->K == Kind::String ? std::strtod(V->Str.c_str(), nullptr)
+                                   : Default;
+}
+
 std::optional<uint64_t> asCount(const Value *V) {
   if (!V || !V->isNumber() || !(V->Num >= 0.0 && V->Num <= 0x1p53) ||
       V->Num != std::floor(V->Num))
@@ -280,6 +305,73 @@ std::optional<uint64_t> asCount(const Value *V) {
 
 std::optional<Value> parse(std::string_view Text, std::string *Error) {
   return Parser(Text).run(Error);
+}
+
+std::string objectText(std::string_view Text, std::string_view Marker) {
+  size_t Open = Text.find(Marker);
+  if (Open != std::string_view::npos)
+    Open = Text.find('{', Open);
+  int Depth = 0;
+  bool InString = false;
+  for (size_t I = Open; I < Text.size(); ++I) {
+    char C = Text[I];
+    if (InString) {
+      if (C == '\\')
+        ++I;
+      else if (C == '"')
+        InString = false;
+      continue;
+    }
+    if (C == '"')
+      InString = true;
+    else if (C == '{')
+      ++Depth;
+    else if (C == '}' && --Depth == 0)
+      return std::string(Text.substr(Open, I - Open + 1));
+  }
+  return {};
+}
+
+
+Writer &Writer::integer(int64_t X) {
+  char Text[24];
+  Text[0] = ',';
+  return element(Text, size_t(std::to_chars(Text + 1, Text + 24, X).ptr -
+                              Text));
+}
+
+Writer &Writer::uinteger(uint64_t X) {
+  char Text[24];
+  Text[0] = ',';
+  return element(Text, size_t(std::to_chars(Text + 1, Text + 24, X).ptr -
+                              Text));
+}
+
+Writer &Writer::fixed(double X, int Precision) {
+  char Text[1 + FixedBufferSize];
+  Text[0] = ',';
+  return element(Text, size_t(formatFixed(Text + 1, X, Precision) - Text));
+}
+
+Writer &Writer::g17(double X) {
+  char Buf[32];
+  return raw({Buf, size_t(std::snprintf(Buf, sizeof(Buf), "%.17g", X))});
+}
+
+Writer &Writer::shortest(double X) {
+  char Buf[32];
+  int Len = 0;
+  for (int Precision : {15, 16, 17}) {
+    Len = std::snprintf(Buf, sizeof(Buf), "%.*g", Precision, X);
+    if (std::strtod(Buf, nullptr) == X)
+      break;
+  }
+  return raw({Buf, size_t(Len)});
+}
+
+Writer &Writer::hexfloat(double X) {
+  char Buf[40];
+  return raw({Buf, size_t(std::snprintf(Buf, sizeof(Buf), "\"%a\"", X))});
 }
 
 } // namespace greenweb::json

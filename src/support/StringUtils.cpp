@@ -135,13 +135,29 @@ std::string greenweb::jsonEscape(std::string_view S) {
 }
 
 void greenweb::appendJsonEscaped(std::string &Out, std::string_view S) {
+  static constexpr char Hex[] = "0123456789abcdef";
   size_t Start = 0;
-  for (size_t I = 0, E = S.size(); I != E; ++I)
-    if (S[I] == '"' || S[I] == '\\') {
-      Out.append(S.data() + Start, I - Start);
-      Out += '\\';
-      Start = I; // The escaped character opens the next run.
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Start, I - Start);
+    Start = I + 1;
+    Out += '\\';
+    switch (C) {
+    case '"': Out += '"'; break;
+    case '\\': Out += '\\'; break;
+    case '\b': Out += 'b'; break;
+    case '\f': Out += 'f'; break;
+    case '\n': Out += 'n'; break;
+    case '\r': Out += 'r'; break;
+    case '\t': Out += 't'; break;
+    default:
+      Out += "u00";
+      Out += Hex[C >> 4];
+      Out += Hex[C & 0xF];
     }
+  }
   Out.append(S.data() + Start, S.size() - Start);
 }
 

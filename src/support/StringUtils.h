@@ -60,7 +60,10 @@ template <class T> std::optional<T> parseCount(std::string_view S) {
 /// Parses a floating-point number; rejects trailing junk.
 std::optional<double> parseDouble(std::string_view S);
 
-/// Escapes '"' and '\\' for embedding in a JSON string literal.
+/// Escapes \p S for embedding in a JSON string literal: a backslash
+/// before '"' and '\\', the two-character escapes for backspace, form
+/// feed, newline, carriage return and tab, and "\u00XX" for any other
+/// byte below 0x20. Other bytes, UTF-8 included, pass through.
 std::string jsonEscape(std::string_view S);
 
 /// Append-in-place writers for the serializers' hot loops. Each emits

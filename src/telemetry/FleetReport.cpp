@@ -50,59 +50,37 @@ void FleetState::noteWarmKey(const std::string &Key) {
 
 namespace {
 
-std::string hexDouble(double X) { return formatString("\"%a\"", X); }
-
-double parseHexDouble(const json::Value &V, std::string_view Key) {
-  const json::Value *F = V.get(Key);
-  if (!F || !F->isString())
-    return 0.0;
-  return std::strtod(F->Str.c_str(), nullptr);
+std::string hex16(uint64_t X) {
+  return formatString("%016llx", static_cast<unsigned long long>(X));
 }
 
 } // namespace
 
 std::string FleetState::toJson() const {
-  std::string Out = "{\"agg\":" + Agg.stateJson() + ",\"shards\":[";
-  for (size_t I = 0; I < Shards.size(); ++I) {
-    const FleetShardRollup &R = Shards[I];
-    if (I)
-      Out += ",";
-    Out += formatString("{\"shard\":%llu,\"first_item\":%llu,"
-                        "\"items\":%llu,\"qos\":%llu,\"alerts\":%llu,"
-                        "\"joules\":",
-                        static_cast<unsigned long long>(R.Shard),
-                        static_cast<unsigned long long>(R.FirstItem),
-                        static_cast<unsigned long long>(R.Items),
-                        static_cast<unsigned long long>(R.QosViolations),
-                        static_cast<unsigned long long>(R.Alerts));
-    Out += hexDouble(R.Joules);
-    Out += formatString(",\"worst_item\":%llu,\"worst_label\":\"%s\","
-                        "\"worst_violation_pct\":",
-                        static_cast<unsigned long long>(R.WorstItem),
-                        jsonEscape(R.WorstLabel).c_str());
-    Out += hexDouble(R.WorstViolationPct) + "}";
+  std::string Out;
+  json::Writer W(Out);
+  Agg.writeState(W.beginObject().key("agg"));
+  W.key("shards").beginArray();
+  for (const FleetShardRollup &R : Shards) {
+    W.beginObject().key("shard").uinteger(R.Shard);
+    W.key("first_item").uinteger(R.FirstItem).key("items").uinteger(R.Items);
+    W.key("qos").uinteger(R.QosViolations).key("alerts").uinteger(R.Alerts);
+    W.key("joules").hexfloat(R.Joules);
+    W.key("worst_item").uinteger(R.WorstItem);
+    W.key("worst_label").str(R.WorstLabel);
+    W.key("worst_violation_pct").hexfloat(R.WorstViolationPct).endObject();
   }
-  Out += "],\"worst\":[";
-  for (size_t I = 0; I < Worst.size(); ++I) {
-    const FleetWorstDevice &D = Worst[I];
-    if (I)
-      Out += ",";
-    Out += formatString("{\"item\":%llu,\"label\":\"%s\","
-                        "\"violation_pct\":",
-                        static_cast<unsigned long long>(D.Item),
-                        jsonEscape(D.Label).c_str());
-    Out += hexDouble(D.ViolationPct) + ",\"joules\":" + hexDouble(D.Joules);
-    Out += formatString(",\"alerts\":%llu,\"black_box\":\"%s\"}",
-                        static_cast<unsigned long long>(D.Alerts),
-                        jsonEscape(D.BlackBoxRef).c_str());
+  W.endArray().key("worst").beginArray();
+  for (const FleetWorstDevice &D : Worst) {
+    W.beginObject().key("item").uinteger(D.Item).key("label").str(D.Label);
+    W.key("violation_pct").hexfloat(D.ViolationPct);
+    W.key("joules").hexfloat(D.Joules).key("alerts").uinteger(D.Alerts);
+    W.key("black_box").str(D.BlackBoxRef).endObject();
   }
-  Out += "],\"warm_keys\":[";
-  for (size_t I = 0; I < WarmKeys.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += formatString("\"%s\"", jsonEscape(WarmKeys[I]).c_str());
-  }
-  Out += "]}";
+  W.endArray().key("warm_keys").beginArray();
+  for (const std::string &Key : WarmKeys)
+    W.str(Key);
+  W.endArray().endObject();
   return Out;
 }
 
@@ -131,10 +109,10 @@ bool FleetState::fromJson(const json::Value &V, FleetState &Out,
     R.Items = uint64_t(E.numberOr("items", 0));
     R.QosViolations = uint64_t(E.numberOr("qos", 0));
     R.Alerts = uint64_t(E.numberOr("alerts", 0));
-    R.Joules = parseHexDouble(E, "joules");
+    R.Joules = E.hexfloatOr("joules", 0.0);
     R.WorstItem = uint64_t(E.numberOr("worst_item", 0));
     R.WorstLabel = E.stringOr("worst_label", "");
-    R.WorstViolationPct = parseHexDouble(E, "worst_violation_pct");
+    R.WorstViolationPct = E.hexfloatOr("worst_violation_pct", 0.0);
     S.Shards.push_back(std::move(R));
   }
   const json::Value *Worst = V.get("worst");
@@ -146,8 +124,8 @@ bool FleetState::fromJson(const json::Value &V, FleetState &Out,
     FleetWorstDevice D;
     D.Item = uint64_t(E.numberOr("item", 0));
     D.Label = E.stringOr("label", "");
-    D.ViolationPct = parseHexDouble(E, "violation_pct");
-    D.Joules = parseHexDouble(E, "joules");
+    D.ViolationPct = E.hexfloatOr("violation_pct", 0.0);
+    D.Joules = E.hexfloatOr("joules", 0.0);
     D.Alerts = uint64_t(E.numberOr("alerts", 0));
     D.BlackBoxRef = E.stringOr("black_box", "");
     S.Worst.push_back(std::move(D));
@@ -190,28 +168,30 @@ uint64_t FleetCheckpoint::doneCount() const {
 }
 
 std::string FleetCheckpoint::serialize() const {
-  std::string P = formatString(
-      "{\"kind\":\"fleet_checkpoint\",\"schema\":%d,\"plan_name\":\"%s\","
-      "\"plan_hash\":\"%016llx\",\"baseline_governor\":\"%s\","
-      "\"items_total\":%llu,\"items_done\":%llu,\"bitmap\":\"",
-      Schema, jsonEscape(PlanName).c_str(),
-      static_cast<unsigned long long>(PlanHash),
-      jsonEscape(BaselineGovernor).c_str(),
-      static_cast<unsigned long long>(ItemsTotal),
-      static_cast<unsigned long long>(doneCount()));
+  std::string P;
+  json::Writer W(P);
+  W.beginObject().key("kind").str("fleet_checkpoint");
+  W.key("schema").integer(Schema).key("plan_name").str(PlanName);
+  W.key("plan_hash").str(hex16(PlanHash));
+  W.key("baseline_governor").str(BaselineGovernor);
+  W.key("items_total").uinteger(ItemsTotal);
+  W.key("items_done").uinteger(doneCount());
   std::vector<uint8_t> Bits = DoneBitmap;
   Bits.resize((ItemsTotal + 7) / 8, 0);
+  std::string Bitmap;
   for (uint8_t B : Bits)
-    P += formatString("%02x", B);
-  P += "\",\"state\":" + State.toJson();
+    Bitmap += formatString("%02x", B);
+  W.key("bitmap").str(Bitmap).key("state").raw(State.toJson());
   if (!ReportJson.empty())
-    P += ",\"report\":" + ReportJson;
+    W.key("report").raw(ReportJson);
   // Integrity footer: everything before the footer is covered by the
   // length + FNV-1a checksum, so a torn or bit-flipped file is rejected
   // at load instead of silently resuming from garbage.
-  P += formatString(",\"payload_length\":%llu,\"checksum\":\"%016llx\"}\n",
-                    static_cast<unsigned long long>(P.size()),
-                    static_cast<unsigned long long>(fleetHash(P)));
+  uint64_t Length = P.size();
+  uint64_t Sum = fleetHash(P);
+  W.key("payload_length").uinteger(Length).key("checksum").str(hex16(Sum));
+  W.endObject();
+  P += '\n';
   return P;
 }
 
@@ -282,31 +262,7 @@ bool FleetCheckpoint::load(const std::string &Text, FleetCheckpoint &Out,
 
 std::string
 greenweb::fleetReportSectionFromArtifact(const std::string &Text) {
-  size_t Key = Text.find(",\"report\":{");
-  if (Key == std::string::npos)
-    return {};
-  size_t Open = Text.find('{', Key);
-  // Balanced-brace scan, skipping string contents (labels may hold
-  // arbitrary escaped text).
-  int Depth = 0;
-  bool InString = false;
-  for (size_t I = Open; I < Text.size(); ++I) {
-    char C = Text[I];
-    if (InString) {
-      if (C == '\\')
-        ++I;
-      else if (C == '"')
-        InString = false;
-      continue;
-    }
-    if (C == '"')
-      InString = true;
-    else if (C == '{')
-      ++Depth;
-    else if (C == '}' && --Depth == 0)
-      return Text.substr(Open, I - Open + 1);
-  }
-  return {};
+  return json::objectText(Text, ",\"report\":{");
 }
 
 //===----------------------------------------------------------------------===//
@@ -325,26 +281,17 @@ FleetReport FleetReport::fromCheckpoint(const FleetCheckpoint &C) {
 
 namespace {
 
-std::string sketchReportJson(const QuantileSketch &Q) {
-  return formatString("{\"count\":%llu,\"p50\":%.4f,\"p90\":%.4f,"
-                      "\"p99\":%.4f,\"max\":%.4f}",
-                      static_cast<unsigned long long>(Q.count()),
-                      Q.quantile(0.5), Q.quantile(0.9), Q.quantile(0.99),
-                      Q.max());
-}
-
-std::string groupReportJson(const StreamAggregator::Group &G) {
+void writeGroupReport(json::Writer &W, const StreamAggregator::Group &G) {
   const Histogram &V = G.ViolationPct;
-  return formatString(
-             "{\"runs\":%llu,\"mean_joules\":%.6f,"
-             "\"violation_pct_mean\":%.4f,\"violation_pct_p50\":%.4f,"
-             "\"violation_pct_p99\":%.4f,\"frame_latency_ms\":",
-             static_cast<unsigned long long>(G.Runs),
-             G.Runs ? G.Joules / double(G.Runs) : 0.0,
-             V.summary().count() ? V.summary().mean() : 0.0,
-             V.quantile(0.5), V.quantile(0.99)) +
-         sketchReportJson(G.FrameLatencyMs) + ",\"energy_per_frame_mj\":" +
-         sketchReportJson(G.EnergyPerFrameMj) + "}";
+  W.beginObject().key("runs").uinteger(G.Runs);
+  W.key("mean_joules").fixed(G.Runs ? G.Joules / double(G.Runs) : 0.0, 6);
+  W.key("violation_pct_mean")
+      .fixed(V.summary().count() ? V.summary().mean() : 0.0, 4);
+  W.key("violation_pct_p50").fixed(V.quantile(0.5), 4);
+  W.key("violation_pct_p99").fixed(V.quantile(0.99), 4);
+  G.FrameLatencyMs.writeSummary(W.key("frame_latency_ms"));
+  G.EnergyPerFrameMj.writeSummary(W.key("energy_per_frame_mj"));
+  W.endObject();
 }
 
 } // namespace
@@ -352,41 +299,24 @@ std::string groupReportJson(const StreamAggregator::Group &G) {
 std::string FleetReport::toJson() const {
   const StreamAggregator &A = State.Agg;
   const StreamAggregator::Group &T = A.total();
-  std::string Out = formatString(
-      "{\"kind\":\"fleet_report\",\"plan\":\"%s\","
-      "\"baseline_governor\":\"%s\",\"items_total\":%llu,"
-      "\"items_done\":%llu,\"population\":{\"runs\":%llu,"
-      "\"frames\":%llu,\"qos_violations\":%llu,\"alerts\":%llu,"
-      "\"joules_total\":%.4f,\"violation_pct\":",
-      jsonEscape(PlanName).c_str(), jsonEscape(BaselineGovernor).c_str(),
-      static_cast<unsigned long long>(ItemsTotal),
-      static_cast<unsigned long long>(ItemsDone),
-      static_cast<unsigned long long>(T.Runs),
-      static_cast<unsigned long long>(T.Frames),
-      static_cast<unsigned long long>(T.QosViolations),
-      static_cast<unsigned long long>(T.Alerts), T.Joules);
-  Out += sketchReportJson(T.ViolationPct.sketch());
-  Out += ",\"frame_latency_ms\":" + sketchReportJson(T.FrameLatencyMs);
-  Out +=
-      ",\"energy_per_frame_mj\":" + sketchReportJson(T.EnergyPerFrameMj);
-  Out += "}";
-
-  auto Section = [&Out](const char *Key,
-                        const std::map<std::string,
-                                       StreamAggregator::Group> &Groups) {
-    Out += formatString(",\"%s\":{", Key);
-    bool First = true;
-    for (const auto &[Name, G] : Groups) {
-      if (!First)
-        Out += ",";
-      First = false;
-      Out += formatString("\"%s\":", jsonEscape(Name).c_str());
-      Out += groupReportJson(G);
-    }
-    Out += "}";
-  };
-  Section("by_app", A.byApp());
-  Section("by_governor", A.byGovernor());
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("fleet_report").key("plan").str(PlanName);
+  W.key("baseline_governor").str(BaselineGovernor);
+  W.key("items_total").uinteger(ItemsTotal);
+  W.key("items_done").uinteger(ItemsDone);
+  W.key("population").beginObject().key("runs").uinteger(T.Runs);
+  W.key("frames").uinteger(T.Frames);
+  W.key("qos_violations").uinteger(T.QosViolations);
+  W.key("alerts").uinteger(T.Alerts);
+  W.key("joules_total").fixed(T.Joules, 4);
+  T.ViolationPct.sketch().writeSummary(W.key("violation_pct"));
+  T.FrameLatencyMs.writeSummary(W.key("frame_latency_ms"));
+  T.EnergyPerFrameMj.writeSummary(W.key("energy_per_frame_mj"));
+  W.endObject();
+  A.writeGroupSections(W, [&W](const StreamAggregator::Group &G) {
+    writeGroupReport(W, G);
+  });
 
   // Energy extrapolation: mean per-session joules vs the baseline
   // governor, scaled to one million users (1 session each). 3.6e6 J
@@ -395,68 +325,47 @@ std::string FleetReport::toJson() const {
   auto BIt = A.byGovernor().find(BaselineGovernor);
   if (BIt != A.byGovernor().end() && BIt->second.Runs)
     BaselineMean = BIt->second.Joules / double(BIt->second.Runs);
-  Out += formatString(",\"energy_extrapolation\":{"
-                      "\"baseline_mean_joules\":%.6f,\"per_governor\":{",
-                      BaselineMean);
-  bool First = true;
+  W.key("energy_extrapolation").beginObject();
+  W.key("baseline_mean_joules").fixed(BaselineMean, 6);
+  W.key("per_governor").beginObject();
   for (const auto &[Name, G] : A.byGovernor()) {
     if (Name == BaselineGovernor || G.Runs == 0)
       continue;
     double Mean = G.Joules / double(G.Runs);
     double SavedJ = BaselineMean - Mean;
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += formatString("\"%s\":{\"mean_joules\":%.6f,"
-                        "\"saved_pct\":%.4f,\"saved_j_per_run\":%.6f,"
-                        "\"saved_kwh_per_million_users\":%.4f}",
-                        jsonEscape(Name).c_str(), Mean,
-                        BaselineMean > 0.0 ? 100.0 * SavedJ / BaselineMean
-                                           : 0.0,
-                        SavedJ, SavedJ / 3.6);
+    W.key(Name).beginObject().key("mean_joules").fixed(Mean, 6);
+    W.key("saved_pct").fixed(
+        BaselineMean > 0.0 ? 100.0 * SavedJ / BaselineMean : 0.0, 4);
+    W.key("saved_j_per_run").fixed(SavedJ, 6);
+    W.key("saved_kwh_per_million_users").fixed(SavedJ / 3.6, 4);
+    W.endObject();
   }
-  Out += "}}";
+  W.endObject().endObject();
 
-  Out += ",\"shards\":[";
-  for (size_t I = 0; I < State.Shards.size(); ++I) {
-    const FleetShardRollup &R = State.Shards[I];
-    if (I)
-      Out += ",";
-    Out += formatString(
-        "{\"shard\":%llu,\"first_item\":%llu,\"items\":%llu,"
-        "\"qos_violations\":%llu,\"alerts\":%llu,\"joules\":%.4f,"
-        "\"worst_item\":%llu,\"worst_label\":\"%s\","
-        "\"worst_violation_pct\":%.4f}",
-        static_cast<unsigned long long>(R.Shard),
-        static_cast<unsigned long long>(R.FirstItem),
-        static_cast<unsigned long long>(R.Items),
-        static_cast<unsigned long long>(R.QosViolations),
-        static_cast<unsigned long long>(R.Alerts), R.Joules,
-        static_cast<unsigned long long>(R.WorstItem),
-        jsonEscape(R.WorstLabel).c_str(), R.WorstViolationPct);
+  W.key("shards").beginArray();
+  for (const FleetShardRollup &R : State.Shards) {
+    W.beginObject().key("shard").uinteger(R.Shard);
+    W.key("first_item").uinteger(R.FirstItem).key("items").uinteger(R.Items);
+    W.key("qos_violations").uinteger(R.QosViolations);
+    W.key("alerts").uinteger(R.Alerts).key("joules").fixed(R.Joules, 4);
+    W.key("worst_item").uinteger(R.WorstItem);
+    W.key("worst_label").str(R.WorstLabel);
+    W.key("worst_violation_pct").fixed(R.WorstViolationPct, 4).endObject();
   }
-  Out += "],\"worst_devices\":[";
-  for (size_t I = 0; I < State.Worst.size(); ++I) {
-    const FleetWorstDevice &D = State.Worst[I];
-    if (I)
-      Out += ",";
-    Out += formatString("{\"item\":%llu,\"label\":\"%s\","
-                        "\"violation_pct\":%.4f,\"joules\":%.4f,"
-                        "\"alerts\":%llu,\"black_box\":\"%s\"}",
-                        static_cast<unsigned long long>(D.Item),
-                        jsonEscape(D.Label).c_str(), D.ViolationPct,
-                        D.Joules,
-                        static_cast<unsigned long long>(D.Alerts),
-                        jsonEscape(D.BlackBoxRef).c_str());
+  W.endArray().key("worst_devices").beginArray();
+  for (const FleetWorstDevice &D : State.Worst) {
+    W.beginObject().key("item").uinteger(D.Item).key("label").str(D.Label);
+    W.key("violation_pct").fixed(D.ViolationPct, 4);
+    W.key("joules").fixed(D.Joules, 4).key("alerts").uinteger(D.Alerts);
+    W.key("black_box").str(D.BlackBoxRef).endObject();
   }
   uint64_t Requests = A.runs();
   uint64_t Builds = State.WarmKeys.size();
-  Out += formatString("],\"warm_pool\":{\"requests\":%llu,"
-                      "\"builds\":%llu,\"hit_rate\":%.4f}}",
-                      static_cast<unsigned long long>(Requests),
-                      static_cast<unsigned long long>(Builds),
-                      Requests ? 1.0 - double(Builds) / double(Requests)
-                               : 0.0);
+  W.endArray().key("warm_pool").beginObject();
+  W.key("requests").uinteger(Requests).key("builds").uinteger(Builds);
+  W.key("hit_rate").fixed(
+      Requests ? 1.0 - double(Builds) / double(Requests) : 0.0, 4);
+  W.endObject().endObject();
   return Out;
 }
 

@@ -6,7 +6,7 @@
 
 #include "telemetry/FlightRecorder.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 #include "telemetry/AnomalyDetector.h"
 
 using namespace greenweb;
@@ -87,36 +87,30 @@ void FlightRecorder::onRecord(const TelemetryRecord &R) {
   }
 }
 
-void BlackBoxDump::appendJson(std::string &Out) const {
-  Out += "{\"trigger\":\"";
-  appendJsonEscaped(Out, Trigger);
-  Out += "\",\"detail\":\"";
-  appendJsonEscaped(Out, Detail);
-  Out += "\",\"ts_us\":";
-  appendFixed(Out, Ts.nanos() / 1e3, 3);
-  Out += ",\"seq\":";
-  appendUInt(Out, Seq);
-  Out += ",\"records\":[\n";
-  for (size_t I = 0; I < Records.size(); ++I) {
-    appendRecordJson(Out, Records[I]);
-    Out += I + 1 < Records.size() ? ",\n" : "\n";
+void BlackBoxDump::appendJson(json::Writer &W) const {
+  W.beginObject().key("trigger").str(Trigger).key("detail").str(Detail);
+  W.key("ts_us").fixed(Ts.nanos() / 1e3, 3).key("seq").uinteger(Seq);
+  W.key("records").beginArray().lineBreak();
+  for (const TelemetryRecord &R : Records) {
+    appendRecordJson(W.rawValue(), R);
+    W.lineBreak();
   }
-  Out += "]}";
+  W.endArray().endObject();
 }
 
 std::string FlightRecorder::dumpsJson() const {
-  std::string Out = formatString(
-      "{\"kind\":\"blackbox\",\"triggers\":%llu,\"suppressed\":%llu,"
-      "\"dropped\":%llu,\"records_observed\":%llu,\"dumps\":[\n",
-      static_cast<unsigned long long>(Triggers),
-      static_cast<unsigned long long>(Suppressed),
-      static_cast<unsigned long long>(Dropped),
-      static_cast<unsigned long long>(Seq));
-  for (size_t I = 0; I < Dumps.size(); ++I) {
-    Dumps[I].appendJson(Out);
-    Out += I + 1 < Dumps.size() ? ",\n" : "\n";
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("blackbox");
+  W.key("triggers").uinteger(Triggers).key("suppressed").uinteger(Suppressed);
+  W.key("dropped").uinteger(Dropped).key("records_observed").uinteger(Seq);
+  W.key("dumps").beginArray().lineBreak();
+  for (const BlackBoxDump &D : Dumps) {
+    D.appendJson(W);
+    W.lineBreak();
   }
-  Out += "]}\n";
+  W.endArray().endObject();
+  Out += '\n';
   return Out;
 }
 

@@ -45,6 +45,10 @@
 
 namespace greenweb {
 
+namespace json {
+class Writer;
+}
+
 class DetectorBank;
 
 /// Flight-recorder tuning; the defaults keep one dump around 256
@@ -70,9 +74,9 @@ struct BlackBoxDump {
   uint64_t Seq = 0;    ///< Records observed when the trigger fired.
   std::vector<TelemetryRecord> Records; ///< Ring contents, oldest first.
 
-  /// Appends a self-contained JSON object; records use the exact JSONL
+  /// Writes a self-contained JSON object; records use the exact JSONL
   /// line format of TelemetryLog::toJsonl.
-  void appendJson(std::string &Out) const;
+  void appendJson(json::Writer &W) const;
 };
 
 /// The recorder; see file comment.

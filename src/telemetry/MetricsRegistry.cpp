@@ -97,11 +97,8 @@ namespace {
 /// zeros trimmed (always keeping one digit after the point), so snapshots
 /// are stable across runs and readable for humans.
 std::string formatNumber(double X) {
-  std::string S = formatString("%.6f", X);
-  size_t Last = S.find_last_not_of('0');
-  if (S[Last] == '.')
-    ++Last;
-  S.erase(Last + 1);
+  std::string S;
+  appendTrimmedFixed6(S, X);
   return S;
 }
 

@@ -7,7 +7,6 @@
 #include "telemetry/QuantileSketch.h"
 
 #include "support/Json.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cmath>
@@ -97,22 +96,27 @@ double QuantileSketch::quantile(double Q) const {
   return Hi;
 }
 
+void QuantileSketch::serialize(json::Writer &W) const {
+  W.beginObject().key("s").integer(S).key("count").uinteger(Count);
+  W.key("zero").uinteger(ZeroCount).key("min").hexfloat(min());
+  W.key("max").hexfloat(max()).key("buckets").beginArray();
+  for (const auto &[Key, N] : Buckets)
+    W.beginArray().integer(Key).uinteger(N).endArray();
+  W.endArray().endObject();
+}
+
 std::string QuantileSketch::serialize() const {
-  std::string Out = formatString(
-      "{\"s\":%d,\"count\":%llu,\"zero\":%llu,\"min\":\"%a\","
-      "\"max\":\"%a\",\"buckets\":[",
-      int(S), static_cast<unsigned long long>(Count),
-      static_cast<unsigned long long>(ZeroCount), min(), max());
-  bool First = true;
-  for (const auto &[Key, N] : Buckets) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += formatString("[%d,%llu]", int(Key),
-                        static_cast<unsigned long long>(N));
-  }
-  Out += "]}";
+  std::string Out;
+  json::Writer W(Out);
+  serialize(W);
   return Out;
+}
+
+void QuantileSketch::writeSummary(json::Writer &W) const {
+  W.beginObject().key("count").uinteger(Count);
+  W.key("p50").fixed(quantile(0.5), 4).key("p90").fixed(quantile(0.9), 4);
+  W.key("p99").fixed(quantile(0.99), 4).key("max").fixed(max(), 4);
+  W.endObject();
 }
 
 bool QuantileSketch::deserialize(const json::Value &V, QuantileSketch &Out,
@@ -133,8 +137,8 @@ bool QuantileSketch::deserialize(const json::Value &V, QuantileSketch &Out,
   QuantileSketch Q;
   Q.Count = *Count;
   Q.ZeroCount = *Zero;
-  Q.Lo = std::strtod(V.stringOr("min", "0x0p+0").c_str(), nullptr);
-  Q.Hi = std::strtod(V.stringOr("max", "0x0p+0").c_str(), nullptr);
+  Q.Lo = V.hexfloatOr("min", 0.0);
+  Q.Hi = V.hexfloatOr("max", 0.0);
   const json::Value *Buckets = V.get("buckets");
   if (!Buckets || !Buckets->isArray())
     return Fail("sketch state has no bucket array");

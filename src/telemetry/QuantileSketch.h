@@ -39,6 +39,7 @@ namespace greenweb {
 
 namespace json {
 struct Value;
+class Writer;
 }
 
 /// Fixed-bucket log-domain quantile digest; see the file comment.
@@ -69,11 +70,16 @@ public:
   double min() const { return Count ? Lo : 0.0; }
   double max() const { return Count ? Hi : 0.0; }
 
-  /// Exact single-line JSON state (integer buckets, hexfloat min/max):
+  /// Exact JSON state (integer buckets, hexfloat min/max):
   /// {"s":32,"count":N,"zero":N,"min":"0x...","max":"0x...",
   ///  "buckets":[[key,count],...]} with buckets in ascending key order.
   /// Deterministic: equal states serialize identically.
+  void serialize(json::Writer &W) const;
   std::string serialize() const;
+
+  /// The report view: {"count":N,"p50":..,"p90":..,"p99":..,"max":..},
+  /// estimates as "%.4f".
+  void writeSummary(json::Writer &W) const;
 
   /// Rebuilds a sketch from serialize() output (parsed). Returns false
   /// (and sets \p Error when given) on malformed state or a sub-bucket

@@ -167,45 +167,36 @@ SchedReport SchedReport::fromTrace(const SchedTrace &Trace,
 }
 
 std::string SchedReport::toJson() const {
-  std::string Out = formatString(
-      "{\"workers\":%u,\"items\":%llu,\"batch_ns\":%lld,"
-      "\"merge_ns\":%lld,\"makespan_ns\":%lld,\"serial_sum_ns\":%lld,"
-      "\"max_busy_ns\":%lld,\"speedup\":%.6f,\"efficiency\":%.6f",
-      Workers, static_cast<unsigned long long>(Items),
-      static_cast<long long>(BatchNs), static_cast<long long>(MergeNs),
-      static_cast<long long>(MakespanNs),
-      static_cast<long long>(SerialSumNs),
-      static_cast<long long>(MaxBusyNs), Speedup, Efficiency);
-  Out += formatString(
-      ",\"attribution\":{\"compute\":%.6f,\"imbalance\":%.6f,"
-      "\"overhead\":%.6f,\"merge_serialization\":%.6f}",
-      ComputeFraction, ImbalanceFraction, OverheadFraction, MergeFraction);
-  Out += formatString(",\"phases\":{\"setup_ns\":%lld,\"sim_ns\":%lld,"
-                      "\"hook_ns\":%lld,\"item_overhead_ns\":%lld}",
-                      static_cast<long long>(SetupNs),
-                      static_cast<long long>(SimNs),
-                      static_cast<long long>(HookNs),
-                      static_cast<long long>(ItemOverheadNs));
-  Out += formatString(",\"hub_records\":%lld,\"per_worker\":[",
-                      static_cast<long long>(HubRecords));
-  for (size_t I = 0; I < PerWorker.size(); ++I) {
-    const Worker &W = PerWorker[I];
-    Out += formatString(
-        "%s{\"worker\":%u,\"items\":%llu,\"busy_ns\":%lld,"
-        "\"wait_ns\":%lld,\"utilization\":%.6f}",
-        I ? "," : "", W.Id, static_cast<unsigned long long>(W.Items),
-        static_cast<long long>(W.BusyNs), static_cast<long long>(W.WaitNs),
-        W.Utilization);
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("workers").uinteger(Workers);
+  W.key("items").uinteger(Items).key("batch_ns").integer(BatchNs);
+  W.key("merge_ns").integer(MergeNs).key("makespan_ns").integer(MakespanNs);
+  W.key("serial_sum_ns").integer(SerialSumNs);
+  W.key("max_busy_ns").integer(MaxBusyNs);
+  W.key("speedup").fixed(Speedup, 6).key("efficiency").fixed(Efficiency, 6);
+  W.key("attribution").beginObject();
+  W.key("compute").fixed(ComputeFraction, 6);
+  W.key("imbalance").fixed(ImbalanceFraction, 6);
+  W.key("overhead").fixed(OverheadFraction, 6);
+  W.key("merge_serialization").fixed(MergeFraction, 6).endObject();
+  W.key("phases").beginObject().key("setup_ns").integer(SetupNs);
+  W.key("sim_ns").integer(SimNs).key("hook_ns").integer(HookNs);
+  W.key("item_overhead_ns").integer(ItemOverheadNs).endObject();
+  W.key("hub_records").integer(HubRecords).key("per_worker").beginArray();
+  for (const Worker &P : PerWorker) {
+    W.beginObject().key("worker").uinteger(P.Id);
+    W.key("items").uinteger(P.Items).key("busy_ns").integer(P.BusyNs);
+    W.key("wait_ns").integer(P.WaitNs);
+    W.key("utilization").fixed(P.Utilization, 6).endObject();
   }
-  Out += "],\"stragglers\":[";
-  for (size_t I = 0; I < Stragglers.size(); ++I) {
-    const Straggler &S = Stragglers[I];
-    Out += formatString(
-        "%s{\"item\":%llu,\"worker\":%u,\"label\":\"%s\",\"run_ns\":%lld}",
-        I ? "," : "", static_cast<unsigned long long>(S.Item), S.Worker,
-        jsonEscape(S.Label).c_str(), static_cast<long long>(S.RunNs));
+  W.endArray().key("stragglers").beginArray();
+  for (const Straggler &S : Stragglers) {
+    W.beginObject().key("item").uinteger(S.Item);
+    W.key("worker").uinteger(S.Worker);
+    W.key("label").str(S.Label).key("run_ns").integer(S.RunNs).endObject();
   }
-  Out += "]}";
+  W.endArray().endObject();
   return Out;
 }
 
@@ -259,20 +250,15 @@ std::string greenweb::schedArtifactJson(const SchedTrace &Trace,
   std::vector<SchedItem> Items = Trace.items();
   for (size_t I = 0; I < Items.size(); ++I) {
     const SchedItem &It = Items[I];
-    Out += formatString(
-        "    {\"item\":%llu,\"worker\":%u,\"label\":\"%s\","
-        "\"start_ns\":%lld,\"run_ns\":%lld,\"setup_ns\":%lld,"
-        "\"sim_ns\":%lld,\"hook_ns\":%lld,\"merge_ns\":%lld,"
-        "\"hub_records\":%lld}%s\n",
-        static_cast<unsigned long long>(It.Item), It.Worker,
-        jsonEscape(It.Label).c_str(), static_cast<long long>(It.StartNs),
-        static_cast<long long>(It.RunNs),
-        static_cast<long long>(It.SetupNs),
-        static_cast<long long>(It.SimNs),
-        static_cast<long long>(It.HookNs),
-        static_cast<long long>(It.MergeNs),
-        static_cast<long long>(It.HubRecords),
-        I + 1 < Items.size() ? "," : "");
+    Out += "    ";
+    json::Writer W(Out);
+    W.beginObject().key("item").uinteger(It.Item);
+    W.key("worker").uinteger(It.Worker).key("label").str(It.Label);
+    W.key("start_ns").integer(It.StartNs).key("run_ns").integer(It.RunNs);
+    W.key("setup_ns").integer(It.SetupNs).key("sim_ns").integer(It.SimNs);
+    W.key("hook_ns").integer(It.HookNs).key("merge_ns").integer(It.MergeNs);
+    W.key("hub_records").integer(It.HubRecords).endObject();
+    Out += I + 1 < Items.size() ? ",\n" : "\n";
   }
   Out += "  ],\n  \"report\": " + Report.toJson() + "\n}\n";
   return Out;
@@ -326,55 +312,41 @@ bool greenweb::schedTraceFromArtifact(const std::string &Text,
 
 std::string
 greenweb::schedReportSectionFromArtifact(const std::string &Text) {
-  size_t Key = Text.find("\"report\":");
-  if (Key == std::string::npos)
-    return {};
-  size_t Open = Text.find('{', Key);
-  if (Open == std::string::npos)
-    return {};
-  // Balanced-brace scan, skipping string contents (labels may hold
-  // arbitrary escaped text).
-  int Depth = 0;
-  bool InString = false;
-  for (size_t I = Open; I < Text.size(); ++I) {
-    char C = Text[I];
-    if (InString) {
-      if (C == '\\')
-        ++I;
-      else if (C == '"')
-        InString = false;
-      continue;
-    }
-    if (C == '"')
-      InString = true;
-    else if (C == '{')
-      ++Depth;
-    else if (C == '}' && --Depth == 0)
-      return Text.substr(Open, I - Open + 1);
-  }
-  return {};
+  return json::objectText(Text, "\"report\":");
 }
 
 //===----------------------------------------------------------------------===//
 // Perfetto export
 //===----------------------------------------------------------------------===//
 
-std::string greenweb::schedPerfettoTrackJson(const SchedTrace &Trace) {
+void greenweb::appendSchedTraceEvents(json::Writer &W,
+                                      const SchedTrace &Trace) {
   std::vector<SchedItem> Items = Trace.items();
   if (Items.empty())
-    return {};
+    return;
   // A dedicated pid keeps the host-time scheduler tracks visually
   // separate from the simulated-time tracks (gw-prof uses 9000).
   constexpr int SchedPid = 9100;
-  std::string Out = formatString(
-      ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
-      "\"args\":{\"name\":\"sweep scheduler (host time)\"}}",
-      SchedPid);
-  for (unsigned W = 0; W < Trace.workers(); ++W)
-    Out += formatString(
-        ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%u,"
-        "\"args\":{\"name\":\"worker %u%s\"}}",
-        SchedPid, W, W, W == 0 ? " (caller)" : "");
+  W.lineBreak().beginObject().key("name").str("process_name");
+  W.key("ph").str("M").key("pid").integer(SchedPid).key("tid").integer(0);
+  W.key("args").beginObject().key("name").str("sweep scheduler (host time)");
+  W.endObject().endObject();
+  for (unsigned Id = 0; Id < Trace.workers(); ++Id) {
+    W.lineBreak().beginObject().key("name").str("thread_name");
+    W.key("ph").str("M").key("pid").integer(SchedPid).key("tid").uinteger(Id);
+    W.key("args").beginObject().key("name");
+    W.str({"worker ", std::to_string(Id), Id == 0 ? " (caller)" : ""});
+    W.endObject().endObject();
+  }
+  // Opens one host-time slice on worker \p Tid through "args":{.
+  auto Slice = [&W](std::string_view Name, unsigned Tid, int64_t StartNs,
+                    int64_t DurNs) {
+    W.lineBreak().beginObject().key("name").str(Name);
+    W.key("cat").str("sched").key("ph").str("X");
+    W.key("pid").integer(SchedPid).key("tid").uinteger(Tid);
+    W.key("ts").fixed(double(StartNs) / 1e3, 3);
+    W.key("dur").fixed(double(DurNs) / 1e3, 3).key("args").beginObject();
+  };
 
   std::vector<SchedItem> ByStart = Items;
   std::sort(ByStart.begin(), ByStart.end(),
@@ -387,41 +359,24 @@ std::string greenweb::schedPerfettoTrackJson(const SchedTrace &Trace) {
   for (const SchedItem &I : ByStart) {
     if (I.Worker < PrevEnd.size()) {
       int64_t Wait = I.StartNs - PrevEnd[I.Worker];
-      if (Wait > 0)
-        Out += formatString(
-            ",\n{\"name\":\"(wait)\",\"cat\":\"sched\",\"ph\":\"X\","
-            "\"pid\":%d,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,"
-            "\"args\":{\"queue_wait_ns\":%lld}}",
-            SchedPid, I.Worker, double(PrevEnd[I.Worker]) / 1e3,
-            double(Wait) / 1e3, static_cast<long long>(Wait));
+      if (Wait > 0) {
+        Slice("(wait)", I.Worker, PrevEnd[I.Worker], Wait);
+        W.key("queue_wait_ns").integer(Wait).endObject().endObject();
+      }
       PrevEnd[I.Worker] = I.StartNs + I.RunNs;
     }
-    Out += formatString(
-        ",\n{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"X\",\"pid\":%d,"
-        "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"item\":%llu,"
-        "\"setup_ns\":%lld,\"sim_ns\":%lld,\"hook_ns\":%lld,"
-        "\"merge_ns\":%lld,\"hub_records\":%lld}}",
-        jsonEscape(I.Label.empty() ? formatString("item %llu",
-                                                  (unsigned long long)I.Item)
-                                   : I.Label)
-            .c_str(),
-        SchedPid, I.Worker, double(I.StartNs) / 1e3, double(I.RunNs) / 1e3,
-        static_cast<unsigned long long>(I.Item),
-        static_cast<long long>(I.SetupNs), static_cast<long long>(I.SimNs),
-        static_cast<long long>(I.HookNs),
-        static_cast<long long>(I.MergeNs),
-        static_cast<long long>(I.HubRecords));
+    Slice(I.Label.empty() ? "item " + std::to_string(I.Item) : I.Label,
+          I.Worker, I.StartNs, I.RunNs);
+    W.key("item").uinteger(I.Item).key("setup_ns").integer(I.SetupNs);
+    W.key("sim_ns").integer(I.SimNs).key("hook_ns").integer(I.HookNs);
+    W.key("merge_ns").integer(I.MergeNs);
+    W.key("hub_records").integer(I.HubRecords).endObject().endObject();
   }
   // The serialized merge occupies the caller track after the batch.
-  if (Trace.mergeWindowNs() > 0)
-    Out += formatString(
-        ",\n{\"name\":\"merge (serialized)\",\"cat\":\"sched\","
-        "\"ph\":\"X\",\"pid\":%d,\"tid\":0,\"ts\":%.3f,\"dur\":%.3f,"
-        "\"args\":{\"merge_ns\":%lld}}",
-        SchedPid, double(Trace.batchNs()) / 1e3,
-        double(Trace.mergeWindowNs()) / 1e3,
-        static_cast<long long>(Trace.mergeWindowNs()));
-  return Out;
+  if (Trace.mergeWindowNs() > 0) {
+    Slice("merge (serialized)", 0, Trace.batchNs(), Trace.mergeWindowNs());
+    W.key("merge_ns").integer(Trace.mergeWindowNs()).endObject().endObject();
+  }
 }
 
 //===----------------------------------------------------------------------===//

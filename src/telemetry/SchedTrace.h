@@ -44,6 +44,10 @@
 #include <string>
 #include <vector>
 
+namespace greenweb::json {
+class Writer;
+}
+
 namespace greenweb {
 
 /// One work item as its worker saw it. All times are host nanoseconds;
@@ -184,13 +188,12 @@ bool schedTraceFromArtifact(const std::string &Text, SchedTrace &Out,
 /// absent.
 std::string schedReportSectionFromArtifact(const std::string &Text);
 
-/// Chrome-trace fragment: one track per worker with an item slice per
-/// work item (phase breakdown in args) and a "(wait)" slice per
-/// handout gap, plus the serialized merge on the caller track. Starts
-/// with ",\n" so callers splice it into an event array before the
-/// closing ']' — the same contract as prof::perfettoHostTrackJson.
-/// Empty when the trace holds no items.
-std::string schedPerfettoTrackJson(const SchedTrace &Trace);
+/// Appends the scheduler's Chrome-trace events to an open event array:
+/// one track per worker with an item slice per work item (phase
+/// breakdown in args) and a "(wait)" slice per handout gap, plus the
+/// serialized merge on the caller track. Each event starts a new line.
+/// Writes nothing when the trace holds no items.
+void appendSchedTraceEvents(json::Writer &W, const SchedTrace &Trace);
 
 /// TTY-aware live progress for long sweeps. Workers call itemDone()
 /// concurrently; rendering is throttled and goes to stderr (or the

@@ -7,7 +7,6 @@
 #include "telemetry/StreamAggregator.h"
 
 #include "support/Json.h"
-#include "support/StringUtils.h"
 
 #include <cstdlib>
 #include <optional>
@@ -58,59 +57,39 @@ void StreamAggregator::mergeFrom(const StreamAggregator &O) {
 
 namespace {
 
-std::string histJson(const Histogram &H) {
+void writeHistogram(json::Writer &W, const Histogram &H) {
   const RunningStat &S = H.summary();
-  return formatString("{\"count\":%llu,\"mean\":%.4f,\"min\":%.4f,"
-                      "\"max\":%.4f,\"p50\":%.4f,\"p99\":%.4f}",
-                      static_cast<unsigned long long>(S.count()),
-                      S.count() ? S.mean() : 0.0, S.count() ? S.min() : 0.0,
-                      S.count() ? S.max() : 0.0, H.quantile(0.5),
-                      H.quantile(0.99));
+  W.beginObject().key("count").uinteger(S.count());
+  W.key("mean").fixed(S.count() ? S.mean() : 0.0, 4);
+  W.key("min").fixed(S.count() ? S.min() : 0.0, 4);
+  W.key("max").fixed(S.count() ? S.max() : 0.0, 4);
+  W.key("p50").fixed(H.quantile(0.5), 4);
+  W.key("p99").fixed(H.quantile(0.99), 4).endObject();
 }
 
-std::string sketchJson(const QuantileSketch &Q) {
-  return formatString("{\"count\":%llu,\"p50\":%.4f,\"p90\":%.4f,"
-                      "\"p99\":%.4f,\"max\":%.4f}",
-                      static_cast<unsigned long long>(Q.count()),
-                      Q.quantile(0.5), Q.quantile(0.9), Q.quantile(0.99),
-                      Q.max());
+void writeGroup(json::Writer &W, const StreamAggregator::Group &G) {
+  W.beginObject().key("runs").uinteger(G.Runs);
+  W.key("frames").uinteger(G.Frames);
+  W.key("qos_violations").uinteger(G.QosViolations);
+  W.key("alerts").uinteger(G.Alerts);
+  W.key("joules_total").fixed(G.Joules, 4);
+  writeHistogram(W.key("energy_j"), G.EnergyJ);
+  writeHistogram(W.key("violation_pct"), G.ViolationPct);
+  G.FrameLatencyMs.writeSummary(W.key("frame_latency_ms"));
+  G.EnergyPerFrameMj.writeSummary(W.key("energy_per_frame_mj"));
+  W.endObject();
 }
 
 } // namespace
 
-std::string StreamAggregator::groupJson(const Group &G) {
-  return formatString("{\"runs\":%llu,\"frames\":%llu,"
-                      "\"qos_violations\":%llu,\"alerts\":%llu,"
-                      "\"joules_total\":%.4f,\"energy_j\":",
-                      static_cast<unsigned long long>(G.Runs),
-                      static_cast<unsigned long long>(G.Frames),
-                      static_cast<unsigned long long>(G.QosViolations),
-                      static_cast<unsigned long long>(G.Alerts), G.Joules) +
-         histJson(G.EnergyJ) +
-         ",\"violation_pct\":" + histJson(G.ViolationPct) +
-         ",\"frame_latency_ms\":" + sketchJson(G.FrameLatencyMs) +
-         ",\"energy_per_frame_mj\":" + sketchJson(G.EnergyPerFrameMj) + "}";
-}
-
 std::string StreamAggregator::toJson() const {
-  std::string Out = "{\"kind\":\"fleet_summary\",\"overall\":";
-  Out += groupJson(Total);
-  auto Section = [&Out](const char *Key,
-                        const std::map<std::string, Group> &Groups) {
-    Out += formatString(",\"%s\":{", Key);
-    bool First = true;
-    for (const auto &[Name, G] : Groups) {
-      if (!First)
-        Out += ",";
-      First = false;
-      Out += formatString("\"%s\":", jsonEscape(Name).c_str());
-      Out += groupJson(G);
-    }
-    Out += "}";
-  };
-  Section("by_app", ByApp);
-  Section("by_governor", ByGovernor);
-  Out += "}\n";
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("kind").str("fleet_summary");
+  writeGroup(W.key("overall"), Total);
+  writeGroupSections(W, [&W](const Group &G) { writeGroup(W, G); });
+  W.endObject();
+  Out += '\n';
   return Out;
 }
 
@@ -121,24 +100,13 @@ std::string StreamAggregator::toJson() const {
 namespace {
 
 /// Hexfloats round-trip doubles exactly through strtod, unlike any
-/// fixed decimal format — the whole point of the state serialization.
-std::string hexDouble(double X) { return formatString("\"%a\"", X); }
-
-double parseHexDouble(const json::Value &V, std::string_view Key) {
-  const json::Value *F = V.get(Key);
-  if (!F || !F->isString())
-    return 0.0;
-  return std::strtod(F->Str.c_str(), nullptr);
-}
-
-std::string statStateJson(const RunningStat &S) {
+/// fixed decimal format: the whole point of the state serialization.
+void writeStatState(json::Writer &W, const RunningStat &S) {
   RunningStatState St = S.state();
-  return formatString("{\"n\":%llu,\"sum\":", static_cast<unsigned long long>(
-                                                  St.N)) +
-         hexDouble(St.Sum) + ",\"min\":" + hexDouble(St.Min) +
-         ",\"max\":" + hexDouble(St.Max) +
-         ",\"mean\":" + hexDouble(St.WelfordMean) +
-         ",\"m2\":" + hexDouble(St.M2) + "}";
+  W.beginObject().key("n").uinteger(St.N).key("sum").hexfloat(St.Sum);
+  W.key("min").hexfloat(St.Min).key("max").hexfloat(St.Max);
+  W.key("mean").hexfloat(St.WelfordMean).key("m2").hexfloat(St.M2);
+  W.endObject();
 }
 
 bool statFromJson(const json::Value &V, RunningStat &Out,
@@ -155,33 +123,31 @@ bool statFromJson(const json::Value &V, RunningStat &Out,
     return Fail("running-stat sample count is not an integer in [0, 2^53]");
   RunningStatState St;
   St.N = size_t(*N);
-  St.Sum = parseHexDouble(V, "sum");
-  St.Min = parseHexDouble(V, "min");
-  St.Max = parseHexDouble(V, "max");
-  St.WelfordMean = parseHexDouble(V, "mean");
-  St.M2 = parseHexDouble(V, "m2");
+  St.Sum = V.hexfloatOr("sum", 0.0);
+  St.Min = V.hexfloatOr("min", 0.0);
+  St.Max = V.hexfloatOr("max", 0.0);
+  St.WelfordMean = V.hexfloatOr("mean", 0.0);
+  St.M2 = V.hexfloatOr("m2", 0.0);
   Out = RunningStat::fromState(St);
   return true;
 }
 
 /// A histogram's exact state: {"stat":<RunningStat>,"sketch":<sketch>}.
-std::string histogramStateJson(const Histogram &H) {
-  return "{\"stat\":" + statStateJson(H.summary()) +
-         ",\"sketch\":" + H.sketch().serialize() + "}";
+void writeHistogramState(json::Writer &W, const Histogram &H) {
+  writeStatState(W.beginObject().key("stat"), H.summary());
+  H.sketch().serialize(W.key("sketch"));
+  W.endObject();
 }
 
-std::string groupStateJson(const StreamAggregator::Group &G) {
-  return formatString("{\"runs\":%llu,\"frames\":%llu,\"qos\":%llu,"
-                      "\"alerts\":%llu,\"joules\":",
-                      static_cast<unsigned long long>(G.Runs),
-                      static_cast<unsigned long long>(G.Frames),
-                      static_cast<unsigned long long>(G.QosViolations),
-                      static_cast<unsigned long long>(G.Alerts)) +
-         hexDouble(G.Joules) +
-         ",\"energy_j\":" + histogramStateJson(G.EnergyJ) +
-         ",\"violation_pct\":" + histogramStateJson(G.ViolationPct) +
-         ",\"frame_latency_ms\":" + G.FrameLatencyMs.serialize() +
-         ",\"energy_per_frame_mj\":" + G.EnergyPerFrameMj.serialize() + "}";
+void writeGroupState(json::Writer &W, const StreamAggregator::Group &G) {
+  W.beginObject().key("runs").uinteger(G.Runs);
+  W.key("frames").uinteger(G.Frames).key("qos").uinteger(G.QosViolations);
+  W.key("alerts").uinteger(G.Alerts).key("joules").hexfloat(G.Joules);
+  writeHistogramState(W.key("energy_j"), G.EnergyJ);
+  writeHistogramState(W.key("violation_pct"), G.ViolationPct);
+  G.FrameLatencyMs.serialize(W.key("frame_latency_ms"));
+  G.EnergyPerFrameMj.serialize(W.key("energy_per_frame_mj"));
+  W.endObject();
 }
 
 bool groupFromJson(const json::Value &V, StreamAggregator::Group &Out,
@@ -203,7 +169,7 @@ bool groupFromJson(const json::Value &V, StreamAggregator::Group &Out,
   Out.Frames = *Frames;
   Out.QosViolations = *Qos;
   Out.Alerts = *Alerts;
-  Out.Joules = parseHexDouble(V, "joules");
+  Out.Joules = V.hexfloatOr("joules", 0.0);
   auto ReadHistogram = [&](const char *Key, Histogram &H) {
     const json::Value *Hist = V.get(Key);
     const json::Value *StatV = Hist ? Hist->get("stat") : nullptr;
@@ -232,25 +198,10 @@ bool groupFromJson(const json::Value &V, StreamAggregator::Group &Out,
 
 } // namespace
 
-std::string StreamAggregator::stateJson() const {
-  std::string Out = "{\"total\":" + groupStateJson(Total);
-  auto Section = [&Out](const char *Key,
-                        const std::map<std::string, Group> &Groups) {
-    Out += formatString(",\"%s\":{", Key);
-    bool First = true;
-    for (const auto &[Name, G] : Groups) {
-      if (!First)
-        Out += ",";
-      First = false;
-      Out += formatString("\"%s\":", jsonEscape(Name).c_str());
-      Out += groupStateJson(G);
-    }
-    Out += "}";
-  };
-  Section("by_app", ByApp);
-  Section("by_governor", ByGovernor);
-  Out += "}";
-  return Out;
+void StreamAggregator::writeState(json::Writer &W) const {
+  writeGroupState(W.beginObject().key("total"), Total);
+  writeGroupSections(W, [&W](const Group &G) { writeGroupState(W, G); });
+  W.endObject();
 }
 
 bool StreamAggregator::fromStateJson(const json::Value &V,

@@ -21,7 +21,7 @@
 /// floating-point rounding, which is why ParallelRunner and the
 /// FleetRunner fold in config index order); toJson() iterates groups in
 /// name order with fixed formats, so a deterministic sweep yields a
-/// byte-identical summary. stateJson()/fromStateJson() round-trip the
+/// byte-identical summary. writeState()/fromStateJson() round-trip the
 /// full accumulator state exactly (hexfloat doubles), which is what
 /// lets a fleet checkpoint resume and still fold to byte-identical
 /// final aggregates.
@@ -31,6 +31,7 @@
 #ifndef GREENWEB_TELEMETRY_STREAMAGGREGATOR_H
 #define GREENWEB_TELEMETRY_STREAMAGGREGATOR_H
 
+#include "support/Json.h"
 #include "telemetry/MetricsRegistry.h"
 #include "telemetry/QuantileSketch.h"
 
@@ -40,10 +41,6 @@
 #include <vector>
 
 namespace greenweb {
-
-namespace json {
-struct Value;
-}
 
 /// The per-run headline a StreamAggregator folds; one of these is the
 /// entire footprint a finished run leaves behind.
@@ -107,14 +104,27 @@ public:
   /// hexfloat doubles). fromStateJson() rebuilds a bit-identical
   /// aggregator, so fold sequences resumed from a checkpoint finish
   /// byte-identically to uninterrupted ones.
-  std::string stateJson() const;
+  void writeState(json::Writer &W) const;
   static bool fromStateJson(const json::Value &V, StreamAggregator &Out,
                             std::string *Error = nullptr);
+
+  /// Writes the "by_app" and "by_governor" members: one object each,
+  /// mapping group names (in name order) to what \p WriteGroup writes.
+  template <class Fn>
+  void writeGroupSections(json::Writer &W, Fn &&WriteGroup) const {
+    for (const std::map<std::string, Group> *Groups : {&ByApp, &ByGovernor}) {
+      W.key(Groups == &ByApp ? "by_app" : "by_governor").beginObject();
+      for (const auto &[Name, G] : *Groups) {
+        W.key(Name);
+        WriteGroup(G);
+      }
+      W.endObject();
+    }
+  }
 
 private:
   static void fold(Group &G, const RunSample &S);
   static void merge(Group &G, const Group &O);
-  static std::string groupJson(const Group &G);
 
   Group Total;
   std::map<std::string, Group> ByApp;

@@ -6,12 +6,10 @@
 
 #include "telemetry/TelemetryLog.h"
 
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 using namespace greenweb;
 
@@ -169,117 +167,31 @@ void TelemetryLog::appendJsonl(std::string &Out) const {
 
 namespace {
 
-/// Minimal parser for the flat one-object-per-line JSON that toJsonl
-/// emits: string keys, string or number values, no nesting. Strings
-/// understand the \" and \\ escapes jsonEscape produces.
-class JsonlLineParser {
-public:
-  JsonlLineParser(const char *Begin, const char *End) : P(Begin), E(End) {}
-
-  bool parse(TelemetryRecord &R, double &TsUs, std::string &KindName) {
-    skipWs();
-    if (!consume('{'))
+/// A JSONL log line as a record: "ts_us" and "kind" plus flat string or
+/// number fields. A number written without a point or exponent reads
+/// back as an integer field, as toJsonl writes them.
+bool recordFromJson(const json::Value &V, TelemetryRecord &R) {
+  if (!V.isObject())
+    return false;
+  double TsUs = 0.0;
+  std::string KindName;
+  for (const auto &[Key, F] : V.Obj) {
+    if (Key == "ts_us" && F.isNumber())
+      TsUs = F.Num;
+    else if (Key == "kind" && F.isString())
+      KindName = F.Str;
+    else if (F.isString())
+      R.Fields.push_back({Key, F.Str});
+    else if (F.isNumber() && F.Integral && std::fabs(F.Num) < 0x1p63)
+      R.Fields.push_back({Key, int64_t(F.Num)});
+    else if (F.isNumber())
+      R.Fields.push_back({Key, F.Num});
+    else
       return false;
-    bool First = true;
-    while (true) {
-      skipWs();
-      if (consume('}'))
-        break;
-      if (!First && !consume(','))
-        return false;
-      First = false;
-      skipWs();
-      std::string Key;
-      if (!parseString(Key))
-        return false;
-      skipWs();
-      if (!consume(':'))
-        return false;
-      skipWs();
-      if (P != E && *P == '"') {
-        std::string S;
-        if (!parseString(S))
-          return false;
-        if (Key == "kind")
-          KindName = std::move(S);
-        else
-          R.Fields.push_back({std::move(Key), std::move(S)});
-      } else {
-        double D = 0.0;
-        int64_t I = 0;
-        bool IsInt = false;
-        if (!parseNumber(D, I, IsInt))
-          return false;
-        if (Key == "ts_us")
-          TsUs = D;
-        else if (IsInt)
-          R.Fields.push_back({std::move(Key), I});
-        else
-          R.Fields.push_back({std::move(Key), D});
-      }
-    }
-    skipWs();
-    return P == E;
   }
-
-private:
-  void skipWs() {
-    while (P != E && std::isspace(static_cast<unsigned char>(*P)))
-      ++P;
-  }
-
-  bool consume(char C) {
-    if (P == E || *P != C)
-      return false;
-    ++P;
-    return true;
-  }
-
-  bool parseString(std::string &Out) {
-    if (!consume('"'))
-      return false;
-    while (P != E && *P != '"') {
-      char C = *P++;
-      if (C == '\\') {
-        if (P == E)
-          return false;
-        C = *P++;
-      }
-      Out += C;
-    }
-    return consume('"');
-  }
-
-  bool parseNumber(double &D, int64_t &I, bool &IsInt) {
-    const char *Start = P;
-    bool Dot = false, Exp = false;
-    while (P != E &&
-           (std::isdigit(static_cast<unsigned char>(*P)) || *P == '.' ||
-            *P == 'e' || *P == 'E' || *P == '-' || *P == '+')) {
-      if (*P == '.')
-        Dot = true;
-      if (*P == 'e' || *P == 'E')
-        Exp = true;
-      ++P;
-    }
-    if (P == Start)
-      return false;
-    std::string Tok(Start, P);
-    // toJsonl prints every double with a decimal point and every
-    // integer without one, so the literal's shape recovers the type.
-    IsInt = !Dot && !Exp;
-    if (IsInt) {
-      I = std::strtoll(Tok.c_str(), nullptr, 10);
-      D = double(I);
-    } else {
-      D = std::strtod(Tok.c_str(), nullptr);
-    }
-    return true;
-  }
-
-  const char *P;
-  const char *E;
-};
+  R.Ts = TimePoint::fromNanos(int64_t(std::llround(TsUs * 1e3)));
+  return telemetryEventKindFromName(KindName, R.Kind);
+}
 
 } // namespace
 
@@ -287,35 +199,15 @@ TelemetryLog TelemetryLog::fromJsonl(const std::string &Text,
                                      size_t *SkippedLines) {
   TelemetryLog Out;
   size_t Skipped = 0;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    const char *B = Text.data() + Pos;
-    const char *E = Text.data() + Eol;
-    Pos = Eol + 1;
-    bool Blank = true;
-    for (const char *Q = B; Q != E; ++Q)
-      if (!std::isspace(static_cast<unsigned char>(*Q))) {
-        Blank = false;
-        break;
-      }
-    if (Blank)
+  for (std::string_view Line : split(Text, '\n')) {
+    if (trim(Line).empty())
       continue;
+    std::optional<json::Value> Doc = json::parse(Line);
     TelemetryRecord R;
-    double TsUs = 0.0;
-    std::string KindName;
-    JsonlLineParser Parser(B, E);
-    TelemetryEventKind Kind;
-    if (!Parser.parse(R, TsUs, KindName) ||
-        !telemetryEventKindFromName(KindName, Kind)) {
+    if (Doc && recordFromJson(*Doc, R))
+      Out.Records.push_back(std::move(R));
+    else
       ++Skipped;
-      continue;
-    }
-    R.Kind = Kind;
-    R.Ts = TimePoint::fromNanos(int64_t(std::llround(TsUs * 1e3)));
-    Out.Records.push_back(std::move(R));
   }
   if (SkippedLines)
     *SkippedLines = Skipped;

@@ -63,39 +63,32 @@ ExperimentConfig FleetPlan::config(const FleetPlanItem &Item) const {
 }
 
 std::string FleetPlan::toJson() const {
-  std::string Out = formatString(
-      "{\"kind\":\"fleet_plan\",\"name\":\"%s\",\"mode\":\"%s\","
-      "\"apps\":[",
-      jsonEscape(Name).c_str(),
-      Mode == ExperimentMode::Micro ? "micro" : "full");
-  auto Names = [&Out](const std::vector<std::string> &List) {
-    for (size_t I = 0; I < List.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += formatString("\"%s\"", jsonEscape(List[I]).c_str());
-    }
+  std::string Out;
+  json::Writer W(Out);
+  auto Names = [&W](const char *Key, const std::vector<std::string> &List) {
+    W.key(Key).beginArray();
+    for (const std::string &Name : List)
+      W.str(Name);
+    W.endArray();
   };
-  Names(Apps);
-  Out += "],\"governors\":[";
-  Names(Governors);
-  Out += "],\"seeds\":[";
-  for (size_t I = 0; I < Seeds.size(); ++I) {
-    if (I)
-      Out += ",";
-    Out += formatString("%llu", static_cast<unsigned long long>(Seeds[I]));
-  }
-  Out += "],\"scenarios\":[";
-  Names(Scenarios);
-  Out += formatString("],\"replicas\":%u,\"micro_repetitions\":%u,"
-                      "\"baseline_governor\":\"%s\"",
-                      unsigned(Replicas), MicroRepetitions,
-                      jsonEscape(BaselineGovernor).c_str());
-  // Appended only when set: plans without a model keep the exact JSON
+  W.beginObject().key("kind").str("fleet_plan").key("name").str(Name);
+  W.key("mode").str(Mode == ExperimentMode::Micro ? "micro" : "full");
+  Names("apps", Apps);
+  Names("governors", Governors);
+  W.key("seeds").beginArray();
+  for (uint64_t Seed : Seeds)
+    W.uinteger(Seed);
+  W.endArray();
+  Names("scenarios", Scenarios);
+  W.key("replicas").uinteger(Replicas);
+  W.key("micro_repetitions").uinteger(MicroRepetitions);
+  W.key("baseline_governor").str(BaselineGovernor);
+  // Written only when set: plans without a model keep the exact JSON
   // (and hash) they had before models existed, so old checkpoints
   // still resume.
   if (!ModelPath.empty())
-    Out += formatString(",\"model\":\"%s\"", jsonEscape(ModelPath).c_str());
-  Out += "}";
+    W.key("model").str(ModelPath);
+  W.endObject();
   return Out;
 }
 

@@ -71,28 +71,6 @@ void TelemetryArtifactOptions::configureHub(Telemetry &Tel) const {
     Tel.enableFlightRecorder();
 }
 
-// Host-time track fragments begin with ",\n" so they extend a
-// non-empty JSON event array in place. When the base trace has no
-// events (e.g. a metrics-only hub), the insertion point directly
-// follows the array's opening '['; drop the fragment's leading comma
-// so the spliced array stays valid JSON.
-static void spliceBeforeClose(std::string &Trace,
-                              const std::string &Fragment) {
-  if (Fragment.empty())
-    return;
-  size_t Close = Trace.rfind(']');
-  if (Close == std::string::npos)
-    return;
-  std::string_view Frag(Fragment);
-  size_t Prev = Close == 0
-                    ? std::string::npos
-                    : Trace.find_last_not_of(" \t\r\n", Close - 1);
-  if (Prev != std::string::npos && Trace[Prev] == '[' &&
-      Frag.front() == ',')
-    Frag.remove_prefix(1);
-  Trace.insert(Close, Frag);
-}
-
 static void writeOne(const std::string &Path, const std::string &Content,
                      const char *What) {
   std::ofstream Out(Path);
@@ -125,17 +103,11 @@ void greenweb::writeTelemetryArtifacts(
     Prof = prof::collect();
   }
 
-  if (!Opts.TracePath.empty()) {
-    std::string Trace = exportChromeTrace(Frames, Cpu, Tel);
-    if (Opts.Prof)
-      // Splice the host-time tracks in before the array's closing ']'.
-      spliceBeforeClose(Trace, prof::perfettoHostTrackJson(Prof));
-    if (Sched && Sched->active())
-      // Scheduler worker timelines ride along the same way: one track
-      // per sweep worker.
-      spliceBeforeClose(Trace, schedPerfettoTrackJson(*Sched));
-    writeOne(Opts.TracePath, Trace, "chrome trace");
-  }
+  if (!Opts.TracePath.empty())
+    writeOne(Opts.TracePath,
+             exportChromeTrace(Frames, Cpu, Tel, Opts.Prof ? &Prof : nullptr,
+                               Sched && Sched->active() ? Sched : nullptr),
+             "chrome trace");
   if (!Opts.LogPath.empty()) {
     // Header line and body in one buffer: no whole-log temporaries.
     std::string Log = Meta.toJsonlLine();

@@ -102,8 +102,8 @@ struct TelemetryArtifactOptions {
 ///
 /// Logs get a leading RunMeta JSONL line and metrics snapshots a
 /// leading "meta" member. When profiling was requested the profiler is
-/// stopped here, its host-time spans are spliced into the Chrome trace,
-/// and the profile files (<ProfOut>.collapsed/.txt/...) are written.
+/// stopped here, its host-time spans join the Chrome trace, and the
+/// profile files (<ProfOut>.collapsed/.txt/...) are written.
 /// When a scheduler trace is active, \p Sched adds one Perfetto track
 /// per sweep worker to the exported Chrome trace; with `--sched=` set
 /// but \p Sched null (a driver code path that runs no parallel sweep) a

@@ -7,9 +7,8 @@
 #include "browser/TraceExport.h"
 
 #include "browser/Browser.h"
+#include "support/Json.h"
 #include "telemetry/Telemetry.h"
-
-#include "MiniJson.h"
 
 #include <gtest/gtest.h>
 
@@ -79,7 +78,7 @@ TEST(TraceExportTest, ZeroLengthConfigIntervalStaysValid) {
   TimePoint T = TimePoint::origin() + Duration::milliseconds(5);
   std::vector<ConfigInterval> Cpu = {{{CoreKind::Big, 1800}, T, T}};
   std::string Json = exportChromeTrace({}, Cpu);
-  EXPECT_TRUE(minijson::valid(Json)) << Json;
+  EXPECT_TRUE(json::parse(Json)) << Json;
   EXPECT_NE(Json.find("\"dur\":0.000"), std::string::npos);
 }
 
@@ -106,7 +105,7 @@ TEST(TraceExportTest, SameInstantConfigChangesCollapse) {
   EXPECT_EQ(Intervals.back().Config, (AcmpConfig{CoreKind::Big, 1800}));
   EXPECT_DOUBLE_EQ(Intervals.back().End.millis(), 20.0);
   EXPECT_DOUBLE_EQ(Intervals.front().End.millis(), 10.0);
-  EXPECT_TRUE(minijson::valid(exportChromeTrace({}, Intervals)));
+  EXPECT_TRUE(json::parse(exportChromeTrace({}, Intervals)));
 }
 
 TEST(TraceExportTest, EnrichedExportWithEmptyTelemetryMatchesBase) {
@@ -132,7 +131,7 @@ TEST(TraceExportTest, EnrichedExportEmitsCounterAndInstantEvents) {
   Tel.recordFeedbackAction(F);
 
   std::string Json = exportChromeTrace({}, {}, Tel);
-  EXPECT_TRUE(minijson::valid(Json)) << Json;
+  EXPECT_TRUE(json::parse(Json)) << Json;
   EXPECT_NE(Json.find("\"name\":\"power_watts\""), std::string::npos);
   EXPECT_NE(Json.find("\"name\":\"energy_joules\""), std::string::npos);
   EXPECT_NE(Json.find("\"name\":\"sim_queue_depth\""), std::string::npos);
@@ -161,7 +160,7 @@ TEST(TraceExportTest, ExportedJsonSurvivesParseBack) {
   Telemetry Tel;
   Tel.recordCounterSample("custom_track", 2.5);
   std::string Json = exportChromeTrace({Frame}, Cpu, Tel);
-  EXPECT_TRUE(minijson::valid(Json)) << Json;
+  EXPECT_TRUE(json::parse(Json)) << Json;
   EXPECT_NE(Json.find("\"name\":\"custom_track\""), std::string::npos);
 }
 

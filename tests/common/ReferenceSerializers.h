@@ -31,13 +31,25 @@
 namespace greenweb {
 namespace reference {
 
-/// Backslash-escapes '"' and '\\'.
+/// JSON string escaping: '"', '\\', the short escapes and \u00XX for
+/// the other bytes below 0x20.
 inline std::string jsonEscape(std::string_view S) {
   std::string Out;
   for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
+    switch (C) {
+    case '"': Out += "\\\""; break;
+    case '\\': Out += "\\\\"; break;
+    case '\b': Out += "\\b"; break;
+    case '\f': Out += "\\f"; break;
+    case '\n': Out += "\\n"; break;
+    case '\r': Out += "\\r"; break;
+    case '\t': Out += "\\t"; break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20)
+        Out += formatString("\\u%04x", unsigned(C));
+      else
+        Out += C;
+    }
   }
   return Out;
 }
@@ -108,7 +120,8 @@ inline void appendCompleteEvent(std::string &Out, const std::string &Name,
       "{\"name\":\"%s\",\"cat\":\"greenweb\",\"ph\":\"X\","
       "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":\"%s\"%s%s}",
       jsonEscape(Name).c_str(), Begin.nanos() / 1e3,
-      DurationUs.nanos() / 1e3, Track, Args.empty() ? "" : ",\"args\":",
+      DurationUs.nanos() / 1e3, jsonEscape(Track).c_str(),
+      Args.empty() ? "" : ",\"args\":",
       Args.c_str());
 }
 

@@ -6,7 +6,7 @@
 
 #include "profiling/Profiler.h"
 
-#include "MiniJson.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <functional>
@@ -195,15 +195,16 @@ TEST_F(ProfilerTest, PerfettoHostTrackIsValidJson) {
   prof::Profile P = prof::collect();
   ASSERT_FALSE(P.Spans.empty());
 
-  std::string Fragment = prof::perfettoHostTrackJson(P);
-  ASSERT_FALSE(Fragment.empty());
-  // The fragment splices into a JSON array: a leading comma, then
-  // comma-separated objects.
-  ASSERT_EQ(Fragment[0], ',');
-  std::string Doc = "[{}" + Fragment + "]";
-  EXPECT_TRUE(minijson::valid(Doc)) << Doc.substr(0, 400);
-  EXPECT_NE(Fragment.find("\"pid\":9000"), std::string::npos);
-  EXPECT_NE(Fragment.find("gw-prof host time"), std::string::npos);
+  // The host tracks join an event array that already holds events.
+  std::string Doc;
+  json::Writer W(Doc);
+  W.beginArray().beginObject().endObject();
+  prof::appendHostTraceEvents(W, P);
+  W.endArray();
+  ASSERT_EQ(Doc.substr(0, 5), "[{},\n");
+  EXPECT_TRUE(json::parse(Doc)) << Doc.substr(0, 400);
+  EXPECT_NE(Doc.find("\"pid\":9000"), std::string::npos);
+  EXPECT_NE(Doc.find("gw-prof host time"), std::string::npos);
 }
 
 TEST_F(ProfilerTest, SpanRetentionCapsTimeline) {

@@ -6,7 +6,7 @@
 
 #include "profiling/RunCompare.h"
 
-#include "MiniJson.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -159,7 +159,7 @@ TEST(RunCompareTest, DeterministicReports) {
             prof::formatCompareReport(R2, Opts));
   EXPECT_EQ(prof::compareReportJson(R1, Opts),
             prof::compareReportJson(R2, Opts));
-  EXPECT_TRUE(minijson::valid(prof::compareReportJson(R1, Opts)));
+  EXPECT_TRUE(json::parse(prof::compareReportJson(R1, Opts)));
 }
 
 TEST(RunCompareTest, SchemaMismatchRefuses) {

@@ -86,6 +86,100 @@ TEST(JsonTest, RejectsTrailingContent) {
   EXPECT_TRUE(json::parse("  {\"a\":1}  \n").has_value());
 }
 
+TEST(JsonTest, RejectsWhatStrictJsonRejects) {
+  std::string Error;
+  // Raw control characters must be escaped inside strings.
+  EXPECT_FALSE(json::parse("\"a\nb\"", &Error));
+  EXPECT_NE(Error.find("control character"), std::string::npos) << Error;
+  EXPECT_FALSE(json::parse(std::string("\"a\0b\"", 5)));
+  EXPECT_FALSE(json::parse("{\"k\tey\":1}"));
+  EXPECT_TRUE(json::parse("\"a\\nb\\u0001\""));
+  // Numbers need digits after the point and in the exponent, and no
+  // leading zeros.
+  for (const char *Bad : {"1.", "1e", "1e+", "1E-", "-", "-.5", ".5", "01",
+                          "-01", "1.e5", "[1.]", "{\"a\":1e}"}) {
+    EXPECT_FALSE(json::parse(Bad, &Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
+  for (const char *Good : {"0", "-0", "0.5", "1e5", "1E+5", "-1.25e-3", "10"})
+    EXPECT_TRUE(json::parse(Good)) << Good;
+  // Unknown and truncated escapes.
+  EXPECT_FALSE(json::parse("\"\\x\""));
+  EXPECT_FALSE(json::parse("\"\\u12\""));
+}
+
+TEST(JsonTest, MarksIntegralNumbers) {
+  auto V = json::parse("[3, -0, 3.0, 3e0, -12]");
+  ASSERT_TRUE(V);
+  std::vector<bool> Integral;
+  for (const Value &N : V->Arr)
+    Integral.push_back(N.Integral);
+  EXPECT_EQ(Integral, (std::vector<bool>{true, true, false, false, true}));
+  EXPECT_EQ(V->Arr[4].Num, -12.0);
+}
+
+TEST(JsonTest, CapsNestingDepthWithADiagnostic) {
+  std::string Error;
+  std::string Deep(200000, '[');
+  EXPECT_FALSE(json::parse(Deep, &Error));
+  EXPECT_NE(Error.find("nesting deeper than"), std::string::npos) << Error;
+  std::string Objects;
+  for (int I = 0; I < 100000; ++I)
+    Objects += "{\"a\":";
+  EXPECT_FALSE(json::parse(Objects, &Error));
+  EXPECT_NE(Error.find("nesting deeper than"), std::string::npos) << Error;
+
+  // Exactly the cap still parses; one more level does not.
+  auto Nested = [](unsigned Depth) {
+    return std::string(Depth, '[') + std::string(Depth, ']');
+  };
+  EXPECT_TRUE(json::parse(Nested(json::MaxDepth)));
+  EXPECT_FALSE(json::parse(Nested(json::MaxDepth + 1)));
+  // Depth counts open containers, not how many came before.
+  std::string Siblings = "[";
+  for (int I = 0; I < 1000; ++I)
+    Siblings += I ? ",[[1]]" : "[[1]]";
+  EXPECT_TRUE(json::parse(Siblings + "]"));
+}
+
+TEST(JsonWriterTest, PlacesSeparatorsAndEscapes) {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("a").integer(-3).key("b\"").beginArray();
+  W.uinteger(18446744073709551615ull).str("x\ny\x01").boolean(true);
+  W.beginObject().endObject().beginArray().endArray().endArray();
+  W.key("c").str({"p", "\"q\"", ""}).endObject();
+  EXPECT_EQ(Out, "{\"a\":-3,\"b\\\"\":[18446744073709551615,\"x\\ny\\u0001\","
+                 "true,{},[]],\"c\":\"p\\\"q\\\"\"}");
+  std::optional<json::Value> Back = json::parse(Out);
+  ASSERT_TRUE(Back);
+  EXPECT_EQ(Back->get("b\"")->Arr[1].Str, "x\ny\x01");
+}
+
+TEST(JsonWriterTest, NumberFormatsMatchTheirPrintfConversions) {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginArray().fixed(2.5, 0).fixed(-0.0005, 3).integer(-7).uinteger(7);
+  W.g17(0.1).shortest(0.1).shortest(1.0 / 3.0).hexfloat(1.0).endArray();
+  EXPECT_EQ(Out, "[2,-0.001,-7,7,0.10000000000000001,0.1,"
+                 "0.3333333333333333,\"0x1p+0\"]");
+}
+
+TEST(JsonWriterTest, LineBreaksGoAfterTheSeparator) {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginArray().lineBreak();
+  for (int I = 0; I < 2; ++I)
+    W.integer(I).lineBreak();
+  W.endArray();
+  EXPECT_EQ(Out, "[\n0,\n1\n]");
+
+  Out.clear();
+  json::Writer Trace(Out);
+  Trace.beginArray().integer(0).lineBreak().integer(1).endArray();
+  EXPECT_EQ(Out, "[0,\n1]");
+}
+
 TEST(JsonTest, AccessorsAreTypeSafe) {
   auto V = json::parse("{\"s\": \"x\", \"n\": 5}");
   ASSERT_TRUE(V.has_value());

@@ -6,6 +6,8 @@
 
 #include "telemetry/SchedTrace.h"
 
+#include "support/Json.h"
+
 #include <gtest/gtest.h>
 
 using namespace greenweb;
@@ -184,14 +186,31 @@ TEST(SchedTraceTest, FromArtifactRejectsForeignDocuments) {
   EXPECT_NE(Error.find("items"), std::string::npos);
 }
 
-TEST(SchedTraceTest, PerfettoFragmentSplicesIntoEventArrays) {
-  EXPECT_TRUE(schedPerfettoTrackJson(SchedTrace()).empty());
+/// An event array holding \p Lead (when non-empty) and then the
+/// scheduler tracks of \p Trace.
+std::string schedTraceArray(const SchedTrace &Trace, const char *Lead) {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginArray();
+  if (*Lead)
+    W.raw(Lead);
+  appendSchedTraceEvents(W, Trace);
+  W.endArray();
+  return Out;
+}
 
-  std::string Frag = schedPerfettoTrackJson(handBuiltTrace());
-  ASSERT_FALSE(Frag.empty());
-  // The splice contract: starts with ",\n" so it drops in before a
-  // trace's closing ']'.
-  EXPECT_EQ(Frag.substr(0, 2), ",\n");
+TEST(SchedTraceTest, PerfettoFragmentSplicesIntoEventArrays) {
+  EXPECT_EQ(schedTraceArray(SchedTrace(), ""), "[]");
+  EXPECT_EQ(schedTraceArray(SchedTrace(), "{}"), "[{}]");
+
+  // Every scheduler event starts its own line, after the array's
+  // opening bracket or after the events already in it.
+  std::string Frag = schedTraceArray(handBuiltTrace(), "");
+  EXPECT_EQ(Frag.substr(0, 3), "[\n{");
+  EXPECT_TRUE(json::parse(Frag)) << Frag;
+  std::string Joined = schedTraceArray(handBuiltTrace(), "{}");
+  EXPECT_EQ(Joined.substr(0, 5), "[{},\n");
+  EXPECT_EQ(Joined.substr(4), Frag.substr(1));
   EXPECT_NE(Frag.find("sweep scheduler (host time)"), std::string::npos);
   EXPECT_NE(Frag.find("worker 0 (caller)"), std::string::npos);
   EXPECT_NE(Frag.find("\"(wait)\""), std::string::npos);

@@ -13,6 +13,8 @@
 
 #include "ReferenceSerializers.h"
 
+#include "support/Json.h"
+
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -182,6 +184,15 @@ std::vector<TelemetryRecord> adversarialRecords() {
                  {"phase", std::string("inject")},
                  {"detail", std::string("\\\"")},
                  {"value", 0.0005}}});
+  // Every byte below 0x20, plus DEL, in a key and a value.
+  std::string Controls;
+  for (char C = 0; C < 0x20; ++C)
+    Controls += C;
+  Controls += '\x7f';
+  Rs.push_back({TelemetryEventKind::Fault, TimePoint::fromNanos(7),
+                {{"ctl" + Controls, Controls},
+                 {"phase", std::string("inject")},
+                 {"detail", std::string("a\nb\tc")}}});
   return Rs;
 }
 
@@ -199,11 +210,16 @@ TEST(SerializerDiffTest, RecordsAndLogsMatchReference) {
   EXPECT_EQ(Prefixed, "header\n" + reference::jsonl(Log));
 }
 
+std::string dumpJson(const BlackBoxDump &D) {
+  std::string Out;
+  json::Writer W(Out);
+  D.appendJson(W);
+  return Out;
+}
+
 TEST(SerializerDiffTest, BlackBoxMatchesReference) {
   BlackBoxDump Empty;
-  std::string Out;
-  Empty.appendJson(Out);
-  EXPECT_EQ(Out, reference::blackBoxJson(Empty));
+  EXPECT_EQ(dumpJson(Empty), reference::blackBoxJson(Empty));
 
   BlackBoxDump D;
   D.Trigger = "alert:\"q\"";
@@ -211,9 +227,7 @@ TEST(SerializerDiffTest, BlackBoxMatchesReference) {
   D.Ts = TimePoint::fromNanos(-2'500);
   D.Seq = std::numeric_limits<uint64_t>::max();
   D.Records = adversarialRecords();
-  Out.clear();
-  D.appendJson(Out);
-  EXPECT_EQ(Out, reference::blackBoxJson(D));
+  EXPECT_EQ(dumpJson(D), reference::blackBoxJson(D));
 }
 
 TEST(SerializerDiffTest, ChromeTraceMatchesReference) {

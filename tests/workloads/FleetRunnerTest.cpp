@@ -6,6 +6,9 @@
 
 #include "workloads/FleetRunner.h"
 
+#include "support/Json.h"
+#include "telemetry/TelemetryLog.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -193,6 +196,56 @@ TEST(FleetRunnerTest, ResumeRejectsCorruptAndForeignCheckpoints) {
   std::remove(Path.c_str());
   EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
   EXPECT_NE(Error.find("cannot read"), std::string::npos) << Error;
+}
+
+TEST(FleetRunnerTest, ControlCharactersRoundTripThroughEveryArtifact) {
+  const std::string Name = "smo\nke\t1\x01";
+  FleetPlan Plan = smallPlan();
+  Plan.Name = Name;
+  Plan.Scenarios = {"none"};
+  Plan.Replicas = 1;
+
+  // The plan itself: escaped text, parsed back to the same name and
+  // the same canonical bytes.
+  std::string PlanJson = Plan.toJson();
+  EXPECT_NE(PlanJson.find("smo\\nke\\t1\\u0001"), std::string::npos)
+      << PlanJson;
+  FleetPlan Back;
+  std::string Error;
+  ASSERT_TRUE(FleetPlan::parse(PlanJson, Back, &Error)) << Error;
+  EXPECT_EQ(Back.Name, Name);
+  EXPECT_EQ(Back.toJson(), PlanJson);
+
+  // The fleet report and checkpoint hold no raw control byte and parse
+  // back to the name.
+  std::string Path = tempPath("control.ckpt");
+  std::remove(Path.c_str());
+  FleetRunOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CheckpointPath = Path;
+  FleetRunSummary S;
+  ASSERT_TRUE(runFleet(Plan, Opts, S, &Error)) << Error;
+  for (const std::string &Doc : {S.Report.toJson(), slurp(Path)}) {
+    for (char C : Doc)
+      EXPECT_TRUE(static_cast<unsigned char>(C) >= 0x20 || C == '\n');
+    std::optional<json::Value> V = json::parse(Doc, &Error);
+    ASSERT_TRUE(V) << Error;
+    EXPECT_EQ(V->stringOr(V->get("plan") ? "plan" : "plan_name", ""), Name);
+  }
+
+  // A telemetry log line: escaped on export, decoded on import.
+  TelemetryLog Log;
+  Log.append(TelemetryEventKind::Fault, TimePoint::origin(),
+             {{"plan", Name}, {"ctl\x1f", std::string("\b\f\r\\\"")}});
+  std::string Jsonl = Log.toJsonl();
+  ASSERT_TRUE(json::parse(Jsonl, &Error)) << Error;
+  size_t Skipped = 0;
+  TelemetryLog Parsed = TelemetryLog::fromJsonl(Jsonl, &Skipped);
+  EXPECT_EQ(Skipped, 0u);
+  ASSERT_EQ(Parsed.records().size(), 1u);
+  EXPECT_EQ(Parsed.records()[0].stringOr("plan", ""), Name);
+  EXPECT_EQ(Parsed.records()[0].stringOr("ctl\x1f", ""), "\b\f\r\\\"");
+  EXPECT_EQ(Parsed.toJsonl(), Jsonl);
 }
 
 TEST(FleetRunnerTest, WarmPoolHitRateReflectsPlanStructure) {
