@@ -5,270 +5,144 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-table/figure benchmark harnesses: cached
+/// Helpers shared by the per-table/figure benchmark harnesses: the
+/// harness session (strict flags, JSON report, shared artifacts), cached
 /// median experiment runs (the paper's three-seed protocol, Sec. 7.1),
-/// parallel cell prefetch, common flags (--json=<path>, --jobs=N), a
-/// machine-readable JSON reporter, and common formatting.
+/// parallel cell prefetch, self-timed measurement, and common
+/// formatting.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GREENWEB_BENCH_BENCHUTIL_H
 #define GREENWEB_BENCH_BENCHUTIL_H
 
-#include "profiling/Profiler.h"
+#include "profiling/RunCompare.h"
 #include "profiling/RunMeta.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "telemetry/Telemetry.h"
 #include "workloads/Experiment.h"
 #include "workloads/ParallelRunner.h"
+#include "workloads/TelemetryArtifacts.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 namespace greenweb::bench {
 
-/// The producing command line, recorded by BenchFlags::parse for the
-/// RunMeta header every artifact carries.
-inline std::string &processCommandLine() {
-  static std::string Line;
-  return Line;
-}
-
-/// Cap on raw sample arrays in JSON output (--samples-cap=N, 0 =
-/// unlimited). Long self-timed runs collect thousands of per-round
-/// samples that bloat committed baselines; arrays over the cap are
-/// downsampled with an even stride, which keeps the full time span
-/// represented so gw-diff's Mann-Whitney/bootstrap tests stay sound.
-inline size_t &samplesCap() {
-  static size_t Cap = 100;
-  return Cap;
-}
-
-/// Flags every harness understands. Unknown arguments are ignored so
-/// harness-specific flags can coexist.
+/// One harness invocation. Parses the command line strictly: the flags
+/// every driver shares (TelemetryArtifactOptions: --metrics=, --prof,
+/// ...), the bench flags
 ///
-///   --json=<path>        write the harness's results as JSON to <path>
-///   --jobs=N             worker threads for sweep prefetch (0 = hardware)
-///   --samples-cap=N      cap raw sample arrays in JSON (0 = unlimited)
-///   --prof               capture a host-side gw_prof profile
-///   --prof-out=BASE      profile output base (implies --prof)
-///   --prof-sample=MICROS also run the timer sampler (implies --prof)
-///   --sched=<path>       export the sweep scheduler trace + report
-///   --progress           live sweep progress line on stderr
-struct BenchFlags {
-  std::string JsonPath;
-  unsigned Jobs = 1;    ///< Benches default to serial; sweeps opt in.
-  bool JobsSet = false; ///< True when --jobs was given explicitly.
-  bool Prof = false;
-  std::string ProfOut = "gw-prof";
-  uint64_t ProfSampleMicros = 0;
-  std::string SchedPath; ///< --sched= (scheduler trace artifact).
-  bool Progress = false; ///< --progress (live sweep meter).
-
-  static BenchFlags parse(int Argc, char **Argv) {
-    BenchFlags Flags;
-    processCommandLine() = prof::joinCommandLine(Argc, Argv);
-    for (int I = 1; I < Argc; ++I) {
-      std::string_view Arg = Argv[I];
-      if (startsWith(Arg, "--json="))
-        Flags.JsonPath = std::string(Arg.substr(7));
-      else if (startsWith(Arg, "--jobs=")) {
-        Flags.Jobs = unsigned(parseInt(Arg.substr(7)).value_or(1));
-        Flags.JobsSet = true;
-      } else if (startsWith(Arg, "--samples-cap=")) {
-        samplesCap() = size_t(parseInt(Arg.substr(14)).value_or(100));
-      } else if (Arg == "--prof")
-        Flags.Prof = true;
-      else if (startsWith(Arg, "--prof-out=")) {
-        Flags.ProfOut = std::string(Arg.substr(11));
-        Flags.Prof = true;
-      } else if (startsWith(Arg, "--prof-sample=")) {
-        Flags.ProfSampleMicros =
-            uint64_t(parseInt(Arg.substr(14)).value_or(1000));
-        Flags.Prof = true;
-      } else if (startsWith(Arg, "--sched="))
-        Flags.SchedPath = std::string(Arg.substr(8));
-      else if (Arg == "--progress")
-        Flags.Progress = true;
-    }
-    return Flags;
-  }
-};
-
-/// RAII host-profiling session for a harness main: starts capture when
-/// the flags requested it, and on destruction writes the aggregate
-/// table to stdout plus the profile files next to the harness output.
-class ProfSession {
+///   --json=<path>      write the harness's results as JSON to <path>
+///   --jobs=N           worker threads for sweep prefetch (0 = hardware)
+///   --samples-cap=N    cap raw sample arrays in JSON (0 = unlimited;
+///                      default 100, so long self-timed runs do not
+///                      bloat committed baselines)
+///
+/// and the harness's own switches. An unknown flag or a malformed value
+/// exits 2 with usage on stderr. On destruction the harness writes its
+/// JSON document, then the shared artifacts of its metrics-only hub
+/// (which ResultCache instruments into) and the profile.
+class Harness {
 public:
-  explicit ProfSession(const BenchFlags &Flags)
-      : Enabled(Flags.Prof), Out(Flags.ProfOut),
-        SampleMicros(Flags.ProfSampleMicros) {
-    if (!Enabled)
-      return;
-    prof::start();
-    if (SampleMicros > 0)
-      prof::startSampler(SampleMicros);
-  }
-
-  ProfSession(const ProfSession &) = delete;
-  ProfSession &operator=(const ProfSession &) = delete;
-
-  ~ProfSession() {
-    if (!Enabled)
-      return;
-    if (SampleMicros > 0)
-      prof::stopSampler();
-    prof::stop();
-    prof::Profile P = prof::collect();
-    std::fputs(prof::reportTable(P).c_str(), stdout);
-    prof::writeProfileFiles(P, Out);
-  }
-
-private:
-  bool Enabled;
-  std::string Out;
-  uint64_t SampleMicros;
-};
-
-/// Collects a harness's results and writes them as one JSON document on
-/// destruction (when a path was requested). Three sections cover the
-/// harness shapes in this repo: google-benchmark-style entries
-/// (name/iterations/ns_per_op/rate), standalone scalars, and the
-/// rendered paper tables as structured rows.
-class JsonReporter {
-public:
-  JsonReporter(std::string Harness, std::string Path)
-      : Harness(std::move(Harness)), Path(std::move(Path)) {}
-
-  JsonReporter(const JsonReporter &) = delete;
-  JsonReporter &operator=(const JsonReporter &) = delete;
-
-  ~JsonReporter() { write(); }
-
-  bool requested() const { return !Path.empty(); }
-
-  /// One microbenchmark result. \p RateLabel/\p Rate report the
-  /// domain-specific throughput ("events_per_sec", ...); pass an empty
-  /// label when there is none. \p SamplesNsPerOp optionally carries the
-  /// raw per-round measurements so gw-diff can test significance.
-  void metric(const std::string &Name, uint64_t Iterations, double NsPerOp,
-              const std::string &RateLabel = "", double Rate = 0.0,
-              const std::string &Note = "",
-              const std::vector<double> &SamplesNsPerOp = {}) {
-    std::string E = formatString(
-        "    {\"name\":\"%s\",\"iterations\":%llu,\"ns_per_op\":%.3f",
-        jsonEscape(Name).c_str(),
-        static_cast<unsigned long long>(Iterations), NsPerOp);
-    if (!RateLabel.empty())
-      E += formatString(",\"%s\":%.3f", jsonEscape(RateLabel).c_str(),
-                        Rate);
-    if (!Note.empty())
-      E += formatString(",\"note\":\"%s\"", jsonEscape(Note).c_str());
-    if (!SamplesNsPerOp.empty())
-      E += ",\"samples_ns_per_op\":" + sampleArray(SamplesNsPerOp);
-    E += "}";
-    Benchmarks.push_back(std::move(E));
-  }
-
-  /// One headline scalar ("avg_session_seconds": 42.5, unit "s").
-  /// \p Samples optionally carries the raw per-round measurements.
-  /// \p Note flags a caveat a reader of the committed artifact needs
-  /// (e.g. "oversubscribed: 2 jobs on 1 hardware threads") so gates can
-  /// interpret the value honestly instead of trusting the bare number.
-  void scalar(const std::string &Name, double Value,
-              const std::string &Unit = "",
-              const std::vector<double> &Samples = {},
-              const std::string &Note = "") {
-    std::string E = formatString("    {\"name\":\"%s\",\"value\":%.6f",
-                                 jsonEscape(Name).c_str(), Value);
-    if (!Unit.empty())
-      E += formatString(",\"unit\":\"%s\"", jsonEscape(Unit).c_str());
-    if (!Note.empty())
-      E += formatString(",\"note\":\"%s\"", jsonEscape(Note).c_str());
-    if (!Samples.empty())
-      E += ",\"samples\":" + sampleArray(Samples);
-    E += "}";
-    Scalars.push_back(std::move(E));
-  }
-
-  /// A rendered table, header row first, all cells as strings.
-  void table(const std::string &Name, const TablePrinter &T) {
-    std::string E =
-        formatString("    {\"name\":\"%s\",", jsonEscape(Name).c_str());
-    if (!T.title().empty())
-      E += formatString("\"title\":\"%s\",",
-                        jsonEscape(T.title()).c_str());
-    E += "\"rows\":[\n";
-    const auto &Rows = T.rows();
-    for (size_t R = 0; R < Rows.size(); ++R) {
-      E += "      [";
-      for (size_t C = 0; C < Rows[R].size(); ++C) {
-        if (C)
-          E += ",";
-        E += formatString("\"%s\"", jsonEscape(Rows[R][C]).c_str());
-      }
-      E += R + 1 < Rows.size() ? "],\n" : "]\n";
-    }
-    E += "    ]}";
-    Tables.push_back(std::move(E));
-  }
-
-private:
-  static std::string sampleArray(const std::vector<double> &Samples) {
-    size_t Cap = samplesCap();
-    std::vector<double> Capped;
-    if (Cap > 0 && Samples.size() > Cap) {
-      Capped.reserve(Cap);
-      for (size_t I = 0; I < Cap; ++I)
-        Capped.push_back(Samples[I * Samples.size() / Cap]);
-    }
-    const std::vector<double> &Out = Capped.empty() ? Samples : Capped;
-    std::string A = "[";
-    for (size_t I = 0; I < Out.size(); ++I)
-      A += formatString(I ? ",%.3f" : "%.3f", Out[I]);
-    return A + "]";
-  }
-
-  void write() const {
-    if (Path.empty())
-      return;
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-      return;
-    }
-    std::string Out =
-        formatString("{\n  \"harness\": \"%s\"", jsonEscape(Harness).c_str());
-    Out += ",\n  \"meta\": " +
-           prof::RunMeta::current(processCommandLine()).toJsonObject();
-    auto Section = [&Out](const char *Key,
-                          const std::vector<std::string> &Entries) {
-      if (Entries.empty())
-        return;
-      Out += formatString(",\n  \"%s\": [\n", Key);
-      for (size_t I = 0; I < Entries.size(); ++I)
-        Out += Entries[I] + (I + 1 < Entries.size() ? ",\n" : "\n");
-      Out += "  ]";
+  Harness(std::string Name, int Argc, char **Argv,
+          std::initializer_list<std::string_view> Switches = {})
+      : Json(Name) {
+    size_t SamplesCap = 100;
+    auto Own = [&](std::string_view Arg) {
+      if (auto V = flagValue(Arg, "--json="))
+        JsonPath = *V;
+      else if (auto V = flagValue(Arg, "--jobs="))
+        return countArg(*V, Jobs);
+      else if (auto V = flagValue(Arg, "--samples-cap="))
+        return countArg(*V, SamplesCap);
+      else if (std::find(Switches.begin(), Switches.end(), Arg) !=
+               Switches.end())
+        SwitchesSet.emplace_back(Arg);
+      else
+        return ArgMatch::Unknown;
+      return ArgMatch::Taken;
     };
-    Section("benchmarks", Benchmarks);
-    Section("scalars", Scalars);
-    Section("tables", Tables);
-    Out += "\n}\n";
-    std::fwrite(Out.data(), 1, Out.size(), F);
-    std::fclose(F);
+    if (!Artifacts.parseArgs(Argc, Argv, Own)) {
+      std::fprintf(stderr,
+                   "usage: %s [--json=PATH] [--jobs=N] [--samples-cap=N]",
+                   Name.c_str());
+      for (std::string_view Switch : Switches)
+        std::fprintf(stderr, " [%.*s]", int(Switch.size()), Switch.data());
+      std::fprintf(stderr, " [--metrics=PATH] [--prof] [--prof-out=BASE] "
+                           "[--prof-sample=MICROS]\n");
+      std::exit(2);
+    }
+    Json = prof::BenchReport(std::move(Name), 3, SamplesCap);
+    Tel.setLogCapacity(0);
+    Artifacts.configureHub(Tel);
   }
 
-  std::string Harness;
-  std::string Path;
-  std::vector<std::string> Benchmarks;
-  std::vector<std::string> Scalars;
-  std::vector<std::string> Tables;
+  Harness(const Harness &) = delete;
+  Harness &operator=(const Harness &) = delete;
+
+  ~Harness() {
+    if (!JsonPath.empty())
+      Json.write(JsonPath, prof::RunMeta::current(Artifacts.CommandLine));
+    writeTelemetryArtifacts(Artifacts, Tel);
+  }
+
+  /// True when the harness switch \p Switch was given.
+  bool has(std::string_view Switch) const {
+    return std::find(SwitchesSet.begin(), SwitchesSet.end(), Switch) !=
+           SwitchesSet.end();
+  }
+
+  std::string JsonPath;
+  unsigned Jobs = 1; ///< Benches default to serial; sweeps opt in.
+  TelemetryArtifactOptions Artifacts;
+  prof::BenchReport Json;
+  /// Metrics-only hub every cached run instruments into.
+  Telemetry Tel;
+
+private:
+  std::vector<std::string> SwitchesSet;
 };
+
+/// A self-timed measurement: ops, wall seconds and per-round samples.
+struct Measurement {
+  uint64_t Ops = 0;
+  double Seconds = 0.0;
+  std::vector<double> SamplesNsPerOp; ///< Per-round ns/op, for gw-diff.
+  double nsPerOp() const { return Ops ? Seconds / double(Ops) * 1e9 : 0; }
+  double opsPerSec() const { return Seconds > 0 ? double(Ops) / Seconds : 0; }
+};
+
+/// Repeats \p Round (which returns the ops it performed) until at least
+/// \p MinSeconds of wall clock accumulate, timing each round separately
+/// so the JSON output can carry raw samples for significance testing.
+inline Measurement measure(const std::function<uint64_t()> &Round,
+                           double MinSeconds = 0.25) {
+  Measurement M;
+  auto Start = std::chrono::steady_clock::now();
+  do {
+    auto RoundStart = std::chrono::steady_clock::now();
+    uint64_t Ops = Round();
+    auto RoundEnd = std::chrono::steady_clock::now();
+    M.Ops += Ops;
+    if (Ops)
+      M.SamplesNsPerOp.push_back(
+          std::chrono::duration<double>(RoundEnd - RoundStart).count() /
+          double(Ops) * 1e9);
+    M.Seconds = std::chrono::duration<double>(RoundEnd - Start).count();
+  } while (M.Seconds < MinSeconds);
+  return M;
+}
 
 /// One (app, governor, mode) sweep cell.
 using BenchCell = std::tuple<std::string, std::string, ExperimentMode>;
@@ -276,31 +150,20 @@ using BenchCell = std::tuple<std::string, std::string, ExperimentMode>;
 /// Runs (or returns the cached) median experiment for one
 /// (app, governor, mode) cell under the paper's three-seed protocol.
 ///
-/// Every run instruments into a shared metrics-only telemetry hub (a
-/// sweep touches hundreds of runs, so the per-record log stays off);
-/// set GREENWEB_BENCH_METRICS=<path> to write the aggregate snapshot
-/// as JSON when the harness exits. Stdout is unaffected either way.
+/// Every run instruments into the harness's metrics-only hub (a sweep
+/// touches hundreds of runs, so the per-record log stays off);
+/// --metrics=<path> writes the aggregate snapshot when the harness
+/// exits. Stdout is unaffected either way.
 class ResultCache {
 public:
-  ResultCache() { Tel.setLogCapacity(0); }
+  explicit ResultCache(Harness &H) : Tel(H.Tel), Jobs(H.Jobs) {}
 
-  ~ResultCache() {
-    const char *Path = std::getenv("GREENWEB_BENCH_METRICS");
-    if (!Path || !*Path)
-      return;
-    if (std::FILE *F = std::fopen(Path, "w")) {
-      std::string Json = prof::RunMeta::current(processCommandLine())
-                             .wrapSnapshot(Tel.metrics().snapshotJson());
-      std::fwrite(Json.data(), 1, Json.size(), F);
-      std::fclose(F);
-    }
-  }
-
-  /// Runs every not-yet-cached cell across \p Jobs worker threads and
-  /// caches the results, so subsequent get() calls are hits. Per-run
-  /// telemetry lands in the shared hub in cell order — the aggregate is
-  /// identical to running the same cells serially through get().
-  void prefetch(const std::vector<BenchCell> &Cells, unsigned Jobs) {
+  /// Runs every not-yet-cached cell across the harness's --jobs worker
+  /// threads and caches the results, so subsequent get() calls are
+  /// hits. Per-run telemetry lands in the shared hub in cell order — the
+  /// aggregate is identical to running the same cells serially through
+  /// get().
+  void prefetch(const std::vector<BenchCell> &Cells) {
     std::vector<BenchCell> Missing;
     for (const BenchCell &Cell : Cells)
       if (!Cache.count(key(Cell)))
@@ -349,9 +212,6 @@ public:
     return Inserted->second;
   }
 
-  /// The harness-wide hub (aggregate metrics across every cached run).
-  Telemetry &telemetry() { return Tel; }
-
 private:
   static std::string key(const BenchCell &Cell) {
     return std::get<0>(Cell) + "|" + std::get<1>(Cell) +
@@ -359,7 +219,8 @@ private:
                                                        : "|full");
   }
 
-  Telemetry Tel;
+  Telemetry &Tel;
+  unsigned Jobs;
   std::map<std::string, ExperimentResult> Cache;
 };
 

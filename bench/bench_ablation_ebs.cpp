@@ -24,9 +24,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_ebs", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_ebs", Argc, Argv);
   bench::banner("Ablation A7: GreenWeb vs annotation-free EBS",
                 "Sec. 9 related-work comparison (Zhu et al. HPCA'15)");
 
@@ -54,7 +52,7 @@ int main(int Argc, char **Argv) {
     }
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf(
       "\nExpected shape (the paper's Sec. 9 argument, as it manifests "
       "here):\n"

@@ -16,9 +16,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_feedback", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_feedback", Argc, Argv);
   bench::banner("Ablation A1: feedback fine-tuning on/off",
                 "Sec. 6.2 event-based feedback");
 
@@ -58,7 +56,7 @@ int main(int Argc, char **Argv) {
     }
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf("\nExpected shape: disabling feedback raises violations on "
               "the surge-prone apps at similar or lower energy; the "
               "runtime can no longer react to under-predictions between "

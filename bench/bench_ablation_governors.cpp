@@ -17,9 +17,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_governors", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_governors", Argc, Argv);
   bench::banner("Ablation A4: governor sweep",
                 "Perf / Interactive / Ondemand / Powersave / GreenWeb");
 
@@ -54,7 +52,7 @@ int main(int Argc, char **Argv) {
           .cell(int64_t(R.FreqSwitches + R.Migrations));
     }
     Table.print();
-    Json.table("Table", Table);
+    Run.Json.table("Table", Table);
     std::printf("\n");
   }
   std::printf("Expected shape: energy Powersave < GreenWeb-U <= "

@@ -18,9 +18,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_misannotation", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_misannotation", Argc, Argv);
   bench::banner("Ablation A2: mis-annotation defense (UAI)",
                 "Sec. 8 'Defense Against Mis-annotation'");
 
@@ -90,7 +88,7 @@ int main(int Argc, char **Argv) {
         .cell(int64_t(BudgetRun.RuntimeStats.TargetClampsApplied));
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf("\nExpected shape: the attack inflates energy well above "
               "the honest run; the clamp restores it to near-honest "
               "levels; the budget defense lands in between (the attack "

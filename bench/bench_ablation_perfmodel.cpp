@@ -58,9 +58,7 @@ Duration measureFrameLatency(const AcmpConfig &Config, double WorkKCycles) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_perfmodel", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_perfmodel", Argc, Argv);
   bench::banner("Ablation A5: DVFS performance-model accuracy",
                 "Equ. 1: T = T_independent + N_nonoverlap / f (Sec. 6.2)");
 
@@ -104,7 +102,7 @@ int main(int Argc, char **Argv) {
           .percentCell(Err);
     }
     Table.print();
-    Json.table("Table", Table);
+    Run.Json.table("Table", Table);
     std::printf("Mean relative error: %.1f%%, max: %.1f%%\n\n",
                 mean(Errors) * 100.0,
                 *std::max_element(Errors.begin(), Errors.end()) * 100.0);

@@ -17,9 +17,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_qostype", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_qostype", Argc, Argv);
   bench::banner("Ablation A3: QoS-type confusion",
                 "Sec. 3.2 'Distinguishing between continuous and single "
                 "is important'");
@@ -69,7 +67,7 @@ int main(int Argc, char **Argv) {
     }
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf(
       "\nExpected shape: forcing animations to 'single' stops per-frame "
       "optimization after the first frame (fewer frames optimized, more "

@@ -16,9 +16,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_ablation_recalibration", Flags.JsonPath);
+  bench::Harness Run("bench_ablation_recalibration", Argc, Argv);
   bench::banner("Ablation A6: recalibration threshold sweep",
                 "Sec. 6.2 consecutive-misprediction re-profiling");
 
@@ -48,7 +46,7 @@ int main(int Argc, char **Argv) {
           .cell(int64_t(R.RuntimeStats.ProfilingFrames));
     }
     Table.print();
-    Json.table("Table", Table);
+    Run.Json.table("Table", Table);
     std::printf("\n");
   }
   std::printf("Expected shape: small thresholds trade extra profiling "

@@ -21,9 +21,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_autogreen", Flags.JsonPath);
+  bench::Harness Run("bench_autogreen", Argc, Argv);
   bench::banner("AUTOGREEN: automatic annotation",
                 "Classification per app plus auto-vs-manual energy "
                 "(Sec. 5, Sec. 7.3 'Annotation Effort')");
@@ -46,7 +44,7 @@ int main(int Argc, char **Argv) {
         .cell(int64_t(R.SkippedUnselectable));
   }
   Class.print();
-  Json.table("Class", Class);
+  Run.Json.table("Class", Class);
 
   std::printf("\nEnd-to-end: full interaction under GreenWeb-I with "
               "manual vs AUTOGREEN annotations\n\n");
@@ -76,7 +74,7 @@ int main(int Argc, char **Argv) {
                                Manual.ViolationPctImperceptible));
   }
   Energy.print();
-  Json.table("Energy", Energy);
+  Run.Json.table("Energy", Energy);
   std::printf("\nShape check: heavyweight single apps (CamanJS, LZMA-JS) "
               "cost more under AUTOGREEN because its conservative "
               "'single, short' assumption chases a 100 ms target that "

@@ -34,18 +34,9 @@ ExperimentResult runScenario(const std::optional<FaultPlan> &Plan,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bool Watchdog = false;
-  bool Smoke = false;
-  for (int I = 1; I < Argc; ++I) {
-    std::string_view Arg = Argv[I];
-    if (Arg == "--watchdog")
-      Watchdog = true;
-    else if (Arg == "--smoke")
-      Smoke = true;
-  }
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_faults", Flags.JsonPath);
+  bench::Harness Run("bench_faults", Argc, Argv, {"--watchdog", "--smoke"});
+  bool Watchdog = Run.has("--watchdog");
+  bool Smoke = Run.has("--smoke");
   bench::banner("Fault-family QoS/energy footprint",
                 "robustness hardening (docs/ROBUSTNESS.md)");
 
@@ -72,8 +63,8 @@ int main(int Argc, char **Argv) {
       .cell(CleanJ * 1e3, 1)
       .cell("-")
       .cell(int64_t(0));
-  Json.scalar("faults.clean.violation_pct", CleanViol, "%");
-  Json.scalar("faults.clean.joules", CleanJ, "J");
+  Run.Json.scalar("faults.clean.violation_pct", CleanViol, "%");
+  Run.Json.scalar("faults.clean.joules", CleanJ, "J");
 
   for (const std::string &Name : Scenarios) {
     ExperimentResult R = runScenario(FaultPlan::scenario(Name), Watchdog);
@@ -86,12 +77,12 @@ int main(int Argc, char **Argv) {
         .cell(CleanJ > 0 ? 100.0 * (R.TotalJoules - CleanJ) / CleanJ : 0.0,
               1)
         .cell(int64_t(R.Faults.total()));
-    Json.scalar("faults." + Name + ".violation_pct", Viol, "%");
-    Json.scalar("faults." + Name + ".joules", R.TotalJoules, "J");
-    Json.scalar("faults." + Name + ".injections", double(R.Faults.total()));
+    Run.Json.scalar("faults." + Name + ".violation_pct", Viol, "%");
+    Run.Json.scalar("faults." + Name + ".joules", R.TotalJoules, "J");
+    Run.Json.scalar("faults." + Name + ".injections", double(R.Faults.total()));
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf("\nCnet under GreenWeb-I, watchdog %s. Expected shape: every "
               "fault family costs QoS and/or energy against the clean "
               "run; with --watchdog the violation deltas shrink while "

@@ -23,13 +23,11 @@ using namespace greenweb;
 using bench::ResultCache;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_fig10_full", Flags.JsonPath);
+  bench::Harness Run("bench_fig10_full", Argc, Argv);
   bench::banner("Fig. 10: full interaction results",
                 "Energy vs Perf/Interactive and QoS violations, Sec. 7.3");
 
-  ResultCache Cache;
+  ResultCache Cache(Run);
   {
     // Warm every sweep cell across --jobs workers (default serial);
     // results and telemetry are identical to serial cell-by-cell runs.
@@ -37,7 +35,7 @@ int main(int Argc, char **Argv) {
     for (const std::string &Name : allAppNames())
       for (const char *Gov : {governors::Perf, governors::Interactive, governors::GreenWebI, governors::GreenWebU})
         Cells.push_back({Name, Gov, ExperimentMode::Full});
-    Cache.prefetch(Cells, Flags.Jobs);
+    Cache.prefetch(Cells);
   }
   struct Row {
     std::string Name;
@@ -86,7 +84,7 @@ int main(int Argc, char **Argv) {
     NormInter.push_back(R.NormInter);
   }
   Energy.print();
-  Json.table("Energy", Energy);
+  Run.Json.table("Energy", Energy);
   std::printf(
       "Average energy savings vs Interactive: GreenWeb-I %.1f%%, "
       "GreenWeb-U %.1f%%   (paper: 29.2%% / 66.0%%)\n"
@@ -115,7 +113,7 @@ int main(int Argc, char **Argv) {
     VU.push_back(R.ViolU);
   }
   Viol.print();
-  Json.table("Viol", Viol);
+  Run.Json.table("Viol", Viol);
   std::printf("Average additional violations: GreenWeb-I %+.2f%%, "
               "GreenWeb-U %+.2f%%   (paper: +0.8%% / +0.6%%)\n",
               mean(VI), mean(VU));

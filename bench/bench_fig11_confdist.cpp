@@ -55,14 +55,12 @@ Distribution summarize(const ExperimentResult &R) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_fig11_confdist", Flags.JsonPath);
+  bench::Harness Run("bench_fig11_confdist", Argc, Argv);
   bench::banner("Fig. 11: architecture configuration distribution",
                 "Time share per <core, frequency> under GreenWeb-I (11a) "
                 "and GreenWeb-U (11b), Sec. 7.3");
 
-  ResultCache Cache;
+  ResultCache Cache(Run);
   {
     // Warm every sweep cell across --jobs workers (default serial);
     // results and telemetry are identical to serial cell-by-cell runs.
@@ -70,7 +68,7 @@ int main(int Argc, char **Argv) {
     for (const std::string &Name : allAppNames())
       for (const char *Gov : {governors::GreenWebI, governors::GreenWebU})
         Cells.push_back({Name, Gov, ExperimentMode::Full});
-    Cache.prefetch(Cells, Flags.Jobs);
+    Cache.prefetch(Cells);
   }
   for (const char *Gov : {governors::GreenWebI, governors::GreenWebU}) {
     TablePrinter Table(formatString(
@@ -96,7 +94,7 @@ int main(int Argc, char **Argv) {
           .cell(D.MeanBigMHz, 0);
     }
     Table.print();
-    Json.table("Table", Table);
+    Run.Json.table("Table", Table);
     std::printf("Mean A15 time share under %s: %.1f%%\n\n", Gov,
                 mean(BigShare));
   }

@@ -18,14 +18,12 @@ using namespace greenweb;
 using bench::ResultCache;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_fig12_switching", Flags.JsonPath);
+  bench::Harness Run("bench_fig12_switching", Argc, Argv);
   bench::banner("Fig. 12: execution configuration switching frequency",
                 "Switches per frame, split into frequency changes and "
                 "core migrations (Sec. 7.3)");
 
-  ResultCache Cache;
+  ResultCache Cache(Run);
   TablePrinter Table;
   Table.row()
       .cell("Application")
@@ -67,7 +65,7 @@ int main(int Argc, char **Argv) {
         .percentCell(FreqU + MigU);
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
   std::printf("\nMean switching per frame: GreenWeb-I %.1f%%, GreenWeb-U "
               "%.1f%%   (paper: ~20%% on average, I > U)\n",
               mean(TotalI) * 100.0, mean(TotalU) * 100.0);

@@ -20,14 +20,12 @@ using namespace greenweb;
 using bench::ResultCache;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_fig9_micro", Flags.JsonPath);
+  bench::Harness Run("bench_fig9_micro", Argc, Argv);
   bench::banner("Fig. 9: microbenchmarking results",
                 "Energy normalized to Perf (9a) and QoS violations on top "
                 "of Perf (9b), Sec. 7.2");
 
-  ResultCache Cache;
+  ResultCache Cache(Run);
   TablePrinter Energy("Fig. 9a: energy normalized to Perf (lower is "
                       "better)");
   Energy.row()
@@ -77,12 +75,12 @@ int main(int Argc, char **Argv) {
         .cell(formatString("%+.2f", ExtraU));
   }
   Energy.print();
-  Json.table("Energy", Energy);
+  Run.Json.table("Energy", Energy);
   std::printf("Average savings vs Perf: GreenWeb-I %.1f%%, GreenWeb-U "
               "%.1f%%   (paper: 31.9%% / 78.0%%)\n\n",
               mean(SavingsI) * 100.0, mean(SavingsU) * 100.0);
   Violations.print();
-  Json.table("Violations", Violations);
+  Run.Json.table("Violations", Violations);
   std::printf("Average additional violations: GreenWeb-I %+.2f%%, "
               "GreenWeb-U %+.2f%%   (paper: +1.3%% / +1.2%%)\n",
               mean(ViolI), mean(ViolU));

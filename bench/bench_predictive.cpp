@@ -31,13 +31,8 @@ ExperimentResult run(const ExperimentConfig &Base, uint64_t Seed) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bool Smoke = false;
-  for (int I = 1; I < Argc; ++I)
-    if (std::string_view(Argv[I]) == "--smoke")
-      Smoke = true;
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_predictive", Flags.JsonPath);
+  bench::Harness Run("bench_predictive", Argc, Argv, {"--smoke"});
+  bool Smoke = Run.has("--smoke");
   bench::banner("Learned governor: train -> serve -> rate control",
                 "Yuan et al. (ML web interactions); eBrowser (input rate)");
 
@@ -56,8 +51,8 @@ int main(int Argc, char **Argv) {
   DecisionTreeModel Model = trainDecisionTree(Rows, 17);
   std::printf("trained on %zu rows -> %zu nodes\n\n", Rows.size(),
               Model.Nodes.size());
-  Json.scalar("training_rows", double(Rows.size()));
-  Json.scalar("model_nodes", double(Model.Nodes.size()));
+  Run.Json.scalar("training_rows", double(Rows.size()));
+  Run.Json.scalar("model_nodes", double(Model.Nodes.size()));
 
   // Phase 2: serve the freshly trained model against the LTM baseline.
   {
@@ -84,13 +79,13 @@ int main(int Argc, char **Argv) {
           .cell(bench::percentOf(Pred.TotalJoules, Ltm.TotalJoules))
           .cell(Ltm.ViolationPctImperceptible, 2)
           .cell(Pred.ViolationPctImperceptible, 2);
-      Json.scalar(formatString("ltm_energy_joules.%s", kApps[A]),
-                  Ltm.TotalJoules, "J");
-      Json.scalar(formatString("predictive_energy_joules.%s", kApps[A]),
-                  Pred.TotalJoules, "J");
+      Run.Json.scalar(formatString("ltm_energy_joules.%s", kApps[A]),
+                      Ltm.TotalJoules, "J");
+      Run.Json.scalar(formatString("predictive_energy_joules.%s", kApps[A]),
+                      Pred.TotalJoules, "J");
     }
     Table.print();
-    Json.table("Serve", Table);
+    Run.Json.table("Serve", Table);
     std::printf("\n");
   }
 
@@ -132,8 +127,8 @@ int main(int Argc, char **Argv) {
           .cell(int64_t(R.InputEvents))
           .cell(int64_t(R.InputEventsCoalesced))
           .cell(int64_t(R.Frames));
-      Json.scalar(formatString("rate_energy_joules.%s", L.Name),
-                  R.TotalJoules, "J");
+      Run.Json.scalar(formatString("rate_energy_joules.%s", L.Name),
+                      R.TotalJoules, "J");
       if (L.Enabled && L.WindowMs == 12 &&
           (R.TotalJoules != Off.TotalJoules || R.Frames != Off.Frames ||
            R.InputEventsCoalesced != 0))
@@ -141,7 +136,7 @@ int main(int Argc, char **Argv) {
                     "uncontrolled one\n");
     }
     Table.print();
-    Json.table("RateControl", Table);
+    Run.Json.table("RateControl", Table);
   }
   std::printf("\nExpected shape: Predictive-I at or below GreenWeb-I "
               "energy with comparable violations; the under-limit rate "

@@ -16,9 +16,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_table1_categories", Flags.JsonPath);
+  bench::Harness Run("bench_table1_categories", Argc, Argv);
   bench::banner("Table 1: QoS categories",
                 "Interactions fall into three categories by QoS type and "
                 "target (Sec. 3.3)");
@@ -77,7 +75,7 @@ int main(int Argc, char **Argv) {
       .cell("Single frame latency; long response expected")
       .cell(interactionsFor(QosType::Single, Long));
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
 
   std::printf("\nPaper: continuous (16.6, 33.3) ms for T/M; single "
               "(100, 300) ms for T; single (1, 10) s for L/T.\n");

@@ -19,9 +19,7 @@
 using namespace greenweb;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_table2_api", Flags.JsonPath);
+  bench::Harness Run("bench_table2_api", Argc, Argv);
   bench::banner("Table 2: GreenWeb API specification",
                 "Each API is a new CSS rule specifying QoS information "
                 "(Sec. 4.1, Fig. 3 grammar)");
@@ -62,7 +60,7 @@ int main(int Argc, char **Argv) {
     Table.row().cell(R.Css).cell(Meaning).cell(R.PaperSemantics);
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
 
   std::printf("\nMalformed declarations (grammar enforcement: TI and TU "
               "must appear together, etc.):\n");

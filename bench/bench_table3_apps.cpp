@@ -16,14 +16,12 @@ using namespace greenweb;
 using bench::ResultCache;
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  bench::JsonReporter Json("bench_table3_apps", Flags.JsonPath);
+  bench::Harness Run("bench_table3_apps", Argc, Argv);
   bench::banner("Table 3: evaluation applications",
                 "Micro-benchmarking and full-interaction characteristics "
                 "(Sec. 7.1, Table 3)");
 
-  ResultCache Cache;
+  ResultCache Cache(Run);
   {
     // Warm every sweep cell across --jobs workers (default serial);
     // results and telemetry are identical to serial cell-by-cell runs.
@@ -31,7 +29,7 @@ int main(int Argc, char **Argv) {
     for (const std::string &Name : allAppNames())
       for (const char *Gov : {governors::Perf})
         Cells.push_back({Name, Gov, ExperimentMode::Full});
-    Cache.prefetch(Cells, Flags.Jobs);
+    Cache.prefetch(Cells);
   }
   TablePrinter Table;
   Table.row()
@@ -74,7 +72,7 @@ int main(int Argc, char **Argv) {
         .cell(formatString("%.1f%%", Full.AnnotationPct));
   }
   Table.print();
-  Json.table("Table", Table);
+  Run.Json.table("Table", Table);
 
   std::printf("\nAverages: %.0f s per session, %.0f events per session "
               "(paper: ~43 s, ~94 events).\n",

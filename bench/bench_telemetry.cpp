@@ -51,43 +51,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 using namespace greenweb;
+using bench::Measurement;
+using bench::measure;
 
 namespace {
-
-struct Measurement {
-  uint64_t Ops = 0;
-  double Seconds = 0.0;
-  std::vector<double> SamplesNsPerOp; ///< Per-round ns/op, for gw-diff.
-  double nsPerOp() const { return Ops ? Seconds / double(Ops) * 1e9 : 0; }
-  double opsPerSec() const { return Seconds > 0 ? double(Ops) / Seconds : 0; }
-};
-
-/// Repeats \p Round (which returns the ops it performed) until at least
-/// \p MinSeconds of wall clock accumulate, timing each round separately
-/// so the JSON output can carry raw samples for significance testing.
-Measurement measure(const std::function<uint64_t()> &Round,
-                    double MinSeconds = 0.25) {
-  Measurement M;
-  auto Start = std::chrono::steady_clock::now();
-  do {
-    auto RoundStart = std::chrono::steady_clock::now();
-    uint64_t Ops = Round();
-    auto RoundEnd = std::chrono::steady_clock::now();
-    M.Ops += Ops;
-    if (Ops)
-      M.SamplesNsPerOp.push_back(
-          std::chrono::duration<double>(RoundEnd - RoundStart).count() /
-          double(Ops) * 1e9);
-    M.Seconds = std::chrono::duration<double>(RoundEnd - Start).count();
-  } while (M.Seconds < MinSeconds);
-  return M;
-}
 
 /// How a hub under test is configured.
 struct HubShape {
@@ -164,11 +136,9 @@ Measurement benchShape(const HubShape &Shape, unsigned Frames) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  if (Flags.JsonPath.empty())
-    Flags.JsonPath = "BENCH_telemetry.json";
-  bench::JsonReporter Json("bench_telemetry", Flags.JsonPath);
+  bench::Harness Run("bench_telemetry", Argc, Argv);
+  if (Run.JsonPath.empty())
+    Run.JsonPath = "BENCH_telemetry.json";
   bench::banner("Telemetry hub overhead",
                 "Per-record cost with the flight recorder and anomaly "
                 "detectors off vs on (infrastructure, not paper data)");
@@ -204,9 +174,9 @@ int main(int Argc, char **Argv) {
         .cell(M.nsPerOp(), 1)
         .cell(formatString("%.0f", M.opsPerSec()))
         .cell(Rel);
-    Json.metric(formatString("telemetry_record/%s", Shape.Name), M.Ops,
-                M.nsPerOp(), "records_per_sec", M.opsPerSec(), "",
-                M.SamplesNsPerOp);
+    Run.Json.metric(formatString("telemetry_record/%s", Shape.Name), M.Ops,
+                    M.nsPerOp(), "records_per_sec", M.opsPerSec(), "",
+                    M.SamplesNsPerOp);
   }
   Table.print();
 
@@ -292,16 +262,16 @@ int main(int Argc, char **Argv) {
   SchedTable.print();
   std::printf("sched overhead verdict: %s\n", SchedVerdict.c_str());
 
-  Json.metric("telemetry_sweep/sched_off", SchedOff.Ops,
-              SchedOff.nsPerOp(), "sweeps_per_sec", SchedOff.opsPerSec(),
-              "", SchedOff.SamplesNsPerOp);
-  Json.metric("telemetry_sweep/sched_on", SchedOn.Ops, SchedOn.nsPerOp(),
-              "sweeps_per_sec", SchedOn.opsPerSec(), "",
-              SchedOn.SamplesNsPerOp);
-  Json.scalar("sched_overhead_pct", SchedOverheadPct, "%", {},
-              SchedVerdict + "; gate on the telemetry_sweep/* sample "
-                             "arrays via gw-diff, not this point value");
-  Json.scalar("sched_overhead_p_value", SchedPValue);
+  Run.Json.metric("telemetry_sweep/sched_off", SchedOff.Ops,
+                  SchedOff.nsPerOp(), "sweeps_per_sec", SchedOff.opsPerSec(),
+                  "", SchedOff.SamplesNsPerOp);
+  Run.Json.metric("telemetry_sweep/sched_on", SchedOn.Ops, SchedOn.nsPerOp(),
+                  "sweeps_per_sec", SchedOn.opsPerSec(), "",
+                  SchedOn.SamplesNsPerOp);
+  Run.Json.scalar("sched_overhead_pct", SchedOverheadPct, "%", {},
+                  SchedVerdict + "; gate on the telemetry_sweep/* sample "
+                                 "arrays via gw-diff, not this point value");
+  Run.Json.scalar("sched_overhead_p_value", SchedPValue);
 
   // --- Export cost over one fixed recorded session ---
   Telemetry SessionTel;
@@ -339,12 +309,12 @@ int main(int Argc, char **Argv) {
         .cell(M->nsPerOp(), 1)
         .cell(M->nsPerOp() * double(Records) / 1e6, 2)
         .cell(formatString("%zu", Bytes));
-    Json.metric(formatString("telemetry_export/%s", Name), M->Ops,
-                M->nsPerOp(), "records_per_sec", M->opsPerSec(), "",
-                M->SamplesNsPerOp);
+    Run.Json.metric(formatString("telemetry_export/%s", Name), M->Ops,
+                    M->nsPerOp(), "records_per_sec", M->opsPerSec(), "",
+                    M->SamplesNsPerOp);
   }
   ExportTable.print();
 
-  std::printf("\nwrote %s\n", Flags.JsonPath.c_str());
+  std::printf("\nwrote %s\n", Run.JsonPath.c_str());
   return 0;
 }

@@ -11,17 +11,16 @@
 //   2. Style resolution: recalcs/sec through the bucketed rule index
 //      (cold after mutations, warm from the per-element cache) vs the
 //      naive O(rules x selectors) referenceMatchRules scan.
-//   3. Scenario throughput: the full_evaluation sweep wall-clock with
-//      --jobs=1 vs --jobs=N through ParallelRunner.
-//   4. Warm start: a repeat experiment run restoring shared page assets
+//   3. Warm start: a repeat experiment run restoring shared page assets
 //      from a prewarmed WarmCache (snapshot clone + shared rule index +
-//      adopted style cache) vs a cold parse-everything run, plus a
-//      whole sweep with and without the warm-asset cache and its
-//      setup-phase attribution.
-//   5. Frame pipeline vs DOM size: host ns per requestAnimationFrame
+//      adopted style cache) vs a cold parse-everything run.
+//   4. Frame pipeline vs DOM size: host ns per requestAnimationFrame
 //      frame on pages with 100 / 1,000 / 10,000 filler elements. The
 //      style and layout stages price every node, so they must read the
 //      node count without walking the tree; the 10k/100 ratio is gated.
+//
+// Sweep scaling (--jobs=1 vs N) is measured on a whole fleet plan, where
+// it is large enough to read: see the fleet-smoke CI job.
 //
 // Writes BENCH_throughput.json (override with --json=<path>); the
 // committed copy at the repo root records the numbers for the
@@ -41,58 +40,20 @@
 #include "hw/AcmpChip.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
-#include "telemetry/SchedTrace.h"
 #include "workloads/Experiment.h"
-#include "workloads/ParallelRunner.h"
 #include "workloads/WorkloadAssets.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace greenweb;
 using reference::ReferenceEventQueue;
+using bench::Measurement;
+using bench::measure;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Self-timed measurement loop
-//===----------------------------------------------------------------------===//
-
-struct Measurement {
-  uint64_t Ops = 0;
-  double Seconds = 0.0;
-  std::vector<double> SamplesNsPerOp; ///< Per-round ns/op, for gw-diff.
-  double nsPerOp() const { return Ops ? Seconds / double(Ops) * 1e9 : 0; }
-  double opsPerSec() const { return Seconds > 0 ? double(Ops) / Seconds : 0; }
-};
-
-/// Repeats \p Round (which returns the ops it performed) until at least
-/// \p MinSeconds of wall clock accumulate, timing each round separately
-/// so the JSON output can carry raw samples for significance testing.
-Measurement measure(const std::function<uint64_t()> &Round,
-                    double MinSeconds = 0.25) {
-  Measurement M;
-  auto Start = std::chrono::steady_clock::now();
-  do {
-    auto RoundStart = std::chrono::steady_clock::now();
-    uint64_t Ops = Round();
-    auto RoundEnd = std::chrono::steady_clock::now();
-    M.Ops += Ops;
-    if (Ops)
-      M.SamplesNsPerOp.push_back(
-          std::chrono::duration<double>(RoundEnd - RoundStart).count() /
-          double(Ops) * 1e9);
-    M.Seconds =
-        std::chrono::duration<double>(RoundEnd - Start).count();
-  } while (M.Seconds < MinSeconds);
-  return M;
-}
 
 //===----------------------------------------------------------------------===//
 // Workloads
@@ -246,11 +207,9 @@ Measurement frameHostCost(int Fillers) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bench::BenchFlags Flags = bench::BenchFlags::parse(Argc, Argv);
-  bench::ProfSession ProfGuard(Flags);
-  if (Flags.JsonPath.empty())
-    Flags.JsonPath = "BENCH_throughput.json";
-  bench::JsonReporter Json("bench_throughput", Flags.JsonPath);
+  bench::Harness Run("bench_throughput", Argc, Argv);
+  if (Run.JsonPath.empty())
+    Run.JsonPath = "BENCH_throughput.json";
   bench::banner("Simulation throughput",
                 "Event-kernel, style-resolver, and parallel-sweep "
                 "wall-clock performance (infrastructure, not paper data)");
@@ -283,12 +242,12 @@ int main(int Argc, char **Argv) {
   std::printf("event-kernel speedup: %.2fx calendar vs reference heap\n\n",
               CalendarSpeedup);
 
-  Json.metric("event_kernel_reference_heap", Heap.Ops, Heap.nsPerOp(),
-              "events_per_sec", Heap.opsPerSec(), "", Heap.SamplesNsPerOp);
-  Json.metric("event_kernel_calendar", Calendar.Ops, Calendar.nsPerOp(),
-              "events_per_sec", Calendar.opsPerSec(), "",
-              Calendar.SamplesNsPerOp);
-  Json.scalar("event_kernel_calendar_speedup", CalendarSpeedup, "x");
+  Run.Json.metric("event_kernel_reference_heap", Heap.Ops, Heap.nsPerOp(),
+                  "events_per_sec", Heap.opsPerSec(), "", Heap.SamplesNsPerOp);
+  Run.Json.metric("event_kernel_calendar", Calendar.Ops, Calendar.nsPerOp(),
+                  "events_per_sec", Calendar.opsPerSec(), "",
+                  Calendar.SamplesNsPerOp);
+  Run.Json.scalar("event_kernel_calendar_speedup", CalendarSpeedup, "x");
 
   // Scattered variant: shallow 32-chain queue, uniform 100 us re-arms.
   // No batch-drain advantage here; this is the calendar's worst case,
@@ -303,13 +262,13 @@ int main(int Argc, char **Argv) {
   std::printf("scattered churn (32 chains): reference heap %.1f ns/ev, "
               "calendar %.1f ns/ev (%.2fx)\n\n",
               ScatHeap.nsPerOp(), ScatCal.nsPerOp(), ScatSpeedup);
-  Json.metric("event_churn_scattered_reference_heap", ScatHeap.Ops,
-              ScatHeap.nsPerOp(), "events_per_sec", ScatHeap.opsPerSec(),
-              "", ScatHeap.SamplesNsPerOp);
-  Json.metric("event_churn_scattered_calendar", ScatCal.Ops,
-              ScatCal.nsPerOp(), "events_per_sec", ScatCal.opsPerSec(),
-              "", ScatCal.SamplesNsPerOp);
-  Json.scalar("event_churn_scattered_speedup", ScatSpeedup, "x");
+  Run.Json.metric("event_churn_scattered_reference_heap", ScatHeap.Ops,
+                  ScatHeap.nsPerOp(), "events_per_sec", ScatHeap.opsPerSec(),
+                  "", ScatHeap.SamplesNsPerOp);
+  Run.Json.metric("event_churn_scattered_calendar", ScatCal.Ops,
+                  ScatCal.nsPerOp(), "events_per_sec", ScatCal.opsPerSec(),
+                  "", ScatCal.SamplesNsPerOp);
+  Run.Json.scalar("event_churn_scattered_speedup", ScatSpeedup, "x");
 
   // --- 2. Style resolution ---
   auto W = makeStyleWorld(400, 160);
@@ -354,116 +313,19 @@ int main(int Argc, char **Argv) {
   std::printf("style-resolution speedup: %.2fx cold, %.2fx warm\n\n",
               StyleSpeedupCold, StyleSpeedupWarm);
 
-  Json.metric("style_naive", Naive.Ops, Naive.nsPerOp(),
-              "recalcs_per_sec", Naive.opsPerSec(), "",
-              Naive.SamplesNsPerOp);
-  Json.metric("style_indexed_cold", Cold.Ops, Cold.nsPerOp(),
-              "recalcs_per_sec", Cold.opsPerSec(), "",
-              Cold.SamplesNsPerOp);
-  Json.metric("style_indexed_warm", Warm.Ops, Warm.nsPerOp(),
-              "recalcs_per_sec", Warm.opsPerSec(), "",
-              Warm.SamplesNsPerOp);
-  Json.scalar("style_speedup_cold", StyleSpeedupCold, "x");
-  Json.scalar("style_speedup_warm", StyleSpeedupWarm, "x");
+  Run.Json.metric("style_naive", Naive.Ops, Naive.nsPerOp(),
+                  "recalcs_per_sec", Naive.opsPerSec(), "",
+                  Naive.SamplesNsPerOp);
+  Run.Json.metric("style_indexed_cold", Cold.Ops, Cold.nsPerOp(),
+                  "recalcs_per_sec", Cold.opsPerSec(), "",
+                  Cold.SamplesNsPerOp);
+  Run.Json.metric("style_indexed_warm", Warm.Ops, Warm.nsPerOp(),
+                  "recalcs_per_sec", Warm.opsPerSec(), "",
+                  Warm.SamplesNsPerOp);
+  Run.Json.scalar("style_speedup_cold", StyleSpeedupCold, "x");
+  Run.Json.scalar("style_speedup_warm", StyleSpeedupWarm, "x");
 
-  // --- 3. Parallel scenario sweep ---
-  std::vector<ExperimentConfig> Configs;
-  for (const char *App : {"CamanJS", "Todo", "Goo.ne.jp"})
-    for (const char *Gov :
-         {governors::Perf, governors::Interactive, governors::GreenWebI,
-          governors::GreenWebU}) {
-      ExperimentConfig C;
-      C.AppName = App;
-      C.GovernorName = Gov;
-      Configs.push_back(std::move(C));
-    }
-  auto SweepSecs = [&](unsigned Jobs, SchedTrace *Sched = nullptr,
-                       WarmCache *Warm = nullptr) {
-    std::vector<ExperimentConfig> Runs = Configs;
-    for (ExperimentConfig &C : Runs)
-      C.WarmPool = Warm;
-    // A metrics-only shared hub, as every real sweep runs (bench
-    // prefetch, chaos soak): the post-batch config-order merge is part
-    // of what the scheduler report attributes.
-    Telemetry Tel;
-    Tel.setLogCapacity(0);
-    ParallelExperimentOptions Opts;
-    Opts.Jobs = Jobs;
-    Opts.SharedTel = &Tel;
-    Opts.JobLogCapacity = 0;
-    Opts.Sched = Sched;
-    SchedProgress Progress;
-    if (Flags.Progress && Jobs > 1) {
-      Opts.Progress = &Progress;
-      Opts.ProgressLabel = formatString("sweep jobs=%u", Jobs);
-    }
-    auto Start = std::chrono::steady_clock::now();
-    runExperimentsParallel(Runs, Opts);
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - Start)
-        .count();
-  };
-  // Default the parallel leg to hardware concurrency (clamped), but
-  // never below 2: even a single-core host should exercise the
-  // ParallelRunner's threaded path rather than silently degenerate to a
-  // second serial run. --jobs=N overrides (0 = hardware).
-  unsigned HwThreads = ParallelRunner(0).jobs();
-  unsigned SweepJobs = Flags.JobsSet
-                           ? ParallelRunner(Flags.Jobs).jobs()
-                           : std::max(2u, std::min(HwThreads, 16u));
-  double Serial = SweepSecs(1);
-  // The parallel leg runs with the scheduler trace attached (its
-  // overhead on a metrics-only sweep is <2%; see bench_telemetry), so
-  // the efficiency attribution describes the timed run itself.
-  SchedTrace Sched;
-  double Parallel = SweepSecs(SweepJobs, &Sched);
-  double SweepSpeedup = Parallel > 0 ? Serial / Parallel : 0;
-  SchedReport Report = SchedReport::fromTrace(Sched);
-
-  TablePrinter Sweep("Scenario sweep (12 simulations)");
-  Sweep.row().cell("jobs").cell("wall seconds");
-  Sweep.row().cell("1").cell(Serial, 3);
-  Sweep.row().cell(formatString("%u", SweepJobs)).cell(Parallel, 3);
-  Sweep.print();
-  std::printf("sweep speedup: %.2fx with %u jobs (%u hardware threads "
-              "on this host)\n\n",
-              SweepSpeedup, SweepJobs, HwThreads);
-  // Bench-meta honesty: a single-core host still runs the parallel leg
-  // with >= 2 jobs (see SweepJobs above), so the "speedup" there
-  // measures oversubscription cost, not scaling. Record jobs-vs-cores
-  // in the artifact and annotate the affected scalars so readers and
-  // CI gates interpret a sub-1x value for what it is.
-  bool Oversubscribed = SweepJobs > HwThreads;
-  std::string SweepNote =
-      Oversubscribed ? formatString(
-                           "oversubscribed: %u jobs on %u hardware "
-                           "threads; measures scheduling cost, not scaling",
-                           SweepJobs, HwThreads)
-                     : "";
-  if (Oversubscribed)
-    std::printf("note: sweep leg is oversubscribed (%u jobs on %u "
-                "hardware threads); a speedup below 1x here is "
-                "context-switch overhead, not a scaling regression\n\n",
-                SweepJobs, HwThreads);
-  std::printf("%s", Report.format().c_str());
-
-  Json.scalar("sweep_serial_seconds", Serial, "s");
-  Json.scalar("sweep_parallel_seconds", Parallel, "s", {}, SweepNote);
-  Json.scalar("sweep_jobs", double(SweepJobs));
-  Json.scalar("sweep_hardware_threads", double(HwThreads));
-  Json.scalar("jobs_vs_cores",
-              HwThreads ? double(SweepJobs) / double(HwThreads) : 0.0,
-              "x", {}, SweepNote);
-  Json.scalar("sweep_speedup", SweepSpeedup, "x", {}, SweepNote);
-  Json.scalar("sweep_efficiency", Report.Efficiency, "", {}, SweepNote);
-  Json.scalar("sweep_imbalance_fraction", Report.ImbalanceFraction);
-  Json.scalar("sweep_overhead_fraction", Report.OverheadFraction);
-  Json.scalar("sweep_merge_fraction", Report.MergeFraction);
-  for (const SchedReport::Worker &W : Report.PerWorker)
-    Json.scalar(formatString("sweep_worker_%u_utilization", W.Id),
-                W.Utilization);
-
-  // --- 4. Warm start ---
+  // --- 3. Warm start ---
   // Single run, cold vs warm: the warm round restores the prebuilt page
   // snapshot (cloned DOM prototype, shared rule index, adopted style
   // cache) instead of parsing; simulated output is byte-identical
@@ -489,39 +351,6 @@ int main(int Argc, char **Argv) {
                              ? ColdRun.nsPerOp() / WarmRun.nsPerOp()
                              : 0;
 
-    // Whole sweep with the shared warm cache, modeling the repeat-sweep
-    // loop (tuning sessions, median seeds, chaos soaks re-running the
-    // same matrix): assets for every (app, seed) already exist from the
-    // previous pass, so every run restores. Both legs are re-timed
-    // best-of-3 — a 12-sim sweep is ~10 ms of wall and single shots are
-    // at this host's noise floor. The scheduler traces' setup phase
-    // shows where the time went.
-    WarmCache Cache;
-    for (const ExperimentConfig &C : Configs)
-      Cache.get(C.AppName, C.Seed);
-    // Each leg: best-of-3 wall clock, setup fraction aggregated over
-    // all three traces (36 items) — single traces inherit too much
-    // host-scheduling noise on a busy runner.
-    auto SweepLeg = [&](WarmCache *Warm, double &SetupFrac) {
-      double Best = 0;
-      int64_t Setup = 0, Total = 0;
-      for (int Rep = 0; Rep < 3; ++Rep) {
-        SchedTrace Trace;
-        double Secs = SweepSecs(SweepJobs, &Trace, Warm);
-        Best = Rep == 0 ? Secs : std::min(Best, Secs);
-        for (const SchedItem &I : Trace.items()) {
-          Setup += I.SetupNs;
-          Total += I.RunNs;
-        }
-      }
-      SetupFrac = Total > 0 ? double(Setup) / double(Total) : 0.0;
-      return Best;
-    };
-    double ColdSetupFrac = 0, WarmSetupFrac = 0;
-    double ColdSweep = SweepLeg(nullptr, ColdSetupFrac);
-    double WarmSweep = SweepLeg(&Cache, WarmSetupFrac);
-    double SweepWarmSpeedup = WarmSweep > 0 ? ColdSweep / WarmSweep : 0;
-
     TablePrinter Warm("Warm start (restore shared page assets vs cold "
                       "parse)");
     Warm.row().cell("leg").cell("ms/run").cell("speedup");
@@ -533,34 +362,19 @@ int main(int Argc, char **Argv) {
         .cell("warm single run")
         .cell(WarmRun.nsPerOp() / 1e6, 2)
         .cell(formatString("%.2fx", WarmSpeedup));
-    Warm.row()
-        .cell("cold sweep (12 sims)")
-        .cell(ColdSweep * 1e3, 1)
-        .cell("1.00x");
-    Warm.row()
-        .cell("warm sweep (12 sims)")
-        .cell(WarmSweep * 1e3, 1)
-        .cell(formatString("%.2fx", SweepWarmSpeedup));
     Warm.print();
-    std::printf("setup-phase share of worker time: %.1f%% cold -> "
-                "%.1f%% warm\n\n",
-                ColdSetupFrac * 100.0, WarmSetupFrac * 100.0);
+    std::printf("\n");
 
-    Json.metric("cold_start_run", ColdRun.Ops, ColdRun.nsPerOp(),
-                "runs_per_sec", ColdRun.opsPerSec(), "",
-                ColdRun.SamplesNsPerOp);
-    Json.metric("warm_start_run", WarmRun.Ops, WarmRun.nsPerOp(),
-                "runs_per_sec", WarmRun.opsPerSec(), "",
-                WarmRun.SamplesNsPerOp);
-    Json.scalar("warm_start_speedup", WarmSpeedup, "x");
-    Json.scalar("sweep_cold_seconds", ColdSweep, "s");
-    Json.scalar("sweep_warm_seconds", WarmSweep, "s");
-    Json.scalar("sweep_warm_speedup", SweepWarmSpeedup, "x");
-    Json.scalar("sweep_cold_setup_fraction", ColdSetupFrac);
-    Json.scalar("sweep_warm_setup_fraction", WarmSetupFrac);
+    Run.Json.metric("cold_start_run", ColdRun.Ops, ColdRun.nsPerOp(),
+                    "runs_per_sec", ColdRun.opsPerSec(), "",
+                    ColdRun.SamplesNsPerOp);
+    Run.Json.metric("warm_start_run", WarmRun.Ops, WarmRun.nsPerOp(),
+                    "runs_per_sec", WarmRun.opsPerSec(), "",
+                    WarmRun.SamplesNsPerOp);
+    Run.Json.scalar("warm_start_speedup", WarmSpeedup, "x");
   }
 
-  // --- 5. Frame pipeline vs DOM size ---
+  // --- 4. Frame pipeline vs DOM size ---
   {
     TablePrinter Frames("Frame pipeline host cost vs DOM size (rAF loop, "
                         "one inline-style write a frame)");
@@ -573,9 +387,9 @@ int main(int Argc, char **Argv) {
           .cell(formatString("%d", Fillers))
           .cell(M.nsPerOp(), 0)
           .cell(M.opsPerSec(), 0);
-      Json.metric(formatString("frame_host_%d", Fillers), M.Ops,
-                  M.nsPerOp(), "frames_per_sec", M.opsPerSec(), "",
-                  M.SamplesNsPerOp);
+      Run.Json.metric(formatString("frame_host_%d", Fillers), M.Ops,
+                      M.nsPerOp(), "frames_per_sec", M.opsPerSec(), "",
+                      M.SamplesNsPerOp);
       if (Fillers == 100)
         NsAt100 = M.nsPerOp();
       if (Fillers == 10'000)
@@ -584,21 +398,9 @@ int main(int Argc, char **Argv) {
     Frames.print();
     double Ratio = NsAt100 > 0 ? NsAt10k / NsAt100 : 0;
     std::printf("frame host cost, 10k vs 100 fillers: %.2fx\n\n", Ratio);
-    Json.scalar("frame_host_ns_ratio_10k_vs_100", Ratio, "x");
+    Run.Json.scalar("frame_host_ns_ratio_10k_vs_100", Ratio, "x");
   }
 
-  if (!Flags.SchedPath.empty()) {
-    std::ofstream Out(Flags.SchedPath);
-    if (Out) {
-      Out << schedArtifactJson(Sched, Report);
-      std::printf("wrote scheduler trace to %s\n",
-                  Flags.SchedPath.c_str());
-    } else {
-      std::fprintf(stderr, "warning: cannot write %s\n",
-                   Flags.SchedPath.c_str());
-    }
-  }
-
-  std::printf("\nJSON written to %s\n", Flags.JsonPath.c_str());
+  std::printf("\nJSON written to %s\n", Run.JsonPath.c_str());
   return 0;
 }

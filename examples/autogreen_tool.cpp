@@ -18,13 +18,14 @@
 #include "browser/Browser.h"
 #include "greenweb/GreenWebRuntime.h"
 #include "hw/EnergyMeter.h"
-#include "profiling/Profiler.h"
 #include "support/TablePrinter.h"
+#include "telemetry/Telemetry.h"
 #include "workloads/TelemetryArtifacts.h"
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace greenweb;
 
@@ -95,10 +96,17 @@ int main(int Argc, char **Argv) {
   // positional argument is the page to annotate.
   TelemetryArtifactOptions Artifacts;
   const char *PagePath = nullptr;
-  for (int I = 1; I < Argc; ++I)
-    if (!Artifacts.parseFlag(Argv[I]))
-      PagePath = Argv[I];
-  Artifacts.beginRun(Argc, Argv);
+  auto Own = [&](std::string_view Arg) {
+    if (startsWith(Arg, "--") || PagePath)
+      return ArgMatch::Unknown;
+    PagePath = Arg.data();
+    return ArgMatch::Taken;
+  };
+  if (!Artifacts.parseArgs(Argc, Argv, Own)) {
+    std::fprintf(stderr, "usage: autogreen_tool [page.html] [--prof] "
+                         "[--prof-out=BASE] [--prof-sample=MICROS]\n");
+    return 2;
+  }
 
   std::string Html;
   if (PagePath) {
@@ -149,12 +157,8 @@ int main(int Argc, char **Argv) {
                 "page spends energy exactly where the QoS targets "
                 "demand it.\n");
   }
-  if (Artifacts.Prof) {
-    // No telemetry hub here; export the profile directly.
-    if (Artifacts.ProfSampleMicros > 0)
-      prof::stopSampler();
-    prof::stop();
-    prof::writeProfileFiles(prof::collect(), Artifacts.ProfOut);
-  }
+  // The tool records no telemetry; this writes the profile files.
+  Telemetry NoTel;
+  writeTelemetryArtifacts(Artifacts, NoTel);
   return 0;
 }

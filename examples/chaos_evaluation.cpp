@@ -32,7 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "faults/FaultPlan.h"
-#include "profiling/RunMeta.h"
+#include "profiling/RunCompare.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "telemetry/SchedTrace.h"
@@ -42,9 +42,9 @@
 #include "workloads/TelemetryArtifacts.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace greenweb;
@@ -132,35 +132,18 @@ ChaosCell runCell(const Options &Opts, const std::string &Scenario,
   return Cell;
 }
 
-/// Writes the bench-style JSON document gw-diff consumes: a harness
-/// name, a RunMeta header, and one violation/energy scalar pair per
-/// scenario (flat names so the same flags on a watchdog-off and a
-/// watchdog-on run produce directly comparable files).
-void writeJson(const std::string &Path, const std::string &CommandLine,
-               const std::vector<ChaosCell> &Cells) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-    return;
+/// The bench-style JSON document gw-diff consumes: one violation/energy
+/// scalar pair per scenario (flat names, so the same flags on a
+/// watchdog-off and a watchdog-on run produce directly comparable
+/// files).
+prof::BenchReport chaosReport(const std::vector<ChaosCell> &Cells) {
+  prof::BenchReport Report("chaos_evaluation");
+  for (const ChaosCell &C : Cells) {
+    Report.scalar("chaos." + C.Scenario + ".violation_pct", C.ViolationPct,
+                  "%");
+    Report.scalar("chaos." + C.Scenario + ".joules", C.Joules, "J");
   }
-  std::string Out = "{\n  \"harness\": \"chaos_evaluation\"";
-  Out += ",\n  \"meta\": " +
-         prof::RunMeta::current(CommandLine).toJsonObject();
-  Out += ",\n  \"scalars\": [\n";
-  for (size_t I = 0; I < Cells.size(); ++I) {
-    const ChaosCell &C = Cells[I];
-    Out += formatString("    {\"name\":\"chaos.%s.violation_pct\","
-                        "\"value\":%.6f,\"unit\":\"%%\"},\n",
-                        jsonEscape(C.Scenario).c_str(), C.ViolationPct);
-    Out += formatString("    {\"name\":\"chaos.%s.joules\","
-                        "\"value\":%.6f,\"unit\":\"J\"}%s\n",
-                        jsonEscape(C.Scenario).c_str(), C.Joules,
-                        I + 1 < Cells.size() ? "," : "");
-  }
-  Out += "  ]\n}\n";
-  std::fwrite(Out.data(), 1, Out.size(), F);
-  std::fclose(F);
-  std::printf("wrote %s\n", Path.c_str());
+  return Report;
 }
 
 /// The nightly soak: randomized chaos plans across a seed range, all
@@ -269,32 +252,31 @@ int runSoak(const Options &Opts) {
 
 int main(int Argc, char **Argv) {
   Options Opts;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--app=", 0) == 0)
-      Opts.App = Arg.substr(6);
-    else if (Arg.rfind("--governor=", 0) == 0)
-      Opts.Governor = Arg.substr(11);
-    else if (Arg.rfind("--watchdog=", 0) == 0)
-      Opts.Watchdog = Arg.substr(11);
-    else if (Arg.rfind("--seed=", 0) == 0)
-      Opts.Seed = uint64_t(std::atoll(Arg.c_str() + 7));
-    else if (Arg.rfind("--soak=", 0) == 0)
-      Opts.Soak = unsigned(std::atoi(Arg.c_str() + 7));
-    else if (Arg.rfind("--jobs=", 0) == 0)
-      Opts.Jobs = unsigned(std::atoi(Arg.c_str() + 7));
-    else if (Arg.rfind("--print-plan=", 0) == 0)
-      Opts.PrintPlan = Arg.substr(13);
-    else if (Arg.rfind("--json=", 0) == 0)
-      Opts.JsonPath = Arg.substr(7);
-    else if (Opts.Artifacts.parseFlag(Arg))
-      ;
-    else if (Arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown flag %s\n", Arg.c_str());
-      return usage();
-    } else
-      Opts.Scenarios.push_back(Arg);
-  }
+  auto Own = [&Opts](std::string_view Arg) {
+    if (auto V = flagValue(Arg, "--app="))
+      Opts.App = *V;
+    else if (auto V = flagValue(Arg, "--governor="))
+      Opts.Governor = *V;
+    else if (auto V = flagValue(Arg, "--watchdog="))
+      Opts.Watchdog = *V;
+    else if (auto V = flagValue(Arg, "--seed="))
+      return countArg(*V, Opts.Seed);
+    else if (auto V = flagValue(Arg, "--soak="))
+      return countArg(*V, Opts.Soak);
+    else if (auto V = flagValue(Arg, "--jobs="))
+      return countArg(*V, Opts.Jobs);
+    else if (auto V = flagValue(Arg, "--print-plan="))
+      Opts.PrintPlan = *V;
+    else if (auto V = flagValue(Arg, "--json="))
+      Opts.JsonPath = *V;
+    else if (!startsWith(Arg, "--"))
+      Opts.Scenarios.emplace_back(Arg);
+    else
+      return ArgMatch::Unknown;
+    return ArgMatch::Taken;
+  };
+  if (!Opts.Artifacts.parseArgs(Argc, Argv, Own))
+    return usage();
   if (Opts.Watchdog != "off" && Opts.Watchdog != "on" &&
       Opts.Watchdog != "both") {
     std::fprintf(stderr, "error: --watchdog takes off|on|both\n");
@@ -313,7 +295,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  Opts.Artifacts.beginRun(Argc, Argv);
   if (Opts.Soak > 0)
     return runSoak(Opts);
   if (!Opts.Artifacts.SchedPath.empty())
@@ -395,8 +376,12 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!Opts.JsonPath.empty())
-    writeJson(Opts.JsonPath, prof::joinCommandLine(Argc, Argv), Cells);
+  if (!Opts.JsonPath.empty()) {
+    if (!chaosReport(Cells).write(
+            Opts.JsonPath, prof::RunMeta::current(Opts.Artifacts.CommandLine)))
+      return 1;
+    std::printf("wrote %s\n", Opts.JsonPath.c_str());
+  }
   if (Tel)
     writeTelemetryArtifacts(Opts.Artifacts, *Tel);
   return 0;

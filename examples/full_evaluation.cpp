@@ -30,7 +30,6 @@
 #include "greenweb/Governors.h"
 #include "greenweb/GreenWebRuntime.h"
 #include "hw/EnergyMeter.h"
-#include "profiling/Profiler.h"
 #include "support/TablePrinter.h"
 #include "telemetry/CriticalPath.h"
 #include "telemetry/EnergyAttribution.h"
@@ -42,9 +41,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace greenweb;
@@ -165,6 +163,9 @@ int runSweep(unsigned Jobs, const TelemetryArtifactOptions &Artifacts) {
     std::printf("%s ", Name.c_str());
   std::printf("\nGovernors: Perf Interactive Ondemand Powersave "
               "GreenWeb-I GreenWeb-U\n");
+  // The sweep records no telemetry; this writes the profile files.
+  Telemetry NoTel;
+  writeTelemetryArtifacts(Artifacts, NoTel, {}, {}, Opts.Sched);
   return 0;
 }
 
@@ -258,27 +259,25 @@ int main(int Argc, char **Argv) {
   bool Diagnose = false;
   unsigned Jobs = 0; // 0 = hardware concurrency.
   std::vector<std::string> Positional;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+  auto Own = [&](std::string_view Arg) {
     if (Arg == "--diagnose")
       Diagnose = true;
-    else if (Arg.rfind("--jobs=", 0) == 0)
-      Jobs = unsigned(std::atoi(Arg.c_str() + 7));
-    else if (!Artifacts.parseFlag(Arg))
-      Positional.push_back(std::move(Arg));
+    else if (auto V = flagValue(Arg, "--jobs="))
+      return countArg(*V, Jobs);
+    else if (!startsWith(Arg, "--"))
+      Positional.emplace_back(Arg);
+    else
+      return ArgMatch::Unknown;
+    return ArgMatch::Taken;
+  };
+  if (!Artifacts.parseArgs(Argc, Argv, Own)) {
+    std::fprintf(stderr, "usage: full_evaluation [app] [governor] "
+                         "[micro|full] [--jobs=N] [--diagnose] "
+                         "[artifact flags]\n");
+    return 2;
   }
-  Artifacts.beginRun(Argc, Argv);
-  if (Positional.size() < 2) {
-    int Rc = runSweep(Jobs, Artifacts);
-    if (Artifacts.Prof) {
-      // The sweep has no telemetry hub; export the profile directly.
-      if (Artifacts.ProfSampleMicros > 0)
-        prof::stopSampler();
-      prof::stop();
-      prof::writeProfileFiles(prof::collect(), Artifacts.ProfOut);
-    }
-    return Rc;
-  }
+  if (Positional.size() < 2)
+    return runSweep(Jobs, Artifacts);
 
   ExperimentConfig Config;
   Config.AppName = Positional[0];

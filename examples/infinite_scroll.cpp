@@ -122,15 +122,13 @@ scrollUnder(Governor &Gov, AnnotationRegistry *GovernorRegistry = nullptr,
 int main(int Argc, char **Argv) {
   // `--trace=`/`--log=`/`--metrics=` instrument the GreenWeb-I run.
   TelemetryArtifactOptions Artifacts;
-  for (int I = 1; I < Argc; ++I)
-    if (!Artifacts.parseFlag(Argv[I])) {
-      std::fprintf(stderr,
-                   "usage: infinite_scroll [--trace=trace.json] "
-                   "[--log=events.jsonl] [--metrics=metrics.json] "
-                   "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
-      return 1;
-    }
-  Artifacts.beginRun(Argc, Argv);
+  if (!Artifacts.parseArgs(Argc, Argv)) {
+    std::fprintf(stderr,
+                 "usage: infinite_scroll [--trace=trace.json] "
+                 "[--log=events.jsonl] [--metrics=metrics.json] "
+                 "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
+    return 2;
+  }
 
   std::printf("Infinite scroll: the same annotated feed "
               "(`ontouchmove-qos: continuous`) scrolled under four "

@@ -26,15 +26,15 @@
 
 #include "faults/FaultPlan.h"
 #include "greenweb/Features.h"
-#include "profiling/RunMeta.h"
+#include "profiling/RunCompare.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "workloads/Experiment.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,36 +118,13 @@ Leg runLeg(const std::string &App, const std::string &Gov,
   return L;
 }
 
-std::string scalarJson(const std::string &Name, double Value,
-                       const std::string &Unit,
-                       const std::vector<double> &Samples) {
-  std::string E = formatString("    {\"name\":\"%s\",\"value\":%.6f",
-                               jsonEscape(Name).c_str(), Value);
-  if (!Unit.empty())
-    E += formatString(",\"unit\":\"%s\"", jsonEscape(Unit).c_str());
-  E += ",\"samples\":[";
-  for (size_t I = 0; I < Samples.size(); ++I)
-    E += formatString(I ? ",%.6f" : "%.6f", Samples[I]);
-  E += "]}";
-  return E;
-}
-
-bool writeArtifact(const std::string &Path, const std::string &Governor,
-                   const std::vector<std::string> &Scalars) {
-  std::string Out = "{\n  \"harness\": \"learned_ablation\"";
+/// Writes \p Report to \p Path (when set), stamped with \p Governor in
+/// its run-metadata header.
+bool writeArtifact(const prof::BenchReport &Report, const std::string &Path,
+                   const std::string &Governor) {
   prof::RunMeta Meta = prof::RunMeta::current("learned_ablation");
   Meta.Governor = Governor;
-  Out += ",\n  \"meta\": " + Meta.toJsonObject();
-  Out += ",\n  \"scalars\": [\n";
-  for (size_t I = 0; I < Scalars.size(); ++I)
-    Out += Scalars[I] + (I + 1 < Scalars.size() ? ",\n" : "\n");
-  Out += "  ]\n}\n";
-  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
-  if (!F || !(F << Out)) {
-    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
-    return false;
-  }
-  return true;
+  return Path.empty() || Report.write(Path, Meta);
 }
 
 } // namespace
@@ -164,6 +141,14 @@ int main(int Argc, char **Argv) {
         return Arg.data() + Flag.size();
       return nullptr;
     };
+    // Numeric values must parse whole: "--min-wins=abc" once read as 0
+    // and passed the gate.
+    bool Bad = false;
+    auto Number = [&Bad](const char *V, double &Out) {
+      std::optional<double> N = parseDouble(V);
+      Bad = !N;
+      Out = N.value_or(Out);
+    };
     if (const char *V = Value("--model="))
       ModelPath = V;
     else if (const char *V = Value("--baseline-out="))
@@ -172,18 +157,24 @@ int main(int Argc, char **Argv) {
       CandidateOut = V;
     else if (const char *V = Value("--chaos-app="))
       ChaosApp = V;
-    else if (const char *V = Value("--min-wins="))
-      MinWins = unsigned(std::atoi(V));
-    else if (const char *V = Value("--energy-tolerance="))
-      EnergyTolerancePct = std::atof(V);
+    else if (const char *V = Value("--min-wins=")) {
+      std::optional<unsigned> N = parseCount<unsigned>(V);
+      Bad = !N;
+      MinWins = N.value_or(MinWins);
+    } else if (const char *V = Value("--energy-tolerance="))
+      Number(V, EnergyTolerancePct);
     else if (const char *V = Value("--qos-tolerance="))
-      QosTolerancePp = std::atof(V);
+      Number(V, QosTolerancePp);
     else if (const char *V = Value("--chaos-tolerance="))
-      ChaosTolerancePp = std::atof(V);
+      Number(V, ChaosTolerancePp);
     else if (const char *V = Value("--confidence="))
-      Confidence = std::atof(V);
+      Number(V, Confidence);
     else {
       std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
+      return usage(Argv[0]);
+    }
+    if (Bad) {
+      std::fprintf(stderr, "error: invalid value: %s\n", Argv[I]);
       return usage(Argv[0]);
     }
   }
@@ -210,7 +201,10 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Model.TrainedRows),
                Model.Nodes.size());
 
-  std::vector<std::string> BaseScalars, CandScalars;
+  // gw-diff-able artifacts; samples keep 6 digits, since per-seed
+  // energies differ in the fourth.
+  prof::BenchReport BaseArt("learned_ablation", 6),
+      CandArt("learned_ablation", 6);
   TablePrinter Apps("PredictiveGovernor vs GreenWeb-I (3-seed medians)");
   Apps.row()
       .cell("App")
@@ -246,18 +240,14 @@ int main(int Argc, char **Argv) {
         .cell(Cand.ViolationPct, 2)
         .cell(Win ? (DeltaEPct < -EnergyTolerancePct ? "win" : "match")
                   : "loss");
-    BaseScalars.push_back(scalarJson("app_energy_joules." + App,
-                                     Base.Energy, "J",
-                                     Base.EnergySamples));
-    BaseScalars.push_back(scalarJson("app_violation_pct." + App,
-                                     Base.ViolationPct, "%",
-                                     Base.ViolationSamples));
-    CandScalars.push_back(scalarJson("app_energy_joules." + App,
-                                     Cand.Energy, "J",
-                                     Cand.EnergySamples));
-    CandScalars.push_back(scalarJson("app_violation_pct." + App,
-                                     Cand.ViolationPct, "%",
-                                     Cand.ViolationSamples));
+    BaseArt.scalar("app_energy_joules." + App, Base.Energy, "J",
+                   Base.EnergySamples);
+    BaseArt.scalar("app_violation_pct." + App, Base.ViolationPct, "%",
+                   Base.ViolationSamples);
+    CandArt.scalar("app_energy_joules." + App, Cand.Energy, "J",
+                   Cand.EnergySamples);
+    CandArt.scalar("app_violation_pct." + App, Cand.ViolationPct, "%",
+                   Cand.ViolationSamples);
   }
   Apps.print();
 
@@ -298,26 +288,19 @@ int main(int Argc, char **Argv) {
         .cell(Base.Energy, 3)
         .cell(Cand.Energy, 3)
         .cell(Regressed ? "REGRESSED" : "ok");
-    BaseScalars.push_back(scalarJson("chaos_violation_pct." + Sc,
-                                     Base.ViolationPct, "%",
-                                     Base.ViolationSamples));
-    BaseScalars.push_back(scalarJson("chaos_energy_joules." + Sc,
-                                     Base.Energy, "J",
-                                     Base.EnergySamples));
-    CandScalars.push_back(scalarJson("chaos_violation_pct." + Sc,
-                                     Cand.ViolationPct, "%",
-                                     Cand.ViolationSamples));
-    CandScalars.push_back(scalarJson("chaos_energy_joules." + Sc,
-                                     Cand.Energy, "J",
-                                     Cand.EnergySamples));
+    BaseArt.scalar("chaos_violation_pct." + Sc, Base.ViolationPct, "%",
+                   Base.ViolationSamples);
+    BaseArt.scalar("chaos_energy_joules." + Sc, Base.Energy, "J",
+                   Base.EnergySamples);
+    CandArt.scalar("chaos_violation_pct." + Sc, Cand.ViolationPct, "%",
+                   Cand.ViolationSamples);
+    CandArt.scalar("chaos_energy_joules." + Sc, Cand.Energy, "J",
+                   Cand.EnergySamples);
   }
   Chaos.print();
 
-  if (!BaselineOut.empty() &&
-      !writeArtifact(BaselineOut, governors::GreenWebI, BaseScalars))
-    return 1;
-  if (!CandidateOut.empty() &&
-      !writeArtifact(CandidateOut, governors::PredictiveI, CandScalars))
+  if (!writeArtifact(BaseArt, BaselineOut, governors::GreenWebI) ||
+      !writeArtifact(CandArt, CandidateOut, governors::PredictiveI))
     return 1;
 
   std::printf("\npredictive wins/matches %u of %zu apps (need %u); "

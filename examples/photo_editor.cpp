@@ -121,15 +121,13 @@ int main(int Argc, char **Argv) {
   // `--trace=`/`--log=`/`--metrics=` instrument the correctly-annotated
   // (`single, long`) run.
   TelemetryArtifactOptions Artifacts;
-  for (int I = 1; I < Argc; ++I)
-    if (!Artifacts.parseFlag(Argv[I])) {
-      std::fprintf(stderr,
-                   "usage: photo_editor [--trace=trace.json] "
-                   "[--log=events.jsonl] [--metrics=metrics.json] "
-                   "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
-      return 1;
-    }
-  Artifacts.beginRun(Argc, Argv);
+  if (!Artifacts.parseArgs(Argc, Argv)) {
+    std::fprintf(stderr,
+                 "usage: photo_editor [--trace=trace.json] "
+                 "[--log=events.jsonl] [--metrics=metrics.json] "
+                 "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
+    return 2;
+  }
 
   std::printf("Photo editor: a 350M-cycle filter behind one button.\n"
               "How the annotation changes what the GreenWeb runtime "

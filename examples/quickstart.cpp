@@ -113,15 +113,13 @@ RunOutcome runOnce(Governor &Gov, AnnotationRegistry &Registry,
 int main(int Argc, char **Argv) {
   // `--trace=`/`--log=`/`--metrics=` instrument the GreenWeb-I run.
   TelemetryArtifactOptions Artifacts;
-  for (int I = 1; I < Argc; ++I)
-    if (!Artifacts.parseFlag(Argv[I])) {
-      std::fprintf(stderr,
-                   "usage: quickstart [--trace=trace.json] "
-                   "[--log=events.jsonl] [--metrics=metrics.json] "
-                   "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
-      return 1;
-    }
-  Artifacts.beginRun(Argc, Argv);
+  if (!Artifacts.parseArgs(Argc, Argv)) {
+    std::fprintf(stderr,
+                 "usage: quickstart [--trace=trace.json] "
+                 "[--log=events.jsonl] [--metrics=metrics.json] "
+                 "[--prof] [--prof-out=BASE] [--prof-sample=MICROS]\n");
+    return 2;
+  }
 
   std::printf("GreenWeb quickstart: a 2s CSS-transition animation "
               "annotated `ontouchstart-qos: continuous`\n\n");

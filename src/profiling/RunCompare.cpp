@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -219,6 +220,110 @@ std::optional<RunSnapshot> RunSnapshot::loadFile(const std::string &Path,
   if (!Snap && Error)
     *Error = Path + ": " + Err;
   return Snap;
+}
+
+BenchReport::BenchReport(std::string Harness, int SampleDigits,
+                         size_t SamplesCap)
+    : Harness(std::move(Harness)), SampleDigits(SampleDigits),
+      SamplesCap(SamplesCap) {}
+
+void BenchReport::samples(std::string &Out,
+                          const std::vector<double> &Values) const {
+  json::Writer W(Out);
+  W.beginArray();
+  size_t Count = SamplesCap > 0 ? std::min(SamplesCap, Values.size())
+                                : Values.size();
+  for (size_t I = 0; I < Count; ++I)
+    W.fixed(Values[I * Values.size() / Count], SampleDigits);
+  W.endArray();
+}
+
+void BenchReport::metric(std::string_view Name, uint64_t Iterations,
+                         double NsPerOp, std::string_view RateLabel,
+                         double Rate, std::string_view Note,
+                         const std::vector<double> &Samples) {
+  std::string &E = Benchmarks.emplace_back("    ");
+  json::Writer W(E);
+  W.beginObject().key("name").str(Name);
+  W.key("iterations").uinteger(Iterations);
+  W.key("ns_per_op").fixed(NsPerOp, 3);
+  if (!RateLabel.empty())
+    W.key(RateLabel).fixed(Rate, 3);
+  if (!Note.empty())
+    W.key("note").str(Note);
+  if (!Samples.empty())
+    samples(W.key("samples_ns_per_op").rawValue(), Samples);
+  W.endObject();
+}
+
+void BenchReport::scalar(std::string_view Name, double Value,
+                         std::string_view Unit,
+                         const std::vector<double> &Samples,
+                         std::string_view Note) {
+  std::string &E = Scalars.emplace_back("    ");
+  json::Writer W(E);
+  W.beginObject().key("name").str(Name).key("value").fixed(Value, 6);
+  if (!Unit.empty())
+    W.key("unit").str(Unit);
+  if (!Note.empty())
+    W.key("note").str(Note);
+  if (!Samples.empty())
+    samples(W.key("samples").rawValue(), Samples);
+  W.endObject();
+}
+
+void BenchReport::table(std::string_view Name, const TablePrinter &T) {
+  std::string &E = Tables.emplace_back("    ");
+  json::Writer W(E);
+  W.beginObject().key("name").str(Name);
+  if (!T.title().empty())
+    W.key("title").str(T.title());
+  const auto &Rows = T.rows();
+  // One row per line, so committed tables diff row by row.
+  std::string &Body = W.key("rows").rawValue();
+  Body += "[\n";
+  for (size_t R = 0; R < Rows.size(); ++R) {
+    Body += "      ";
+    json::Writer Row(Body);
+    Row.beginArray();
+    for (const std::string &Cell : Rows[R])
+      Row.str(Cell);
+    Row.endArray();
+    Body += R + 1 < Rows.size() ? ",\n" : "\n";
+  }
+  Body += "    ]";
+  W.endObject();
+}
+
+std::string BenchReport::json(const RunMeta &Meta) const {
+  std::string Out = "{\n  \"harness\": ";
+  json::Writer(Out).str(Harness);
+  Out += ",\n  \"meta\": " + Meta.toJsonObject();
+  auto Section = [&Out](const char *Key,
+                        const std::vector<std::string> &Entries) {
+    if (Entries.empty())
+      return;
+    Out += ",\n  \"";
+    Out += Key;
+    Out += "\": [\n";
+    for (size_t I = 0; I < Entries.size(); ++I)
+      Out += Entries[I] + (I + 1 < Entries.size() ? ",\n" : "\n");
+    Out += "  ]";
+  };
+  Section("benchmarks", Benchmarks);
+  Section("scalars", Scalars);
+  Section("tables", Tables);
+  Out += "\n}\n";
+  return Out;
+}
+
+bool BenchReport::write(const std::string &Path, const RunMeta &Meta) const {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  if (!Out || !(Out << json(Meta))) {
+    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+    return false;
+  }
+  return true;
 }
 
 Direction metricDirection(std::string_view Name) {

@@ -31,11 +31,16 @@
 
 #include "profiling/RunMeta.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+namespace greenweb {
+class TablePrinter;
+} // namespace greenweb
 
 namespace greenweb::prof {
 
@@ -68,6 +73,76 @@ struct RunSnapshot {
                                           std::string *Error = nullptr);
   static std::optional<RunSnapshot> loadFile(const std::string &Path,
                                              std::string *Error = nullptr);
+};
+
+/// The writer of the bench-result document RunSnapshot::parse reads:
+///
+///   {
+///     "harness": "<name>",
+///     "meta": {RunMeta},
+///     "benchmarks": [
+///       {"name":..,"iterations":N,"ns_per_op":X,"<rate>":R,"note":..,
+///        "samples_ns_per_op":[..]},
+///       ...
+///     ],
+///     "scalars": [
+///       {"name":..,"value":X,"unit":..,"note":..,"samples":[..]}, ...
+///     ],
+///     "tables": [
+///       {"name":..,"title":..,"rows":[
+///         ["cell",..],
+///         ...
+///       ]}, ...
+///     ]
+///   }
+///
+/// Optional members are written only when set, and empty sections are
+/// left out. ns_per_op, rates and sample values print with 3 digits
+/// after the point (SampleDigits overrides it for samples), scalar
+/// values with 6. Every bench harness and example driver that emits
+/// this document writes it through this class.
+class BenchReport {
+public:
+  /// \p SampleDigits: digits after the point in sample arrays.
+  /// \p SamplesCap: longer sample arrays are downsampled with an even
+  /// stride, which keeps the whole time span for gw-diff's significance
+  /// tests (0 = keep every sample).
+  explicit BenchReport(std::string Harness, int SampleDigits = 3,
+                       size_t SamplesCap = 0);
+
+  /// One microbenchmark result. \p RateLabel/\p Rate report the
+  /// domain-specific throughput ("events_per_sec", ...); an empty label
+  /// writes none. \p Samples are the raw per-round ns/op.
+  void metric(std::string_view Name, uint64_t Iterations, double NsPerOp,
+              std::string_view RateLabel = "", double Rate = 0.0,
+              std::string_view Note = "",
+              const std::vector<double> &Samples = {});
+
+  /// One headline scalar. \p Note flags a caveat a reader of the
+  /// committed artifact needs ("oversubscribed: ...").
+  void scalar(std::string_view Name, double Value,
+              std::string_view Unit = "",
+              const std::vector<double> &Samples = {},
+              std::string_view Note = "");
+
+  /// A rendered table, header row first, every cell as a string.
+  void table(std::string_view Name, const TablePrinter &T);
+
+  /// The document, stamped with \p Meta.
+  std::string json(const RunMeta &Meta) const;
+
+  /// Writes json(\p Meta) to \p Path. False, with a diagnostic on
+  /// stderr, when the file cannot be written.
+  bool write(const std::string &Path, const RunMeta &Meta) const;
+
+private:
+  void samples(std::string &Out, const std::vector<double> &Values) const;
+
+  std::string Harness;
+  int SampleDigits;
+  size_t SamplesCap;
+  /// Serialized entries, one per line of their section.
+  std::vector<std::string> Benchmarks, Scalars, Tables;
 };
 
 /// Which way "better" points for a metric, inferred from its name

@@ -151,43 +151,3 @@ std::string MetricsRegistry::snapshotJson(bool IncludeVolatile) const {
   Out += First ? "}\n}\n" : "\n  }\n}\n";
   return Out;
 }
-
-std::string MetricsRegistry::snapshotCsv(bool IncludeVolatile) const {
-  std::string Out = "metric,kind,field,value\n";
-  for (const auto &[Name, C] : Counters) {
-    if (!IncludeVolatile && isVolatile(Name))
-      continue;
-    Out += formatString("%s,counter,value,%llu\n", Name.c_str(),
-                        static_cast<unsigned long long>(C.value()));
-  }
-  for (const auto &[Name, G] : Gauges) {
-    if (!IncludeVolatile && isVolatile(Name))
-      continue;
-    Out += formatString("%s,gauge,value,%s\n", Name.c_str(),
-                        formatNumber(G.value()).c_str());
-  }
-  for (const auto &[Name, H] : Histograms) {
-    if (!IncludeVolatile && isVolatile(Name))
-      continue;
-    const RunningStat &S = H.summary();
-    Out += formatString("%s,histogram,count,%llu\n", Name.c_str(),
-                        static_cast<unsigned long long>(S.count()));
-    Out += formatString("%s,histogram,mean,%s\n", Name.c_str(),
-                        formatNumber(S.mean()).c_str());
-    Out += formatString("%s,histogram,stddev,%s\n", Name.c_str(),
-                        formatNumber(S.stddev()).c_str());
-    Out += formatString("%s,histogram,min,%s\n", Name.c_str(),
-                        formatNumber(S.min()).c_str());
-    Out += formatString("%s,histogram,max,%s\n", Name.c_str(),
-                        formatNumber(S.max()).c_str());
-    Out += formatString("%s,histogram,p50,%s\n", Name.c_str(),
-                        formatNumber(H.quantile(0.50)).c_str());
-    Out += formatString("%s,histogram,p90,%s\n", Name.c_str(),
-                        formatNumber(H.quantile(0.90)).c_str());
-    Out += formatString("%s,histogram,p95,%s\n", Name.c_str(),
-                        formatNumber(H.quantile(0.95)).c_str());
-    Out += formatString("%s,histogram,p99,%s\n", Name.c_str(),
-                        formatNumber(H.quantile(0.99)).c_str());
-  }
-  return Out;
-}

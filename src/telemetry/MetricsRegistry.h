@@ -135,10 +135,6 @@ public:
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string snapshotJson(bool IncludeVolatile = false) const;
 
-  /// CSV with header "metric,kind,field,value"; histograms expand to one
-  /// row per summary field and percentile.
-  std::string snapshotCsv(bool IncludeVolatile = false) const;
-
   /// Drops every metric and volatile mark.
   void clear();
 

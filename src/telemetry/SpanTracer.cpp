@@ -8,6 +8,8 @@
 
 #include "telemetry/Telemetry.h"
 
+#include <optional>
+
 using namespace greenweb;
 
 SpanTracer::Span *SpanTracer::findMutable(int64_t Id) {
@@ -70,11 +72,15 @@ size_t SpanTracer::openCount() const {
 }
 
 void SpanTracer::finishAll() {
-  TimePoint Now = Hub->now();
+  // The clock is read only when a span is open: a hub whose run has
+  // ended may still hold a clock bound to that run's (gone) simulator.
+  std::optional<TimePoint> Now;
   for (Span &S : All) {
     if (!S.Open)
       continue;
-    S.End = Now;
+    if (!Now)
+      Now = Hub->now();
+    S.End = *Now;
     S.Open = false;
     Hub->recordSpan(S, /*Truncated=*/true);
   }

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 using namespace greenweb;
@@ -126,6 +127,18 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
              << featureHeaderLine(LadderLevels) << "\n";
   }
 
+  // One parse for the whole plan: a model that is missing or malformed
+  // stops the run here instead of silently degrading every predictive
+  // item to its fallback.
+  std::optional<DecisionTreeModel> Model;
+  if (!Plan.ModelPath.empty()) {
+    std::string Text, ModelError;
+    if (!readWholeFile(Plan.ModelPath, Text))
+      return Fail("cannot read model " + Plan.ModelPath);
+    if (!DecisionTreeModel::parse(Text, Model.emplace(), &ModelError))
+      return Fail("model " + Plan.ModelPath + ": " + ModelError);
+  }
+
   WarmCache Warm;
   SchedProgress Progress;
   uint64_t ExecutedBatches = 0;
@@ -164,6 +177,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
       BatchItems.push_back(Plan.item(First + I));
       Configs.push_back(Plan.config(BatchItems.back()));
       Configs.back().WarmPool = &Warm;
+      Configs.back().Model = Model ? &*Model : nullptr;
     }
 
     // Per-item fold inputs, filled by the per-job hook on worker
@@ -177,12 +191,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
         Configs[I].FeatureRows = &FeatureSlots[I];
     }
 
-    Telemetry Shared; // Throwaway: per-run hubs are what we harvest.
-    Shared.setLogCapacity(0);
-
+    // The hook harvests each run's private hub; nothing is merged.
     ParallelExperimentOptions POpts;
     POpts.Jobs = Opts.Jobs;
-    POpts.SharedTel = &Shared;
     POpts.JobLogCapacity = 0;
     POpts.EnableDetectors = true;
     POpts.EnableFlightRecorder = true;

@@ -8,7 +8,6 @@
 
 #include "profiling/Profiler.h"
 #include "telemetry/SchedTrace.h"
-#include "telemetry/StreamAggregator.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -86,9 +85,9 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                                  const ParallelExperimentOptions &Opts) {
   std::vector<ExperimentResult> Results(Configs.size());
   // Private hubs live until the ordered merge below, even for runs that
-  // finish early.
-  std::vector<std::unique_ptr<Telemetry>> Hubs(
-      Opts.SharedTel ? Configs.size() : 0);
+  // finish early. A hook without a shared hub harvests them itself.
+  const bool Private = Opts.SharedTel || Opts.PerJobHook;
+  std::vector<std::unique_ptr<Telemetry>> Hubs(Private ? Configs.size() : 0);
 
   ParallelRunner Runner(Opts.Jobs);
   const bool Timed = Opts.Sched || Opts.Progress;
@@ -117,7 +116,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
   Runner.forEachIndexWorker(Configs.size(), [&](unsigned Worker, size_t I) {
     int64_t T0 = Timed ? HostNs() : 0;
     ExperimentConfig Config = Configs[I];
-    if (Opts.SharedTel) {
+    if (Private) {
       Hubs[I] = std::make_unique<Telemetry>();
       Hubs[I]->setLogCapacity(Opts.JobLogCapacity);
       if (Opts.EnableDetectors)
@@ -135,7 +134,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                      ? runExperiment(Config)
                      : runExperimentMedian(Config, Opts.MedianSeeds);
     int64_t T2 = Timed ? HostNs() : 0;
-    if (Opts.PerJobHook && Opts.SharedTel)
+    if (Opts.PerJobHook)
       Opts.PerJobHook(I, Results[I], *Hubs[I]);
     int64_t T3 = Timed ? HostNs() : 0;
     if (Opts.Sched) {
@@ -153,8 +152,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
       Item.SetupNs = (T1 - T0) + RunSetup;
       Item.SimNs = (T2 - T1) - RunSetup;
       Item.HookNs = T3 - T2;
-      Item.HubRecords =
-          Opts.SharedTel ? int64_t(Hubs[I]->log().size()) : 0;
+      Item.HubRecords = Private ? int64_t(Hubs[I]->log().size()) : 0;
       Opts.Sched->record(std::move(Item));
     }
     if (Opts.Progress)
@@ -184,14 +182,6 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
     if (Opts.Sched)
       Opts.Sched->setMergeWindowNs(HostNs() - MergeBegin);
   }
-  if (Opts.Aggregator)
-    // Config order for the same reason: RunningStat merges only differ
-    // in floating-point rounding, but byte-identical summaries across
-    // jobs counts are part of the determinism contract.
-    for (size_t I = 0; I < Results.size(); ++I)
-      Opts.Aggregator->addRun(makeRunSample(
-          Results[I], Opts.SharedTel ? Hubs[I].get() : nullptr));
-
   if (Opts.Sched && Opts.SharedTel) {
     // Opt-in Sched records: one per item plus a batch summary, appended
     // after the ordered merge so the deterministic prefix of the log is

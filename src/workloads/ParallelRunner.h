@@ -34,7 +34,6 @@ namespace greenweb {
 
 class SchedProgress;
 class SchedTrace;
-class StreamAggregator;
 class Telemetry;
 
 /// A minimal fork-join index pool: run Fn(0..Count-1) across up to
@@ -75,7 +74,8 @@ struct ParallelExperimentOptions {
   /// When set, each run gets a private Telemetry hub whose metrics and
   /// log are merged into this hub in config index order after the whole
   /// batch completes. The configs' own Tel pointers are ignored (they
-  /// would race); leave null to run without instrumentation.
+  /// would race); leave this and PerJobHook null to run without
+  /// instrumentation.
   Telemetry *SharedTel = nullptr;
   /// Non-empty: run each config through runExperimentMedian over these
   /// seeds (the paper's three-run protocol). Empty: single runExperiment.
@@ -86,27 +86,23 @@ struct ParallelExperimentOptions {
   /// the chosen config serially with a full hub instead.
   size_t JobLogCapacity = 0;
   /// Optional per-run hook invoked on the worker thread after run I
-  /// completes, with that run's private hub (valid only when SharedTel
-  /// is set). Runs concurrently across workers; touch only the given
-  /// hub and the result.
+  /// completes, with that run's private hub (runs get private hubs
+  /// whenever a hook is set, merged only when SharedTel is set). Runs
+  /// concurrently across workers; touch only the given hub and the
+  /// result.
   std::function<void(size_t, const ExperimentResult &, Telemetry &)>
       PerJobHook;
-  /// When set (and SharedTel is set), every per-run private hub gets
-  /// the online anomaly detectors. Alert records bypass JobLogCapacity,
-  /// so even a metrics-only sweep merges a complete alert stream into
-  /// SharedTel — in config index order, hence deterministic.
+  /// When set, every per-run private hub gets the online anomaly
+  /// detectors. Alert records bypass JobLogCapacity, so even a
+  /// metrics-only sweep merges a complete alert stream into SharedTel —
+  /// in config index order, hence deterministic.
   bool EnableDetectors = false;
-  /// When set (and SharedTel is set), every per-run private hub also
-  /// gets the flight recorder, so a run that trips a trigger leaves
-  /// black-box dumps retrievable from its hub in PerJobHook (the fleet
-  /// driver persists them as worst-device black-box refs). Ring copies
-  /// are cheap; dumps only materialize on triggers.
+  /// When set, every per-run private hub also gets the flight recorder,
+  /// so a run that trips a trigger leaves black-box dumps retrievable
+  /// from its hub in PerJobHook (the fleet driver persists them as
+  /// worst-device black-box refs). Ring copies are cheap; dumps only
+  /// materialize on triggers.
   bool EnableFlightRecorder = false;
-  /// When set, every run's headline RunSample is folded into this
-  /// aggregator after the batch completes, in config index order (the
-  /// streaming fleet summary; see telemetry/StreamAggregator.h). Not
-  /// owned; untouched while workers run.
-  StreamAggregator *Aggregator = nullptr;
   /// When set, the batch is traced: every work item records its worker
   /// id, queue-wait, run wall time, and phase breakdown into this trace
   /// (host time — see telemetry/SchedTrace.h), and the post-batch

@@ -1,4 +1,4 @@
-//===- workloads/TelemetryArtifacts.cpp - Shared artifact flags -------------===//
+//===- workloads/TelemetryArtifacts.cpp - Shared driver flags --------------===//
 //
 // Part of the GreenWeb reproduction. Distributed under the MIT license.
 //
@@ -19,49 +19,71 @@
 
 using namespace greenweb;
 
-bool TelemetryArtifactOptions::parseFlag(const std::string &Arg) {
-  auto Match = [&Arg](const char *Prefix, std::string &Out) {
-    size_t Len = std::string_view(Prefix).size();
-    if (Arg.compare(0, Len, Prefix) != 0)
-      return false;
-    Out = Arg.substr(Len);
-    return true;
-  };
-  if (Arg == "--prof") {
-    Prof = true;
-    return true;
-  }
-  if (Match("--prof-out=", ProfOut)) {
-    Prof = true;
-    return true;
-  }
-  if (Arg.compare(0, 14, "--prof-sample=") == 0) {
-    ProfSampleMicros =
-        uint64_t(parseInt(std::string_view(Arg).substr(14)).value_or(1000));
-    Prof = true;
-    return true;
-  }
-  if (Arg == "--alerts") {
-    Alerts = true;
-    return true;
-  }
-  if (Arg == "--progress") {
-    Progress = true;
-    return true;
-  }
-  return Match("--trace=", TracePath) || Match("--log=", LogPath) ||
-         Match("--metrics=", MetricsPath) ||
-         Match("--blackbox=", BlackboxPath) ||
-         Match("--sched=", SchedPath);
+std::optional<std::string_view> greenweb::flagValue(std::string_view Arg,
+                                                   std::string_view Prefix) {
+  if (!startsWith(Arg, Prefix))
+    return std::nullopt;
+  return Arg.substr(Prefix.size());
 }
 
-void TelemetryArtifactOptions::beginRun(int Argc, char **Argv) {
+namespace {
+
+/// The shared flags of TelemetryArtifactOptions.
+ArgMatch parseSharedFlag(TelemetryArtifactOptions &O, std::string_view Arg) {
+  auto Path = [Arg](std::string_view Prefix, std::string &Out) {
+    std::optional<std::string_view> V = flagValue(Arg, Prefix);
+    if (V)
+      Out = *V;
+    return bool(V);
+  };
+  if (Arg == "--prof" || Path("--prof-out=", O.ProfOut)) {
+    O.Prof = true;
+    return ArgMatch::Taken;
+  }
+  if (std::optional<std::string_view> V = flagValue(Arg, "--prof-sample=")) {
+    O.Prof = true;
+    return countArg(*V, O.ProfSampleMicros);
+  }
+  if (Arg == "--alerts")
+    O.Alerts = true;
+  else if (Arg == "--progress")
+    O.Progress = true;
+  else if (!Path("--trace=", O.TracePath) && !Path("--log=", O.LogPath) &&
+           !Path("--metrics=", O.MetricsPath) &&
+           !Path("--blackbox=", O.BlackboxPath) &&
+           !Path("--sched=", O.SchedPath))
+    return ArgMatch::Unknown;
+  return ArgMatch::Taken;
+}
+
+} // namespace
+
+bool TelemetryArtifactOptions::parseArgs(int Argc, char **Argv,
+                                         const ArgHandler &Own) {
+  for (int I = 1; I < Argc; ++I) {
+    std::string_view Arg = Argv[I];
+    ArgMatch M = Own ? Own(Arg) : ArgMatch::Unknown;
+    if (M == ArgMatch::Unknown)
+      M = parseSharedFlag(*this, Arg);
+    if (M == ArgMatch::Unknown) {
+      std::fprintf(stderr, "error: unknown %s %s\n",
+                   startsWith(Arg, "-") ? "flag" : "argument", Argv[I]);
+      return false;
+    }
+    if (M == ArgMatch::Malformed) {
+      std::string_view Flag = Arg.substr(0, Arg.find('='));
+      std::fprintf(stderr, "error: invalid value for %.*s: %s\n",
+                   int(Flag.size()), Flag.data(), Argv[I]);
+      return false;
+    }
+  }
   CommandLine = prof::joinCommandLine(Argc, Argv);
-  if (!Prof)
-    return;
-  prof::start();
-  if (ProfSampleMicros > 0)
-    prof::startSampler(ProfSampleMicros);
+  if (Prof) {
+    prof::start();
+    if (ProfSampleMicros > 0)
+      prof::startSampler(ProfSampleMicros);
+  }
+  return true;
 }
 
 void TelemetryArtifactOptions::configureHub(Telemetry &Tel) const {

@@ -1,13 +1,13 @@
-//===- workloads/TelemetryArtifacts.h - Shared artifact flags ----*- C++ -*-===//
+//===- workloads/TelemetryArtifacts.h - Shared driver flags -----*- C++ -*-===//
 //
 // Part of the GreenWeb reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared `--trace=` / `--log=` / `--metrics=` command-line surface
-/// of the example drivers, and the writer that turns an attached
-/// Telemetry hub into the three on-disk artifacts gw-inspect consumes:
+/// The command line every driver shares (the examples and the bench
+/// harnesses), its strict parser, and the writer that turns a Telemetry
+/// hub into the on-disk artifacts gw-inspect consumes:
 ///
 ///   --trace=trace.json      enriched Chrome Trace Event timeline
 ///   --log=events.jsonl      structured telemetry event log (JSONL)
@@ -37,20 +37,54 @@
 /// build, compiler, host threads, producing command line) so gw-diff
 /// can refuse apples-to-oranges comparisons.
 ///
+/// A driver parses its argv once through parseArgs (its own flags ride
+/// along in a handler; unknown flags and malformed values exit 2) and
+/// ends with one writeTelemetryArtifacts call, which also stops the
+/// profiler and writes its files.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GREENWEB_WORKLOADS_TELEMETRYARTIFACTS_H
 #define GREENWEB_WORKLOADS_TELEMETRYARTIFACTS_H
 
 #include "browser/TraceExport.h"
+#include "support/StringUtils.h"
 
+#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greenweb {
 
 class SchedTrace;
 class Telemetry;
+
+/// What a flag handler made of one command-line argument.
+enum class ArgMatch {
+  Unknown,  ///< Not this handler's argument.
+  Taken,    ///< Consumed.
+  Malformed ///< This handler's flag, with a value that does not parse.
+};
+
+/// A driver's own argument handler (see TelemetryArtifactOptions::
+/// parseArgs).
+using ArgHandler = std::function<ArgMatch(std::string_view Arg)>;
+
+/// The value of \p Arg when it starts with \p Prefix ("--jobs="),
+/// nullopt otherwise.
+std::optional<std::string_view> flagValue(std::string_view Arg,
+                                          std::string_view Prefix);
+
+/// Stores \p Value in \p Out when parseCount<T> accepts it.
+template <class T> ArgMatch countArg(std::string_view Value, T &Out) {
+  std::optional<T> N = parseCount<T>(Value);
+  if (!N)
+    return ArgMatch::Malformed;
+  Out = *N;
+  return ArgMatch::Taken;
+}
 
 /// Parsed artifact destinations; empty paths mean "not requested".
 struct TelemetryArtifactOptions {
@@ -74,18 +108,16 @@ struct TelemetryArtifactOptions {
            Alerts || !BlackboxPath.empty();
   }
 
-  /// Consumes one command-line argument if it is an artifact flag
-  /// (`--trace=PATH`, `--log=PATH`, `--metrics=PATH`, `--alerts`,
-  /// `--blackbox=PATH`, `--prof`, `--prof-out=BASE`,
-  /// `--prof-sample=MICROS`, `--sched=PATH`, `--progress`). Returns
-  /// false for anything else so positional arguments pass through
-  /// unchanged.
-  bool parseFlag(const std::string &Arg);
-
-  /// Records the producing command line (for artifact meta headers) and
-  /// starts the host-side profiler when requested. Call once, after
-  /// flag parsing and before the workload runs.
-  void beginRun(int Argc, char **Argv);
+  /// Parses argv[1..Argc): each argument goes to \p Own first (the
+  /// driver's own flags and positionals), then to the shared flags
+  /// above. On an argument neither takes, or a malformed value
+  /// (`--prof-sample=abc`, or one \p Own reports), prints
+  /// "error: unknown flag ..." or "error: invalid value for ..." to
+  /// stderr and returns false; the driver then prints its usage and
+  /// exits 2. On success it records the producing command line (for
+  /// artifact meta headers) and starts the host-side profiler when
+  /// requested, so call it once, before the workload runs.
+  bool parseArgs(int Argc, char **Argv, const ArgHandler &Own = nullptr);
 
   /// Arms the requested online observability on \p Tel (detectors for
   /// --alerts, flight recorder for --blackbox=). Call on each hub after

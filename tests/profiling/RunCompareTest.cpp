@@ -7,6 +7,7 @@
 #include "profiling/RunCompare.h"
 
 #include "support/Json.h"
+#include "support/TablePrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -326,6 +327,118 @@ TEST(RunCompareTest, BootstrapCiIsDeterministicAndBrackets) {
   EXPECT_LT(Ci1.LoPct, -20.0 + 5.0);
   EXPECT_GT(Ci1.HiPct, -20.0 - 5.0);
   EXPECT_LT(Ci1.HiPct, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// BenchReport: the one writer of the document RunSnapshot::parse reads
+//===----------------------------------------------------------------------===//
+
+TEST(BenchReportTest, EveryFieldShapeRoundTripsThroughRunSnapshot) {
+  // The shapes the bench harnesses, chaos_evaluation and
+  // learned_ablation emit: a benchmark with rate, note and samples, a
+  // bare one, a scalar with unit, note and samples, a bare scalar, and
+  // a titled table.
+  prof::BenchReport R("bench_\"x\"");
+  R.metric("kernel", 1000, 12.3456, "events_per_sec", 81000.5, "a note",
+           {12.0, 13.5, 11.25});
+  R.metric("plain", 5, 1.0);
+  R.scalar("speedup", 2.5, "x", {2.4, 2.6}, "oversubscribed: 2 jobs");
+  R.scalar("bare", 7.0);
+  TablePrinter T("Fig. \"9\"");
+  T.row().cell("App").cell("Energy");
+  T.row().cell("BBC").cell("42.0%");
+  R.table("Energy", T);
+  prof::RunMeta Meta;
+  Meta.GitCommit = "abc1234";
+  Meta.Flags = "bench_x --json=out.json";
+  Meta.Governor = "GreenWeb-I";
+  std::string Doc = R.json(Meta);
+
+  RunSnapshot S = mustParse(Doc);
+  EXPECT_EQ(S.SourceKind, "bench");
+  EXPECT_EQ(S.Harness, "bench_\"x\"");
+  ASSERT_TRUE(S.HasMeta);
+  EXPECT_EQ(S.Meta.GitCommit, "abc1234");
+  EXPECT_EQ(S.Meta.Flags, Meta.Flags);
+  EXPECT_EQ(S.Meta.Governor, "GreenWeb-I");
+  std::vector<std::string> Names;
+  for (const prof::MetricSeries &M : S.Metrics)
+    Names.push_back(M.Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{
+                       "bare", "kernel.events_per_sec", "kernel.ns_per_op",
+                       "plain.ns_per_op", "speedup"}));
+  const prof::MetricSeries *Kernel = S.find("kernel.ns_per_op");
+  ASSERT_NE(Kernel, nullptr);
+  EXPECT_DOUBLE_EQ(Kernel->Value, 12.346); // 3 digits after the point.
+  EXPECT_EQ(Kernel->Samples, (std::vector<double>{12.0, 13.5, 11.25}));
+  EXPECT_DOUBLE_EQ(S.find("kernel.events_per_sec")->Value, 81000.5);
+  const prof::MetricSeries *Speedup = S.find("speedup");
+  ASSERT_NE(Speedup, nullptr);
+  EXPECT_DOUBLE_EQ(Speedup->Value, 2.5);
+  EXPECT_EQ(Speedup->Unit, "x");
+  EXPECT_EQ(Speedup->Samples, (std::vector<double>{2.4, 2.6}));
+  EXPECT_TRUE(S.find("bare")->Samples.empty());
+
+  // What the snapshot does not keep: notes, iterations and tables.
+  std::optional<json::Value> V = json::parse(Doc);
+  ASSERT_TRUE(V);
+  const json::Value &B = V->get("benchmarks")->Arr[0];
+  EXPECT_EQ(B.stringOr("note", ""), "a note");
+  EXPECT_EQ(B.numberOr("iterations", 0), 1000);
+  EXPECT_EQ(V->get("scalars")->Arr[0].stringOr("note", ""),
+            "oversubscribed: 2 jobs");
+  const json::Value &Table = V->get("tables")->Arr[0];
+  EXPECT_EQ(Table.stringOr("title", ""), "Fig. \"9\"");
+  ASSERT_EQ(Table.get("rows")->Arr.size(), 2u);
+  EXPECT_EQ(Table.get("rows")->Arr[1].Arr[1].Str, "42.0%");
+}
+
+TEST(BenchReportTest, LayoutIsOneEntryPerLine) {
+  // The committed reports (docs/reports, BENCH_*.json) diff line by
+  // line; this pins the layout they were written in.
+  prof::BenchReport R("h", /*SampleDigits=*/6);
+  R.metric("m", 2, 1.5, "", 0.0, "", {1.0});
+  R.scalar("s", 0.25, "%", {0.5});
+  TablePrinter T;
+  T.row().cell("a").cell("b");
+  T.row().cell("c");
+  R.table("t", T);
+  prof::RunMeta Meta;
+  Meta.GitCommit = "c";
+  Meta.BuildType = "b";
+  Meta.Compiler = "g";
+  Meta.HardwareThreads = 1;
+  EXPECT_EQ(R.json(Meta),
+            "{\n"
+            "  \"harness\": \"h\",\n"
+            "  \"meta\": {\"schema\":1,\"git_commit\":\"c\","
+            "\"build_type\":\"b\",\"compiler\":\"g\","
+            "\"hardware_threads\":1,\"flags\":\"\"},\n"
+            "  \"benchmarks\": [\n"
+            "    {\"name\":\"m\",\"iterations\":2,\"ns_per_op\":1.500,"
+            "\"samples_ns_per_op\":[1.000000]}\n"
+            "  ],\n"
+            "  \"scalars\": [\n"
+            "    {\"name\":\"s\",\"value\":0.250000,\"unit\":\"%\","
+            "\"samples\":[0.500000]}\n"
+            "  ],\n"
+            "  \"tables\": [\n"
+            "    {\"name\":\"t\",\"rows\":[\n"
+            "      [\"a\",\"b\"],\n"
+            "      [\"c\"]\n"
+            "    ]}\n"
+            "  ]\n"
+            "}\n");
+  // Sections with no entries are left out.
+  EXPECT_EQ(prof::BenchReport("e").json(Meta).find("scalars"),
+            std::string::npos);
+}
+
+TEST(BenchReportTest, SamplesCapKeepsAnEvenStride) {
+  prof::BenchReport R("h", 3, /*SamplesCap=*/2);
+  R.scalar("s", 1.0, "", {1.0, 2.0, 3.0, 4.0});
+  RunSnapshot S = mustParse(R.json(prof::RunMeta()));
+  EXPECT_EQ(S.find("s")->Samples, (std::vector<double>{1.0, 3.0}));
 }
 
 } // namespace

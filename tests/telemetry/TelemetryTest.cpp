@@ -96,9 +96,6 @@ TEST(MetricsRegistryTest, SnapshotsCarryQuantileFields) {
   EXPECT_NE(Json.find("\"p99\": 0.5"), std::string::npos) << Json;
   EXPECT_EQ(Json.find("\"bounds\""), std::string::npos) << Json;
   EXPECT_EQ(Json.find("\"buckets\""), std::string::npos) << Json;
-  std::string Csv = M.snapshotCsv();
-  EXPECT_NE(Csv.find("h,histogram,p50,0.5"), std::string::npos) << Csv;
-  EXPECT_NE(Csv.find("h,histogram,p99,0.5"), std::string::npos) << Csv;
 }
 
 TEST(MetricsRegistryTest, JsonSnapshotIsValidAndOrdered) {
@@ -121,7 +118,7 @@ TEST(MetricsRegistryTest, SnapshotsAreByteStable) {
     M.counter("c").add(7);
     M.gauge("g").set(0.123456789);
     M.histogram("h").observe(1.5);
-    return std::make_pair(M.snapshotJson(), M.snapshotCsv());
+    return M.snapshotJson();
   };
   EXPECT_EQ(Build(), Build());
 }
@@ -136,24 +133,17 @@ TEST(MetricsRegistryTest, VolatileMetricsExcludedByDefault) {
   EXPECT_NE(Json.find("virtual_seconds"), std::string::npos);
   std::string All = M.snapshotJson(/*IncludeVolatile=*/true);
   EXPECT_NE(All.find("host_seconds"), std::string::npos);
-  std::string Csv = M.snapshotCsv();
-  EXPECT_EQ(Csv.find("host_seconds"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, CsvShapeAndClear) {
+TEST(MetricsRegistryTest, ClearDropsEveryMetric) {
   MetricsRegistry M;
   M.counter("c").add(3);
   M.histogram("h").observe(0.5);
-  std::string Csv = M.snapshotCsv();
-  EXPECT_EQ(Csv.rfind("metric,kind,field,value\n", 0), 0u) << Csv;
-  EXPECT_NE(Csv.find("c,counter,value,3"), std::string::npos);
-  EXPECT_NE(Csv.find("h,histogram,count,1"), std::string::npos) << Csv;
-  EXPECT_NE(Csv.find("h,histogram,p99,0.5"), std::string::npos) << Csv;
-  // Percentiles come from the sketch; there is no bucket layout to dump.
-  EXPECT_EQ(Csv.find("bucket"), std::string::npos) << Csv;
+  EXPECT_EQ(M.size(), 2u);
   M.clear();
   EXPECT_EQ(M.size(), 0u);
   EXPECT_FALSE(M.has("c"));
+  EXPECT_EQ(M.snapshotJson().find("\"h\""), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -261,4 +261,32 @@ TEST(FleetRunnerTest, WarmPoolHitRateReflectsPlanStructure) {
   EXPECT_EQ(S.Report.State.Agg.runs(), Plan.items());
 }
 
+TEST(FleetRunnerTest, MissingOrMalformedModelStopsBeforeAnyBatch) {
+  FleetPlan Plan = smallPlan();
+  Plan.Governors = {governors::Perf, governors::PredictiveI};
+  FleetRunOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CheckpointPath = tempPath("model.ckpt");
+  std::remove(Opts.CheckpointPath.c_str());
+  FleetRunSummary S;
+  std::string Error;
+
+  // Every Predictive-I item used to fall back to the GreenWeb-I runtime
+  // and the fleet finished with exit 0; now the run refuses up front.
+  Plan.ModelPath = tempPath("no-such-model.json");
+  std::remove(Plan.ModelPath.c_str());
+  EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
+  EXPECT_NE(Error.find(Plan.ModelPath), std::string::npos) << Error;
+  EXPECT_EQ(S.ItemsRun, 0u);
+  EXPECT_FALSE(std::ifstream(Opts.CheckpointPath).good());
+
+  Plan.ModelPath = tempPath("malformed-model.json");
+  std::ofstream(Plan.ModelPath) << "{\"kind\":\"gw_train_model\"";
+  Error.clear();
+  EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
+  EXPECT_NE(Error.find(Plan.ModelPath), std::string::npos) << Error;
+  EXPECT_FALSE(std::ifstream(Opts.CheckpointPath).good());
+  std::remove(Plan.ModelPath.c_str());
+}
+
 } // namespace

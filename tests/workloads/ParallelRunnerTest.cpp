@@ -234,28 +234,30 @@ TEST(ParallelRunnerTest, MergedAlertStreamIsByteIdenticalToSerial) {
             ParallelTel.metrics().snapshotJson());
 }
 
-TEST(ParallelRunnerTest, AggregatorFoldsRunsDeterministically) {
+TEST(ParallelRunnerTest, PerJobHookFoldsDeterministicallyWithoutSharedHub) {
   std::vector<ExperimentConfig> Configs = sweepConfigs();
 
-  Telemetry SerialTel;
-  StreamAggregator SerialAgg;
-  ParallelExperimentOptions Serial;
-  Serial.Jobs = 1;
-  Serial.SharedTel = &SerialTel;
-  Serial.EnableDetectors = true;
-  Serial.JobLogCapacity = 0;
-  Serial.Aggregator = &SerialAgg;
-  runExperimentsParallel(Configs, Serial);
-
-  Telemetry ParallelTel;
-  StreamAggregator ParallelAgg;
-  ParallelExperimentOptions Parallel;
-  Parallel.Jobs = 4;
-  Parallel.SharedTel = &ParallelTel;
-  Parallel.EnableDetectors = true;
-  Parallel.JobLogCapacity = 0;
-  Parallel.Aggregator = &ParallelAgg;
-  runExperimentsParallel(Configs, Parallel);
+  // The fleet's shape: no shared hub, so nothing merges, but a hook
+  // still gets each run's private hub (here with detectors armed) and
+  // the caller folds the harvested samples in config order.
+  auto Fold = [&Configs](unsigned Jobs) {
+    std::vector<RunSample> Samples(Configs.size());
+    ParallelExperimentOptions Opts;
+    Opts.Jobs = Jobs;
+    Opts.EnableDetectors = true;
+    Opts.JobLogCapacity = 0;
+    Opts.PerJobHook = [&Samples](size_t I, const ExperimentResult &R,
+                                 Telemetry &Hub) {
+      Samples[I] = makeRunSample(R, &Hub);
+    };
+    runExperimentsParallel(Configs, Opts);
+    StreamAggregator Agg;
+    for (const RunSample &S : Samples)
+      Agg.addRun(S);
+    return Agg;
+  };
+  StreamAggregator SerialAgg = Fold(1);
+  StreamAggregator ParallelAgg = Fold(4);
 
   EXPECT_EQ(SerialAgg.runs(), Configs.size());
   // Runs fold in config index order either way, so the streaming
