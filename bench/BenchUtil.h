@@ -52,7 +52,8 @@ namespace greenweb::bench {
 /// and the harness's own switches. An unknown flag or a malformed value
 /// exits 2 with usage on stderr. On destruction the harness writes its
 /// JSON document, then the shared artifacts of its metrics-only hub
-/// (which ResultCache instruments into) and the profile.
+/// (which ResultCache instruments into) and the profile; when any of
+/// them cannot be written the process exits 1.
 class Harness {
 public:
   Harness(std::string Name, int Argc, char **Argv,
@@ -92,9 +93,12 @@ public:
   Harness &operator=(const Harness &) = delete;
 
   ~Harness() {
-    if (!JsonPath.empty())
-      Json.write(JsonPath, prof::RunMeta::current(Artifacts.CommandLine));
-    writeTelemetryArtifacts(Artifacts, Tel);
+    bool Written =
+        JsonPath.empty() ||
+        Json.write(JsonPath, prof::RunMeta::current(Artifacts.CommandLine));
+    Written &= writeTelemetryArtifacts(Artifacts, Tel);
+    if (!Written)
+      std::exit(1);
   }
 
   /// True when the harness switch \p Switch was given.

@@ -159,6 +159,5 @@ int main(int Argc, char **Argv) {
   }
   // The tool records no telemetry; this writes the profile files.
   Telemetry NoTel;
-  writeTelemetryArtifacts(Artifacts, NoTel);
-  return 0;
+  return writeTelemetryArtifacts(Artifacts, NoTel) ? 0 : 1;
 }

@@ -229,14 +229,16 @@ int runSoak(const Options &Opts) {
   }
   if (POpts.Sched) {
     std::printf("\n%s", SchedReport::fromTrace(Sched).format().c_str());
-    writeSchedArtifact(Opts.Artifacts, Sched);
   }
+  bool Written = writeSchedArtifact(Opts.Artifacts, Sched);
   // --trace=/--log=/--metrics= export from the shared hub: the merged
   // metrics, the sched records, and (with --sched) one Perfetto track
   // per sweep worker spliced into the trace.
   if (Opts.Artifacts.any())
-    writeTelemetryArtifacts(Opts.Artifacts, SharedTel, {}, {},
-                            POpts.Sched);
+    Written &= writeTelemetryArtifacts(Opts.Artifacts, SharedTel, {}, {},
+                                       POpts.Sched);
+  if (!Written)
+    return 1;
   if (TotalInjections == 0) {
     std::printf("\nsoak FAILED: no plan landed a single injection — the "
                 "fault injector is not reaching the run\n");
@@ -382,7 +384,7 @@ int main(int Argc, char **Argv) {
       return 1;
     std::printf("wrote %s\n", Opts.JsonPath.c_str());
   }
-  if (Tel)
-    writeTelemetryArtifacts(Opts.Artifacts, *Tel);
+  if (Tel && !writeTelemetryArtifacts(Opts.Artifacts, *Tel))
+    return 1;
   return 0;
 }

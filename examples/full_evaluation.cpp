@@ -151,8 +151,8 @@ int runSweep(unsigned Jobs, const TelemetryArtifactOptions &Artifacts) {
               Results.size(), Secs, ParallelRunner(Jobs).jobs());
   if (Opts.Sched) {
     std::printf("\n%s", SchedReport::fromTrace(Sched).format().c_str());
-    writeSchedArtifact(Artifacts, Sched);
   }
+  bool Written = writeSchedArtifact(Artifacts, Sched);
   std::printf("\nUsage: full_evaluation [app] [governor] [micro|full] "
               "[--jobs=N] "
               "[--diagnose] [--trace=trace.json] [--log=events.jsonl] "
@@ -165,8 +165,8 @@ int runSweep(unsigned Jobs, const TelemetryArtifactOptions &Artifacts) {
               "GreenWeb-I GreenWeb-U\n");
   // The sweep records no telemetry; this writes the profile files.
   Telemetry NoTel;
-  writeTelemetryArtifacts(Artifacts, NoTel, {}, {}, Opts.Sched);
-  return 0;
+  Written &= writeTelemetryArtifacts(Artifacts, NoTel, {}, {}, Opts.Sched);
+  return Written ? 0 : 1;
 }
 
 /// Prints the causal diagnosis of the instrumented session: one
@@ -193,7 +193,7 @@ void printDiagnosis(Telemetry &Tel) {
 /// power/frequency counter tracks, governor-decision instants, causal
 /// flow arrows), the structured event log (JSONL), and the metrics
 /// snapshot.
-void exportTrace(const ExperimentConfig &Config,
+bool exportTrace(const ExperimentConfig &Config,
                  const TelemetryArtifactOptions &Artifacts) {
   AppDefinition App = makeApp(Config.AppName, Config.Seed);
   Simulator Sim;
@@ -247,9 +247,10 @@ void exportTrace(const ExperimentConfig &Config,
   Meter.recordSampleNow();
 
   printDiagnosis(Tel);
-  writeTelemetryArtifacts(Artifacts, Tel, B.frameTracker().frames(),
-                          Recorder.intervals());
+  bool Written = writeTelemetryArtifacts(
+      Artifacts, Tel, B.frameTracker().frames(), Recorder.intervals());
   Gov->detach();
+  return Written;
 }
 
 } // namespace
@@ -312,7 +313,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   printDetailed(runExperiment(Config));
-  if (Artifacts.any() || Artifacts.Prof || Diagnose)
-    exportTrace(Config, Artifacts);
+  if ((Artifacts.any() || Artifacts.Prof || Diagnose) &&
+      !exportTrace(Config, Artifacts))
+    return 1;
   return 0;
 }

@@ -50,6 +50,7 @@ struct ScrollOutcome {
   double MeanFrameMs = 0.0;
   double P95FrameMs = 0.0;
   size_t Frames = 0;
+  bool ArtifactsWritten = true;
 };
 
 /// Runs the gesture sequence under \p Gov. When the governor is a
@@ -99,13 +100,12 @@ scrollUnder(Governor &Gov, AnnotationRegistry *GovernorRegistry = nullptr,
     Sim.runUntil(Start + Duration::seconds(2));
   }
 
+  ScrollOutcome Out;
   if (Instrument) {
     Meter.recordSampleNow();
-    writeTelemetryArtifacts(*Artifacts, Tel, B.frameTracker().frames(),
-                            Recorder.intervals());
+    Out.ArtifactsWritten = writeTelemetryArtifacts(
+        *Artifacts, Tel, B.frameTracker().frames(), Recorder.intervals());
   }
-
-  ScrollOutcome Out;
   Out.Millijoules = Meter.totalJoules() * 1e3;
   std::vector<double> FrameMs;
   for (const FrameRecord &Frame : B.frameTracker().frames())
@@ -143,11 +143,13 @@ int main(int Argc, char **Argv) {
       .cell("p95 frame (ms)")
       .cell("Experience");
 
+  bool ArtifactsWritten = true;
   auto addRow = [&](const char *Label, Governor &Gov,
                     const char *Experience,
                     AnnotationRegistry *Registry = nullptr,
                     const TelemetryArtifactOptions *Arts = nullptr) {
     ScrollOutcome Out = scrollUnder(Gov, Registry, Arts);
+    ArtifactsWritten &= Out.ArtifactsWritten;
     Table.row()
         .cell(Label)
         .cell(Out.Millijoules, 1)
@@ -185,5 +187,5 @@ int main(int Argc, char **Argv) {
               "budget, and Perf/Interactive race every frame at peak "
               "speed - decisions they cannot avoid because they do not "
               "know the QoS target.\n");
-  return 0;
+  return ArtifactsWritten ? 0 : 1;
 }

@@ -57,6 +57,7 @@ struct Outcome {
   double MillijoulesPerTap = 0.0;
   double MeanLatencyMs = 0.0;
   bool MeetsOneSecond = false;
+  bool ArtifactsWritten = true;
 };
 
 Outcome runEditor(const char *QosRule, unsigned Taps,
@@ -92,13 +93,12 @@ Outcome runEditor(const char *QosRule, unsigned Taps,
     B.dispatchInput("click", "filter-btn");
     Sim.runUntil(Sim.now() + Duration::seconds(3));
   }
+  Outcome Out;
   if (Instrument) {
     Meter.recordSampleNow();
-    writeTelemetryArtifacts(*Artifacts, Tel, B.frameTracker().frames(),
-                            Recorder.intervals());
+    Out.ArtifactsWritten = writeTelemetryArtifacts(
+        *Artifacts, Tel, B.frameTracker().frames(), Recorder.intervals());
   }
-
-  Outcome Out;
   Out.MillijoulesPerTap = Meter.totalJoules() * 1e3 / Taps;
   double SumMs = 0.0;
   size_t Count = 0;
@@ -152,9 +152,11 @@ int main(int Argc, char **Argv) {
       .cell("Mean latency (ms)")
       .cell("Within 1s target");
   bool First = true;
+  bool ArtifactsWritten = true;
   for (const Case &C : Cases) {
     Outcome Out = runEditor(C.Rule, 6, First ? &Artifacts : nullptr);
     First = false;
+    ArtifactsWritten &= Out.ArtifactsWritten;
     Table.row()
         .cell(C.Label)
         .cell(Out.MillijoulesPerTap, 1)
@@ -175,5 +177,5 @@ int main(int Argc, char **Argv) {
       " * Unannotated events are not optimization targets: the chip "
       "stays at the idle configuration, which is cheap but slow - and "
       "invisible to the QoS accounting.\n");
-  return 0;
+  return ArtifactsWritten ? 0 : 1;
 }

@@ -53,6 +53,7 @@ struct RunOutcome {
   double MeanFrameMs = 0.0;
   uint64_t Frames = 0;
   std::string FinalConfig;
+  bool ArtifactsWritten = true;
 };
 
 /// Runs the tap under one governor and reports energy and latencies.
@@ -85,13 +86,12 @@ RunOutcome runOnce(Governor &Gov, AnnotationRegistry &Registry,
   B.frameTracker().clearFrames();
   B.dispatchInput("touchstart", "ex");
   Sim.runUntil(Sim.now() + Duration::fromMillis(2500));
+  RunOutcome Out;
   if (Instrument) {
     Meter.recordSampleNow();
-    writeTelemetryArtifacts(*Artifacts, Tel, B.frameTracker().frames(),
-                            Recorder.intervals());
+    Out.ArtifactsWritten = writeTelemetryArtifacts(
+        *Artifacts, Tel, B.frameTracker().frames(), Recorder.intervals());
   }
-
-  RunOutcome Out;
   Out.Joules = Meter.totalJoules();
   Out.Frames = B.frameTracker().frames().size();
   double SumMs = 0.0;
@@ -167,5 +167,5 @@ int main(int Argc, char **Argv) {
               "lower-power configuration than Perf;\nGreenWeb-U relaxes "
               "to the 33.3ms usable target and drops to the little "
               "cluster for most frames.\n");
-  return 0;
+  return GreenIRun.ArtifactsWritten ? 0 : 1;
 }

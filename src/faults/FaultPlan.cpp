@@ -8,6 +8,7 @@
 
 #include "support/Json.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <cmath>
 #include <cstdio>
@@ -119,61 +120,56 @@ std::string FaultPlan::toJson() const {
   return Out;
 }
 
+namespace {
+
+/// Ingest limits of a fault plan. Times stay far inside the int64
+/// nanoseconds of Duration; a probability is a probability.
+constexpr uint64_t MaxCapMHz = 100'000;
+constexpr double MaxWindowMs = 1e9; ///< Also the largest extra_delay_us.
+constexpr double MaxFactor = 1e6; ///< Scales and watts.
+
+} // namespace
+
 std::optional<FaultPlan> FaultPlan::fromJson(const std::string &Text,
                                              std::string *Error) {
-  auto Fail = [&](const std::string &Msg) -> std::optional<FaultPlan> {
-    if (Error)
-      *Error = Msg;
-    return std::nullopt;
-  };
-
-  std::string ParseError;
-  std::optional<json::Value> Doc = json::parse(Text, &ParseError);
-  if (!Doc)
-    return Fail("invalid JSON: " + ParseError);
-  if (!Doc->isObject())
-    return Fail("fault plan must be a JSON object");
-
+  json::Reader R(Text, "fault plan");
   FaultPlan Plan;
-  Plan.Seed = uint64_t(Doc->numberOr("seed", 1));
-
-  const json::Value *Faults = Doc->get("faults");
-  if (!Faults || !Faults->isArray())
-    return Fail("fault plan needs a \"faults\" array");
-
-  for (const json::Value &F : Faults->Arr) {
-    if (!F.isObject())
-      return Fail("each fault must be a JSON object");
-    std::string KindName = F.stringOr("kind", "");
-    std::optional<FaultKind> Kind = faultKindFromName(KindName);
-    if (!Kind)
-      return Fail("unknown fault kind \"" + KindName + "\"");
-
+  Plan.Seed = R.count("seed", 1);
+  const json::Value *Faults = R.array("faults");
+  for (size_t I = 0; Faults && I < Faults->Arr.size(); ++I) {
+    json::Reader F = R.child(Faults->Arr[I], formatString("fault %zu", I));
     FaultSpec S;
-    S.Kind = *Kind;
-    S.Start = Duration::fromMillis(F.numberOr("start_ms", 0.0));
-    S.Length = Duration::fromMillis(F.numberOr("duration_ms", 0.0));
-    S.CapMHz = unsigned(F.numberOr("cap_mhz", 0.0));
-    S.FailProb = F.numberOr("fail_prob", 0.0);
-    S.ExtraDelay =
-        Duration::nanoseconds(int64_t(F.numberOr("extra_delay_us", 0.0) * 1e3));
-    S.DropProb = F.numberOr("drop_prob", 0.0);
-    S.SigmaWatts = F.numberOr("sigma_watts", 0.0);
-    S.SpikeProb = F.numberOr("spike_prob", 0.0);
-    S.SpikeScale = F.numberOr("spike_scale", 1.0);
-    S.JitterMax = Duration::fromMillis(F.numberOr("jitter_ms", 0.0));
-    S.MislabelProb = F.numberOr("mislabel_prob", 0.0);
-    S.TargetScale = F.numberOr("target_scale", 1.0);
-    if (const json::Value *Flip = F.get("flip_type"))
-      S.FlipType = Flip->B;
-
-    if (S.Start.isNegative() || S.Length.isNegative())
-      return Fail("fault windows cannot start or extend before the origin");
+    std::string KindName = F.string("kind");
+    if (std::optional<FaultKind> Kind = faultKindFromName(KindName))
+      S.Kind = *Kind;
+    else
+      F.fail("unknown fault kind \"" + KindName + "\"");
+    auto Prob = [&F](const char *Key) {
+      return F.number(Key, 0.0, 0.0, 1.0);
+    };
+    auto Ms = [&F](const char *Key) {
+      return Duration::fromMillis(F.number(Key, 0.0, 0.0, MaxWindowMs));
+    };
+    S.Start = Ms("start_ms");
+    S.Length = Ms("duration_ms");
+    S.CapMHz = unsigned(F.count("cap_mhz", 0, MaxCapMHz));
+    S.FailProb = Prob("fail_prob");
+    S.ExtraDelay = Duration::nanoseconds(
+        int64_t(F.number("extra_delay_us", 0.0, 0.0, MaxWindowMs) * 1e3));
+    S.DropProb = Prob("drop_prob");
+    S.SigmaWatts = F.number("sigma_watts", 0.0, 0.0, MaxFactor);
+    S.SpikeProb = Prob("spike_prob");
+    S.SpikeScale = F.number("spike_scale", 1.0, 0.0, MaxFactor);
+    S.JitterMax = Ms("jitter_ms");
+    S.MislabelProb = Prob("mislabel_prob");
+    S.TargetScale = F.number("target_scale", 1.0, 0.0, MaxFactor);
+    S.FlipType = F.boolean("flip_type", false);
     if (S.Kind == FaultKind::ThermalThrottle && S.CapMHz == 0)
-      return Fail("thermal_throttle needs cap_mhz > 0");
-
+      F.fail("thermal_throttle needs cap_mhz > 0");
     Plan.Faults.push_back(S);
   }
+  if (!R.finish(Error))
+    return std::nullopt;
   return Plan;
 }
 

@@ -128,11 +128,23 @@ int greenweb::bestLadderLevel(const AcmpChip &Chip,
 
 namespace {
 
+/// Ingest limits of feature tables and models: a ladder or a tree past
+/// these was not written by gw-train.
+constexpr uint64_t MaxLadderLevels = 1024;
+constexpr uint64_t MaxTreeDepth = 64;
+
 void writeFeatureNames(json::Writer &W) {
   W.key("features").beginArray();
   for (size_t I = 0; I < kNumFeatures; ++I)
     W.str(featureNames()[I]);
   W.endArray();
+}
+
+/// True when the "features" member \p R reads is this build's list.
+bool sameFeatureNames(json::Reader &R) {
+  std::vector<std::string> Names = R.strings("features");
+  return std::equal(Names.begin(), Names.end(), featureNames().begin(),
+                    featureNames().end());
 }
 
 } // namespace
@@ -165,11 +177,6 @@ std::string greenweb::featureRowLine(const FeatureRow &Row,
 
 bool FeatureTable::parse(const std::string &Text, FeatureTable &Out,
                          std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
   FeatureTable T;
   bool SawHeader = false;
   size_t LineNo = 0;
@@ -178,53 +185,40 @@ bool FeatureTable::parse(const std::string &Text, FeatureTable &Out,
     std::string_view Trimmed = trim(Line);
     if (Trimmed.empty())
       continue;
-    std::optional<json::Value> V = json::parse(Trimmed);
-    if (!V || !V->isObject())
-      return Fail(formatString("line %zu is not a JSON object", LineNo));
-    std::string Kind = V->stringOr("kind", "");
-    if (Kind == "meta")
-      continue;
+    json::Reader R(Trimmed, formatString("feature table line %zu", LineNo));
+    std::string Kind = R.string("kind");
     if (Kind == "feature_header") {
-      if (int(V->numberOr("schema", 0)) != 1)
-        return Fail("unsupported feature-table schema");
-      const json::Value *Names = V->get("features");
-      if (!Names || !Names->isArray() ||
-          Names->Arr.size() != kNumFeatures)
-        return Fail("feature-table header has a foreign feature list");
-      for (size_t I = 0; I < kNumFeatures; ++I)
-        if (!Names->Arr[I].isString() ||
-            Names->Arr[I].Str != featureNames()[I])
-          return Fail("feature-table header has a foreign feature list");
-      T.LadderLevels = size_t(V->numberOr("ladder_levels", 0));
+      if (R.number("schema", 0) != 1)
+        R.fail("unsupported feature-table schema");
+      if (!sameFeatureNames(R))
+        R.fail("feature-table header has a foreign feature list");
+      T.LadderLevels = R.count("ladder_levels", 0, MaxLadderLevels);
       if (T.LadderLevels == 0)
-        return Fail("feature-table header has no ladder_levels");
+        R.fail("feature-table header has no ladder_levels");
       SawHeader = true;
-      continue;
+    } else if (Kind == "feature_row") {
+      if (!SawHeader)
+        R.fail("feature rows before the feature_header line");
+      const json::Value *F = R.array("f");
+      if (F && F->Arr.size() != kNumFeatures)
+        R.fail(formatString("line %zu has a malformed feature vector",
+                            LineNo));
+      FeatureRow Row;
+      for (size_t I = 0; R.ok() && I < kNumFeatures; ++I)
+        Row.F[I] = R.number(F->Arr[I], "f");
+      Row.Label =
+          int(R.integer("label", -1, 0, int64_t(T.LadderLevels) - 1));
+      if (Row.Label < 0)
+        R.fail(formatString("line %zu labels outside the ladder", LineNo));
+      T.Rows.push_back(Row);
+    } else if (Kind != "meta") {
+      R.fail(formatString("line %zu is not a feature table record", LineNo));
     }
-    if (Kind != "feature_row")
-      return Fail(formatString("line %zu is not a feature table record",
-                               LineNo));
-    if (!SawHeader)
-      return Fail("feature rows before the feature_header line");
-    const json::Value *F = V->get("f");
-    if (!F || !F->isArray() || F->Arr.size() != kNumFeatures)
-      return Fail(formatString("line %zu has a malformed feature vector",
-                               LineNo));
-    FeatureRow Row;
-    for (size_t I = 0; I < kNumFeatures; ++I) {
-      if (!F->Arr[I].isNumber())
-        return Fail(formatString("line %zu has a non-numeric feature",
-                                 LineNo));
-      Row.F[I] = F->Arr[I].Num;
-    }
-    Row.Label = int(V->numberOr("label", -1));
-    if (Row.Label < 0 || size_t(Row.Label) >= T.LadderLevels)
-      return Fail(formatString("line %zu labels outside the ladder",
-                               LineNo));
-    T.Rows.push_back(Row);
+    if (!R.finish(Error))
+      return false;
   }
   if (!SawHeader)
-    return Fail("not a feature table (no feature_header line)");
+    return failWith(Error, "not a feature table (no feature_header line)");
   Out = std::move(T);
   return true;
 }
@@ -271,72 +265,56 @@ std::string DecisionTreeModel::toJson() const {
 
 bool DecisionTreeModel::parse(const std::string &Text,
                               DecisionTreeModel &Out, std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  std::string ParseError;
-  std::optional<json::Value> Doc = json::parse(Text, &ParseError);
-  if (!Doc || !Doc->isObject())
-    return Fail("model is not a JSON object" +
-                (ParseError.empty() ? "" : " (" + ParseError + ")"));
-  if (Doc->stringOr("kind", "") != "gw_model")
-    return Fail("not a gw-train model (kind mismatch)");
-  if (int(Doc->numberOr("schema", 0)) != 1)
-    return Fail(formatString("unsupported model schema %d",
-                             int(Doc->numberOr("schema", 0))));
-  const json::Value *Names = Doc->get("features");
-  if (!Names || !Names->isArray() || Names->Arr.size() != kNumFeatures)
-    return Fail("model feature schema mismatch");
-  for (size_t I = 0; I < kNumFeatures; ++I)
-    if (!Names->Arr[I].isString() ||
-        Names->Arr[I].Str != featureNames()[I])
-      return Fail("model feature schema mismatch");
+  json::Reader R(Text, "model");
+  if (R.string("kind") != "gw_model")
+    R.fail("not a gw-train model (kind mismatch)");
+  double Schema = R.number("schema", 0);
+  if (Schema != 1)
+    R.fail(formatString("unsupported model schema %g", Schema));
+  if (!sameFeatureNames(R))
+    R.fail("model feature schema mismatch");
 
   DecisionTreeModel M;
-  M.LadderLevels = size_t(Doc->numberOr("ladder_levels", 0));
+  M.LadderLevels = R.count("ladder_levels", 0, MaxLadderLevels);
   if (M.LadderLevels == 0)
-    return Fail("model has no ladder_levels");
-  M.MaxDepth = unsigned(Doc->numberOr("max_depth", 0));
-  M.MinSamplesLeaf = unsigned(Doc->numberOr("min_samples_leaf", 0));
-  M.TrainedRows = uint64_t(Doc->numberOr("rows", 0));
+    R.fail("model has no ladder_levels");
+  M.MaxDepth = unsigned(R.count("max_depth", 0, MaxTreeDepth));
+  M.MinSamplesLeaf = unsigned(R.count("min_samples_leaf", 0, UINT32_MAX));
+  M.TrainedRows = R.count("rows", 0);
 
-  const json::Value *Nodes = Doc->get("nodes");
-  if (!Nodes || !Nodes->isArray() || Nodes->Arr.empty())
-    return Fail("model has no nodes");
-  int Count = int(Nodes->Arr.size());
-  for (int I = 0; I < Count; ++I) {
-    const json::Value &N = Nodes->Arr[size_t(I)];
-    if (!N.isObject())
-      return Fail(formatString("model node %d is malformed", I));
+  const json::Value *Nodes = R.array("nodes");
+  if (Nodes && Nodes->Arr.empty())
+    R.fail("model has no nodes");
+  int64_t Count = Nodes ? int64_t(Nodes->Arr.size()) : 0;
+  for (int64_t I = 0; R.ok() && I < Count; ++I) {
+    const json::Value &V = Nodes->Arr[size_t(I)];
+    json::Reader N = R.child(V, formatString("model node %lld",
+                                             static_cast<long long>(I)));
     TreeNode T;
-    if (const json::Value *Split = N.get("split")) {
-      if (!Split->isNumber())
-        return Fail(formatString("model node %d is malformed", I));
-      T.Feature = int(Split->Num);
-      T.Threshold = N.numberOr("threshold", 0.0);
-      T.Left = int(N.numberOr("left", -1));
-      T.Right = int(N.numberOr("right", -1));
+    if (V.get("split")) {
       // Children must point strictly forward: serialization is
       // pre-order, and the constraint rules out traversal cycles.
-      if (T.Feature < 0 || size_t(T.Feature) >= kNumFeatures ||
-          T.Left <= I || T.Left >= Count || T.Right <= I ||
-          T.Right >= Count)
-        return Fail(formatString("model node %d is malformed", I));
+      T.Feature = int(N.integer("split", -1, 0, int64_t(kNumFeatures) - 1));
+      T.Threshold = N.number("threshold", 0.0);
+      T.Left = int(N.integer("left", -1, I + 1, Count - 1));
+      T.Right = int(N.integer("right", -1, I + 1, Count - 1));
+      if (T.Left < 0 || T.Right < 0)
+        N.fail(formatString("model node %lld has no children",
+                            static_cast<long long>(I)));
     } else {
       T.Feature = -1;
-      T.Leaf = int(N.numberOr("leaf", -1));
-      T.Confidence = N.numberOr("confidence", 0.0);
-      T.Count = uint64_t(N.numberOr("count", 0));
-      if (T.Leaf < 0 || size_t(T.Leaf) >= M.LadderLevels ||
-          T.Confidence < 0.0 || T.Confidence > 1.0)
-        return Fail(formatString("model node %d is malformed", I));
+      T.Leaf = int(N.integer("leaf", -1, 0, int64_t(M.LadderLevels) - 1));
+      T.Confidence = N.number("confidence", 0.0, 0.0, 1.0);
+      T.Count = N.count("count", 0);
+      if (T.Leaf < 0)
+        N.fail(formatString("model node %lld has no leaf",
+                            static_cast<long long>(I)));
     }
     M.Nodes.push_back(T);
   }
-  Out = std::move(M);
-  return true;
+  if (R.ok())
+    Out = std::move(M);
+  return R.finish(Error);
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,18 +22,6 @@ namespace greenweb::prof {
 
 namespace {
 
-RunMeta metaFromJson(const json::Value &V) {
-  RunMeta M;
-  M.Schema = int(V.numberOr("schema", 0));
-  M.GitCommit = V.stringOr("git_commit", "unknown");
-  M.BuildType = V.stringOr("build_type", "unknown");
-  M.Compiler = V.stringOr("compiler", "unknown");
-  M.HardwareThreads = unsigned(V.numberOr("hardware_threads", 0));
-  M.Flags = V.stringOr("flags", "");
-  M.Governor = V.stringOr("governor", "");
-  return M;
-}
-
 std::vector<double> samplesFromJson(const json::Value *Arr) {
   std::vector<double> Out;
   if (!Arr || !Arr->isArray())
@@ -44,9 +32,9 @@ std::vector<double> samplesFromJson(const json::Value *Arr) {
   return Out;
 }
 
-void parseBench(const json::Value &Doc, RunSnapshot &Snap) {
+void parseBench(json::Reader &R, const json::Value &Doc, RunSnapshot &Snap) {
   Snap.SourceKind = "bench";
-  Snap.Harness = Doc.stringOr("harness", "");
+  Snap.Harness = R.string("harness");
   if (const json::Value *Benchmarks = Doc.get("benchmarks");
       Benchmarks && Benchmarks->isArray()) {
     for (const json::Value &B : Benchmarks->Arr) {
@@ -68,15 +56,16 @@ void parseBench(const json::Value &Doc, RunSnapshot &Snap) {
   }
   if (const json::Value *Scalars = Doc.get("scalars");
       Scalars && Scalars->isArray()) {
-    for (const json::Value &Sc : Scalars->Arr) {
-      std::string Name = Sc.stringOr("name", "");
+    for (const json::Value &ScV : Scalars->Arr) {
+      json::Reader Sc = R.child(ScV, "scalar");
+      std::string Name = Sc.string("name");
       if (Name.empty())
         continue;
       MetricSeries S;
       S.Name = Name;
-      S.Value = Sc.numberOr("value", 0.0);
-      S.Unit = Sc.stringOr("unit", "");
-      S.Samples = samplesFromJson(Sc.get("samples"));
+      S.Value = Sc.number("value", 0.0);
+      S.Unit = Sc.string("unit");
+      S.Samples = samplesFromJson(ScV.get("samples"));
       Snap.Metrics.push_back(std::move(S));
     }
   }
@@ -102,7 +91,8 @@ void parseMetrics(const json::Value &Doc, RunSnapshot &Snap) {
     }
 }
 
-void parseTelemetryJsonl(const std::string &Text, RunSnapshot &Snap) {
+bool parseTelemetryJsonl(const std::string &Text, RunSnapshot &Snap,
+                         std::string *Error) {
   Snap.SourceKind = "telemetry";
   std::map<std::string, uint64_t> KindCounts;
   std::map<std::string, std::pair<double, uint64_t>> FieldSums;
@@ -120,7 +110,8 @@ void parseTelemetryJsonl(const std::string &Text, RunSnapshot &Snap) {
       continue;
     if (Kind == "meta") {
       Snap.HasMeta = true;
-      Snap.Meta = metaFromJson(*V);
+      if (!RunMeta::fromJson(*V, Snap.Meta, Error))
+        return false;
       continue;
     }
     ++KindCounts[Kind];
@@ -141,6 +132,7 @@ void parseTelemetryJsonl(const std::string &Text, RunSnapshot &Snap) {
                               SumN.first / double(SumN.second),
                               "",
                               {}});
+  return true;
 }
 
 double normalTwoSidedP(double Z) {
@@ -175,18 +167,24 @@ std::optional<RunSnapshot> RunSnapshot::parse(const std::string &Text,
                  (Doc->get("harness") || Doc->get("benchmarks") ||
                   Doc->get("scalars"));
   if (Doc && Doc->isObject() && (IsBench || Doc->get("counters"))) {
+    json::Reader R(*Doc, IsBench ? "bench document" : "metrics snapshot");
+    std::string MetaError;
     if (const json::Value *Meta = Doc->get("meta");
         Meta && Meta->isObject()) {
       Snap.HasMeta = true;
-      Snap.Meta = metaFromJson(*Meta);
+      if (!RunMeta::fromJson(*Meta, Snap.Meta, &MetaError))
+        R.fail(MetaError);
     }
     if (IsBench)
-      parseBench(*Doc, Snap);
+      parseBench(R, *Doc, Snap);
     else
       parseMetrics(*Doc, Snap);
+    if (!R.finish(Error))
+      return std::nullopt;
   } else {
     // Not a single recognized document: treat as a telemetry JSONL log.
-    parseTelemetryJsonl(Text, Snap);
+    if (!parseTelemetryJsonl(Text, Snap, Error))
+      return std::nullopt;
     if (Snap.Metrics.empty() && !Snap.HasMeta) {
       if (Error) {
         *Error = "unrecognized artifact (not bench JSON, metrics "

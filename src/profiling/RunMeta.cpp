@@ -25,6 +25,14 @@
 
 namespace greenweb::prof {
 
+namespace {
+
+/// Ingest limits of a run-metadata header.
+constexpr int64_t MaxSchema = 1'000'000;
+constexpr uint64_t MaxHardwareThreads = 1 << 16;
+
+} // namespace
+
 RunMeta RunMeta::current(std::string Flags) {
   RunMeta M;
   M.GitCommit = GW_BUILD_GIT_COMMIT;
@@ -71,6 +79,23 @@ std::string joinCommandLine(int Argc, char **Argv) {
     Out += Argv[I];
   }
   return Out;
+}
+
+bool RunMeta::fromJson(const json::Value &V, RunMeta &Out,
+                       std::string *Error) {
+  json::Reader R(V, "run meta");
+  RunMeta M;
+  M.Schema = int(R.integer("schema", 0, 0, MaxSchema));
+  M.GitCommit = R.string("git_commit", "unknown");
+  M.BuildType = R.string("build_type", "unknown");
+  M.Compiler = R.string("compiler", "unknown");
+  M.HardwareThreads =
+      unsigned(R.count("hardware_threads", 0, MaxHardwareThreads));
+  M.Flags = R.string("flags");
+  M.Governor = R.string("governor");
+  if (R.ok())
+    Out = std::move(M);
+  return R.finish(Error);
 }
 
 } // namespace greenweb::prof

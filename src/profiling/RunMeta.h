@@ -23,6 +23,10 @@
 
 #include <string>
 
+namespace greenweb::json {
+struct Value;
+} // namespace greenweb::json
+
 namespace greenweb::prof {
 
 /// Bump when the meaning or layout of exported artifacts changes
@@ -53,6 +57,12 @@ struct RunMeta {
   /// One JSONL header line for telemetry logs:
   /// {"kind":"meta",...same fields...}.
   std::string toJsonlLine() const;
+
+  /// Reads a metadata object (either serialized form; absent fields
+  /// keep the defaults of an unknown producer). False, with a
+  /// diagnostic naming the field, when a field is malformed.
+  static bool fromJson(const json::Value &V, RunMeta &Out,
+                       std::string *Error);
 
   /// Splices this metadata into an existing JSON-object snapshot as a
   /// leading "meta" member: {"meta":{...},<original members>}. The

@@ -92,14 +92,26 @@ inline unsigned lowestBit(uint64_t W) {
 
 } // namespace
 
+Simulator::~Simulator() { releaseHubClock(); }
+
+void Simulator::releaseHubClock() {
+  if (!Clock)
+    return;
+  Clock->End = Now;
+  Clock->At = &Clock->End;
+  Clock.reset();
+}
+
 void Simulator::setTelemetry(Telemetry *T) {
+  releaseHubClock();
   Tel = T;
   if (!Tel) {
     ScheduledCtr = FiredCtr = CancelledCtr = CompactionsCtr = nullptr;
     QueuePeakGauge = nullptr;
     return;
   }
-  Tel->setClock([this] { return Now; });
+  Clock = std::make_shared<HubClock>(HubClock{&Now, Now});
+  Tel->setClock([C = Clock] { return *C->At; });
   MetricsRegistry &M = Tel->metrics();
   ScheduledCtr = &M.counter("sim.events_scheduled");
   FiredCtr = &M.counter("sim.events_fired");

@@ -171,6 +171,8 @@ public:
         Ctrl(std::make_shared<detail::EventControlSlab>()) {}
   Simulator(const Simulator &) = delete;
   Simulator &operator=(const Simulator &) = delete;
+  /// Leaves an attached hub a clock frozen at the final time.
+  ~Simulator();
 
   /// Current virtual time.
   TimePoint now() const { return Now; }
@@ -219,7 +221,9 @@ public:
   /// clock is rebound to this simulator, kernel counters are
   /// registered, and every producer holding a reference to this
   /// Simulator can reach the hub through telemetry(). The hub must
-  /// outlive the simulation (or be detached first).
+  /// outlive the simulation (or be detached first). A hub that is
+  /// detached, replaced, or outlives this simulator keeps a clock
+  /// frozen at the time that happened.
   void setTelemetry(Telemetry *T);
   Telemetry *telemetry() const { return Tel; }
 
@@ -357,6 +361,16 @@ private:
   /// metric pointers keep the enabled-path cost to a few increments and
   /// the disabled-path cost to one branch.
   Telemetry *Tel = nullptr;
+  /// What the attached hub's clock reads: this simulator's Now while
+  /// it is bound, then End, the time it was unbound at. Shared with the
+  /// hub's clock function, so the hub never reads a destroyed simulator.
+  struct HubClock {
+    const TimePoint *At;
+    TimePoint End;
+  };
+  std::shared_ptr<HubClock> Clock;
+  /// Freezes the bound hub's clock at Now and unbinds it.
+  void releaseHubClock();
   /// Optional fault injector (owned by the experiment driver).
   FaultInjector *Faults = nullptr;
   Counter *ScheduledCtr = nullptr;

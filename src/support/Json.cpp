@@ -279,32 +279,210 @@ const Value *Value::get(std::string_view Key) const {
   return nullptr;
 }
 
-double Value::numberOr(std::string_view Key, double Default) const {
-  const Value *V = get(Key);
-  return V && V->K == Kind::Number ? V->Num : Default;
-}
-
 std::string Value::stringOr(std::string_view Key,
                             const std::string &Default) const {
   const Value *V = get(Key);
   return V && V->K == Kind::String ? V->Str : Default;
 }
 
-double Value::hexfloatOr(std::string_view Key, double Default) const {
-  const Value *V = get(Key);
-  return V && V->K == Kind::String ? std::strtod(V->Str.c_str(), nullptr)
-                                   : Default;
-}
-
-std::optional<uint64_t> asCount(const Value *V) {
-  if (!V || !V->isNumber() || !(V->Num >= 0.0 && V->Num <= 0x1p53) ||
-      V->Num != std::floor(V->Num))
-    return std::nullopt;
-  return uint64_t(V->Num);
-}
-
 std::optional<Value> parse(std::string_view Text, std::string *Error) {
   return Parser(Text).run(Error);
+}
+
+namespace {
+
+const Value NullValue;
+
+/// \p V as a diagnostic shows it: numbers and strings as JSON text (long
+/// strings cut), containers by kind.
+std::string describe(const Value &V) {
+  std::string Out;
+  switch (V.K) {
+  case Value::Kind::Null: return "null";
+  case Value::Kind::Bool: return V.B ? "true" : "false";
+  case Value::Kind::Array: return "an array";
+  case Value::Kind::Object: return "an object";
+  case Value::Kind::Number: Writer(Out).shortest(V.Num); return Out;
+  case Value::Kind::String: break;
+  }
+  constexpr size_t Shown = 40;
+  Writer(Out).str(std::string_view(V.Str).substr(0, Shown));
+  if (V.Str.size() > Shown)
+    Out.insert(Out.size() - 1, "...");
+  return Out;
+}
+
+/// An integral number within [Lo, Hi]; compared as doubles, so no
+/// out-of-range value is ever cast.
+bool integralIn(const Value &V, double Lo, double Hi) {
+  return V.isNumber() && V.Num >= Lo && V.Num <= Hi &&
+         V.Num == std::floor(V.Num);
+}
+
+std::string range(double Lo, double Hi) {
+  std::string Out = "[";
+  Writer(Out).shortest(Lo);
+  Out += ", ";
+  if (Hi == double(MaxCount))
+    Out += "2^53";
+  else
+    Writer(Out).shortest(Hi);
+  return Out + "]";
+}
+
+} // namespace
+
+Reader::Reader(std::string *Error, const Value &Obj, std::string Context)
+    : Error(Error), Obj(Obj), Context(std::move(Context)) {
+  if (!Obj.isObject())
+    fail(this->Context + " is not a JSON object");
+}
+
+Reader::Reader(const Value &Obj, std::string Context)
+    : Reader(&OwnError, Obj, std::move(Context)) {}
+
+Reader::Reader(std::string_view Text, std::string Context)
+    : Error(&OwnError), Parsed(json::parse(Text, &OwnError)),
+      Obj(Parsed ? *Parsed : NullValue), Context(std::move(Context)) {
+  if (!Parsed)
+    OwnError = this->Context + " is invalid JSON: " + OwnError;
+  else if (!Obj.isObject())
+    fail(this->Context + " is not a JSON object");
+}
+
+Reader Reader::child(const Value &Obj, std::string Context) {
+  return Reader(Error, Obj, std::move(Context));
+}
+
+const Value *Reader::member(std::string_view Key) const {
+  return ok() ? Obj.get(Key) : nullptr;
+}
+
+void Reader::reject(std::string_view Name, const Value &V,
+                    const std::string &Expected) {
+  fail(Context + " field \"" + std::string(Name) + "\" is " + describe(V) +
+       ": " + Expected);
+}
+
+bool Reader::fail(std::string Message) {
+  if (ok())
+    *Error = std::move(Message);
+  return false;
+}
+
+bool Reader::finish(std::string *Out) const {
+  if (!ok() && Out)
+    *Out = *Error;
+  return ok();
+}
+
+const Value *Reader::typed(std::string_view Key, Value::Kind K,
+                           const char *Expected) {
+  const Value *V = member(Key);
+  if (!V || V->K == K)
+    return V;
+  reject(Key, *V, Expected);
+  return nullptr;
+}
+
+uint64_t Reader::count(const Value &V, std::string_view Name, uint64_t Max) {
+  if (integralIn(V, 0.0, double(Max)))
+    return uint64_t(V.Num);
+  reject(Name, V, "count is not an integer in " + range(0.0, double(Max)));
+  return 0;
+}
+
+int64_t Reader::integer(const Value &V, std::string_view Name, int64_t Lo,
+                        int64_t Hi) {
+  if (integralIn(V, double(Lo), double(Hi)))
+    return int64_t(V.Num);
+  reject(Name, V,
+         "value is not an integer in " + range(double(Lo), double(Hi)));
+  return Lo;
+}
+
+double Reader::number(const Value &V, std::string_view Name, double Lo,
+                      double Hi) {
+  if (V.isNumber() && V.Num >= Lo && V.Num <= Hi)
+    return V.Num;
+  bool Bounded = Lo != -std::numeric_limits<double>::max() ||
+                 Hi != std::numeric_limits<double>::max();
+  reject(Name, V,
+         Bounded ? "value is not a number in " + range(Lo, Hi)
+                 : "value is not a finite number");
+  return Lo;
+}
+
+uint64_t Reader::count(std::string_view Key, uint64_t Default,
+                       uint64_t Max) {
+  const Value *V = member(Key);
+  return V ? count(*V, Key, Max) : Default;
+}
+
+int64_t Reader::integer(std::string_view Key, int64_t Default, int64_t Lo,
+                        int64_t Hi) {
+  const Value *V = member(Key);
+  return V ? integer(*V, Key, Lo, Hi) : Default;
+}
+
+double Reader::number(std::string_view Key, double Default, double Lo,
+                      double Hi) {
+  const Value *V = member(Key);
+  return V ? number(*V, Key, Lo, Hi) : Default;
+}
+
+bool Reader::boolean(std::string_view Key, bool Default) {
+  const Value *V = typed(Key, Value::Kind::Bool, "value is not a boolean");
+  return V ? V->B : Default;
+}
+
+std::string Reader::string(std::string_view Key, std::string Default) {
+  const Value *V = typed(Key, Value::Kind::String, "value is not a string");
+  return V ? V->Str : Default;
+}
+
+std::vector<std::string> Reader::strings(std::string_view Key,
+                                         std::vector<std::string> Default) {
+  const char *Expected = "value is not an array of strings";
+  const Value *V = typed(Key, Value::Kind::Array, Expected);
+  if (!V)
+    return Default;
+  std::vector<std::string> Out;
+  for (const Value &E : V->Arr) {
+    if (!E.isString()) {
+      reject(Key, *V, Expected);
+      return Default;
+    }
+    Out.push_back(E.Str);
+  }
+  return Out;
+}
+
+double Reader::hexfloat(std::string_view Key, double Default) {
+  const char *Expected = "value is not a hex-float string";
+  const Value *V = typed(Key, Value::Kind::String, Expected);
+  if (!V)
+    return Default;
+  char *End = nullptr;
+  double X = std::strtod(V->Str.c_str(), &End);
+  if (!V->Str.empty() && End == V->Str.c_str() + V->Str.size())
+    return X;
+  reject(Key, *V, Expected);
+  return Default;
+}
+
+const Value *Reader::array(std::string_view Key) {
+  const Value *V = typed(Key, Value::Kind::Array, "value is not an array");
+  if (!V)
+    fail(Context + " has no \"" + std::string(Key) + "\" array");
+  return V;
+}
+
+const Value *Reader::object(std::string_view Key) {
+  const Value *V = typed(Key, Value::Kind::Object, "value is not an object");
+  if (!V)
+    fail(Context + " has no \"" + std::string(Key) + "\" object");
+  return V;
 }
 
 std::string objectText(std::string_view Text, std::string_view Marker) {

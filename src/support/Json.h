@@ -5,14 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one JSON reader and the one JSON writer of the repo.
+/// The one JSON reader, the one ingest contract and the one JSON writer
+/// of the repo.
 ///
 /// parse() is a small recursive-descent parser building a document
-/// tree, for the tools that ingest this repo's own artifacts: plans,
-/// checkpoints, models, bench --json files, metrics snapshots and
-/// telemetry JSONL lines. It accepts strict standard JSON only; numbers
-/// parse as double (the artifacts never need 64-bit integer precision
-/// beyond 2^53). Object member order is preserved.
+/// tree. It accepts strict standard JSON only; numbers parse as double
+/// (the artifacts never need integer precision beyond 2^53). Object
+/// member order is preserved.
+///
+/// Reader is how every artifact loader (plans, fault plans, feature
+/// tables, models, checkpoints and their states, sched artifacts, run
+/// metadata) turns a parsed object into typed fields. Each read names
+/// the key, a default for when it is absent, and the range the artifact
+/// allows; each artifact states those limits once, as named constants
+/// beside its loader. A key that is present with the wrong type, a
+/// fraction where an integer is needed, or a value out of range is an
+/// error: the reader keeps the first one as a diagnostic naming the key
+/// and the value it got, returns defaults from then on, and the loader
+/// hands the diagnostic to its caller once, at the end. No loader
+/// casts a double it has not range-checked.
 ///
 /// Writer appends compact JSON to a caller-owned string. Every
 /// artifact serializer writes through it, so separators, escaping and
@@ -29,6 +40,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,19 +71,94 @@ struct Value {
   /// Member lookup (first match); nullptr when absent or not an object.
   const Value *get(std::string_view Key) const;
 
-  /// Typed convenience accessors on object members.
-  double numberOr(std::string_view Key, double Default) const;
+  /// A string member, or \p Default when absent or not a string: for
+  /// lenient scans such as log lines. Artifact loaders use Reader.
   std::string stringOr(std::string_view Key,
                        const std::string &Default) const;
-  /// A member written by Writer::hexfloat.
-  double hexfloatOr(std::string_view Key, double Default) const;
 };
 
-/// \p V as an exact count: a number that is integral, non-negative and
-/// at most 2^53 (past which doubles skip integers). nullopt when \p V is
-/// null or anything else, so state loaders never truncate 1.5 to 1 or
-/// cast an out-of-range double.
-std::optional<uint64_t> asCount(const Value *V);
+/// The largest count a double holds exactly: past 2^53 doubles skip
+/// integers, so no artifact count may exceed it.
+inline constexpr uint64_t MaxCount = uint64_t(1) << 53;
+
+/// Typed, range-checked reads of one JSON object's members; see the
+/// file comment. Every read returns its default when the key is absent
+/// or an error is already kept.
+class Reader {
+public:
+  /// Reads \p Obj, named \p Context in diagnostics ("plan",
+  /// "model node 3"). A non-object is the first error.
+  Reader(const Value &Obj, std::string Context);
+  Reader(const Value &&, std::string) = delete; ///< Would dangle.
+  /// Parses \p Text and reads the document it holds; a syntax error is
+  /// the first error ("<Context> is invalid JSON: ...").
+  Reader(std::string_view Text, std::string Context);
+  Reader(const Reader &) = delete;
+  Reader &operator=(const Reader &) = delete;
+
+  /// A reader of the nested object \p Obj that records its errors in
+  /// this reader's diagnostic.
+  Reader child(const Value &Obj, std::string Context);
+  Reader child(const Value &&, std::string) = delete;
+
+  /// An integral number in [0, \p Max] (\p Max <= MaxCount).
+  uint64_t count(std::string_view Key, uint64_t Default,
+                 uint64_t Max = MaxCount);
+  /// An integral number in [\p Lo, \p Hi] (both within +-2^53).
+  int64_t integer(std::string_view Key, int64_t Default, int64_t Lo,
+                  int64_t Hi);
+  /// A finite number in [\p Lo, \p Hi].
+  double number(std::string_view Key, double Default,
+                double Lo = -std::numeric_limits<double>::max(),
+                double Hi = std::numeric_limits<double>::max());
+  bool boolean(std::string_view Key, bool Default);
+  std::string string(std::string_view Key, std::string Default = {});
+  std::vector<std::string> strings(std::string_view Key,
+                                   std::vector<std::string> Default = {});
+  /// A string written by Writer::hexfloat (any text strtod consumes
+  /// whole, so infinities round-trip too).
+  double hexfloat(std::string_view Key, double Default);
+
+  /// The same checks on an array element \p V, named \p Name ("seeds",
+  /// "bucket count") in diagnostics.
+  uint64_t count(const Value &V, std::string_view Name,
+                 uint64_t Max = MaxCount);
+  int64_t integer(const Value &V, std::string_view Name, int64_t Lo,
+                  int64_t Hi);
+  double number(const Value &V, std::string_view Name,
+                double Lo = -std::numeric_limits<double>::max(),
+                double Hi = std::numeric_limits<double>::max());
+
+  /// A required array or object member; nullptr, with an error, when it
+  /// is absent or of another type.
+  const Value *array(std::string_view Key);
+  const Value *object(std::string_view Key);
+
+  /// Records \p Message unless an error is already kept; returns false.
+  bool fail(std::string Message);
+  bool ok() const { return Error->empty(); }
+  /// ok(); when false and \p Out is given, stores the diagnostic there.
+  bool finish(std::string *Out) const;
+
+private:
+  Reader(std::string *Error, const Value &Obj, std::string Context);
+
+  /// The member \p Key when no error is kept; nullptr otherwise.
+  const Value *member(std::string_view Key) const;
+  /// member(Key) when it has kind \p K; nullptr when absent, and with
+  /// an error when of another kind.
+  const Value *typed(std::string_view Key, Value::Kind K,
+                     const char *Expected);
+  /// Records "<Context> field \"Name\" is <V>: <Expected>".
+  void reject(std::string_view Name, const Value &V,
+              const std::string &Expected);
+
+  std::string OwnError;
+  std::string *Error; ///< OwnError, or the parent's for a child.
+  std::optional<Value> Parsed; ///< The document, when parsed here.
+  const Value &Obj;
+  std::string Context;
+};
 
 /// Containers nested deeper than this are rejected, so hostile input
 /// cannot exhaust the stack. The artifacts nest at most a few levels.

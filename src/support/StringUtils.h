@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace greenweb {
@@ -59,6 +60,15 @@ template <class T> std::optional<T> parseCount(std::string_view S) {
 
 /// Parses a floating-point number; rejects trailing junk.
 std::optional<double> parseDouble(std::string_view S);
+
+/// Stores \p Message in \p *Error when \p Error is given; returns false,
+/// so a function reporting through a `std::string *Error` out-parameter
+/// fails with `return failWith(Error, ...)`.
+inline bool failWith(std::string *Error, std::string Message) {
+  if (Error)
+    *Error = std::move(Message);
+  return false;
+}
 
 /// Escapes \p S for embedding in a JSON string literal: a backslash
 /// before '"' and '\\', the two-character escapes for backspace, form

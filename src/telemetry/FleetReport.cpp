@@ -86,60 +86,44 @@ std::string FleetState::toJson() const {
 
 bool FleetState::fromJson(const json::Value &V, FleetState &Out,
                           std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("fleet state is not an object");
+  json::Reader R(V, "fleet state");
   FleetState S;
-  const json::Value *Agg = V.get("agg");
-  if (!Agg || !StreamAggregator::fromStateJson(*Agg, S.Agg, Error))
-    return false;
-  const json::Value *Shards = V.get("shards");
-  if (!Shards || !Shards->isArray())
-    return Fail("fleet state has no shard array");
-  for (const json::Value &E : Shards->Arr) {
-    if (!E.isObject())
-      return Fail("malformed shard rollup");
-    FleetShardRollup R;
-    R.Shard = uint64_t(E.numberOr("shard", 0));
-    R.FirstItem = uint64_t(E.numberOr("first_item", 0));
-    R.Items = uint64_t(E.numberOr("items", 0));
-    R.QosViolations = uint64_t(E.numberOr("qos", 0));
-    R.Alerts = uint64_t(E.numberOr("alerts", 0));
-    R.Joules = E.hexfloatOr("joules", 0.0);
-    R.WorstItem = uint64_t(E.numberOr("worst_item", 0));
-    R.WorstLabel = E.stringOr("worst_label", "");
-    R.WorstViolationPct = E.hexfloatOr("worst_violation_pct", 0.0);
-    S.Shards.push_back(std::move(R));
-  }
-  const json::Value *Worst = V.get("worst");
-  if (!Worst || !Worst->isArray())
-    return Fail("fleet state has no worst-device array");
-  for (const json::Value &E : Worst->Arr) {
-    if (!E.isObject())
-      return Fail("malformed worst-device entry");
-    FleetWorstDevice D;
-    D.Item = uint64_t(E.numberOr("item", 0));
-    D.Label = E.stringOr("label", "");
-    D.ViolationPct = E.hexfloatOr("violation_pct", 0.0);
-    D.Joules = E.hexfloatOr("joules", 0.0);
-    D.Alerts = uint64_t(E.numberOr("alerts", 0));
-    D.BlackBoxRef = E.stringOr("black_box", "");
-    S.Worst.push_back(std::move(D));
-  }
-  const json::Value *Warm = V.get("warm_keys");
-  if (!Warm || !Warm->isArray())
-    return Fail("fleet state has no warm-key array");
-  for (const json::Value &E : Warm->Arr) {
-    if (!E.isString())
-      return Fail("malformed warm key");
-    S.WarmKeys.push_back(E.Str);
-  }
-  Out = std::move(S);
-  return true;
+  std::string AggError;
+  if (const json::Value *Agg = R.object("agg"))
+    if (!StreamAggregator::fromStateJson(*Agg, S.Agg, &AggError))
+      R.fail(AggError);
+  if (const json::Value *Shards = R.array("shards"))
+    for (const json::Value &E : Shards->Arr) {
+      json::Reader Sh = R.child(E, "shard rollup");
+      FleetShardRollup Roll;
+      Roll.Shard = Sh.count("shard", 0);
+      Roll.FirstItem = Sh.count("first_item", 0);
+      Roll.Items = Sh.count("items", 0);
+      Roll.QosViolations = Sh.count("qos", 0);
+      Roll.Alerts = Sh.count("alerts", 0);
+      Roll.Joules = Sh.hexfloat("joules", 0.0);
+      Roll.WorstItem = Sh.count("worst_item", 0);
+      Roll.WorstLabel = Sh.string("worst_label");
+      Roll.WorstViolationPct = Sh.hexfloat("worst_violation_pct", 0.0);
+      S.Shards.push_back(std::move(Roll));
+    }
+  if (const json::Value *Worst = R.array("worst"))
+    for (const json::Value &E : Worst->Arr) {
+      json::Reader W = R.child(E, "worst-device entry");
+      FleetWorstDevice D;
+      D.Item = W.count("item", 0);
+      D.Label = W.string("label");
+      D.ViolationPct = W.hexfloat("violation_pct", 0.0);
+      D.Joules = W.hexfloat("joules", 0.0);
+      D.Alerts = W.count("alerts", 0);
+      D.BlackBoxRef = W.string("black_box");
+      S.Worst.push_back(std::move(D));
+    }
+  if (R.array("warm_keys"))
+    S.WarmKeys = R.strings("warm_keys");
+  if (R.ok())
+    Out = std::move(S);
+  return R.finish(Error);
 }
 
 //===----------------------------------------------------------------------===//
@@ -197,67 +181,58 @@ std::string FleetCheckpoint::serialize() const {
 
 bool FleetCheckpoint::load(const std::string &Text, FleetCheckpoint &Out,
                            std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
+  json::Reader R(Text, "fleet checkpoint");
   size_t Footer = Text.rfind(",\"payload_length\":");
   if (Footer == std::string::npos)
-    return Fail("not a fleet checkpoint (no integrity footer)");
-  std::string ParseError;
-  auto Doc = json::parse(Text, &ParseError);
-  if (!Doc || !Doc->isObject())
-    return Fail("not a fleet checkpoint (" +
-                (ParseError.empty() ? "unparseable" : ParseError) + ")");
-  if (Doc->stringOr("kind", "") != "fleet_checkpoint")
-    return Fail("not a fleet checkpoint (kind mismatch)");
+    R.fail("not a fleet checkpoint (no integrity footer)");
+  else if (R.string("kind") != "fleet_checkpoint")
+    R.fail("not a fleet checkpoint (kind mismatch)");
   // Refuse other schemas before reading anything else, so a state in
   // another layout is never half-parsed.
-  double Got = Doc->numberOr("schema", 0);
-  if (Got != Schema)
-    return Fail(formatString("unsupported fleet checkpoint schema %g "
-                             "(this build reads schema %d)",
-                             Got, Schema));
-  uint64_t Length = uint64_t(Doc->numberOr("payload_length", 0));
-  if (Length != Footer)
-    return Fail(formatString("checkpoint corrupt: payload length %llu "
-                             "does not match the %llu bytes on disk "
-                             "(truncated or edited)",
-                             static_cast<unsigned long long>(Length),
-                             static_cast<unsigned long long>(Footer)));
-  uint64_t Sum = std::strtoull(Doc->stringOr("checksum", "0").c_str(),
-                               nullptr, 16);
-  uint64_t Actual = fleetHash(std::string_view(Text).substr(0, Footer));
+  double Got = R.number("schema", 0);
+  if (R.ok() && Got != Schema)
+    R.fail(formatString("unsupported fleet checkpoint schema %g "
+                        "(this build reads schema %d)",
+                        Got, Schema));
+  uint64_t Length = R.count("payload_length", 0);
+  if (R.ok() && Length != Footer)
+    R.fail(formatString("checkpoint corrupt: payload length %llu "
+                        "does not match the %llu bytes on disk "
+                        "(truncated or edited)",
+                        static_cast<unsigned long long>(Length),
+                        static_cast<unsigned long long>(Footer)));
+  uint64_t Sum = std::strtoull(R.string("checksum", "0").c_str(), nullptr, 16);
+  uint64_t Actual =
+      R.ok() ? fleetHash(std::string_view(Text).substr(0, Footer)) : Sum;
   if (Sum != Actual)
-    return Fail(formatString("checkpoint corrupt: checksum %016llx does "
-                             "not match recomputed %016llx",
-                             static_cast<unsigned long long>(Sum),
-                             static_cast<unsigned long long>(Actual)));
+    R.fail(formatString("checkpoint corrupt: checksum %016llx does "
+                        "not match recomputed %016llx",
+                        static_cast<unsigned long long>(Sum),
+                        static_cast<unsigned long long>(Actual)));
 
   FleetCheckpoint C;
-  C.PlanName = Doc->stringOr("plan_name", "");
-  C.PlanHash = std::strtoull(Doc->stringOr("plan_hash", "0").c_str(),
-                             nullptr, 16);
-  C.BaselineGovernor = Doc->stringOr("baseline_governor", "");
-  C.ItemsTotal = uint64_t(Doc->numberOr("items_total", 0));
-  std::string Bitmap = Doc->stringOr("bitmap", "");
-  if (Bitmap.size() != 2 * ((C.ItemsTotal + 7) / 8))
-    return Fail("checkpoint corrupt: bitmap length mismatch");
-  for (size_t I = 0; I + 1 < Bitmap.size(); I += 2) {
+  C.PlanName = R.string("plan_name");
+  C.PlanHash = std::strtoull(R.string("plan_hash", "0").c_str(), nullptr, 16);
+  C.BaselineGovernor = R.string("baseline_governor");
+  C.ItemsTotal = R.count("items_total", 0);
+  std::string Bitmap = R.string("bitmap");
+  if (R.ok() && Bitmap.size() != 2 * ((C.ItemsTotal + 7) / 8))
+    R.fail("checkpoint corrupt: bitmap length mismatch");
+  for (size_t I = 0; R.ok() && I + 1 < Bitmap.size(); I += 2) {
     unsigned B = 0;
     if (std::sscanf(Bitmap.c_str() + I, "%02x", &B) != 1)
-      return Fail("checkpoint corrupt: bitmap is not hex");
+      R.fail("checkpoint corrupt: bitmap is not hex");
     C.DoneBitmap.push_back(uint8_t(B));
   }
-  const json::Value *S = Doc->get("state");
   std::string StateError;
-  if (!S || !FleetState::fromJson(*S, C.State, &StateError))
-    return Fail("checkpoint corrupt: " +
-                (StateError.empty() ? "no state section" : StateError));
-  C.ReportJson = fleetReportSectionFromArtifact(Text);
-  Out = std::move(C);
-  return true;
+  if (const json::Value *S = R.object("state"))
+    if (!FleetState::fromJson(*S, C.State, &StateError))
+      R.fail("checkpoint corrupt: " + StateError);
+  if (R.ok()) {
+    C.ReportJson = fleetReportSectionFromArtifact(Text);
+    Out = std::move(C);
+  }
+  return R.finish(Error);
 }
 
 std::string

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 
 using namespace greenweb;
 
@@ -121,50 +120,33 @@ void QuantileSketch::writeSummary(json::Writer &W) const {
 
 bool QuantileSketch::deserialize(const json::Value &V, QuantileSketch &Out,
                                  std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("sketch state is not an object");
-  if (V.numberOr("s", 0) != S)
-    return Fail("sketch sub-bucket constant mismatch");
-  std::optional<uint64_t> Count = json::asCount(V.get("count"));
-  std::optional<uint64_t> Zero = json::asCount(V.get("zero"));
-  if (!Count || !Zero)
-    return Fail("sketch sample count is not an integer in [0, 2^53]");
+  json::Reader R(V, "sketch");
+  if (R.count("s", 0) != S)
+    R.fail("sketch sub-bucket constant mismatch");
   QuantileSketch Q;
-  Q.Count = *Count;
-  Q.ZeroCount = *Zero;
-  Q.Lo = V.hexfloatOr("min", 0.0);
-  Q.Hi = V.hexfloatOr("max", 0.0);
-  const json::Value *Buckets = V.get("buckets");
-  if (!Buckets || !Buckets->isArray())
-    return Fail("sketch state has no bucket array");
+  Q.Count = R.count("count", 0);
+  Q.ZeroCount = R.count("zero", 0);
+  Q.Lo = R.hexfloat("min", 0.0);
+  Q.Hi = R.hexfloat("max", 0.0);
   // Every N is <= 2^53 and Sum stops at Count <= 2^53, so it never wraps.
   uint64_t Sum = Q.ZeroCount;
-  for (const json::Value &Entry : Buckets->Arr) {
-    if (!Entry.isArray() || Entry.Arr.size() != 2 ||
-        !Entry.Arr[0].isNumber())
-      return Fail("malformed sketch bucket entry");
-    // Range-check the key as a double: casting 1e308 first is undefined.
-    double K = Entry.Arr[0].Num;
-    if (!(K >= MinKey && K <= MaxKey) || K != std::floor(K))
-      return Fail("sketch bucket key out of range or not an integer");
-    int32_t Key = int32_t(K);
-    if (!Q.Buckets.empty() && Key <= Q.Buckets.rbegin()->first)
-      return Fail("sketch bucket keys are not strictly ascending");
-    std::optional<uint64_t> N = json::asCount(&Entry.Arr[1]);
-    if (!N)
-      return Fail("sketch bucket count is not an integer in [0, 2^53]");
-    Q.Buckets.emplace_hint(Q.Buckets.end(), Key, *N);
-    Sum += *N;
-    if (Sum > Q.Count)
+  const json::Value *Buckets = R.array("buckets");
+  for (size_t I = 0; Buckets && I < Buckets->Arr.size(); ++I) {
+    const json::Value &Entry = Buckets->Arr[I];
+    if (!Entry.isArray() || Entry.Arr.size() != 2)
+      R.fail("malformed sketch bucket entry");
+    if (!R.ok() || Sum > Q.Count)
       break;
+    auto Key = int32_t(R.integer(Entry.Arr[0], "bucket key", MinKey, MaxKey));
+    uint64_t N = R.count(Entry.Arr[1], "bucket count");
+    if (!Q.Buckets.empty() && Key <= Q.Buckets.rbegin()->first)
+      R.fail("sketch bucket keys are not strictly ascending");
+    Q.Buckets.emplace_hint(Q.Buckets.end(), Key, N);
+    Sum += N;
   }
   if (Sum != Q.Count)
-    return Fail("sketch bucket counts do not sum to the sample count");
-  Out = std::move(Q);
-  return true;
+    R.fail("sketch bucket counts do not sum to the sample count");
+  if (R.ok())
+    Out = std::move(Q);
+  return R.finish(Error);
 }

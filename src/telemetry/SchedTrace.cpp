@@ -10,7 +10,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unistd.h>
 
 using namespace greenweb;
@@ -264,50 +263,43 @@ std::string greenweb::schedArtifactJson(const SchedTrace &Trace,
   return Out;
 }
 
+namespace {
+
+/// Ingest limit of a sched artifact: more workers than any host runs.
+constexpr uint64_t MaxWorkers = 4096;
+
+} // namespace
+
 bool greenweb::schedTraceFromArtifact(const std::string &Text,
                                       SchedTrace &Out, std::string *Error) {
-  auto Fail = [Error](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  std::string ParseError;
-  std::optional<json::Value> Doc = json::parse(Text, &ParseError);
-  if (!Doc)
-    return Fail(("invalid JSON: " + ParseError).c_str());
-  if (!Doc->isObject() || Doc->stringOr("kind", "") != "sched_trace")
-    return Fail("not a sched artifact (expected kind \"sched_trace\")");
-  const json::Value *Items = Doc->get("items");
-  if (!Items || !Items->isArray())
-    return Fail("sched artifact has no items array");
-
-  // Every numeric field is an integer nanosecond count well under
-  // 2^53, so the double round trip through the JSON parser is exact.
-  auto AsI64 = [](const json::Value &V, std::string_view Key) {
-    return int64_t(std::llround(V.numberOr(Key, 0.0)));
-  };
+  json::Reader R(Text, "sched artifact");
+  if (R.string("kind") != "sched_trace")
+    R.fail("not a sched artifact (expected kind \"sched_trace\")");
+  // Every numeric field is an integer nanosecond count well under 2^53,
+  // so the double round trip through the JSON parser is exact.
   std::vector<SchedItem> Parsed;
-  Parsed.reserve(Items->Arr.size());
-  for (const json::Value &V : Items->Arr) {
-    SchedItem I;
-    I.Item = uint64_t(AsI64(V, "item"));
-    I.Worker = unsigned(AsI64(V, "worker"));
-    I.Label = V.stringOr("label", "");
-    I.StartNs = AsI64(V, "start_ns");
-    I.RunNs = AsI64(V, "run_ns");
-    I.SetupNs = AsI64(V, "setup_ns");
-    I.SimNs = AsI64(V, "sim_ns");
-    I.HookNs = AsI64(V, "hook_ns");
-    I.MergeNs = AsI64(V, "merge_ns");
-    I.HubRecords = AsI64(V, "hub_records");
-    Parsed.push_back(std::move(I));
-  }
-  Out = SchedTrace::fromParts(
-      unsigned(std::llround(Doc->numberOr("workers", 0.0))),
-      int64_t(std::llround(Doc->numberOr("batch_ns", 0.0))),
-      int64_t(std::llround(Doc->numberOr("merge_ns", 0.0))),
-      std::move(Parsed));
-  return true;
+  if (const json::Value *Items = R.array("items"))
+    for (const json::Value &V : Items->Arr) {
+      json::Reader It = R.child(V, "sched item");
+      SchedItem I;
+      I.Item = It.count("item", 0);
+      I.Worker = unsigned(It.count("worker", 0, MaxWorkers - 1));
+      I.Label = It.string("label");
+      I.StartNs = int64_t(It.count("start_ns", 0));
+      I.RunNs = int64_t(It.count("run_ns", 0));
+      I.SetupNs = int64_t(It.count("setup_ns", 0));
+      I.SimNs = int64_t(It.count("sim_ns", 0));
+      I.HookNs = int64_t(It.count("hook_ns", 0));
+      I.MergeNs = int64_t(It.count("merge_ns", 0));
+      I.HubRecords = int64_t(It.count("hub_records", 0));
+      Parsed.push_back(std::move(I));
+    }
+  unsigned Workers = unsigned(R.count("workers", 0, MaxWorkers));
+  int64_t BatchNs = int64_t(R.count("batch_ns", 0));
+  int64_t MergeNs = int64_t(R.count("merge_ns", 0));
+  if (R.ok())
+    Out = SchedTrace::fromParts(Workers, BatchNs, MergeNs, std::move(Parsed));
+  return R.finish(Error);
 }
 
 std::string

@@ -9,7 +9,6 @@
 #include "support/Json.h"
 
 #include <cstdlib>
-#include <optional>
 
 using namespace greenweb;
 
@@ -109,27 +108,15 @@ void writeStatState(json::Writer &W, const RunningStat &S) {
   W.endObject();
 }
 
-bool statFromJson(const json::Value &V, RunningStat &Out,
-                  std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("running-stat state is not an object");
-  std::optional<uint64_t> N = json::asCount(V.get("n"));
-  if (!N)
-    return Fail("running-stat sample count is not an integer in [0, 2^53]");
+RunningStat readStat(json::Reader R) {
   RunningStatState St;
-  St.N = size_t(*N);
-  St.Sum = V.hexfloatOr("sum", 0.0);
-  St.Min = V.hexfloatOr("min", 0.0);
-  St.Max = V.hexfloatOr("max", 0.0);
-  St.WelfordMean = V.hexfloatOr("mean", 0.0);
-  St.M2 = V.hexfloatOr("m2", 0.0);
-  Out = RunningStat::fromState(St);
-  return true;
+  St.N = size_t(R.count("n", 0));
+  St.Sum = R.hexfloat("sum", 0.0);
+  St.Min = R.hexfloat("min", 0.0);
+  St.Max = R.hexfloat("max", 0.0);
+  St.WelfordMean = R.hexfloat("mean", 0.0);
+  St.M2 = R.hexfloat("m2", 0.0);
+  return RunningStat::fromState(St);
 }
 
 /// A histogram's exact state: {"stat":<RunningStat>,"sketch":<sketch>}.
@@ -150,50 +137,32 @@ void writeGroupState(json::Writer &W, const StreamAggregator::Group &G) {
   W.endObject();
 }
 
-bool groupFromJson(const json::Value &V, StreamAggregator::Group &Out,
-                   std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("group state is not an object");
-  std::optional<uint64_t> Runs = json::asCount(V.get("runs"));
-  std::optional<uint64_t> Frames = json::asCount(V.get("frames"));
-  std::optional<uint64_t> Qos = json::asCount(V.get("qos"));
-  std::optional<uint64_t> Alerts = json::asCount(V.get("alerts"));
-  if (!Runs || !Frames || !Qos || !Alerts)
-    return Fail("group state count is not an integer in [0, 2^53]");
-  Out.Runs = *Runs;
-  Out.Frames = *Frames;
-  Out.QosViolations = *Qos;
-  Out.Alerts = *Alerts;
-  Out.Joules = V.hexfloatOr("joules", 0.0);
-  auto ReadHistogram = [&](const char *Key, Histogram &H) {
-    const json::Value *Hist = V.get(Key);
-    const json::Value *StatV = Hist ? Hist->get("stat") : nullptr;
-    const json::Value *SketchV = Hist ? Hist->get("sketch") : nullptr;
-    if (!StatV || !SketchV)
-      return Fail("group state histogram is missing or incomplete");
-    RunningStat Stat;
-    QuantileSketch Sketch;
-    if (!statFromJson(*StatV, Stat, Error) ||
-        !QuantileSketch::deserialize(*SketchV, Sketch, Error))
-      return false;
-    H = Histogram(Stat, std::move(Sketch));
-    return true;
-  };
-  auto ReadSketch = [&](const char *Key, QuantileSketch &Q) {
-    const json::Value *SketchV = V.get(Key);
-    if (!SketchV)
-      return Fail("group state sketch is missing");
-    return QuantileSketch::deserialize(*SketchV, Q, Error);
-  };
-  return ReadHistogram("energy_j", Out.EnergyJ) &&
-         ReadHistogram("violation_pct", Out.ViolationPct) &&
-         ReadSketch("frame_latency_ms", Out.FrameLatencyMs) &&
-         ReadSketch("energy_per_frame_mj", Out.EnergyPerFrameMj);
+void readSketch(json::Reader &R, const char *Key, QuantileSketch &Q) {
+  std::string Error;
+  if (const json::Value *V = R.object(Key))
+    if (!QuantileSketch::deserialize(*V, Q, &Error))
+      R.fail(Error);
+}
+
+void readGroup(json::Reader G, StreamAggregator::Group &Out) {
+  Out.Runs = G.count("runs", 0);
+  Out.Frames = G.count("frames", 0);
+  Out.QosViolations = G.count("qos", 0);
+  Out.Alerts = G.count("alerts", 0);
+  Out.Joules = G.hexfloat("joules", 0.0);
+  for (auto [Key, H] : {std::pair{"energy_j", &Out.EnergyJ},
+                        std::pair{"violation_pct", &Out.ViolationPct}})
+    if (const json::Value *Hist = G.object(Key)) {
+      json::Reader HR = G.child(*Hist, Key);
+      RunningStat Stat;
+      if (const json::Value *StatV = HR.object("stat"))
+        Stat = readStat(HR.child(*StatV, "running stat"));
+      QuantileSketch Sketch;
+      readSketch(HR, "sketch", Sketch);
+      *H = Histogram(Stat, std::move(Sketch));
+    }
+  readSketch(G, "frame_latency_ms", Out.FrameLatencyMs);
+  readSketch(G, "energy_per_frame_mj", Out.EnergyPerFrameMj);
 }
 
 } // namespace
@@ -207,28 +176,16 @@ void StreamAggregator::writeState(json::Writer &W) const {
 bool StreamAggregator::fromStateJson(const json::Value &V,
                                      StreamAggregator &Out,
                                      std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (!V.isObject())
-    return Fail("aggregator state is not an object");
+  json::Reader R(V, "aggregator state");
   StreamAggregator A;
-  const json::Value *T = V.get("total");
-  if (!T || !groupFromJson(*T, A.Total, Error))
-    return false;
-  auto Section = [&](const char *Key, std::map<std::string, Group> &Groups) {
-    const json::Value *Sec = V.get(Key);
-    if (!Sec || !Sec->isObject())
-      return Fail("aggregator state section missing");
-    for (const auto &[Name, G] : Sec->Obj)
-      if (!groupFromJson(G, Groups[Name], Error))
-        return false;
-    return true;
-  };
-  if (!Section("by_app", A.ByApp) || !Section("by_governor", A.ByGovernor))
-    return false;
-  Out = std::move(A);
-  return true;
+  if (const json::Value *T = R.object("total"))
+    readGroup(R.child(*T, "group"), A.Total);
+  for (auto [Key, Groups] : {std::pair{"by_app", &A.ByApp},
+                             std::pair{"by_governor", &A.ByGovernor}})
+    if (const json::Value *Sec = R.object(Key))
+      for (const auto &[Name, G] : Sec->Obj)
+        readGroup(R.child(G, "group " + Name), (*Groups)[Name]);
+  if (R.ok())
+    Out = std::move(A);
+  return R.finish(Error);
 }

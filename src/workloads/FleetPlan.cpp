@@ -96,105 +96,75 @@ uint64_t FleetPlan::hash() const { return fleetHash(toJson()); }
 
 namespace {
 
-bool stringList(const json::Value &Doc, const char *Key,
-                std::vector<std::string> &Out, std::string *Error) {
-  const json::Value *V = Doc.get(Key);
-  if (!V)
-    return true; // Optional; caller applies defaults.
-  if (!V->isArray()) {
-    if (Error)
-      *Error = formatString("plan field '%s' is not an array", Key);
-    return false;
-  }
-  Out.clear();
-  for (const json::Value &E : V->Arr) {
-    if (!E.isString()) {
-      if (Error)
-        *Error = formatString("plan field '%s' holds a non-string", Key);
-      return false;
-    }
-    Out.push_back(E.Str);
-  }
-  return true;
-}
+/// Ingest limits of a plan document: a replica or repetition count past
+/// these is a typo, not a population.
+constexpr uint64_t MaxReplicas = 1'000'000;
+constexpr uint64_t MaxMicroRepetitions = 10'000;
 
 } // namespace
 
 bool FleetPlan::parse(const std::string &Text, FleetPlan &Out,
                       std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  std::string ParseError;
-  auto Doc = json::parse(Text, &ParseError);
-  if (!Doc || !Doc->isObject())
-    return Fail("plan is not a JSON object" +
-                (ParseError.empty() ? "" : " (" + ParseError + ")"));
-
+  json::Reader R(Text, "plan");
   FleetPlan P;
-  P.Name = Doc->stringOr("name", "fleet");
-  std::string Mode = Doc->stringOr("mode", "micro");
-  if (Mode == "micro")
-    P.Mode = ExperimentMode::Micro;
-  else if (Mode == "full")
+  P.Name = R.string("name", P.Name);
+  std::string Mode = R.string("mode", "micro");
+  if (Mode == "full")
     P.Mode = ExperimentMode::Full;
-  else
-    return Fail("plan mode must be \"micro\" or \"full\"");
-
-  if (!stringList(*Doc, "apps", P.Apps, Error) ||
-      !stringList(*Doc, "governors", P.Governors, Error) ||
-      !stringList(*Doc, "scenarios", P.Scenarios, Error))
-    return false;
-  if (const json::Value *V = Doc->get("seeds")) {
-    if (!V->isArray())
-      return Fail("plan field 'seeds' is not an array");
-    P.Seeds.clear();
-    for (const json::Value &E : V->Arr) {
-      if (!E.isNumber())
-        return Fail("plan field 'seeds' holds a non-number");
-      P.Seeds.push_back(uint64_t(E.Num));
-    }
-  }
-  P.Replicas = uint32_t(Doc->numberOr("replicas", 1));
-  P.MicroRepetitions = unsigned(Doc->numberOr("micro_repetitions", 8));
-  P.BaselineGovernor = Doc->stringOr(
+  else if (Mode != "micro")
+    R.fail("plan mode must be \"micro\" or \"full\"");
+  P.Apps = R.strings("apps");
+  P.Governors = R.strings("governors");
+  P.Scenarios = R.strings("scenarios", P.Scenarios);
+  if (const json::Value *Seeds = R.array("seeds"))
+    for (const json::Value &Seed : Seeds->Arr)
+      P.Seeds.push_back(R.count(Seed, "seeds"));
+  P.Replicas = uint32_t(R.count("replicas", P.Replicas, MaxReplicas));
+  P.MicroRepetitions = unsigned(
+      R.count("micro_repetitions", P.MicroRepetitions, MaxMicroRepetitions));
+  P.BaselineGovernor = R.string(
       "baseline_governor", P.Governors.empty() ? "" : P.Governors.front());
-  P.ModelPath = Doc->stringOr("model", "");
+  P.ModelPath = R.string("model");
 
   if (P.Apps.empty() || P.Governors.empty() || P.Seeds.empty())
-    return Fail("plan needs non-empty apps, governors, and seeds");
+    R.fail("plan needs non-empty apps, governors, and seeds");
   if (P.Scenarios.empty() || P.Replicas == 0)
-    return Fail("plan needs at least one scenario and one replica");
-
+    R.fail("plan needs at least one scenario and one replica");
+  // Item indices are counts: the cross product must not pass 2^53.
+  uint64_t Items = 1;
+  for (uint64_t N : {P.Apps.size(), P.Governors.size(), P.Seeds.size(),
+                     P.Scenarios.size(), size_t(P.Replicas)})
+    Items = N && Items > json::MaxCount / N ? json::MaxCount + 1 : Items * N;
+  if (Items > json::MaxCount)
+    R.fail("plan expands to more than 2^53 items");
   std::vector<std::string> KnownApps = allAppNames();
   for (const std::string &App : P.Apps)
     if (std::find(KnownApps.begin(), KnownApps.end(), App) ==
         KnownApps.end())
-      return Fail("unknown app '" + App + "'");
+      R.fail("unknown app '" + App + "'");
   for (const std::string &Gov : P.Governors)
     if (Gov != governors::Perf && Gov != governors::Interactive &&
         Gov != governors::Ondemand && Gov != governors::Powersave &&
         Gov != governors::Ebs && Gov != governors::GreenWebI &&
         Gov != governors::GreenWebU && Gov != governors::PredictiveI &&
         Gov != governors::PredictiveU)
-      return Fail("unknown governor '" + Gov + "'");
+      R.fail("unknown governor '" + Gov + "'");
   if (P.ModelPath.empty())
     for (const std::string &Gov : P.Governors)
       if (Gov == governors::PredictiveI || Gov == governors::PredictiveU)
-        return Fail("plan lists governor '" + Gov +
-                    "' but has no \"model\" path");
+        R.fail("plan lists governor '" + Gov +
+               "' but has no \"model\" path");
   std::vector<std::string> KnownScenarios = FaultPlan::scenarioNames();
   for (const std::string &Sc : P.Scenarios)
     if (Sc != "none" && Sc != "chaos" &&
         std::find(KnownScenarios.begin(), KnownScenarios.end(), Sc) ==
             KnownScenarios.end())
-      return Fail("unknown fault scenario '" + Sc + "'");
+      R.fail("unknown fault scenario '" + Sc + "'");
   if (std::find(P.Governors.begin(), P.Governors.end(),
                 P.BaselineGovernor) == P.Governors.end())
-    return Fail("baseline governor '" + P.BaselineGovernor +
-                "' is not in the plan's governor list");
-  Out = std::move(P);
-  return true;
+    R.fail("baseline governor '" + P.BaselineGovernor +
+           "' is not in the plan's governor list");
+  if (R.ok())
+    Out = std::move(P);
+  return R.finish(Error);
 }

@@ -69,14 +69,9 @@ std::string blackBoxRef(uint64_t Item) {
 
 bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                         FleetRunSummary &Out, std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
   const uint64_t Items = Plan.items();
   if (Items == 0)
-    return Fail("fleet plan expands to zero items");
+    return failWith(Error, "fleet plan expands to zero items");
   const uint64_t BatchSize = std::max<uint64_t>(1, Opts.BatchSize);
   const uint64_t Batches = (Items + BatchSize - 1) / BatchSize;
   const bool Durable = !Opts.CheckpointPath.empty();
@@ -84,20 +79,23 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   FleetCheckpoint C;
   if (Opts.Resume) {
     if (!Durable)
-      return Fail("--resume needs a checkpoint path");
+      return failWith(Error, "--resume needs a checkpoint path");
     std::string Text;
     if (!readWholeFile(Opts.CheckpointPath, Text))
-      return Fail("cannot read checkpoint " + Opts.CheckpointPath);
+      return failWith(Error,
+                      "cannot read checkpoint " + Opts.CheckpointPath);
     if (!FleetCheckpoint::load(Text, C, Error))
       return false;
     if (C.PlanHash != Plan.hash())
-      return Fail(formatString(
-          "checkpoint was written by a different plan (hash %016llx, "
-          "this plan is %016llx)",
-          static_cast<unsigned long long>(C.PlanHash),
-          static_cast<unsigned long long>(Plan.hash())));
+      return failWith(
+          Error,
+          formatString("checkpoint was written by a different plan (hash "
+                       "%016llx, this plan is %016llx)",
+                       static_cast<unsigned long long>(C.PlanHash),
+                       static_cast<unsigned long long>(Plan.hash())));
     if (C.ItemsTotal != Items)
-      return Fail("checkpoint item count does not match the plan");
+      return failWith(Error,
+                      "checkpoint item count does not match the plan");
     C.ReportJson.clear(); // Rebuilt when (if) the run completes.
   } else {
     C.PlanName = Plan.Name;
@@ -109,11 +107,13 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   std::ofstream Features;
   if (!Opts.FeaturesPath.empty()) {
     if (Opts.Resume)
-      return Fail("feature export does not support --resume (skipped "
-                  "batches would leave holes in the table)");
+      return failWith(Error,
+                      "feature export does not support --resume (skipped "
+                      "batches would leave holes in the table)");
     Features.open(Opts.FeaturesPath, std::ios::binary | std::ios::trunc);
     if (!Features)
-      return Fail("cannot write features file " + Opts.FeaturesPath);
+      return failWith(Error,
+                      "cannot write features file " + Opts.FeaturesPath);
     // Ladder size for the header: the label space is this chip's
     // config ladder, identical for every simulated device.
     size_t LadderLevels;
@@ -134,9 +134,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   if (!Plan.ModelPath.empty()) {
     std::string Text, ModelError;
     if (!readWholeFile(Plan.ModelPath, Text))
-      return Fail("cannot read model " + Plan.ModelPath);
+      return failWith(Error, "cannot read model " + Plan.ModelPath);
     if (!DecisionTreeModel::parse(Text, Model.emplace(), &ModelError))
-      return Fail("model " + Plan.ModelPath + ": " + ModelError);
+      return failWith(Error, "model " + Plan.ModelPath + ": " + ModelError);
   }
 
   WarmCache Warm;
@@ -157,13 +157,13 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
       continue;
     }
     if (Done != 0)
-      return Fail(formatString(
-          "checkpoint is inconsistent: batch %llu is partially done "
-          "(%llu of %llu items) but checkpoints only land on batch "
-          "boundaries",
-          static_cast<unsigned long long>(B),
-          static_cast<unsigned long long>(Done),
-          static_cast<unsigned long long>(Count)));
+      return failWith(
+          Error, formatString("checkpoint is inconsistent: batch %llu is "
+                              "partially done (%llu of %llu items) but "
+                              "checkpoints only land on batch boundaries",
+                              static_cast<unsigned long long>(B),
+                              static_cast<unsigned long long>(Done),
+                              static_cast<unsigned long long>(Count)));
     if (Opts.MaxBatches && ExecutedBatches >= Opts.MaxBatches) {
       Stopped = true;
       break;
@@ -218,9 +218,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     try {
       runExperimentsParallel(Configs, POpts);
     } catch (const std::exception &E) {
-      return Fail(formatString("fleet batch %llu failed: %s",
-                               static_cast<unsigned long long>(B),
-                               E.what()));
+      return failWith(Error, formatString("fleet batch %llu failed: %s",
+                                          static_cast<unsigned long long>(B),
+                                          E.what()));
     }
 
     // Feature rows append in item order, the same order the fold uses.

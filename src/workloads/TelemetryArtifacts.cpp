@@ -93,19 +93,21 @@ void TelemetryArtifactOptions::configureHub(Telemetry &Tel) const {
     Tel.enableFlightRecorder();
 }
 
-static void writeOne(const std::string &Path, const std::string &Content,
+/// Writes \p Content to \p Path; false, with a diagnostic, when the file
+/// cannot be opened or the write does not complete.
+static bool writeOne(const std::string &Path, const std::string &Content,
                      const char *What) {
   std::ofstream Out(Path);
-  if (!Out) {
+  if (!(Out << Content).flush()) {
     std::fprintf(stderr, "error: cannot write %s to %s\n", What,
                  Path.c_str());
-    return;
+    return false;
   }
-  Out << Content;
   std::printf("wrote %s to %s\n", What, Path.c_str());
+  return true;
 }
 
-void greenweb::writeTelemetryArtifacts(
+bool greenweb::writeTelemetryArtifacts(
     const TelemetryArtifactOptions &Opts, Telemetry &Tel,
     const std::vector<FrameRecord> &Frames,
     const std::vector<ConfigInterval> &Cpu, const SchedTrace *Sched) {
@@ -113,7 +115,7 @@ void greenweb::writeTelemetryArtifacts(
     std::fprintf(stderr, "warning: --sched given but this code path runs "
                          "no parallel sweep; no scheduler trace written\n");
   if (!Opts.any() && !Opts.Prof)
-    return;
+    return true;
   Tel.flushSpans();
   prof::RunMeta Meta = prof::RunMeta::current(Opts.CommandLine);
 
@@ -125,22 +127,24 @@ void greenweb::writeTelemetryArtifacts(
     Prof = prof::collect();
   }
 
+  bool Ok = true;
   if (!Opts.TracePath.empty())
-    writeOne(Opts.TracePath,
-             exportChromeTrace(Frames, Cpu, Tel, Opts.Prof ? &Prof : nullptr,
-                               Sched && Sched->active() ? Sched : nullptr),
-             "chrome trace");
+    Ok &= writeOne(
+        Opts.TracePath,
+        exportChromeTrace(Frames, Cpu, Tel, Opts.Prof ? &Prof : nullptr,
+                          Sched && Sched->active() ? Sched : nullptr),
+        "chrome trace");
   if (!Opts.LogPath.empty()) {
     // Header line and body in one buffer: no whole-log temporaries.
     std::string Log = Meta.toJsonlLine();
     Log += '\n';
     Tel.log().appendJsonl(Log);
-    writeOne(Opts.LogPath, Log, "telemetry event log");
+    Ok &= writeOne(Opts.LogPath, Log, "telemetry event log");
   }
   if (!Opts.MetricsPath.empty())
-    writeOne(Opts.MetricsPath,
-             Meta.wrapSnapshot(Tel.metrics().snapshotJson()),
-             "metrics snapshot");
+    Ok &= writeOne(Opts.MetricsPath,
+                   Meta.wrapSnapshot(Tel.metrics().snapshotJson()),
+                   "metrics snapshot");
   if (Opts.Alerts) {
     size_t NAlerts = Tel.log().byKind(TelemetryEventKind::Alert).size();
     std::printf("online detectors emitted %zu alert(s)%s\n", NAlerts,
@@ -149,8 +153,8 @@ void greenweb::writeTelemetryArtifacts(
   if (!Opts.BlackboxPath.empty()) {
     const FlightRecorder *R = Tel.flightRecorder();
     if (R) {
-      writeOne(Opts.BlackboxPath, Meta.wrapSnapshot(R->dumpsJson()),
-               "flight-recorder black box");
+      Ok &= writeOne(Opts.BlackboxPath, Meta.wrapSnapshot(R->dumpsJson()),
+                     "flight-recorder black box");
       std::printf("flight recorder: %zu dump(s), %llu trigger(s)\n",
                   R->dumps().size(),
                   static_cast<unsigned long long>(R->triggers()));
@@ -161,14 +165,15 @@ void greenweb::writeTelemetryArtifacts(
     }
   }
   if (Opts.Prof)
-    prof::writeProfileFiles(Prof, Opts.ProfOut);
+    Ok &= prof::writeProfileFiles(Prof, Opts.ProfOut);
+  return Ok;
 }
 
-void greenweb::writeSchedArtifact(const TelemetryArtifactOptions &Opts,
+bool greenweb::writeSchedArtifact(const TelemetryArtifactOptions &Opts,
                                   const SchedTrace &Sched) {
   if (Opts.SchedPath.empty() || !Sched.active())
-    return;
+    return true;
   SchedReport Report = SchedReport::fromTrace(Sched);
-  writeOne(Opts.SchedPath, schedArtifactJson(Sched, Report),
-           "scheduler trace");
+  return writeOne(Opts.SchedPath, schedArtifactJson(Sched, Report),
+                  "scheduler trace");
 }

@@ -140,7 +140,9 @@ struct TelemetryArtifactOptions {
 /// per sweep worker to the exported Chrome trace; with `--sched=` set
 /// but \p Sched null (a driver code path that runs no parallel sweep) a
 /// warning goes to stderr instead of silently writing nothing.
-void writeTelemetryArtifacts(const TelemetryArtifactOptions &Opts,
+/// Returns false when any requested file could not be written (each
+/// failure is reported on stderr); drivers then exit 1.
+bool writeTelemetryArtifacts(const TelemetryArtifactOptions &Opts,
                              Telemetry &Tel,
                              const std::vector<FrameRecord> &Frames = {},
                              const std::vector<ConfigInterval> &Cpu = {},
@@ -148,8 +150,8 @@ void writeTelemetryArtifacts(const TelemetryArtifactOptions &Opts,
 
 /// Writes the `--sched=` artifact (raw scheduler trace + embedded
 /// report, replayable via `gw-inspect sched`). No-op when SchedPath is
-/// empty or the trace never saw a batch.
-void writeSchedArtifact(const TelemetryArtifactOptions &Opts,
+/// empty or the trace never saw a batch. False when the write fails.
+bool writeSchedArtifact(const TelemetryArtifactOptions &Opts,
                         const SchedTrace &Sched);
 
 } // namespace greenweb

@@ -384,7 +384,7 @@ TEST(BenchReportTest, EveryFieldShapeRoundTripsThroughRunSnapshot) {
   ASSERT_TRUE(V);
   const json::Value &B = V->get("benchmarks")->Arr[0];
   EXPECT_EQ(B.stringOr("note", ""), "a note");
-  EXPECT_EQ(B.numberOr("iterations", 0), 1000);
+  EXPECT_EQ(json::Reader(B, "benchmark").count("iterations", 0), 1000u);
   EXPECT_EQ(V->get("scalars")->Arr[0].stringOr("note", ""),
             "oversubscribed: 2 jobs");
   const json::Value &Table = V->get("tables")->Arr[0];

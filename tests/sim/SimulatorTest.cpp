@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Simulator.h"
+#include "telemetry/Telemetry.h"
+#include "workloads/Experiment.h"
 
 #include <functional>
 #include <memory>
@@ -322,4 +324,41 @@ TEST(SimulatorPoolTest, CancelledCaptureReleasedWhenItsStubDrains) {
     Sim.run();
     EXPECT_TRUE(ExpiredAtNext) << "boxed " << Boxed;
   }
+}
+
+TEST(SimulatorTest, HubClockFreezesWhenTheSimulatorLetsGo) {
+  Telemetry Tel;
+  {
+    Simulator Sim;
+    Sim.setTelemetry(&Tel);
+    Sim.runUntil(TimePoint::origin() + Duration::milliseconds(5));
+    EXPECT_EQ(Tel.now().millis(), 5.0);
+    Sim.setTelemetry(nullptr);
+    Sim.runUntil(TimePoint::origin() + Duration::milliseconds(9));
+    EXPECT_EQ(Tel.now().millis(), 5.0);
+    Sim.setTelemetry(&Tel);
+    EXPECT_EQ(Tel.now().millis(), 9.0);
+    Sim.runUntil(TimePoint::origin() + Duration::milliseconds(12));
+  }
+  // The simulator is gone; the hub keeps its final time.
+  EXPECT_EQ(Tel.now().millis(), 12.0);
+}
+
+TEST(SimulatorTest, HubReadsTheRunsEndTimeAfterRunExperiment) {
+  Telemetry Tel;
+  ExperimentConfig C;
+  C.AppName = "Todo";
+  C.GovernorName = governors::Perf;
+  C.Mode = ExperimentMode::Micro;
+  C.MicroRepetitions = 1;
+  C.Tel = &Tel;
+  C.MeterSamplePeriod = Duration::milliseconds(50);
+  runExperiment(C);
+  // The run closes its energy ledger with a sample at its end time; the
+  // hub's clock must still read that time once the run's simulator (a
+  // local of runExperiment) is gone.
+  auto Samples = Tel.log().byKind(TelemetryEventKind::EnergySample);
+  ASSERT_FALSE(Samples.empty());
+  EXPECT_GT(Tel.now(), TimePoint::origin());
+  EXPECT_EQ(Tel.now(), Samples.back()->Ts);
 }

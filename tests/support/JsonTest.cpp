@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
+
 using greenweb::json::Value;
 namespace json = greenweb::json;
 
@@ -40,9 +45,9 @@ TEST(JsonTest, ParsesNestedDocument) {
   ASSERT_TRUE(V.has_value());
   ASSERT_TRUE(V->isObject());
   EXPECT_EQ(V->stringOr("harness", ""), "bench_x");
-  EXPECT_DOUBLE_EQ(V->numberOr("count", 0), 3.0);
+  EXPECT_EQ(V->get("count")->Num, 3.0);
   EXPECT_EQ(V->stringOr("missing", "dflt"), "dflt");
-  EXPECT_DOUBLE_EQ(V->numberOr("missing", -7), -7.0);
+  EXPECT_EQ(V->get("missing"), nullptr);
 
   const Value *Items = V->get("items");
   ASSERT_NE(Items, nullptr);
@@ -56,7 +61,7 @@ TEST(JsonTest, ParsesNestedDocument) {
   ASSERT_NE(Nested, nullptr);
   const Value *Inner = Nested->get("inner");
   ASSERT_NE(Inner, nullptr);
-  EXPECT_DOUBLE_EQ(Inner->numberOr("deep", 0), -1.0);
+  EXPECT_DOUBLE_EQ(Inner->get("deep")->Num, -1.0);
 }
 
 TEST(JsonTest, PreservesMemberOrder) {
@@ -184,11 +189,110 @@ TEST(JsonTest, AccessorsAreTypeSafe) {
   auto V = json::parse("{\"s\": \"x\", \"n\": 5}");
   ASSERT_TRUE(V.has_value());
   // Wrong-typed members fall back to the default.
-  EXPECT_DOUBLE_EQ(V->numberOr("s", 9), 9.0);
   EXPECT_EQ(V->stringOr("n", "d"), "d");
   // get() on a non-object is null.
   auto Arr = json::parse("[1]");
   EXPECT_EQ(Arr->get("k"), nullptr);
+}
+
+TEST(JsonTest, ReaderReadsTypedFieldsAndDefaults) {
+  auto V = json::parse(R"({"n": 3, "i": -4, "x": 2.5, "b": true,
+      "s": "str", "l": ["a", "b"], "h": "0x1.8p+1", "inf": "inf",
+      "arr": [1], "obj": {"k": 1}})");
+  ASSERT_TRUE(V.has_value());
+  json::Reader R(*V, "doc");
+  EXPECT_EQ(R.count("n", 0, 10), 3u);
+  EXPECT_EQ(R.integer("i", 0, -10, 10), -4);
+  EXPECT_EQ(R.number("x", 0.0), 2.5);
+  EXPECT_TRUE(R.boolean("b", false));
+  EXPECT_EQ(R.string("s"), "str");
+  EXPECT_EQ(R.strings("l"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(R.hexfloat("h", 0.0), 3.0);
+  EXPECT_EQ(R.hexfloat("inf", 0.0), HUGE_VAL);
+  ASSERT_NE(R.array("arr"), nullptr);
+  EXPECT_EQ(R.count(R.array("arr")->Arr[0], "arr"), 1u);
+  ASSERT_NE(R.object("obj"), nullptr);
+  // Absent keys read as the default.
+  EXPECT_EQ(R.count("missing", 7), 7u);
+  EXPECT_EQ(R.string("missing", "d"), "d");
+  EXPECT_TRUE(R.finish(nullptr));
+}
+
+TEST(JsonTest, ReaderKeepsTheFirstErrorNamingKeyAndValue) {
+  struct Case {
+    const char *Doc;
+    std::function<void(json::Reader &)> Read;
+    const char *Expect;
+  };
+  for (const Case &C : {
+           Case{R"({"k": 1.5})", [](json::Reader &R) { R.count("k", 0); },
+                R"(doc field "k" is 1.5: )"
+                "count is not an integer in [0, 2^53]"},
+           Case{R"({"k": -1})", [](json::Reader &R) { R.count("k", 0, 9); },
+                R"(doc field "k" is -1: count is not an integer in [0, 9])"},
+           Case{R"({"k": 1e300})",
+                [](json::Reader &R) { R.integer("k", 0, -5, 5); },
+                R"(doc field "k" is 1e+300: )"
+                "value is not an integer in [-5, 5]"},
+           Case{R"({"k": "3"})", [](json::Reader &R) { R.number("k", 0); },
+                R"(doc field "k" is "3": value is not a finite number)"},
+           Case{R"({"k": 2})", [](json::Reader &R) { R.number("k", 0, 0, 1); },
+                R"(doc field "k" is 2: value is not a number in [0, 1])"},
+           Case{R"({"k": 1e999})", [](json::Reader &R) { R.number("k", 0); },
+                R"(doc field "k" is inf: value is not a finite number)"},
+           Case{R"({"k": [1]})", [](json::Reader &R) { R.strings("k"); },
+                R"(doc field "k" is an array: )"
+                "value is not an array of strings"},
+           Case{R"({"k": "0x1pz"})",
+                [](json::Reader &R) { R.hexfloat("k", 0); },
+                R"(doc field "k" is "0x1pz": value is not a hex-float string)"},
+           Case{R"({"k": null})",
+                [](json::Reader &R) { R.boolean("k", false); },
+                R"(doc field "k" is null: value is not a boolean)"},
+           Case{R"({"k": {}})", [](json::Reader &R) { R.string("k"); },
+                R"(doc field "k" is an object: value is not a string)"},
+           Case{R"({})", [](json::Reader &R) { R.array("k"); },
+                R"(doc has no "k" array)"},
+           Case{R"({"k": [{"n": -2}]})",
+                [](json::Reader &R) {
+                  R.child(R.array("k")->Arr[0], "item 0").count("n", 0);
+                },
+                R"(item 0 field "n" is -2: )"
+                "count is not an integer in [0, 2^53]"},
+           Case{R"([1])", [](json::Reader &) {}, "doc is not a JSON object"},
+       }) {
+    auto V = json::parse(C.Doc);
+    ASSERT_TRUE(V.has_value()) << C.Doc;
+    json::Reader R(*V, "doc");
+    C.Read(R);
+    // Later errors and reads change nothing: the first diagnostic stays
+    // and every read returns its default.
+    R.fail("a later error");
+    EXPECT_EQ(R.count("k", 42), 42u);
+    std::string Error;
+    EXPECT_FALSE(R.finish(&Error));
+    EXPECT_EQ(Error, C.Expect) << C.Doc;
+  }
+  // Long strings are cut in the diagnostic.
+  json::Reader Long(R"({"k": ")" + std::string(100, 'x') + R"("})", "doc");
+  Long.count("k", 0);
+  std::string Error;
+  Long.finish(&Error);
+  EXPECT_EQ(Error, "doc field \"k\" is \"" + std::string(40, 'x') +
+                       "...\": count is not an integer in [0, 2^53]");
+}
+
+TEST(JsonTest, ReaderParsesText) {
+  json::Reader Ok(R"({"a": 1})", "doc");
+  EXPECT_EQ(Ok.count("a", 0), 1u);
+  EXPECT_TRUE(Ok.ok());
+  json::Reader Bad("{\"a\": ", "doc");
+  std::string Error;
+  EXPECT_FALSE(Bad.finish(&Error));
+  EXPECT_EQ(Error.rfind("doc is invalid JSON: ", 0), 0u) << Error;
+  json::Reader Scalar("7", "doc");
+  Scalar.finish(&Error);
+  EXPECT_EQ(Error, "doc is not a JSON object");
 }
 
 } // namespace

@@ -223,18 +223,20 @@ TEST(FleetReportTest, ReportCarriesEnergyExtrapolation) {
   ASSERT_NE(Extrap, nullptr);
   // Baseline Perf mean = (9.5 + 4.0) / 2 = 6.75 J; GreenWeb-I mean is
   // 6.25 J, saving 0.5 J/session = 0.5/3.6 kWh per million users.
-  EXPECT_NEAR(Extrap->numberOr("baseline_mean_joules", 0.0), 6.75, 1e-9);
+  json::Reader E(*Extrap, "energy_extrapolation");
+  EXPECT_NEAR(E.number("baseline_mean_joules", 0.0), 6.75, 1e-9);
   const json::Value *Per = Extrap->get("per_governor");
   ASSERT_NE(Per, nullptr);
   const json::Value *Gwi = Per->get("GreenWeb-I");
   ASSERT_NE(Gwi, nullptr);
-  EXPECT_NEAR(Gwi->numberOr("saved_j_per_run", 0.0), 0.5, 1e-9);
-  EXPECT_NEAR(Gwi->numberOr("saved_kwh_per_million_users", 0.0), 0.5 / 3.6,
-              1e-4);
+  json::Reader G(*Gwi, "GreenWeb-I");
+  EXPECT_NEAR(G.number("saved_j_per_run", 0.0), 0.5, 1e-9);
+  EXPECT_NEAR(G.number("saved_kwh_per_million_users", 0.0), 0.5 / 3.6, 1e-4);
   const json::Value *WarmPool = Doc->get("warm_pool");
   ASSERT_NE(WarmPool, nullptr);
-  EXPECT_EQ(WarmPool->numberOr("builds", 0.0), 2.0);
-  EXPECT_EQ(WarmPool->numberOr("requests", 0.0), 3.0);
+  json::Reader W(*WarmPool, "warm_pool");
+  EXPECT_EQ(W.count("builds", 0), 2u);
+  EXPECT_EQ(W.count("requests", 0), 3u);
 }
 
 } // namespace

@@ -181,15 +181,15 @@ TEST(QuantileSketchTest, DeserializeRejectsInconsistentCounts) {
            Case{"1", "[[0,1.5]]", "bucket count"},
            Case{"1", "[[0,-1]]", "bucket count"},
            Case{"1", "[[0,1e300]]", "bucket count"},
-           Case{"1", "[[1e308,1]]", "key out of range"},
-           Case{"1", "[[-1e308,1]]", "key out of range"},
-           Case{"1", "[[0.5,1]]", "key out of range"},
-           Case{"1", "[[1312,1]]", "key out of range"},
-           Case{"1", "[[-1281,1]]", "key out of range"},
+           Case{"1", "[[1e308,1]]", "\"bucket key\""},
+           Case{"1", "[[-1e308,1]]", "\"bucket key\""},
+           Case{"1", "[[0.5,1]]", "\"bucket key\""},
+           Case{"1", "[[1312,1]]", "\"bucket key\""},
+           Case{"1", "[[-1281,1]]", "\"bucket key\""},
            Case{"2", "[[32,1],[0,1]]", "ascending"},
-           Case{"1.5", "[[0,1]]", "sample count"},
-           Case{"-1", "[]", "sample count"},
-           Case{"1e17", "[[0,1]]", "sample count"},
+           Case{"1.5", "[[0,1]]", "field \"count\""},
+           Case{"-1", "[]", "field \"count\""},
+           Case{"1e17", "[[0,1]]", "field \"count\""},
        }) {
     std::string Tampered =
         std::string("{\"s\":32,\"count\":") + C.Count +

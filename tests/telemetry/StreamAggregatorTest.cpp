@@ -52,29 +52,32 @@ TEST(StreamAggregatorTest, FoldsRunsIntoGroups) {
   EXPECT_EQ(Doc->stringOr("kind", ""), "fleet_summary");
   const json::Value *Overall = Doc->get("overall");
   ASSERT_NE(Overall, nullptr);
-  EXPECT_EQ(Overall->numberOr("runs", 0), 5.0);
-  EXPECT_EQ(Overall->numberOr("frames", 0), 2620.0);
-  EXPECT_EQ(Overall->numberOr("qos_violations", 0), 118.0);
-  EXPECT_NEAR(Overall->numberOr("joules_total", 0), 23.6, 1e-6);
+  json::Reader O(*Overall, "overall");
+  EXPECT_EQ(O.count("runs", 0), 5u);
+  EXPECT_EQ(O.count("frames", 0), 2620u);
+  EXPECT_EQ(O.count("qos_violations", 0), 118u);
+  EXPECT_NEAR(O.number("joules_total", 0), 23.6, 1e-6);
 
   const json::Value *ByApp = Doc->get("by_app");
   ASSERT_NE(ByApp, nullptr);
   const json::Value *Cnet = ByApp->get("Cnet");
   ASSERT_NE(Cnet, nullptr);
-  EXPECT_EQ(Cnet->numberOr("runs", 0), 3.0);
+  EXPECT_EQ(json::Reader(*Cnet, "Cnet").count("runs", 0), 3u);
   const json::Value *ByGov = Doc->get("by_governor");
   ASSERT_NE(ByGov, nullptr);
   const json::Value *Gwi = ByGov->get("GreenWeb-I");
   ASSERT_NE(Gwi, nullptr);
-  EXPECT_EQ(Gwi->numberOr("runs", 0), 3.0);
-  EXPECT_EQ(Gwi->numberOr("alerts", 0), 3.0);
+  json::Reader G(*Gwi, "GreenWeb-I");
+  EXPECT_EQ(G.count("runs", 0), 3u);
+  EXPECT_EQ(G.count("alerts", 0), 3u);
 
   // Histogram summaries surface per-group distributions.
   const json::Value *Energy = Overall->get("energy_j");
   ASSERT_NE(Energy, nullptr);
-  EXPECT_EQ(Energy->numberOr("count", 0), 5.0);
-  EXPECT_NEAR(Energy->numberOr("min", 0), 2.8, 1e-6);
-  EXPECT_NEAR(Energy->numberOr("max", 0), 9.1, 1e-6);
+  json::Reader E(*Energy, "energy_j");
+  EXPECT_EQ(E.count("count", 0), 5u);
+  EXPECT_NEAR(E.number("min", 0), 2.8, 1e-6);
+  EXPECT_NEAR(E.number("max", 0), 9.1, 1e-6);
 }
 
 TEST(StreamAggregatorTest, EmptyAggregatorStillSerializes) {
@@ -84,11 +87,12 @@ TEST(StreamAggregatorTest, EmptyAggregatorStillSerializes) {
   ASSERT_TRUE(Doc.has_value());
   const json::Value *Overall = Doc->get("overall");
   ASSERT_NE(Overall, nullptr);
-  EXPECT_EQ(Overall->numberOr("runs", -1), 0.0);
+  EXPECT_EQ(json::Reader(*Overall, "overall").count("runs", 1), 0u);
   const json::Value *Energy = Overall->get("energy_j");
   ASSERT_NE(Energy, nullptr);
-  EXPECT_EQ(Energy->numberOr("count", -1), 0.0);
-  EXPECT_EQ(Energy->numberOr("p50", -1), 0.0);
+  json::Reader E(*Energy, "energy_j");
+  EXPECT_EQ(E.count("count", 1), 0u);
+  EXPECT_EQ(E.number("p50", -1), 0.0);
 }
 
 TEST(StreamAggregatorTest, ShardMergeMatchesSequentialFold) {

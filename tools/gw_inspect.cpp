@@ -48,7 +48,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "profiling/RunMeta.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "telemetry/AnomalyDetector.h"
 #include "telemetry/CriticalPath.h"
 #include "telemetry/EnergyAttribution.h"
@@ -63,6 +65,7 @@
 #include <fstream>
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -524,20 +527,22 @@ int main(int Argc, char **Argv) {
                                             ? Text.size()
                                             : LineEnd);
     if (First.find("\"kind\":\"meta\"") != std::string_view::npos)
-      if (auto Meta = json::parse(First)) {
-        std::printf("run metadata: commit %s, %s build, %s, %d hardware "
+      if (auto Doc = json::parse(First)) {
+        prof::RunMeta Meta;
+        std::string Error;
+        if (!prof::RunMeta::fromJson(*Doc, Meta, &Error)) {
+          std::fprintf(stderr, "error: %s\n", Error.c_str());
+          return usage(Argv[0]);
+        }
+        std::printf("run metadata: commit %s, %s build, %s, %u hardware "
                     "threads (schema %d)\n",
-                    Meta->stringOr("git_commit", "?").c_str(),
-                    Meta->stringOr("build_type", "?").c_str(),
-                    Meta->stringOr("compiler", "?").c_str(),
-                    int(Meta->numberOr("hardware_threads", 0)),
-                    int(Meta->numberOr("schema", 0)));
-        std::string Governor = Meta->stringOr("governor", "");
-        if (!Governor.empty())
-          std::printf("governor: %s\n", Governor.c_str());
-        std::string Flags = Meta->stringOr("flags", "");
-        if (!Flags.empty())
-          std::printf("produced by: %s\n", Flags.c_str());
+                    Meta.GitCommit.c_str(), Meta.BuildType.c_str(),
+                    Meta.Compiler.c_str(), Meta.HardwareThreads,
+                    Meta.Schema);
+        if (!Meta.Governor.empty())
+          std::printf("governor: %s\n", Meta.Governor.c_str());
+        if (!Meta.Flags.empty())
+          std::printf("produced by: %s\n", Meta.Flags.c_str());
         std::printf("\n");
         MetaLines = 1;
       }
@@ -548,28 +553,46 @@ int main(int Argc, char **Argv) {
   if (Skipped > MetaLines)
     std::fprintf(stderr, "warning: skipped %zu malformed lines\n",
                  Skipped - MetaLines);
-
   const char *Cmd = Positional.size() > 1 ? Positional[1] : "summary";
+  const char *Commands[] = {"summary", "violations", "faults", "alerts",
+                            "blackbox", "energy",     "path"};
+  if (std::none_of(std::begin(Commands), std::end(Commands),
+                   [Cmd](const char *C) { return std::strcmp(Cmd, C) == 0; })) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", Cmd);
+    return usage(Argv[0]);
+  }
+  if (Log.empty()) {
+    std::fprintf(stderr, "error: %s holds no telemetry records\n",
+                 Positional[0]);
+    return usage(Argv[0]);
+  }
   if (std::strcmp(Cmd, "summary") == 0)
     return cmdSummary(Log);
   if (std::strcmp(Cmd, "violations") == 0)
     return cmdViolations(Log);
-  if (std::strcmp(Cmd, "energy") == 0)
-    return cmdEnergy(Log, Positional.size() > 2
-                              ? size_t(std::atoll(Positional[2]))
-                              : 0);
   if (std::strcmp(Cmd, "faults") == 0)
     return cmdFaults(Log);
   if (std::strcmp(Cmd, "alerts") == 0)
     return cmdAlerts(Log);
   if (std::strcmp(Cmd, "blackbox") == 0)
     return cmdBlackbox(Log, WritePath);
-  if (std::strcmp(Cmd, "path") == 0) {
-    if (Positional.size() < 3)
-      return usage(Argv[0]);
-    return cmdPath(Log, std::atoll(Positional[2]),
-                   Positional.size() > 3 ? std::atoll(Positional[3]) : 0);
+  // Positional numbers parse as strictly as flag values.
+  auto Invalid = [&](const char *Value) {
+    std::fprintf(stderr, "error: invalid value for %s: %s\n", Cmd, Value);
+    return usage(Argv[0]);
+  };
+  if (std::strcmp(Cmd, "energy") == 0) {
+    std::optional<size_t> N =
+        Positional.size() > 2 ? parseCount<size_t>(Positional[2]) : 0;
+    return N ? cmdEnergy(Log, *N) : Invalid(Positional[2]);
   }
-  std::fprintf(stderr, "error: unknown command '%s'\n", Cmd);
-  return usage(Argv[0]);
+  // The one command left: path FRAME [ROOT].
+  if (Positional.size() < 3)
+    return usage(Argv[0]);
+  std::optional<int64_t> Frame = parseInt(Positional[2]);
+  std::optional<int64_t> Root =
+      Positional.size() > 3 ? parseInt(Positional[3]) : 0;
+  if (!Frame)
+    return Invalid(Positional[2]);
+  return Root ? cmdPath(Log, *Frame, *Root) : Invalid(Positional[3]);
 }
