@@ -18,13 +18,12 @@
 #include "browser/Browser.h"
 #include "greenweb/GreenWebRuntime.h"
 #include "hw/EnergyMeter.h"
+#include "support/FileIo.h"
 #include "support/TablePrinter.h"
 #include "telemetry/Telemetry.h"
 #include "workloads/TelemetryArtifacts.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 
 using namespace greenweb;
@@ -110,14 +109,11 @@ int main(int Argc, char **Argv) {
 
   std::string Html;
   if (PagePath) {
-    std::ifstream In(PagePath);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot open %s\n", PagePath);
+    std::string Error;
+    if (!readFile(PagePath, Html, &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Html = Buffer.str();
     std::printf("AUTOGREEN: annotating %s\n\n", PagePath);
   } else {
     Html = DemoPage;

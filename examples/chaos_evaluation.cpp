@@ -284,6 +284,11 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: --watchdog takes off|on|both\n");
     return usage();
   }
+  if (!governors::known(Opts.Governor)) {
+    std::fprintf(stderr, "error: unknown governor '%s'\n",
+                 Opts.Governor.c_str());
+    return usage();
+  }
 
   if (!Opts.PrintPlan.empty()) {
     std::optional<FaultPlan> Plan =

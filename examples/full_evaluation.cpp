@@ -27,8 +27,6 @@
 
 #include "browser/Browser.h"
 #include "browser/TraceExport.h"
-#include "greenweb/Governors.h"
-#include "greenweb/GreenWebRuntime.h"
 #include "hw/EnergyMeter.h"
 #include "support/TablePrinter.h"
 #include "telemetry/CriticalPath.h"
@@ -39,6 +37,7 @@
 #include "workloads/ParallelRunner.h"
 #include "workloads/TelemetryArtifacts.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -161,8 +160,10 @@ int runSweep(unsigned Jobs, const TelemetryArtifactOptions &Artifacts) {
               "Apps: ");
   for (const std::string &Name : allAppNames())
     std::printf("%s ", Name.c_str());
-  std::printf("\nGovernors: Perf Interactive Ondemand Powersave "
-              "GreenWeb-I GreenWeb-U\n");
+  std::printf("\nGovernors: ");
+  for (const char *Name : governors::All)
+    std::printf("%s ", Name);
+  std::printf("\n");
   // The sweep records no telemetry; this writes the profile files.
   Telemetry NoTel;
   Written &= writeTelemetryArtifacts(Artifacts, NoTel, {}, {}, Opts.Sched);
@@ -210,27 +211,7 @@ bool exportTrace(const ExperimentConfig &Config,
   Browser B(Sim, Chip);
 
   AnnotationRegistry Registry;
-  std::unique_ptr<Governor> Gov;
-  if (Config.GovernorName == governors::GreenWebI ||
-      Config.GovernorName == governors::GreenWebU) {
-    GreenWebRuntime::Params P;
-    P.Scenario = Config.GovernorName == governors::GreenWebI
-                     ? UsageScenario::Imperceptible
-                     : UsageScenario::Usable;
-    auto RT = std::make_unique<GreenWebRuntime>(Registry, P);
-    RT->setEnergyMeter(&Meter);
-    Gov = std::move(RT);
-  } else if (Config.GovernorName == governors::Interactive) {
-    Gov = std::make_unique<InteractiveGovernor>();
-  } else if (Config.GovernorName == governors::Powersave) {
-    Gov = std::make_unique<PowersaveGovernor>();
-  } else if (Config.GovernorName == governors::Ebs) {
-    Gov = std::make_unique<EbsGovernor>();
-  } else if (Config.GovernorName == governors::Ondemand) {
-    Gov = std::make_unique<OndemandGovernor>();
-  } else {
-    Gov = std::make_unique<PerfGovernor>();
-  }
+  std::unique_ptr<Governor> Gov = makeGovernor(Config, Registry, Meter);
   B.OnPageParsed = [&] {
     Registry.clear();
     Registry.loadFromPage(B);
@@ -304,12 +285,13 @@ int main(int Argc, char **Argv) {
       Artifacts.MetricsPath = Base + ".metrics.json";
   }
 
-  bool KnownApp = false;
-  for (const std::string &Name : allAppNames())
-    KnownApp |= Name == Config.AppName;
-  if (!KnownApp) {
-    std::fprintf(stderr, "error: unknown app '%s'\n",
-                 Config.AppName.c_str());
+  std::vector<std::string> Apps = allAppNames();
+  bool KnownApp =
+      std::find(Apps.begin(), Apps.end(), Config.AppName) != Apps.end();
+  if (!KnownApp || !governors::known(Config.GovernorName)) {
+    std::fprintf(stderr, "error: unknown %s '%s'\n",
+                 KnownApp ? "governor" : "app",
+                 (KnownApp ? Config.GovernorName : Config.AppName).c_str());
     return 1;
   }
   printDetailed(runExperiment(Config));

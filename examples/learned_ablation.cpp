@@ -27,15 +27,13 @@
 #include "faults/FaultPlan.h"
 #include "greenweb/Features.h"
 #include "profiling/RunCompare.h"
+#include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
 #include "workloads/Experiment.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,12 +57,6 @@ const std::vector<uint64_t> kAppSeeds = {1, 2, 3};
 /// judged on the paired per-seed difference, which cancels seed-level
 /// environmental luck that hits both governors symmetrically.
 const std::vector<uint64_t> kChaosSeeds = {1, 2, 3, 4, 5, 6, 7};
-
-/// Median of the per-seed values (the paper's protocol).
-double median(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  return V[V.size() / 2];
-}
 
 /// Mean of candidate-minus-baseline across paired seeds.
 double meanPairedDiff(const std::vector<double> &Base,
@@ -136,39 +128,34 @@ int main(int Argc, char **Argv) {
          ChaosTolerancePp = 1.0, Confidence = 0.6;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    auto Value = [&Arg](std::string_view Flag) -> const char * {
-      if (Arg.rfind(Flag, 0) == 0)
-        return Arg.data() + Flag.size();
-      return nullptr;
-    };
     // Numeric values must parse whole: "--min-wins=abc" once read as 0
     // and passed the gate.
     bool Bad = false;
-    auto Number = [&Bad](const char *V, double &Out) {
+    auto Number = [&Bad](std::string_view V, double &Out) {
       std::optional<double> N = parseDouble(V);
       Bad = !N;
       Out = N.value_or(Out);
     };
-    if (const char *V = Value("--model="))
-      ModelPath = V;
-    else if (const char *V = Value("--baseline-out="))
-      BaselineOut = V;
-    else if (const char *V = Value("--candidate-out="))
-      CandidateOut = V;
-    else if (const char *V = Value("--chaos-app="))
-      ChaosApp = V;
-    else if (const char *V = Value("--min-wins=")) {
-      std::optional<unsigned> N = parseCount<unsigned>(V);
+    if (auto V = flagValue(Arg, "--model="))
+      ModelPath = *V;
+    else if (auto V = flagValue(Arg, "--baseline-out="))
+      BaselineOut = *V;
+    else if (auto V = flagValue(Arg, "--candidate-out="))
+      CandidateOut = *V;
+    else if (auto V = flagValue(Arg, "--chaos-app="))
+      ChaosApp = *V;
+    else if (auto V = flagValue(Arg, "--min-wins=")) {
+      std::optional<unsigned> N = parseCount<unsigned>(*V);
       Bad = !N;
       MinWins = N.value_or(MinWins);
-    } else if (const char *V = Value("--energy-tolerance="))
-      Number(V, EnergyTolerancePct);
-    else if (const char *V = Value("--qos-tolerance="))
-      Number(V, QosTolerancePp);
-    else if (const char *V = Value("--chaos-tolerance="))
-      Number(V, ChaosTolerancePp);
-    else if (const char *V = Value("--confidence="))
-      Number(V, Confidence);
+    } else if (auto V = flagValue(Arg, "--energy-tolerance="))
+      Number(*V, EnergyTolerancePct);
+    else if (auto V = flagValue(Arg, "--qos-tolerance="))
+      Number(*V, QosTolerancePp);
+    else if (auto V = flagValue(Arg, "--chaos-tolerance="))
+      Number(*V, ChaosTolerancePp);
+    else if (auto V = flagValue(Arg, "--confidence="))
+      Number(*V, Confidence);
     else {
       std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
       return usage(Argv[0]);
@@ -183,19 +170,11 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
   }
 
-  std::ifstream In(ModelPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read %s\n", ModelPath.c_str());
-    return usage(Argv[0]);
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
   DecisionTreeModel Model;
   std::string Error;
-  if (!DecisionTreeModel::parse(Buf.str(), Model, &Error)) {
-    std::fprintf(stderr, "error: %s: %s\n", ModelPath.c_str(),
-                 Error.c_str());
-    return 1;
+  if (!DecisionTreeModel::loadFile(ModelPath, Model, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return usage(Argv[0]);
   }
   std::fprintf(stderr, "model: %llu training rows, %zu nodes\n",
                static_cast<unsigned long long>(Model.TrainedRows),

@@ -109,9 +109,6 @@ public:
   /// True while any work transitively caused by \p RootId is pending.
   bool hasPendingWorkFor(uint64_t RootId) const;
 
-  /// Number of root input events still active (non-quiescent).
-  size_t activeRootCount() const { return RootActivity.size(); }
-
   /// Schedules \p Fn on the simulator; the event becomes a no-op if
   /// this browser is destroyed first (fresh browsers share a Simulator
   /// across page loads in the experiment harness). The guard wraps \p Fn
@@ -155,11 +152,6 @@ public:
   /// jQuery-style animate(): drives a scripted animation on \p Target
   /// for \p AnimDuration, producing a frame per VSync.
   void startScriptAnimation(Element *Target, Duration AnimDuration);
-  /// Root input id of the interaction currently executing script (0
-  /// outside callbacks).
-  uint64_t currentRootId() const { return CurrentRootId; }
-  const std::string &currentRootEvent() const { return CurrentRootEvent; }
-
   /// Number of rAF callbacks awaiting the next frame (AutoGreen's
   /// instrumentation checks this).
   size_t pendingAnimationCallbacks() const { return RafQueue.size(); }

@@ -10,6 +10,7 @@
 #include "greenweb/AnnotationRegistry.h"
 #include "greenweb/Governors.h"
 #include "hw/AcmpChip.h"
+#include "support/FileIo.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -261,6 +262,16 @@ std::string DecisionTreeModel::toJson() const {
   }
   W.endArray().endObject();
   return Out;
+}
+
+bool DecisionTreeModel::loadFile(const std::string &Path,
+                                 DecisionTreeModel &Out,
+                                 std::string *Error) {
+  std::string Text, ParseError;
+  if (!readFile(Path, Text, Error))
+    return false;
+  return parse(Text, Out, &ParseError) ||
+         failWith(Error, Path + ": " + ParseError);
 }
 
 bool DecisionTreeModel::parse(const std::string &Text,

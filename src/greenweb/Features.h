@@ -194,6 +194,11 @@ struct DecisionTreeModel {
   static bool parse(const std::string &Text, DecisionTreeModel &Out,
                     std::string *Error = nullptr);
 
+  /// The one model loader: reads \p Path and parses it. Diagnostics
+  /// name the path ("cannot read <path>: ..." or "<path>: ...").
+  static bool loadFile(const std::string &Path, DecisionTreeModel &Out,
+                       std::string *Error = nullptr);
+
   bool loaded() const { return !Nodes.empty(); }
 };
 

@@ -12,38 +12,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 using namespace greenweb;
 
 PredictiveGovernor::PredictiveGovernor(AnnotationRegistry &Registry,
                                        Params P, Options O)
-    : GreenWebRuntime(Registry, P), Opts(std::move(O)) {
-  if (Opts.SharedModel) {
-    if (Opts.SharedModel->loaded())
-      Model = Opts.SharedModel;
-    else
-      LoadError = "shared model is untrained (no nodes)";
-    return;
-  }
-  if (Opts.ModelPath.empty()) {
+    : GreenWebRuntime(Registry, P), Opts(O) {
+  if (!Opts.Model)
     LoadError = "no model configured";
-    return;
-  }
-  std::ifstream In(Opts.ModelPath, std::ios::binary);
-  if (!In) {
-    LoadError = "cannot open model file: " + Opts.ModelPath;
-    return;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Error;
-  if (!DecisionTreeModel::parse(Buf.str(), OwnedModel, &Error)) {
-    LoadError = Error;
-    return;
-  }
-  Model = &OwnedModel;
+  else if (!Opts.Model->loaded())
+    LoadError = "model is untrained (no nodes)";
+  else
+    Model = Opts.Model;
 }
 
 std::string PredictiveGovernor::name() const {

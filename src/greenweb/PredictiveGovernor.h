@@ -15,7 +15,7 @@
 /// Everything around the decision is inherited unchanged: event
 /// lifetime bookkeeping, max-across-events arbitration, idle-hold, the
 /// graceful-degradation watchdog, telemetry decision spans. When the
-/// model is missing, fails validation, or answers below the confidence
+/// model is missing, untrained, or answers below the confidence
 /// threshold, predictOverride declines and the decision falls through
 /// to the full LTM profile/predict path — degraded operation is exactly
 /// the proven baseline, never something weaker.
@@ -34,11 +34,10 @@ namespace greenweb {
 class PredictiveGovernor : public GreenWebRuntime {
 public:
   struct Options {
-    /// Model JSON to load; empty means "use SharedModel".
-    std::string ModelPath;
-    /// Pre-parsed model (not owned); outlives the governor. Takes
-    /// precedence over ModelPath when set.
-    const DecisionTreeModel *SharedModel = nullptr;
+    /// The trained model (not owned); outlives the governor. Null runs
+    /// the LTM path for every decision (DecisionTreeModel::loadFile reads
+    /// a model file).
+    const DecisionTreeModel *Model = nullptr;
     /// Leaf vote share below which the model's answer is discarded and
     /// the LTM path decides instead. A prediction at exactly the
     /// threshold is used (>= semantics).
@@ -112,8 +111,7 @@ private:
   };
 
   Options Opts;
-  DecisionTreeModel OwnedModel; ///< Loaded from ModelPath when used.
-  const DecisionTreeModel *Model = nullptr;
+  const DecisionTreeModel *Model = nullptr; ///< Null unless usable.
   std::string LoadError;
   bool LadderMatches = false;
   bool Quarantined = false;

@@ -572,26 +572,4 @@ std::string reportTable(const Profile &P, size_t MaxRows) {
   return Out;
 }
 
-bool writeProfileFiles(const Profile &P, const std::string &Base) {
-  auto WriteOne = [](const std::string &Path, const std::string &Data,
-                     const char *What) {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-      return false;
-    }
-    std::fwrite(Data.data(), 1, Data.size(), F);
-    std::fclose(F);
-    std::printf("wrote %s to %s\n", What, Path.c_str());
-    return true;
-  };
-  bool Ok = WriteOne(Base + ".collapsed", collapsedStacks(P),
-                     "collapsed host stacks (speedscope/flamegraph.pl)");
-  Ok &= WriteOne(Base + ".txt", reportTable(P), "host profile report");
-  if (!P.Samples.empty())
-    Ok &= WriteOne(Base + ".samples.collapsed", collapsedSampleStacks(P),
-                   "sampled host stacks");
-  return Ok;
-}
-
 } // namespace greenweb::prof

@@ -174,11 +174,6 @@ void appendHostTraceEvents(json::Writer &W, const Profile &P);
 /// Human-readable aggregate table, hottest self-time first.
 std::string reportTable(const Profile &P, size_t MaxRows = 40);
 
-/// Writes <Base>.collapsed, <Base>.txt and, when the sampler ran,
-/// <Base>.samples.collapsed; announces each file on stdout. Returns
-/// false if any file could not be written.
-bool writeProfileFiles(const Profile &P, const std::string &Base);
-
 //===----------------------------------------------------------------------===//
 // GW_PROF_SCOPE
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "profiling/RunCompare.h"
 
+#include "support/FileIo.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
@@ -14,9 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 namespace greenweb::prof {
 
@@ -96,9 +95,7 @@ bool parseTelemetryJsonl(const std::string &Text, RunSnapshot &Snap,
   Snap.SourceKind = "telemetry";
   std::map<std::string, uint64_t> KindCounts;
   std::map<std::string, std::pair<double, uint64_t>> FieldSums;
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
+  for (std::string_view Line : split(Text, '\n')) {
     std::string_view Trimmed = trim(Line);
     if (Trimmed.empty())
       continue;
@@ -205,16 +202,10 @@ std::optional<RunSnapshot> RunSnapshot::parse(const std::string &Text,
 
 std::optional<RunSnapshot> RunSnapshot::loadFile(const std::string &Path,
                                                  std::string *Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    if (Error)
-      *Error = "cannot read " + Path;
+  std::string Text, Err;
+  if (!readFile(Path, Text, Error))
     return std::nullopt;
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Err;
-  std::optional<RunSnapshot> Snap = parse(Buffer.str(), &Err);
+  std::optional<RunSnapshot> Snap = parse(Text, &Err);
   if (!Snap && Error)
     *Error = Path + ": " + Err;
   return Snap;
@@ -316,9 +307,9 @@ std::string BenchReport::json(const RunMeta &Meta) const {
 }
 
 bool BenchReport::write(const std::string &Path, const RunMeta &Meta) const {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out || !(Out << json(Meta))) {
-    std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
+  std::string Error;
+  if (!writeFile(Path, json(Meta), &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
   return true;

@@ -70,6 +70,26 @@ bool greenweb::startsWith(std::string_view S, std::string_view Prefix) {
   return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
 }
 
+std::optional<std::string_view> greenweb::flagValue(std::string_view Arg,
+                                                   std::string_view Prefix) {
+  if (!startsWith(Arg, Prefix))
+    return std::nullopt;
+  return Arg.substr(Prefix.size());
+}
+
+bool greenweb::acceptArg(ArgMatch M, std::string_view Arg) {
+  if (M == ArgMatch::Unknown)
+    std::fprintf(stderr, "error: unknown %s %.*s\n",
+                 startsWith(Arg, "-") ? "flag" : "argument", int(Arg.size()),
+                 Arg.data());
+  if (M == ArgMatch::Malformed) {
+    std::string_view Flag = Arg.substr(0, Arg.find('='));
+    std::fprintf(stderr, "error: invalid value for %.*s: %.*s\n",
+                 int(Flag.size()), Flag.data(), int(Arg.size()), Arg.data());
+  }
+  return M == ArgMatch::Taken;
+}
+
 bool greenweb::endsWith(std::string_view S, std::string_view Suffix) {
   return S.size() >= Suffix.size() &&
          S.substr(S.size() - Suffix.size()) == Suffix;

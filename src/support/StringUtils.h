@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string helpers shared by the HTML/CSS/MiniScript front ends and
-/// the report printers. All operate on std::string_view and never throw.
+/// Small string helpers shared by the HTML/CSS/MiniScript front ends, the
+/// report printers and the command-line flag parsers. All operate on
+/// std::string_view and never throw.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,11 @@ std::string toLower(std::string_view S);
 /// True if \p S begins with \p Prefix.
 bool startsWith(std::string_view S, std::string_view Prefix);
 
+/// The value of \p Arg when it starts with \p Prefix ("--jobs="),
+/// nullopt otherwise.
+std::optional<std::string_view> flagValue(std::string_view Arg,
+                                          std::string_view Prefix);
+
 /// True if \p S ends with \p Suffix.
 bool endsWith(std::string_view S, std::string_view Suffix);
 
@@ -60,6 +66,27 @@ template <class T> std::optional<T> parseCount(std::string_view S) {
 
 /// Parses a floating-point number; rejects trailing junk.
 std::optional<double> parseDouble(std::string_view S);
+
+/// What a flag handler made of one command-line argument.
+enum class ArgMatch {
+  Unknown,  ///< Not this handler's argument.
+  Taken,    ///< Consumed.
+  Malformed ///< This handler's flag, with a value that does not parse.
+};
+
+/// Reports an argument no handler took on stderr ("error: unknown flag
+/// ..." or "error: invalid value for --flag: ..."); true when \p M is
+/// Taken.
+bool acceptArg(ArgMatch M, std::string_view Arg);
+
+/// Stores \p Value in \p Out when parseCount<T> accepts it.
+template <class T> ArgMatch countArg(std::string_view Value, T &Out) {
+  std::optional<T> N = parseCount<T>(Value);
+  if (!N)
+    return ArgMatch::Malformed;
+  Out = *N;
+  return ArgMatch::Taken;
+}
 
 /// Stores \p Message in \p *Error when \p Error is given; returns false,
 /// so a function reporting through a `std::string *Error` out-parameter

@@ -94,7 +94,6 @@ public:
   uint64_t suppressed() const { return Suppressed; }
   /// Triggers dropped because MaxDumps black boxes already exist.
   uint64_t dropped() const { return Dropped; }
-  uint64_t recordsObserved() const { return Seq; }
   const FlightRecorderConfig &config() const { return Cfg; }
 
   /// Every dump plus the trigger counters as one JSON document

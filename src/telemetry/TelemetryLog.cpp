@@ -196,18 +196,23 @@ bool recordFromJson(const json::Value &V, TelemetryRecord &R) {
 } // namespace
 
 TelemetryLog TelemetryLog::fromJsonl(const std::string &Text,
-                                     size_t *SkippedLines) {
+                                     size_t *SkippedLines,
+                                     std::vector<size_t> *SkippedAt) {
   TelemetryLog Out;
-  size_t Skipped = 0;
+  size_t Skipped = 0, LineNo = 0;
   for (std::string_view Line : split(Text, '\n')) {
+    ++LineNo;
     if (trim(Line).empty())
       continue;
     std::optional<json::Value> Doc = json::parse(Line);
     TelemetryRecord R;
-    if (Doc && recordFromJson(*Doc, R))
+    if (Doc && recordFromJson(*Doc, R)) {
       Out.Records.push_back(std::move(R));
-    else
+    } else {
       ++Skipped;
+      if (SkippedAt)
+        SkippedAt->push_back(LineNo);
+    }
   }
   if (SkippedLines)
     *SkippedLines = Skipped;

@@ -125,9 +125,11 @@ public:
   /// prints doubles with a '.', so the round trip preserves types;
   /// integers beyond 2^53 read back rounded, like every JSON number
   /// here). Lines that are not flat JSON objects or name an unknown kind
-  /// are skipped and counted in \p SkippedLines.
+  /// are skipped, counted in \p SkippedLines and, when \p SkippedAt is
+  /// given, listed there by 1-based line number.
   static TelemetryLog fromJsonl(const std::string &Text,
-                                size_t *SkippedLines = nullptr);
+                                size_t *SkippedLines = nullptr,
+                                std::vector<size_t> *SkippedAt = nullptr);
 
 private:
   std::vector<TelemetryRecord> Records;

@@ -21,6 +21,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <iterator>
+#include <stdexcept>
 
 using namespace greenweb;
 
@@ -43,13 +45,6 @@ double EventMetrics::violationFraction(UsageScenario Scenario) const {
   for (Duration L : FrameLatencies)
     Sum += ViolationOf(L);
   return Sum / double(FrameLatencies.size());
-}
-
-double greenweb::violationPct(const ExperimentResult &Result,
-                              UsageScenario Scenario) {
-  return Scenario == UsageScenario::Imperceptible
-             ? Result.ViolationPctImperceptible
-             : Result.ViolationPctUsable;
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,13 +151,10 @@ std::string stripManualAnnotations(const std::string &Html) {
   return Out;
 }
 
-/// Applies annotation-level ablations (type forcing, target scaling)
-/// on top of a loaded registry.
-void applyAnnotationAblations(const ExperimentConfig &Config,
-                              AnnotationRegistry &Registry, Browser &B) {
-  if (!Config.ForceQosType && Config.TargetScale == 1.0)
-    return;
-  // Rebuild by scanning the page's annotations and rewriting them.
+/// Every annotated (element, event) pair of the loaded page, in document
+/// order (which keeps anything drawn per pair deterministic).
+std::vector<std::pair<Element *, std::string>>
+annotatedKeys(const AnnotationRegistry &Registry, Browser &B) {
   std::vector<std::pair<Element *, std::string>> Keys;
   B.document()->forEachElement([&](Element &E) {
     for (const std::string &Type : E.listenedEventTypes())
@@ -171,7 +163,16 @@ void applyAnnotationAblations(const ExperimentConfig &Config,
     if (Registry.lookup(E, events::Load))
       Keys.push_back({&E, events::Load});
   });
-  for (auto &[E, Type] : Keys) {
+  return Keys;
+}
+
+/// Applies annotation-level ablations (type forcing, target scaling)
+/// on top of a loaded registry.
+void applyAnnotationAblations(const ExperimentConfig &Config,
+                              AnnotationRegistry &Registry, Browser &B) {
+  if (!Config.ForceQosType && Config.TargetScale == 1.0)
+    return;
+  for (auto &[E, Type] : annotatedKeys(Registry, B)) {
     QosSpec Spec = *Registry.lookup(*E, Type);
     if (Config.ForceQosType)
       Spec.Type = *Config.ForceQosType;
@@ -185,21 +186,12 @@ void applyAnnotationAblations(const ExperimentConfig &Config,
 /// Injected annotation mislabeling (paper Sec. 7.3 taken adversarial):
 /// each annotated (element, event) pair is independently corrupted at
 /// parse time. Runs after the ablations so the faults perturb whatever
-/// annotation set the experiment actually uses. Document order makes
-/// the element scan — and therefore the fault stream — deterministic.
+/// annotation set the experiment actually uses.
 void applyAnnotationFaults(FaultInjector &F, AnnotationRegistry &Registry,
                            Browser &B) {
   if (!F.plan().hasKind(FaultKind::AnnotationMislabel))
     return;
-  std::vector<std::pair<Element *, std::string>> Keys;
-  B.document()->forEachElement([&](Element &E) {
-    for (const std::string &Type : E.listenedEventTypes())
-      if (Registry.lookup(E, Type))
-        Keys.push_back({&E, Type});
-    if (Registry.lookup(E, events::Load))
-      Keys.push_back({&E, events::Load});
-  });
-  for (auto &[E, Type] : Keys) {
+  for (auto &[E, Type] : annotatedKeys(Registry, B)) {
     FaultInjector::MislabelDecision D = F.annotationMislabel(E->nodeId());
     if (!D.Mislabel)
       continue;
@@ -213,47 +205,19 @@ void applyAnnotationFaults(FaultInjector &F, AnnotationRegistry &Registry,
   }
 }
 
-std::unique_ptr<Governor>
-makeGovernor(const ExperimentConfig &Config, AnnotationRegistry &Registry,
-             const EnergyMeter &Meter) {
-  const std::string &Name = Config.GovernorName;
-  if (Name == governors::Perf)
-    return std::make_unique<PerfGovernor>();
-  if (Name == governors::Powersave)
-    return std::make_unique<PowersaveGovernor>();
-  if (Name == governors::Interactive)
-    return std::make_unique<InteractiveGovernor>();
-  if (Name == governors::Ondemand)
-    return std::make_unique<OndemandGovernor>();
-  if (Name == governors::Ebs)
-    return std::make_unique<EbsGovernor>();
-  if (Name == governors::GreenWebI || Name == governors::GreenWebU) {
-    GreenWebRuntime::Params P =
-        Config.RuntimeParams.value_or(GreenWebRuntime::Params{});
-    P.Scenario = Name == governors::GreenWebI
-                     ? UsageScenario::Imperceptible
-                     : UsageScenario::Usable;
-    auto RT = std::make_unique<GreenWebRuntime>(Registry, P);
-    RT->setEnergyMeter(&Meter);
-    return RT;
-  }
-  if (Name == governors::PredictiveI || Name == governors::PredictiveU) {
-    GreenWebRuntime::Params P =
-        Config.RuntimeParams.value_or(GreenWebRuntime::Params{});
-    P.Scenario = Name == governors::PredictiveI
-                     ? UsageScenario::Imperceptible
-                     : UsageScenario::Usable;
-    PredictiveGovernor::Options O;
-    O.ModelPath = Config.ModelPath;
-    O.SharedModel = Config.Model;
-    O.ConfidenceThreshold = Config.PredictiveConfidence;
-    auto RT =
-        std::make_unique<PredictiveGovernor>(Registry, P, std::move(O));
-    RT->setEnergyMeter(&Meter);
-    return RT;
-  }
-  assert(false && "unknown governor name");
-  return nullptr;
+bool isPredictive(const std::string &Name) {
+  return Name == governors::PredictiveI || Name == governors::PredictiveU;
+}
+
+/// True for the governors built on GreenWebRuntime.
+bool isRuntime(const std::string &Name) {
+  return isPredictive(Name) || Name == governors::GreenWebI ||
+         Name == governors::GreenWebU;
+}
+
+/// True for the governors that aim at the usable targets.
+bool isUsable(const std::string &Name) {
+  return Name == governors::GreenWebU || Name == governors::PredictiveU;
 }
 
 /// Host wall clock for setup-phase attribution (never simulated time).
@@ -297,7 +261,11 @@ struct Harness {
                Auto.GeneratedCss + "</style>\n";
       }
     }
-    Gov = makeGovernor(Config, Registry, Meter);
+    if (isPredictive(Config.GovernorName) && !Config.Model &&
+        !Config.ModelPath.empty() &&
+        DecisionTreeModel::loadFile(Config.ModelPath, LoadedModel))
+      this->Config.Model = &LoadedModel;
+    Gov = makeGovernor(this->Config, Registry, Meter);
     SetupHostNs += hostNowNs() - SetupStart;
   }
 
@@ -336,8 +304,7 @@ struct Harness {
     if (Config.FeatureRows) {
       // Training-data export: label targets follow the governor's
       // scenario (usable for the -U governors, imperceptible else).
-      UsageScenario S = Config.GovernorName == governors::GreenWebU ||
-                                Config.GovernorName == governors::PredictiveU
+      UsageScenario S = isUsable(Config.GovernorName)
                             ? UsageScenario::Usable
                             : UsageScenario::Imperceptible;
       Probe.emplace(Registry, Chip, S, *Config.FeatureRows);
@@ -357,6 +324,8 @@ struct Harness {
   }
 
   ExperimentConfig Config;
+  /// The model read from Config.ModelPath (when Config.Model was unset).
+  DecisionTreeModel LoadedModel;
   /// Validated warm assets (null on cold runs).
   const PageAssets *Warm = nullptr;
   /// App definition built by this run (cold path only).
@@ -381,6 +350,45 @@ struct Harness {
 };
 
 } // namespace
+
+bool greenweb::governors::known(std::string_view Name) {
+  return std::find(std::begin(All), std::end(All), Name) != std::end(All);
+}
+
+std::unique_ptr<Governor>
+greenweb::makeGovernor(const ExperimentConfig &Config,
+                       AnnotationRegistry &Registry,
+                       const EnergyMeter &Meter) {
+  const std::string &Name = Config.GovernorName;
+  if (!governors::known(Name))
+    throw std::invalid_argument("unknown governor '" + Name + "'");
+  if (Name == governors::Perf)
+    return std::make_unique<PerfGovernor>();
+  if (Name == governors::Powersave)
+    return std::make_unique<PowersaveGovernor>();
+  if (Name == governors::Interactive)
+    return std::make_unique<InteractiveGovernor>();
+  if (Name == governors::Ondemand)
+    return std::make_unique<OndemandGovernor>();
+  if (Name == governors::Ebs)
+    return std::make_unique<EbsGovernor>();
+  // The runtime family: GreenWeb-I/U and Predictive-I/U.
+  GreenWebRuntime::Params P =
+      Config.RuntimeParams.value_or(GreenWebRuntime::Params{});
+  P.Scenario =
+      isUsable(Name) ? UsageScenario::Usable : UsageScenario::Imperceptible;
+  std::unique_ptr<GreenWebRuntime> RT;
+  if (isPredictive(Name)) {
+    PredictiveGovernor::Options O;
+    O.Model = Config.Model;
+    O.ConfidenceThreshold = Config.PredictiveConfidence;
+    RT = std::make_unique<PredictiveGovernor>(Registry, P, O);
+  } else {
+    RT = std::make_unique<GreenWebRuntime>(Registry, P);
+  }
+  RT->setEnergyMeter(&Meter);
+  return RT;
+}
 
 //===----------------------------------------------------------------------===//
 // runExperiment
@@ -439,14 +447,8 @@ static ExperimentResult collectResults(Harness &H, TimePoint ArmTime) {
   if (H.B)
     R.InputEventsCoalesced = H.B->rateController().suppressedCount();
 
-  if (auto *RT = static_cast<GreenWebRuntime *>(
-          H.Config.GovernorName == governors::GreenWebI ||
-                  H.Config.GovernorName == governors::GreenWebU ||
-                  H.Config.GovernorName == governors::PredictiveI ||
-                  H.Config.GovernorName == governors::PredictiveU
-              ? H.Gov.get()
-              : nullptr))
-    R.RuntimeStats = RT->stats();
+  if (isRuntime(H.Config.GovernorName))
+    R.RuntimeStats = static_cast<const GreenWebRuntime &>(*H.Gov).stats();
 
   if (Telemetry *T = H.Sim.telemetry(); T && T->enabled()) {
     // Close spans still open at session end (quiescence never reached,

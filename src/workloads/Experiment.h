@@ -27,10 +27,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greenweb {
 
+class EnergyMeter;
 class Telemetry;
 struct RunSample;
 class WarmCache;
@@ -49,6 +51,13 @@ inline constexpr const char *GreenWebI = "GreenWeb-I";
 inline constexpr const char *GreenWebU = "GreenWeb-U";
 inline constexpr const char *PredictiveI = "Predictive-I";
 inline constexpr const char *PredictiveU = "Predictive-U";
+/// The one list of governor names: exactly the names makeGovernor
+/// builds. Drivers and plan validation check names against it.
+inline constexpr const char *All[] = {Perf,      Interactive, Ondemand,
+                                      Powersave, Ebs,         GreenWebI,
+                                      GreenWebU, PredictiveI, PredictiveU};
+/// True when \p Name is in All.
+bool known(std::string_view Name);
 } // namespace governors
 
 /// One experiment's configuration.
@@ -94,8 +103,9 @@ struct ExperimentConfig {
   /// rewrite the page source (UseAutoGreenAnnotations) still load cold.
   /// Not owned; must outlive the run. Thread-safe across parallel runs.
   WarmCache *WarmPool = nullptr;
-  /// Model JSON for the Predictive governors (loaded per run). Ignored
-  /// for other governors.
+  /// Model JSON for the Predictive governors, read per run (through
+  /// DecisionTreeModel::loadFile) when Model is unset; one that does not
+  /// load leaves the LTM fallback. Ignored for other governors.
   std::string ModelPath;
   /// Pre-parsed model for the Predictive governors; takes precedence
   /// over ModelPath. Not owned; must outlive the run.
@@ -180,6 +190,13 @@ struct ExperimentResult {
   uint64_t SetupHostNs = 0;
 };
 
+/// Builds the governor \p Config names (with its runtime parameters and
+/// model) over \p Registry and \p Meter. Throws std::invalid_argument
+/// ("unknown governor '<name>'") for a name outside governors::All.
+std::unique_ptr<Governor> makeGovernor(const ExperimentConfig &Config,
+                                       AnnotationRegistry &Registry,
+                                       const EnergyMeter &Meter);
+
 /// Runs a single experiment.
 ExperimentResult runExperiment(const ExperimentConfig &Config);
 
@@ -189,9 +206,6 @@ ExperimentResult runExperiment(const ExperimentConfig &Config);
 ExperimentResult runExperimentMedian(ExperimentConfig Config,
                                      std::vector<uint64_t> Seeds = {1, 2,
                                                                     3});
-
-/// The violation percentage of \p Result under \p Scenario.
-double violationPct(const ExperimentResult &Result, UsageScenario Scenario);
 
 /// Publishes \p Result's headline scalars as experiment.* gauges in
 /// \p Tel's registry (latest run wins; snapshot per run to keep more).

@@ -143,11 +143,7 @@ bool FleetPlan::parse(const std::string &Text, FleetPlan &Out,
         KnownApps.end())
       R.fail("unknown app '" + App + "'");
   for (const std::string &Gov : P.Governors)
-    if (Gov != governors::Perf && Gov != governors::Interactive &&
-        Gov != governors::Ondemand && Gov != governors::Powersave &&
-        Gov != governors::Ebs && Gov != governors::GreenWebI &&
-        Gov != governors::GreenWebU && Gov != governors::PredictiveI &&
-        Gov != governors::PredictiveU)
+    if (!governors::known(Gov))
       R.fail("unknown governor '" + Gov + "'");
   if (P.ModelPath.empty())
     for (const std::string &Gov : P.Governors)

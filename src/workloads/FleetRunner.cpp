@@ -11,6 +11,7 @@
 #include "hw/AcmpChip.h"
 #include "profiling/RunMeta.h"
 #include "sim/Simulator.h"
+#include "support/FileIo.h"
 #include "support/StringUtils.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/SchedTrace.h"
@@ -19,47 +20,13 @@
 #include "workloads/WorkloadAssets.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
 using namespace greenweb;
 
 namespace {
-
-bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
-}
-
-/// Atomic write: the checkpoint on disk is always a complete document —
-/// a crash mid-write leaves the previous checkpoint intact.
-bool writeFileAtomic(const std::string &Path, const std::string &Text,
-                     std::string *Error) {
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out || !(Out << Text) || !Out.flush()) {
-      if (Error)
-        *Error = "cannot write " + Tmp;
-      return false;
-    }
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    if (Error)
-      *Error = "cannot rename " + Tmp + " to " + Path;
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 std::string blackBoxRef(uint64_t Item) {
   return formatString("item-%06llu", static_cast<unsigned long long>(Item));
@@ -81,10 +48,8 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     if (!Durable)
       return failWith(Error, "--resume needs a checkpoint path");
     std::string Text;
-    if (!readWholeFile(Opts.CheckpointPath, Text))
-      return failWith(Error,
-                      "cannot read checkpoint " + Opts.CheckpointPath);
-    if (!FleetCheckpoint::load(Text, C, Error))
+    if (!readFile(Opts.CheckpointPath, Text, Error) ||
+        !FleetCheckpoint::load(Text, C, Error))
       return false;
     if (C.PlanHash != Plan.hash())
       return failWith(
@@ -104,16 +69,24 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     C.ItemsTotal = Items;
   }
 
+  // The feature table stays a stream (it can outgrow memory); every
+  // append is checked, so a full disk stops the run instead of leaving a
+  // short table behind.
   std::ofstream Features;
+  auto FeaturesFailed = [&Features, &Opts, Error] {
+    if (Features)
+      return false;
+    failWith(Error, "cannot write features file " + Opts.FeaturesPath);
+    return true;
+  };
   if (!Opts.FeaturesPath.empty()) {
     if (Opts.Resume)
       return failWith(Error,
                       "feature export does not support --resume (skipped "
                       "batches would leave holes in the table)");
     Features.open(Opts.FeaturesPath, std::ios::binary | std::ios::trunc);
-    if (!Features)
-      return failWith(Error,
-                      "cannot write features file " + Opts.FeaturesPath);
+    if (FeaturesFailed())
+      return false;
     // Ladder size for the header: the label space is this chip's
     // config ladder, identical for every simulated device.
     size_t LadderLevels;
@@ -131,13 +104,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   // stops the run here instead of silently degrading every predictive
   // item to its fallback.
   std::optional<DecisionTreeModel> Model;
-  if (!Plan.ModelPath.empty()) {
-    std::string Text, ModelError;
-    if (!readWholeFile(Plan.ModelPath, Text))
-      return failWith(Error, "cannot read model " + Plan.ModelPath);
-    if (!DecisionTreeModel::parse(Text, Model.emplace(), &ModelError))
-      return failWith(Error, "model " + Plan.ModelPath + ": " + ModelError);
-  }
+  if (!Plan.ModelPath.empty() &&
+      !DecisionTreeModel::loadFile(Plan.ModelPath, Model.emplace(), Error))
+    return false;
 
   WarmCache Warm;
   SchedProgress Progress;
@@ -224,7 +193,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     }
 
     // Feature rows append in item order, the same order the fold uses.
-    if (Features.is_open())
+    if (Features.is_open()) {
       for (size_t I = 0; I < FeatureSlots.size(); ++I) {
         const FleetPlanItem &Item = BatchItems[I];
         for (const FeatureRow &Row : FeatureSlots[I])
@@ -232,6 +201,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                                      Item.Seed)
                    << "\n";
       }
+      if (FeaturesFailed())
+        return false;
+    }
 
     // Fold in item order — the one order every invocation shares.
     FleetShardRollup Rollup;
@@ -275,9 +247,10 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
         const std::string &Dump = BlackBoxes[size_t(D.Item - First)];
         if (Dump.empty())
           continue;
-        writeFileAtomic(Opts.CheckpointPath + "." + D.BlackBoxRef +
-                            ".blackbox.json",
-                        Dump, nullptr);
+        if (!replaceFile(Opts.CheckpointPath + "." + D.BlackBoxRef +
+                             ".blackbox.json",
+                         Dump, Error))
+          return false;
       }
 
     for (uint64_t I = 0; I < Count; ++I)
@@ -287,10 +260,16 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     ++SinceCheckpoint;
     if (Durable &&
         SinceCheckpoint >= std::max(1u, Opts.CheckpointEveryBatches)) {
-      if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
+      if (!replaceFile(Opts.CheckpointPath, C.serialize(), Error))
         return false;
       SinceCheckpoint = 0;
     }
+  }
+
+  if (Features.is_open()) {
+    Features.close();
+    if (FeaturesFailed())
+      return false;
   }
 
   Out.Complete = !Stopped && C.doneCount() == Items;
@@ -302,7 +281,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     Out.Report = FleetReport::fromCheckpoint(C);
   }
   if (Durable && (SinceCheckpoint > 0 || Out.Complete))
-    if (!writeFileAtomic(Opts.CheckpointPath, C.serialize(), Error))
+    if (!replaceFile(Opts.CheckpointPath, C.serialize(), Error))
       return false;
   return true;
 }

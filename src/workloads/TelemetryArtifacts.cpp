@@ -8,23 +8,16 @@
 
 #include "profiling/Profiler.h"
 #include "profiling/RunMeta.h"
+#include "support/FileIo.h"
 #include "support/StringUtils.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/SchedTrace.h"
 #include "telemetry/Telemetry.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string_view>
 
 using namespace greenweb;
-
-std::optional<std::string_view> greenweb::flagValue(std::string_view Arg,
-                                                   std::string_view Prefix) {
-  if (!startsWith(Arg, Prefix))
-    return std::nullopt;
-  return Arg.substr(Prefix.size());
-}
 
 namespace {
 
@@ -61,21 +54,11 @@ ArgMatch parseSharedFlag(TelemetryArtifactOptions &O, std::string_view Arg) {
 bool TelemetryArtifactOptions::parseArgs(int Argc, char **Argv,
                                          const ArgHandler &Own) {
   for (int I = 1; I < Argc; ++I) {
-    std::string_view Arg = Argv[I];
-    ArgMatch M = Own ? Own(Arg) : ArgMatch::Unknown;
+    ArgMatch M = Own ? Own(Argv[I]) : ArgMatch::Unknown;
     if (M == ArgMatch::Unknown)
-      M = parseSharedFlag(*this, Arg);
-    if (M == ArgMatch::Unknown) {
-      std::fprintf(stderr, "error: unknown %s %s\n",
-                   startsWith(Arg, "-") ? "flag" : "argument", Argv[I]);
+      M = parseSharedFlag(*this, Argv[I]);
+    if (!acceptArg(M, Argv[I]))
       return false;
-    }
-    if (M == ArgMatch::Malformed) {
-      std::string_view Flag = Arg.substr(0, Arg.find('='));
-      std::fprintf(stderr, "error: invalid value for %.*s: %s\n",
-                   int(Flag.size()), Flag.data(), Argv[I]);
-      return false;
-    }
   }
   CommandLine = prof::joinCommandLine(Argc, Argv);
   if (Prof) {
@@ -93,14 +76,13 @@ void TelemetryArtifactOptions::configureHub(Telemetry &Tel) const {
     Tel.enableFlightRecorder();
 }
 
-/// Writes \p Content to \p Path; false, with a diagnostic, when the file
-/// cannot be opened or the write does not complete.
-static bool writeOne(const std::string &Path, const std::string &Content,
-                     const char *What) {
-  std::ofstream Out(Path);
-  if (!(Out << Content).flush()) {
-    std::fprintf(stderr, "error: cannot write %s to %s\n", What,
-                 Path.c_str());
+/// Writes one requested artifact and reports it: "wrote <What> to
+/// <Path>" on stdout, or the file layer's diagnostic on stderr and false.
+static bool writeArtifact(const std::string &Path, std::string_view Text,
+                          const char *What) {
+  std::string Error;
+  if (!writeFile(Path, Text, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
   std::printf("wrote %s to %s\n", What, Path.c_str());
@@ -129,7 +111,7 @@ bool greenweb::writeTelemetryArtifacts(
 
   bool Ok = true;
   if (!Opts.TracePath.empty())
-    Ok &= writeOne(
+    Ok &= writeArtifact(
         Opts.TracePath,
         exportChromeTrace(Frames, Cpu, Tel, Opts.Prof ? &Prof : nullptr,
                           Sched && Sched->active() ? Sched : nullptr),
@@ -139,10 +121,10 @@ bool greenweb::writeTelemetryArtifacts(
     std::string Log = Meta.toJsonlLine();
     Log += '\n';
     Tel.log().appendJsonl(Log);
-    Ok &= writeOne(Opts.LogPath, Log, "telemetry event log");
+    Ok &= writeArtifact(Opts.LogPath, Log, "telemetry event log");
   }
   if (!Opts.MetricsPath.empty())
-    Ok &= writeOne(Opts.MetricsPath,
+    Ok &= writeArtifact(Opts.MetricsPath,
                    Meta.wrapSnapshot(Tel.metrics().snapshotJson()),
                    "metrics snapshot");
   if (Opts.Alerts) {
@@ -153,7 +135,7 @@ bool greenweb::writeTelemetryArtifacts(
   if (!Opts.BlackboxPath.empty()) {
     const FlightRecorder *R = Tel.flightRecorder();
     if (R) {
-      Ok &= writeOne(Opts.BlackboxPath, Meta.wrapSnapshot(R->dumpsJson()),
+      Ok &= writeArtifact(Opts.BlackboxPath, Meta.wrapSnapshot(R->dumpsJson()),
                      "flight-recorder black box");
       std::printf("flight recorder: %zu dump(s), %llu trigger(s)\n",
                   R->dumps().size(),
@@ -164,8 +146,17 @@ bool greenweb::writeTelemetryArtifacts(
                    "attached to this hub\n");
     }
   }
-  if (Opts.Prof)
-    Ok &= prof::writeProfileFiles(Prof, Opts.ProfOut);
+  if (Opts.Prof) {
+    const std::string &Base = Opts.ProfOut;
+    Ok &= writeArtifact(Base + ".collapsed", prof::collapsedStacks(Prof),
+                        "collapsed host stacks (speedscope/flamegraph.pl)");
+    Ok &= writeArtifact(Base + ".txt", prof::reportTable(Prof),
+                        "host profile report");
+    if (!Prof.Samples.empty())
+      Ok &= writeArtifact(Base + ".samples.collapsed",
+                          prof::collapsedSampleStacks(Prof),
+                          "sampled host stacks");
+  }
   return Ok;
 }
 
@@ -174,6 +165,6 @@ bool greenweb::writeSchedArtifact(const TelemetryArtifactOptions &Opts,
   if (Opts.SchedPath.empty() || !Sched.active())
     return true;
   SchedReport Report = SchedReport::fromTrace(Sched);
-  return writeOne(Opts.SchedPath, schedArtifactJson(Sched, Report),
+  return writeArtifact(Opts.SchedPath, schedArtifactJson(Sched, Report),
                   "scheduler trace");
 }

@@ -61,30 +61,9 @@ namespace greenweb {
 class SchedTrace;
 class Telemetry;
 
-/// What a flag handler made of one command-line argument.
-enum class ArgMatch {
-  Unknown,  ///< Not this handler's argument.
-  Taken,    ///< Consumed.
-  Malformed ///< This handler's flag, with a value that does not parse.
-};
-
 /// A driver's own argument handler (see TelemetryArtifactOptions::
 /// parseArgs).
 using ArgHandler = std::function<ArgMatch(std::string_view Arg)>;
-
-/// The value of \p Arg when it starts with \p Prefix ("--jobs="),
-/// nullopt otherwise.
-std::optional<std::string_view> flagValue(std::string_view Arg,
-                                          std::string_view Prefix);
-
-/// Stores \p Value in \p Out when parseCount<T> accepts it.
-template <class T> ArgMatch countArg(std::string_view Value, T &Out) {
-  std::optional<T> N = parseCount<T>(Value);
-  if (!N)
-    return ArgMatch::Malformed;
-  Out = *N;
-  return ArgMatch::Taken;
-}
 
 /// Parsed artifact destinations; empty paths mean "not requested".
 struct TelemetryArtifactOptions {

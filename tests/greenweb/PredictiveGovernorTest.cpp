@@ -51,16 +51,21 @@ protected:
 
   void settle(Duration D) { Sim.runUntil(Sim.now() + D); }
 
-  PredictiveGovernor &startPath(std::string Path) {
+  /// Loads \p Path through the model loader and starts the governor the
+  /// way runExperiment does: with the model when it loads, without one
+  /// (the LTM fallback) when it does not. The loader's diagnostic is
+  /// kept in LoadError.
+  PredictiveGovernor &startLoaded(const std::string &Path) {
     PredictiveGovernor::Options O;
-    O.ModelPath = std::move(Path);
-    return start(std::move(O));
+    if (DecisionTreeModel::loadFile(Path, Loaded, &LoadError))
+      O.Model = &Loaded;
+    return start(O);
   }
 
   PredictiveGovernor &startShared(const DecisionTreeModel &M,
                                   double Threshold = 0.6) {
     PredictiveGovernor::Options O;
-    O.SharedModel = &M;
+    O.Model = &M;
     O.ConfidenceThreshold = Threshold;
     return start(std::move(O));
   }
@@ -88,14 +93,16 @@ protected:
   Browser B;
   AnnotationRegistry Registry;
   GreenWebRuntime::Params Params;
+  DecisionTreeModel Loaded;
+  std::string LoadError;
   std::unique_ptr<PredictiveGovernor> RT;
 };
 
 } // namespace
 
-TEST_F(PredictiveFixture, MissingModelFileFallsBackToLtm) {
-  PredictiveGovernor &G = startPath("/nonexistent/predictive.json");
-  EXPECT_FALSE(G.modelError().empty());
+TEST_F(PredictiveFixture, NullModelFallsBackToLtm) {
+  PredictiveGovernor &G = start({});
+  EXPECT_EQ(G.modelError(), "no model configured");
   EXPECT_FALSE(G.predictiveStats().ModelLoaded);
   // The run proceeds exactly like the LTM baseline: profile at max,
   // never consult the model.
@@ -106,11 +113,23 @@ TEST_F(PredictiveFixture, MissingModelFileFallsBackToLtm) {
   EXPECT_GE(G.stats().ProfilingFrames, 1u);
 }
 
+TEST_F(PredictiveFixture, MissingModelFileFallsBackToLtm) {
+  PredictiveGovernor &G = startLoaded("/nonexistent/predictive.json");
+  EXPECT_NE(LoadError.find("cannot read /nonexistent/predictive.json"),
+            std::string::npos)
+      << LoadError;
+  EXPECT_FALSE(G.predictiveStats().ModelLoaded);
+  B.dispatchInput("click", "job");
+  settle(Duration::seconds(3));
+  EXPECT_EQ(G.predictiveStats().ModelPredictions, 0u);
+  EXPECT_GE(G.stats().ProfilingFrames, 1u);
+}
+
 TEST_F(PredictiveFixture, CorruptModelFileFallsBackToLtm) {
   std::string Path = ::testing::TempDir() + "/gw_corrupt_model.json";
   std::ofstream(Path) << "{\"kind\": \"decision_tree\", truncated garbage";
-  PredictiveGovernor &G = startPath(Path);
-  EXPECT_FALSE(G.modelError().empty());
+  PredictiveGovernor &G = startLoaded(Path);
+  EXPECT_EQ(LoadError.rfind(Path + ": ", 0), 0u) << LoadError;
   EXPECT_FALSE(G.predictiveStats().ModelLoaded);
   B.dispatchInput("click", "job");
   settle(Duration::seconds(3));
@@ -120,8 +139,9 @@ TEST_F(PredictiveFixture, CorruptModelFileFallsBackToLtm) {
 TEST_F(PredictiveFixture, WrongSchemaDocumentFallsBackToLtm) {
   std::string Path = ::testing::TempDir() + "/gw_wrong_schema.json";
   std::ofstream(Path) << "{\"kind\": \"something_else\", \"nodes\": []}";
-  PredictiveGovernor &G = startPath(Path);
-  EXPECT_FALSE(G.modelError().empty());
+  PredictiveGovernor &G = startLoaded(Path);
+  EXPECT_EQ(LoadError.rfind(Path + ": ", 0), 0u) << LoadError;
+  EXPECT_NE(LoadError.find("kind"), std::string::npos) << LoadError;
   B.dispatchInput("click", "job");
   settle(Duration::seconds(3));
   EXPECT_EQ(G.predictiveStats().ModelPredictions, 0u);
@@ -130,7 +150,7 @@ TEST_F(PredictiveFixture, WrongSchemaDocumentFallsBackToLtm) {
 TEST_F(PredictiveFixture, UntrainedSharedModelRejected) {
   DecisionTreeModel Empty;
   PredictiveGovernor::Options O;
-  O.SharedModel = &Empty;
+  O.Model = &Empty;
   PredictiveGovernor G(Registry, Params, O);
   EXPECT_FALSE(G.modelError().empty());
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace greenweb;
 
 namespace {
@@ -231,4 +233,39 @@ TEST(ExperimentTest, PowersaveUsesLeastEnergyButViolates) {
   EXPECT_LT(Save.TotalJoules, Perf.TotalJoules * 0.4);
   EXPECT_GT(Save.ViolationPctImperceptible,
             Perf.ViolationPctImperceptible);
+}
+
+TEST(ExperimentTest, UnknownGovernorIsRefusedNotDereferenced) {
+  for (const char *Name : governors::All)
+    EXPECT_TRUE(governors::known(Name)) << Name;
+  EXPECT_FALSE(governors::known("Bogus"));
+  EXPECT_THROW(run("Todo", "Bogus"), std::invalid_argument);
+}
+
+TEST(ExperimentTest, ModelPathResolvesThroughTheModelLoader) {
+  ExperimentConfig C;
+  C.AppName = "Todo";
+  C.GovernorName = governors::PredictiveI;
+  C.Mode = ExperimentMode::Micro;
+  C.ModelPath = GW_SOURCE_DIR "/examples/models/predictive.json";
+  ExperimentResult ByPath = runExperiment(C);
+
+  DecisionTreeModel M;
+  std::string Error;
+  ASSERT_TRUE(DecisionTreeModel::loadFile(C.ModelPath, M, &Error)) << Error;
+  C.ModelPath.clear();
+  C.Model = &M;
+  ExperimentResult ByModel = runExperiment(C);
+  EXPECT_EQ(ByPath.TotalJoules, ByModel.TotalJoules);
+  EXPECT_EQ(ByPath.Frames, ByModel.Frames);
+
+  // A path that does not load leaves the governor on its LTM fallback,
+  // exactly as if no model had been configured.
+  C.Model = nullptr;
+  ExperimentResult NoModel = runExperiment(C);
+  C.ModelPath = "/nonexistent/model.json";
+  ExperimentResult Missing = runExperiment(C);
+  EXPECT_EQ(Missing.TotalJoules, NoModel.TotalJoules);
+  EXPECT_EQ(Missing.Frames, NoModel.Frames);
+  EXPECT_NE(ByPath.TotalJoules, NoModel.TotalJoules);
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -287,6 +288,36 @@ TEST(FleetRunnerTest, MissingOrMalformedModelStopsBeforeAnyBatch) {
   EXPECT_NE(Error.find(Plan.ModelPath), std::string::npos) << Error;
   EXPECT_FALSE(std::ifstream(Opts.CheckpointPath).good());
   std::remove(Plan.ModelPath.c_str());
+}
+
+TEST(FleetRunnerTest, UnwritableBlackBoxFailsTheRunNamingTheFile) {
+  // A straight run shows which black boxes the plan persists.
+  FleetPlan Plan = smallPlan();
+  std::filesystem::path Dir = tempPath("blackbox");
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir / "ok");
+  std::filesystem::create_directories(Dir / "bad");
+  FleetRunOptions Opts;
+  Opts.Jobs = 1;
+  Opts.CheckpointPath = (Dir / "ok" / "fleet.ckpt").string();
+  FleetRunSummary S;
+  std::string Error;
+  ASSERT_TRUE(runFleet(Plan, Opts, S, &Error)) << Error;
+  std::string BlackBox;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir / "ok"))
+    if (Entry.path().string().find(".blackbox.json") != std::string::npos)
+      BlackBox = Entry.path().filename().string();
+  ASSERT_FALSE(BlackBox.empty()) << "the plan persisted no black box";
+
+  // The same run where that black box cannot be written (a directory
+  // holds its name) fails, naming the file, instead of dropping it.
+  std::filesystem::create_directories(Dir / "bad" / BlackBox);
+  Opts.CheckpointPath = (Dir / "bad" / "fleet.ckpt").string();
+  EXPECT_FALSE(runFleet(Plan, Opts, S, &Error));
+  EXPECT_NE(Error.find("cannot write " + (Dir / "bad" / BlackBox).string()),
+            std::string::npos)
+      << Error;
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace

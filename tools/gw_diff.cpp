@@ -13,13 +13,14 @@
 //   gw-diff a.events.jsonl b.events.jsonl --json=report.json
 //
 // Exit codes: 0 = no regressions, 1 = at least one regression beyond
-// threshold (suppressed by --warn-only), 2 = unusable input or
-// refused comparison (apples-to-oranges metadata; override the
-// environment check with --force).
+// threshold (suppressed by --warn-only), 2 = unusable input, refused
+// comparison (apples-to-oranges metadata; override the environment
+// check with --force) or a --json report that cannot be written.
 //
 //===----------------------------------------------------------------------===//
 
 #include "profiling/RunCompare.h"
+#include "support/FileIo.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -101,11 +102,8 @@ int main(int Argc, char **Argv) {
 
   std::string Error;
   auto Base = prof::RunSnapshot::loadFile(BaselinePath, &Error);
-  if (!Base) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return usage(Argv[0]);
-  }
-  auto Cand = prof::RunSnapshot::loadFile(CandidatePath, &Error);
+  auto Cand = Base ? prof::RunSnapshot::loadFile(CandidatePath, &Error)
+                   : std::nullopt;
   if (!Cand) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return usage(Argv[0]);
@@ -146,14 +144,12 @@ int main(int Argc, char **Argv) {
   std::fputs(Report.c_str(), stdout);
 
   if (!JsonPath.empty()) {
-    std::string Json = prof::compareReportJson(R, Opts);
-    if (std::FILE *F = std::fopen(JsonPath.c_str(), "w")) {
-      std::fwrite(Json.data(), 1, Json.size(), F);
-      std::fclose(F);
-      std::printf("wrote comparison report to %s\n", JsonPath.c_str());
-    } else {
-      std::fprintf(stderr, "warning: cannot write %s\n", JsonPath.c_str());
+    // Exit 1 already means "regressed", so a lost report exits 2.
+    if (!writeFile(JsonPath, prof::compareReportJson(R, Opts), &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      return 2;
     }
+    std::printf("wrote comparison report to %s\n", JsonPath.c_str());
   }
 
   if (!R.comparable())

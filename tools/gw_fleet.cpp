@@ -30,18 +30,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FileIo.h"
 #include "support/StringUtils.h"
 #include "workloads/FleetRunner.h"
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 using namespace greenweb;
 
@@ -64,66 +60,41 @@ int main(int Argc, char **Argv) {
   FleetRunOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    auto Value = [&Arg](std::string_view Flag) -> const char * {
-      if (Arg.rfind(Flag, 0) == 0)
-        return Arg.data() + Flag.size();
-      return nullptr;
-    };
-    // Set to the flag's name when a count value fails to parse.
-    const char *BadFlag = nullptr;
-    auto Count = [&BadFlag](const char *V, auto &Out, const char *Flag) {
-      using T = std::remove_reference_t<decltype(Out)>;
-      if (std::optional<T> N = parseCount<T>(V))
-        Out = *N;
-      else
-        BadFlag = Flag;
-    };
-    if (const char *V = Value("--plan="))
-      PlanPath = V;
-    else if (const char *V = Value("--jobs="))
-      Count(V, Opts.Jobs, "--jobs");
-    else if (const char *V = Value("--batch="))
-      Count(V, Opts.BatchSize, "--batch");
-    else if (const char *V = Value("--checkpoint-every="))
-      Count(V, Opts.CheckpointEveryBatches, "--checkpoint-every");
-    else if (const char *V = Value("--checkpoint="))
-      Opts.CheckpointPath = V;
-    else if (const char *V = Value("--max-batches="))
-      Count(V, Opts.MaxBatches, "--max-batches");
-    else if (const char *V = Value("--report="))
-      ReportPath = V;
-    else if (const char *V = Value("--features="))
-      Opts.FeaturesPath = V;
+    ArgMatch M = ArgMatch::Taken;
+    if (auto V = flagValue(Arg, "--plan="))
+      PlanPath = *V;
+    else if (auto V = flagValue(Arg, "--jobs="))
+      M = countArg(*V, Opts.Jobs);
+    else if (auto V = flagValue(Arg, "--batch="))
+      M = countArg(*V, Opts.BatchSize);
+    else if (auto V = flagValue(Arg, "--checkpoint-every="))
+      M = countArg(*V, Opts.CheckpointEveryBatches);
+    else if (auto V = flagValue(Arg, "--checkpoint="))
+      Opts.CheckpointPath = *V;
+    else if (auto V = flagValue(Arg, "--max-batches="))
+      M = countArg(*V, Opts.MaxBatches);
+    else if (auto V = flagValue(Arg, "--report="))
+      ReportPath = *V;
+    else if (auto V = flagValue(Arg, "--features="))
+      Opts.FeaturesPath = *V;
     else if (Arg == "--resume")
       Opts.Resume = true;
     else if (Arg == "--progress")
       Opts.Progress = true;
-    else {
-      std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
+    else
+      M = ArgMatch::Unknown;
+    if (!acceptArg(M, Arg))
       return usage(Argv[0]);
-    }
-    if (BadFlag) {
-      std::fprintf(stderr, "error: invalid value for %s: %s\n", BadFlag,
-                   Argv[I]);
-      return usage(Argv[0]);
-    }
   }
   if (PlanPath.empty()) {
     std::fprintf(stderr, "error: --plan= is required\n");
     return usage(Argv[0]);
   }
 
-  std::ifstream In(PlanPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read %s\n", PlanPath.c_str());
-    return usage(Argv[0]);
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-
+  std::string Text, Error;
   FleetPlan Plan;
-  std::string Error;
-  if (!FleetPlan::parse(Buffer.str(), Plan, &Error)) {
+  if (!readFile(PlanPath, Text, &Error) ||
+      !FleetPlan::parse(Text, Plan, &Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return usage(Argv[0]);
   }
@@ -167,9 +138,8 @@ int main(int Argc, char **Argv) {
 
   std::printf("%s", Summary.Report.format().c_str());
   if (!ReportPath.empty()) {
-    std::ofstream Out(ReportPath, std::ios::binary | std::ios::trunc);
-    if (!Out || !(Out << Summary.Report.toJson() << "\n")) {
-      std::fprintf(stderr, "error: cannot write %s\n", ReportPath.c_str());
+    if (!writeFile(ReportPath, Summary.Report.toJson() + "\n", &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
     std::fprintf(stderr, "wrote fleet report to %s\n", ReportPath.c_str());

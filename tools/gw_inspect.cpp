@@ -49,6 +49,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "profiling/RunMeta.h"
+#include "support/FileIo.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "telemetry/AnomalyDetector.h"
@@ -62,12 +63,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <vector>
 
 using namespace greenweb;
 
@@ -403,21 +403,47 @@ int cmdBlackbox(const TelemetryLog &Log, const std::string &WritePath) {
                 D.Records.size());
   }
   if (!WritePath.empty()) {
-    std::ofstream Out(WritePath);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", WritePath.c_str());
+    std::string Error;
+    if (!writeFile(WritePath, Recorder.dumpsJson(), &Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
     }
-    Out << Recorder.dumpsJson();
     std::printf("wrote black-box dumps to %s\n", WritePath.c_str());
   }
   return 0;
 }
 
+/// Prints the recomputed report \p Formatted, then checks its JSON
+/// \p Offline byte-for-byte against the \p Embedded copy the producer
+/// wrote: 0 on a match or when there is no embedded copy to check, 1 on
+/// a mismatch. \p What names the report, \p Source what it was
+/// recomputed from.
+int checkReplayParity(const std::string &Formatted,
+                      const std::string &Embedded,
+                      const std::string &Offline, const char *What,
+                      const char *Source) {
+  std::printf("%s", Formatted.c_str());
+  if (Embedded.empty()) {
+    std::printf("\nno embedded %s (a partial run?); offline "
+                "recomputation only, parity not checked.\n", What);
+    return 0;
+  }
+  if (Offline != Embedded) {
+    std::fprintf(stderr,
+                 "parity mismatch between the embedded %s and the "
+                 "offline recomputation:\n  embedded: %s\n  offline:  "
+                 "%s\n",
+                 What, Embedded.c_str(), Offline.c_str());
+    return 1;
+  }
+  std::printf("\nreplay parity OK: %s reproduced byte-for-byte from %s.\n",
+              What, Source);
+  return 0;
+}
+
 /// Rebuilds the scheduler trace from a --sched= artifact, recomputes
-/// the report from the raw items, and verifies it byte-for-byte against
-/// the embedded copy the producer wrote (the offline analog of the
-/// alerts parity check). Nonzero on any mismatch.
+/// the report from the raw items, and verifies it against the embedded
+/// copy (the offline analog of the alerts parity check).
 int cmdSched(const std::string &Text, const char *Argv0) {
   SchedTrace Trace;
   std::string Error;
@@ -426,31 +452,15 @@ int cmdSched(const std::string &Text, const char *Argv0) {
     return usage(Argv0);
   }
   SchedReport Report = SchedReport::fromTrace(Trace);
-  std::printf("%s", Report.format().c_str());
-
-  std::string Embedded = schedReportSectionFromArtifact(Text);
-  if (Embedded.empty()) {
-    std::printf("\nartifact carries no embedded report; offline "
-                "recomputation only, parity not checked.\n");
-    return 0;
-  }
-  std::string Offline = Report.toJson();
-  if (Offline != Embedded) {
-    std::fprintf(stderr,
-                 "parity mismatch between the embedded report and the "
-                 "offline recomputation:\n  embedded: %s\n  offline:  "
-                 "%s\n",
-                 Embedded.c_str(), Offline.c_str());
-    return 1;
-  }
-  std::printf("\nreplay parity OK: report reproduced byte-for-byte from "
-              "the raw scheduler items.\n");
-  return 0;
+  return checkReplayParity(Report.format(),
+                           schedReportSectionFromArtifact(Text),
+                           Report.toJson(), "report",
+                           "the raw scheduler items");
 }
 
 /// Re-derives the fleet report from a gw-fleet checkpoint's folded
-/// state and verifies it byte-for-byte against the embedded copy — the
-/// fleet analog of the sched parity gate. Nonzero on any mismatch.
+/// state and verifies it against the embedded copy — the fleet analog
+/// of the sched parity gate.
 int cmdFleet(const std::string &Text, const char *Argv0) {
   FleetCheckpoint C;
   std::string Error;
@@ -459,26 +469,8 @@ int cmdFleet(const std::string &Text, const char *Argv0) {
     return usage(Argv0);
   }
   FleetReport Report = FleetReport::fromCheckpoint(C);
-  std::printf("%s", Report.format().c_str());
-
-  if (C.ReportJson.empty()) {
-    std::printf("\ncheckpoint carries no embedded report (run still "
-                "partial); offline recomputation only, parity not "
-                "checked.\n");
-    return 0;
-  }
-  std::string Offline = Report.toJson();
-  if (Offline != C.ReportJson) {
-    std::fprintf(stderr,
-                 "parity mismatch between the embedded fleet report and "
-                 "the offline recomputation:\n  embedded: %s\n"
-                 "  offline:  %s\n",
-                 C.ReportJson.c_str(), Offline.c_str());
-    return 1;
-  }
-  std::printf("\nreplay parity OK: fleet report reproduced byte-for-byte "
-              "from the checkpoint state.\n");
-  return 0;
+  return checkReplayParity(Report.format(), C.ReportJson, Report.toJson(),
+                           "fleet report", "the checkpoint state");
 }
 
 } // namespace
@@ -501,14 +493,11 @@ int main(int Argc, char **Argv) {
   if (Positional.empty())
     return usage(Argv[0]);
 
-  std::ifstream In(Positional[0]);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read %s\n", Positional[0]);
+  std::string Text, Error;
+  if (!readFile(Positional[0], Text, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return usage(Argv[0]);
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Text = Buffer.str();
 
   // The sched artifact is a single JSON document, not a JSONL log;
   // dispatch before the line-oriented parsing below.
@@ -520,7 +509,7 @@ int main(int Argc, char **Argv) {
   // Logs written since the RunMeta header landed open with a
   // {"kind":"meta",...} line; surface it rather than counting it as a
   // malformed record.
-  size_t MetaLines = 0;
+  bool HasMeta = false;
   {
     size_t LineEnd = Text.find('\n');
     std::string_view First(Text.data(), LineEnd == std::string::npos
@@ -529,7 +518,6 @@ int main(int Argc, char **Argv) {
     if (First.find("\"kind\":\"meta\"") != std::string_view::npos)
       if (auto Doc = json::parse(First)) {
         prof::RunMeta Meta;
-        std::string Error;
         if (!prof::RunMeta::fromJson(*Doc, Meta, &Error)) {
           std::fprintf(stderr, "error: %s\n", Error.c_str());
           return usage(Argv[0]);
@@ -544,15 +532,12 @@ int main(int Argc, char **Argv) {
         if (!Meta.Flags.empty())
           std::printf("produced by: %s\n", Meta.Flags.c_str());
         std::printf("\n");
-        MetaLines = 1;
+        HasMeta = true;
       }
   }
 
-  size_t Skipped = 0;
-  TelemetryLog Log = TelemetryLog::fromJsonl(Text, &Skipped);
-  if (Skipped > MetaLines)
-    std::fprintf(stderr, "warning: skipped %zu malformed lines\n",
-                 Skipped - MetaLines);
+  std::vector<size_t> Malformed;
+  TelemetryLog Log = TelemetryLog::fromJsonl(Text, nullptr, &Malformed);
   const char *Cmd = Positional.size() > 1 ? Positional[1] : "summary";
   const char *Commands[] = {"summary", "violations", "faults", "alerts",
                             "blackbox", "energy",     "path"};
@@ -560,6 +545,21 @@ int main(int Argc, char **Argv) {
                    [Cmd](const char *C) { return std::strcmp(Cmd, C) == 0; })) {
     std::fprintf(stderr, "error: unknown command '%s'\n", Cmd);
     return usage(Argv[0]);
+  }
+  // A malformed line is refused, except a final line with no newline:
+  // that is the tail of a run that died mid-write, so it is skipped with
+  // a warning.
+  size_t LastLine = size_t(std::count(Text.begin(), Text.end(), '\n')) + 1;
+  for (size_t Line : Malformed) {
+    if (Line == 1 && HasMeta)
+      continue;
+    if (Line != LastLine) {
+      std::fprintf(stderr, "error: %s:%zu: malformed telemetry record\n",
+                   Positional[0], Line);
+      return usage(Argv[0]);
+    }
+    std::fprintf(stderr, "warning: skipped truncated final line %zu\n",
+                 Line);
   }
   if (Log.empty()) {
     std::fprintf(stderr, "error: %s holds no telemetry records\n",

@@ -23,13 +23,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "greenweb/Features.h"
+#include "support/FileIo.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,38 +51,21 @@ int main(int Argc, char **Argv) {
   bool Stats = false;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    auto Value = [&Arg](std::string_view Flag) -> const char * {
-      if (Arg.rfind(Flag, 0) == 0)
-        return Arg.data() + Flag.size();
-      return nullptr;
-    };
-    // Set to the flag's name when a count value fails to parse.
-    const char *BadFlag = nullptr;
-    auto Count = [&BadFlag](const char *V, unsigned &Out, const char *Flag) {
-      if (std::optional<unsigned> N = parseCount<unsigned>(V))
-        Out = *N;
-      else
-        BadFlag = Flag;
-    };
-    if (const char *V = Value("--features="))
-      FeaturesPath = V;
-    else if (const char *V = Value("--out="))
-      OutPath = V;
-    else if (const char *V = Value("--max-depth="))
-      Count(V, Opts.MaxDepth, "--max-depth");
-    else if (const char *V = Value("--min-leaf="))
-      Count(V, Opts.MinSamplesLeaf, "--min-leaf");
+    ArgMatch M = ArgMatch::Taken;
+    if (auto V = flagValue(Arg, "--features="))
+      FeaturesPath = *V;
+    else if (auto V = flagValue(Arg, "--out="))
+      OutPath = *V;
+    else if (auto V = flagValue(Arg, "--max-depth="))
+      M = countArg(*V, Opts.MaxDepth);
+    else if (auto V = flagValue(Arg, "--min-leaf="))
+      M = countArg(*V, Opts.MinSamplesLeaf);
     else if (Arg == "--stats")
       Stats = true;
-    else {
-      std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
+    else
+      M = ArgMatch::Unknown;
+    if (!acceptArg(M, Arg))
       return usage(Argv[0]);
-    }
-    if (BadFlag) {
-      std::fprintf(stderr, "error: invalid value for %s: %s\n", BadFlag,
-                   Argv[I]);
-      return usage(Argv[0]);
-    }
   }
   if (FeaturesPath.empty() || OutPath.empty()) {
     std::fprintf(stderr, "error: --features= and --out= are required\n");
@@ -97,17 +77,13 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
   }
 
-  std::ifstream In(FeaturesPath, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot read %s\n", FeaturesPath.c_str());
+  std::string Text, Error;
+  if (!readFile(FeaturesPath, Text, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return usage(Argv[0]);
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-
   FeatureTable Table;
-  std::string Error;
-  if (!FeatureTable::parse(Buffer.str(), Table, &Error)) {
+  if (!FeatureTable::parse(Text, Table, &Error)) {
     std::fprintf(stderr, "error: %s: %s\n", FeaturesPath.c_str(),
                  Error.c_str());
     return usage(Argv[0]);
@@ -143,9 +119,8 @@ int main(int Argc, char **Argv) {
                  100.0 * double(Correct) / double(Table.Rows.size()));
   }
 
-  std::ofstream Out(OutPath, std::ios::binary | std::ios::trunc);
-  if (!Out || !(Out << Model.toJson() << "\n")) {
-    std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
+  if (!writeFile(OutPath, Model.toJson() + "\n", &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
   std::fprintf(stderr, "wrote model to %s\n", OutPath.c_str());
