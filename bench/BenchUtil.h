@@ -5,11 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-table/figure benchmark harnesses: the
-/// harness session (strict flags, JSON report, shared artifacts), cached
-/// median experiment runs (the paper's three-seed protocol, Sec. 7.1),
-/// parallel cell prefetch, self-timed measurement, and common
-/// formatting.
+/// Helpers shared by the benchmark harnesses: the harness session
+/// (strict flags, JSON report, shared artifacts), self-timed
+/// measurement, and common formatting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +20,6 @@
 #include "support/TablePrinter.h"
 #include "telemetry/Telemetry.h"
 #include "workloads/Experiment.h"
-#include "workloads/ParallelRunner.h"
 #include "workloads/TelemetryArtifacts.h"
 
 #include <algorithm>
@@ -31,10 +28,8 @@
 #include <cstdlib>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 namespace greenweb::bench {
@@ -44,7 +39,7 @@ namespace greenweb::bench {
 /// ...), the bench flags
 ///
 ///   --json=<path>      write the harness's results as JSON to <path>
-///   --jobs=N           worker threads for sweep prefetch (0 = hardware)
+///   --jobs=N           worker threads for sweeps (0 = hardware)
 ///   --samples-cap=N    cap raw sample arrays in JSON (0 = unlimited;
 ///                      default 100, so long self-timed runs do not
 ///                      bloat committed baselines)
@@ -52,7 +47,7 @@ namespace greenweb::bench {
 /// and the harness's own switches. An unknown flag or a malformed value
 /// exits 2 with usage on stderr. On destruction the harness writes its
 /// JSON document, then the shared artifacts of its metrics-only hub
-/// (which ResultCache instruments into) and the profile; when any of
+/// (which sweeps instrument into) and the profile; when any of
 /// them cannot be written the process exits 1.
 class Harness {
 public:
@@ -111,7 +106,7 @@ public:
   unsigned Jobs = 1; ///< Benches default to serial; sweeps opt in.
   TelemetryArtifactOptions Artifacts;
   prof::BenchReport Json;
-  /// Metrics-only hub every cached run instruments into.
+  /// Metrics-only hub every sweep run instruments into.
   Telemetry Tel;
 
 private:
@@ -147,86 +142,6 @@ inline Measurement measure(const std::function<uint64_t()> &Round,
   } while (M.Seconds < MinSeconds);
   return M;
 }
-
-/// One (app, governor, mode) sweep cell.
-using BenchCell = std::tuple<std::string, std::string, ExperimentMode>;
-
-/// Runs (or returns the cached) median experiment for one
-/// (app, governor, mode) cell under the paper's three-seed protocol.
-///
-/// Every run instruments into the harness's metrics-only hub (a sweep
-/// touches hundreds of runs, so the per-record log stays off);
-/// --metrics=<path> writes the aggregate snapshot when the harness
-/// exits. Stdout is unaffected either way.
-class ResultCache {
-public:
-  explicit ResultCache(Harness &H) : Tel(H.Tel), Jobs(H.Jobs) {}
-
-  /// Runs every not-yet-cached cell across the harness's --jobs worker
-  /// threads and caches the results, so subsequent get() calls are
-  /// hits. Per-run telemetry lands in the shared hub in cell order — the
-  /// aggregate is identical to running the same cells serially through
-  /// get().
-  void prefetch(const std::vector<BenchCell> &Cells) {
-    std::vector<BenchCell> Missing;
-    for (const BenchCell &Cell : Cells)
-      if (!Cache.count(key(Cell)))
-        Missing.push_back(Cell);
-    if (Missing.empty())
-      return;
-    std::vector<ExperimentConfig> Configs;
-    Configs.reserve(Missing.size());
-    for (const auto &[App, Governor, Mode] : Missing) {
-      ExperimentConfig Config;
-      Config.AppName = App;
-      Config.GovernorName = Governor;
-      Config.Mode = Mode;
-      Configs.push_back(std::move(Config));
-    }
-    ParallelExperimentOptions Opts;
-    Opts.Jobs = Jobs;
-    Opts.SharedTel = &Tel;
-    Opts.MedianSeeds = {1, 2, 3};
-    Opts.PerJobHook = [](size_t, const ExperimentResult &, Telemetry &T) {
-      T.metrics().counter("bench.cells_run").add();
-    };
-    std::vector<ExperimentResult> Results =
-        runExperimentsParallel(Configs, Opts);
-    for (size_t I = 0; I < Missing.size(); ++I)
-      Cache.emplace(key(Missing[I]), std::move(Results[I]));
-  }
-
-  const ExperimentResult &get(const std::string &App,
-                              const std::string &Governor,
-                              ExperimentMode Mode) {
-    auto Key = key({App, Governor, Mode});
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      Tel.metrics().counter("bench.cache_hits").add();
-      return It->second;
-    }
-    Tel.metrics().counter("bench.cells_run").add();
-    ExperimentConfig Config;
-    Config.AppName = App;
-    Config.GovernorName = Governor;
-    Config.Mode = Mode;
-    Config.Tel = &Tel;
-    auto [Inserted, _] =
-        Cache.emplace(Key, runExperimentMedian(Config, {1, 2, 3}));
-    return Inserted->second;
-  }
-
-private:
-  static std::string key(const BenchCell &Cell) {
-    return std::get<0>(Cell) + "|" + std::get<1>(Cell) +
-           (std::get<2>(Cell) == ExperimentMode::Micro ? "|micro"
-                                                       : "|full");
-  }
-
-  Telemetry &Tel;
-  unsigned Jobs;
-  std::map<std::string, ExperimentResult> Cache;
-};
 
 /// Prints the standard harness banner.
 inline void banner(const char *Id, const char *Paper) {

@@ -122,7 +122,7 @@ ChaosCell runCell(const Options &Opts, const std::string &Scenario,
   Cell.Scenario = Scenario;
   Cell.Watchdog = Watchdog;
   Cell.Joules = R.TotalJoules;
-  bool Usable = Opts.Governor == governors::GreenWebU;
+  bool Usable = governors::usable(Opts.Governor);
   Cell.ViolationPct =
       Usable ? R.ViolationPctUsable : R.ViolationPctImperceptible;
   Cell.FaultEvents = R.Faults.total();
@@ -208,7 +208,7 @@ int runSoak(const Options &Opts) {
 
   unsigned Failures = 0;
   uint64_t TotalInjections = 0;
-  bool Usable = Opts.Governor == governors::GreenWebU;
+  bool Usable = governors::usable(Opts.Governor);
   for (unsigned I = 0; I < Opts.Soak; ++I) {
     const ExperimentResult &R = Results[I];
     uint64_t Seed = Opts.Seed + I;

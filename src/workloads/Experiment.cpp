@@ -215,11 +215,6 @@ bool isRuntime(const std::string &Name) {
          Name == governors::GreenWebU;
 }
 
-/// True for the governors that aim at the usable targets.
-bool isUsable(const std::string &Name) {
-  return Name == governors::GreenWebU || Name == governors::PredictiveU;
-}
-
 /// Host wall clock for setup-phase attribution (never simulated time).
 uint64_t hostNowNs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -304,7 +299,7 @@ struct Harness {
     if (Config.FeatureRows) {
       // Training-data export: label targets follow the governor's
       // scenario (usable for the -U governors, imperceptible else).
-      UsageScenario S = isUsable(Config.GovernorName)
+      UsageScenario S = governors::usable(Config.GovernorName)
                             ? UsageScenario::Usable
                             : UsageScenario::Imperceptible;
       Probe.emplace(Registry, Chip, S, *Config.FeatureRows);
@@ -355,6 +350,10 @@ bool greenweb::governors::known(std::string_view Name) {
   return std::find(std::begin(All), std::end(All), Name) != std::end(All);
 }
 
+bool greenweb::governors::usable(std::string_view Name) {
+  return Name == GreenWebU || Name == PredictiveU;
+}
+
 std::unique_ptr<Governor>
 greenweb::makeGovernor(const ExperimentConfig &Config,
                        AnnotationRegistry &Registry,
@@ -375,8 +374,8 @@ greenweb::makeGovernor(const ExperimentConfig &Config,
   // The runtime family: GreenWeb-I/U and Predictive-I/U.
   GreenWebRuntime::Params P =
       Config.RuntimeParams.value_or(GreenWebRuntime::Params{});
-  P.Scenario =
-      isUsable(Name) ? UsageScenario::Usable : UsageScenario::Imperceptible;
+  P.Scenario = governors::usable(Name) ? UsageScenario::Usable
+                                       : UsageScenario::Imperceptible;
   std::unique_ptr<GreenWebRuntime> RT;
   if (isPredictive(Name)) {
     PredictiveGovernor::Options O;
@@ -485,7 +484,7 @@ RunSample greenweb::makeRunSample(const ExperimentResult &Result,
   S.App = Result.App;
   S.Governor = Result.Governor;
   S.Joules = Result.TotalJoules;
-  S.ViolationPct = Result.Governor == governors::GreenWebU
+  S.ViolationPct = governors::usable(Result.Governor)
                        ? Result.ViolationPctUsable
                        : Result.ViolationPctImperceptible;
   S.Frames = Result.Frames;

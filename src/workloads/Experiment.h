@@ -58,6 +58,9 @@ inline constexpr const char *All[] = {Perf,      Interactive, Ondemand,
                                       GreenWebU, PredictiveI, PredictiveU};
 /// True when \p Name is in All.
 bool known(std::string_view Name);
+/// True for the governors that aim at the usable targets (GreenWeb-U,
+/// Predictive-U); every other governor is scored as imperceptible.
+bool usable(std::string_view Name);
 } // namespace governors
 
 /// One experiment's configuration.
@@ -213,9 +216,8 @@ void publishResultMetrics(const ExperimentResult &Result, Telemetry &Tel);
 
 /// Reduces \p Result to the RunSample a StreamAggregator folds: the
 /// violation percentage is scored under the governor's own scenario
-/// (usable for GreenWeb-U, imperceptible otherwise), and the raw
-/// violation / alert counts come from \p Tel's counters when the run
-/// was instrumented (zero otherwise).
+/// (governors::usable), and the raw violation / alert counts come from
+/// \p Tel's counters when the run was instrumented (zero otherwise).
 RunSample makeRunSample(const ExperimentResult &Result,
                         const Telemetry *Tel = nullptr);
 

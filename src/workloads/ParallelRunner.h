@@ -13,11 +13,10 @@
 /// *aggregate* is preserved by merging per-run telemetry into the shared
 /// hub in configuration index order, never completion order.
 ///
-/// The evaluation sweeps (full_evaluation, bench_table3_apps,
-/// bench_fig10_full, bench_fig11_confdist) are embarrassingly parallel:
-/// a sweep is |apps| x |governors| x |seeds| independent simulations
-/// whose only interaction is the final table. This runner is the one
-/// place that fan-out lives.
+/// The evaluation sweeps (full_evaluation, bench_paper_suite) are
+/// embarrassingly parallel: a sweep is |apps| x |governors| x |seeds|
+/// independent simulations whose only interaction is the final table.
+/// This runner is the one place that fan-out lives.
 ///
 //===----------------------------------------------------------------------===//
 

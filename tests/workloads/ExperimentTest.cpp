@@ -6,9 +6,12 @@
 
 #include "workloads/Experiment.h"
 
+#include "telemetry/StreamAggregator.h"
+
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string_view>
 
 using namespace greenweb;
 
@@ -268,4 +271,17 @@ TEST(ExperimentTest, ModelPathResolvesThroughTheModelLoader) {
   EXPECT_EQ(Missing.TotalJoules, NoModel.TotalJoules);
   EXPECT_EQ(Missing.Frames, NoModel.Frames);
   EXPECT_NE(ByPath.TotalJoules, NoModel.TotalJoules);
+}
+
+TEST(ExperimentTest, RunSampleScoresEachGovernorUnderItsOwnScenario) {
+  ExperimentResult R;
+  R.ViolationPctImperceptible = 24.0;
+  R.ViolationPctUsable = 3.0;
+  for (const char *Name : governors::All) {
+    R.Governor = Name;
+    bool Usable = std::string_view(Name) == governors::GreenWebU ||
+                  std::string_view(Name) == governors::PredictiveU;
+    EXPECT_EQ(governors::usable(Name), Usable) << Name;
+    EXPECT_EQ(makeRunSample(R).ViolationPct, Usable ? 3.0 : 24.0) << Name;
+  }
 }

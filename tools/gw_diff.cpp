@@ -23,6 +23,7 @@
 #include "support/FileIo.h"
 #include "support/StringUtils.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -36,8 +37,8 @@ int usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--baseline] BASELINE [--candidate] CANDIDATE\n"
-      "          [--noise-threshold=PCT] [--alpha=A] [--json=PATH]\n"
-      "          [--warn-only] [--strict-meta] [--force]\n"
+      "          [--noise-threshold=PCT] [--alpha=A] [--bootstrap-iters=N]\n"
+      "          [--json=PATH] [--warn-only] [--strict-meta] [--force]\n"
       "\n"
       "Compares two run artifacts (bench --json, metrics snapshot, or\n"
       "telemetry JSONL) and reports per-metric verdicts. Exits 1 on\n"
@@ -55,39 +56,48 @@ int main(int Argc, char **Argv) {
   bool Force = false;
   std::vector<std::string> Positional;
 
+  // A malformed number is refused (exit 2), never replaced by its default.
+  auto Number = [](std::string_view Value, double &Out) {
+    std::optional<double> D = parseDouble(Value);
+    if (!D || !std::isfinite(*D))
+      return ArgMatch::Malformed;
+    Out = *D;
+    return ArgMatch::Taken;
+  };
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
-    if (startsWith(Arg, "--baseline="))
-      BaselinePath = std::string(Arg.substr(11));
+    ArgMatch M = ArgMatch::Taken;
+    if (auto V = flagValue(Arg, "--baseline="))
+      BaselinePath = *V;
     else if (Arg == "--baseline" && I + 1 < Argc)
       BaselinePath = Argv[++I];
-    else if (startsWith(Arg, "--candidate="))
-      CandidatePath = std::string(Arg.substr(12));
+    else if (auto V = flagValue(Arg, "--candidate="))
+      CandidatePath = *V;
     else if (Arg == "--candidate" && I + 1 < Argc)
       CandidatePath = Argv[++I];
-    else if (startsWith(Arg, "--noise-threshold="))
-      Opts.NoiseThresholdPct =
-          parseDouble(Arg.substr(18)).value_or(Opts.NoiseThresholdPct);
-    else if (startsWith(Arg, "--alpha="))
-      Opts.Alpha = parseDouble(Arg.substr(8)).value_or(Opts.Alpha);
-    else if (startsWith(Arg, "--bootstrap-iters="))
-      Opts.BootstrapIters = uint64_t(
-          parseInt(Arg.substr(18)).value_or(int64_t(Opts.BootstrapIters)));
-    else if (startsWith(Arg, "--json="))
-      JsonPath = std::string(Arg.substr(7));
+    else if (auto V = flagValue(Arg, "--noise-threshold="))
+      M = Number(*V, Opts.NoiseThresholdPct);
+    else if (auto V = flagValue(Arg, "--alpha="))
+      M = Number(*V, Opts.Alpha);
+    else if (auto V = flagValue(Arg, "--bootstrap-iters="))
+      M = countArg(*V, Opts.BootstrapIters);
+    else if (auto V = flagValue(Arg, "--json="))
+      JsonPath = *V;
     else if (Arg == "--warn-only")
       WarnOnly = true;
     else if (Arg == "--strict-meta")
       Opts.StrictMeta = true;
     else if (Arg == "--force")
       Force = true;
-    else if (startsWith(Arg, "--")) {
-      // Unified CLI contract (shared with gw-inspect): unknown flags
-      // and unreadable input print usage to stderr and exit 2.
-      std::fprintf(stderr, "error: unknown flag %s\n", Argv[I]);
-      return usage(Argv[0]);
-    } else
+    else if (startsWith(Arg, "--"))
+      // Unified CLI contract (shared with gw-inspect): unknown flags,
+      // malformed values and unreadable input print usage to stderr
+      // and exit 2.
+      M = ArgMatch::Unknown;
+    else
       Positional.push_back(std::string(Arg));
+    if (!acceptArg(M, Arg))
+      return usage(Argv[0]);
   }
   for (const std::string &P : Positional) {
     if (BaselinePath.empty())
