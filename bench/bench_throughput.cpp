@@ -18,6 +18,11 @@
 //      frame on pages with 100 / 1,000 / 10,000 filler elements. The
 //      style and layout stages price every node, so they must read the
 //      node count without walking the tree; the 10k/100 ratio is gated.
+//   5. Cold page load: host us per page over the 12 app pages (seed 1):
+//      construct a browser, parse, load with the annotation scan the
+//      experiments run, and tear down. Also the deterministic share of
+//      walked elements the scan fully matched (its QoS candidates),
+//      which is gated.
 //
 // Sweep scaling (--jobs=1 vs N) is measured on a whole fleet plan, where
 // it is large enough to read: see the fleet-smoke CI job.
@@ -37,9 +42,11 @@
 #include "css/CssParser.h"
 #include "css/StyleResolver.h"
 #include "dom/Dom.h"
+#include "greenweb/AnnotationRegistry.h"
 #include "hw/AcmpChip.h"
 #include "sim/Simulator.h"
 #include "support/StringUtils.h"
+#include "workloads/Apps.h"
 #include "workloads/Experiment.h"
 #include "workloads/WorkloadAssets.h"
 
@@ -202,6 +209,24 @@ Measurement frameHostCost(int Fillers) {
     Sim.runUntil(Sim.now() + Duration::milliseconds(500));
     return uint64_t(B.frameTracker().frames().size() - Before);
   });
+}
+
+/// One cold page load as an experiment runs it: a fresh browser parses
+/// \p Html and fills an annotation registry from the page's cascade at
+/// load; the browser and its document are then torn down. Adds the
+/// annotation scan's walked and fully matched element counts.
+void coldPageLoad(const std::string &Html, uint64_t &Walked,
+                  uint64_t &Matched) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  Browser B(Sim, Chip);
+  AnnotationRegistry Registry;
+  B.OnPageParsed = [&] { Registry.loadFromPage(B); };
+  B.loadPage(Html);
+  const css::StyleResolver::IndexStats &Stats =
+      B.styleResolver().indexStats();
+  Walked += Stats.QosScanWalked;
+  Matched += Stats.QosScanMatched;
 }
 
 } // namespace
@@ -399,6 +424,40 @@ int main(int Argc, char **Argv) {
     double Ratio = NsAt100 > 0 ? NsAt10k / NsAt100 : 0;
     std::printf("frame host cost, 10k vs 100 fillers: %.2fx\n\n", Ratio);
     Run.Json.scalar("frame_host_ns_ratio_10k_vs_100", Ratio, "x");
+  }
+
+  // --- 5. Cold page load ---
+  {
+    std::vector<std::string> Pages;
+    for (const std::string &App : allAppNames())
+      Pages.push_back(makeApp(App, 1).Html);
+    uint64_t Walked = 0, Matched = 0;
+    for (const std::string &Html : Pages)
+      coldPageLoad(Html, Walked, Matched);
+    double Fraction = Walked ? double(Matched) / double(Walked) : 1.0;
+    Measurement Load = measure([&] {
+      uint64_t W = 0, M = 0;
+      for (const std::string &Html : Pages)
+        coldPageLoad(Html, W, M);
+      return uint64_t(Pages.size());
+    });
+
+    TablePrinter Pl("Cold page load (12 app pages, seed 1: parse, load "
+                    "with annotation scan, teardown)");
+    Pl.row().cell("leg").cell("us/page").cell("pages/sec");
+    Pl.row()
+        .cell("cold page load")
+        .cell(Load.nsPerOp() / 1e3, 1)
+        .cell(Load.opsPerSec(), 0);
+    Pl.print();
+    std::printf("annotation scan fully matched %llu of %llu walked "
+                "elements (%.3f)\n\n",
+                static_cast<unsigned long long>(Matched),
+                static_cast<unsigned long long>(Walked), Fraction);
+    Run.Json.metric("page_load_cold", Load.Ops, Load.nsPerOp(),
+                    "pages_per_sec", Load.opsPerSec(), "",
+                    Load.SamplesNsPerOp);
+    Run.Json.scalar("qos_scan_candidate_fraction", Fraction, "ratio");
   }
 
   std::printf("\nJSON written to %s\n", Run.JsonPath.c_str());

@@ -11,7 +11,7 @@
 // e.g. `full_evaluation Cnet GreenWeb-U full`. Artifact flags (shared
 // with the other examples) instrument the session and export it:
 //
-//   full_evaluation Goo.ne.jp GreenWeb-U full --trace=trace.json \
+//   full_evaluation Goo.ne.jp GreenWeb-U full --trace=trace.json
 //       --log=events.jsonl --metrics=metrics.json
 //
 // A trailing positional path is still accepted as shorthand for all

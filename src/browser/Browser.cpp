@@ -347,6 +347,7 @@ void Browser::bindInlineHandlers() {
 
 uint64_t Browser::loadPage(std::string_view Html) {
   assert(!PageLoaded && "browser already has a page");
+  GW_PROF_SCOPE("browser.load_page");
 
   html::ParseResult Parsed = html::parseHtml(Html);
   Doc = std::move(Parsed.Doc);

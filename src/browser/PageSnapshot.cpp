@@ -32,13 +32,13 @@ PageSnapshot greenweb::capturePageSnapshot(std::string_view Html) {
   S.Sheet = std::move(Sheet);
   S.Index = css::StyleResolver::buildIndex(*S.Sheet);
 
-  // Run the cold matching pass once, against the prototype, and keep
-  // the results: clones reproduce node ids and the style version, so
-  // every warm run's first full-document pass (the annotation scan at
-  // load) becomes pure cache adoption.
+  // Run the load's annotation scan once, against the prototype, and
+  // keep its match results: clones reproduce node ids and the style
+  // version, so every warm run's scan matches the same QoS candidates
+  // by pure cache adoption.
   css::StyleResolver Resolver(*S.Sheet);
   Resolver.shareIndex(S.Index);
-  S.Proto->forEachElement([&](Element &E) { Resolver.matchRules(E); });
+  Resolver.collectQosAnnotations(*S.Proto);
   S.StyleCache = Resolver.snapshotCache();
   return S;
 }

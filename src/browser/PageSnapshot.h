@@ -8,9 +8,9 @@
 /// A PageSnapshot captures everything Browser::loadPage derives from raw
 /// HTML that does not depend on the run: the parsed prototype document,
 /// the parsed stylesheet, the selector rule index, the cold style-match
-/// results for every element, and the byte counts the load interaction's
-/// simulated costs are computed from. Building one costs the same as one
-/// cold load's host-side setup; every subsequent
+/// results of the load's annotation scan, and the byte counts the load
+/// interaction's simulated costs are computed from. Building one costs
+/// the same as one cold load's host-side setup; every subsequent
 /// Browser::loadPage(snapshot) restores instead of re-deriving — the
 /// document is cloned (node ids preserved), the stylesheet and index are
 /// shared read-only, and the style cache is adopted — then the load
@@ -46,9 +46,10 @@ struct PageSnapshot {
   std::shared_ptr<const css::Stylesheet> Sheet;
   /// Selector index over Sheet, built once.
   std::shared_ptr<const css::StyleResolver::RuleIndex> Index;
-  /// Cold matched-rules results for every element at the prototype's
-  /// post-parse style version; clones start at the same version and
-  /// with the same node ids, so runs adopt these instead of matching.
+  /// Cold matched-rules results for every element the annotation scan
+  /// matches (its QoS candidates), at the prototype's post-parse style
+  /// version; clones start at the same version and with the same node
+  /// ids, so runs adopt these instead of matching.
   std::shared_ptr<const css::StyleResolver::MatchCache> StyleCache;
   /// Source sizes driving the simulated parse-task costs.
   size_t HtmlBytes = 0;

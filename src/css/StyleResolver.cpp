@@ -106,15 +106,20 @@ void appendCompoundHints(const SimpleSelector &Compound,
 // Index construction and lookup
 //===----------------------------------------------------------------------===//
 
+static void sortUnique(std::vector<std::string> &Keys) {
+  std::sort(Keys.begin(), Keys.end());
+  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+}
+
 static void buildIndexInto(StyleResolver::RuleIndex &Index,
                            const Stylesheet &Sheet) {
   GW_PROF_SCOPE("css.build_index");
-  Index.IdBuckets.clear();
-  Index.ClassBuckets.clear();
-  Index.TagBuckets.clear();
-  Index.UniversalBucket.clear();
+  Index = StyleResolver::RuleIndex();
   for (size_t RuleIdx = 0; RuleIdx < Sheet.Rules.size(); ++RuleIdx) {
     const StyleRule &Rule = Sheet.Rules[RuleIdx];
+    bool DeclaresQos = std::any_of(
+        Rule.Declarations.begin(), Rule.Declarations.end(),
+        [](const Declaration &Decl) { return isQosProperty(Decl.Property); });
     for (size_t SelIdx = 0; SelIdx < Rule.Selectors.size(); ++SelIdx) {
       const ComplexSelector &Selector = Rule.Selectors[SelIdx];
       if (Selector.Compounds.empty())
@@ -128,18 +133,47 @@ static void buildIndexInto(StyleResolver::RuleIndex &Index,
       // key is a necessary condition only; the exact match below still
       // verifies the full compound.
       const SimpleSelector &Subject = Selector.Compounds.back();
-      if (!Subject.Id.empty())
+      if (!Subject.Id.empty()) {
         Index.IdBuckets[Subject.Id].push_back(std::move(Indexed));
-      else if (!Subject.Classes.empty())
+        if (DeclaresQos)
+          Index.QosIds.push_back(Subject.Id);
+      } else if (!Subject.Classes.empty()) {
         Index.ClassBuckets[Subject.Classes.front()].push_back(
             std::move(Indexed));
-      else if (!Subject.Tag.empty() && Subject.Tag != "*")
+        if (DeclaresQos)
+          Index.QosClasses.push_back(Subject.Classes.front());
+      } else if (!Subject.Tag.empty() && Subject.Tag != "*") {
         Index.TagBuckets[toLower(Subject.Tag)].push_back(std::move(Indexed));
-      else
+        if (DeclaresQos)
+          Index.QosTags.push_back(toLower(Subject.Tag));
+      } else {
         Index.UniversalBucket.push_back(std::move(Indexed));
+        Index.QosUniversal |= DeclaresQos;
+      }
     }
   }
+  sortUnique(Index.QosIds);
+  sortUnique(Index.QosClasses);
+  sortUnique(Index.QosTags);
   Index.RuleCount = Sheet.Rules.size();
+}
+
+/// True when \p E hits one of \p Index's QoS subject keys, i.e. when
+/// some rule declaring a QoS property could match it.
+static bool isQosCandidate(const StyleResolver::RuleIndex &Index,
+                           const Element &E) {
+  auto Has = [](const std::vector<std::string> &Keys, std::string_view Key) {
+    return std::binary_search(Keys.begin(), Keys.end(), Key, std::less<>());
+  };
+  if (Index.QosUniversal || (!E.id().empty() && Has(Index.QosIds, E.id())))
+    return true;
+  for (const std::string &Class : E.classes())
+    if (Has(Index.QosClasses, Class))
+      return true;
+  for (const std::string &Tag : Index.QosTags)
+    if (equalsIgnoreCase(Tag, E.tagName()))
+      return true;
+  return false;
 }
 
 std::shared_ptr<const StyleResolver::RuleIndex>
@@ -317,8 +351,13 @@ StyleResolver::qosAnnotationsFor(const Element &E,
 std::vector<QosAnnotation>
 StyleResolver::collectQosAnnotations(Document &Doc,
                                      std::vector<std::string> *Diags) const {
+  const RuleIndex &Index = activeIndex();
   std::vector<QosAnnotation> All;
   Doc.forEachElement([&](Element &E) {
+    ++Stats.QosScanWalked;
+    if (!isQosCandidate(Index, E))
+      return;
+    ++Stats.QosScanMatched;
     std::vector<QosAnnotation> Anns = qosAnnotationsFor(E, Diags);
     All.insert(All.end(), Anns.begin(), Anns.end());
   });

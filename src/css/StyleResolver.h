@@ -129,6 +129,15 @@ public:
     /// Keyed by ASCII-lowercased tag (matching is case-insensitive).
     BucketMap TagBuckets;
     std::vector<IndexedSelector> UniversalBucket;
+    /// Subject keys, as bucketed above, of every selector in a rule that
+    /// declares a QoS property; sorted, tags lowercased. An element can
+    /// match such a rule only if its id, one of its classes or its tag
+    /// is among them (or QosUniversal is set), so no other element can
+    /// get a QoS annotation or diagnostic.
+    std::vector<std::string> QosIds;
+    std::vector<std::string> QosClasses;
+    std::vector<std::string> QosTags;
+    bool QosUniversal = false;
     /// Rules indexed; a resolver whose sheet has grown past this falls
     /// back to (re)building its own index.
     size_t RuleCount = 0;
@@ -193,7 +202,10 @@ public:
   qosAnnotationsFor(const Element &E,
                     std::vector<std::string> *Diags = nullptr) const;
 
-  /// Scans the whole document and returns every element's annotations.
+  /// Scans the whole document and returns every element's annotations,
+  /// and their diagnostics, in pre-order. Only elements hitting one of
+  /// the index's QoS subject keys are matched; for any other element
+  /// qosAnnotationsFor returns nothing and reports nothing.
   std::vector<QosAnnotation>
   collectQosAnnotations(Document &Doc,
                         std::vector<std::string> *Diags = nullptr) const;
@@ -213,6 +225,10 @@ public:
     uint64_t Candidates = 0;
     /// Candidates dismissed by the ancestor-hint filter alone.
     uint64_t FastRejects = 0;
+    /// Elements collectQosAnnotations walked, and those of them it
+    /// matched because they hit a QoS subject key.
+    uint64_t QosScanWalked = 0;
+    uint64_t QosScanMatched = 0;
   };
   const IndexStats &indexStats() const { return Stats; }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
 
 using namespace greenweb;
 
@@ -17,12 +18,45 @@ bool greenweb::isUserInputEvent(std::string_view Name) {
          Name == events::TouchMove || Name == events::Load;
 }
 
+namespace {
+
+/// Position of \p Name in a name-sorted pair list (lower bound).
+template <class List> auto findSlot(List &Pairs, std::string_view Name) {
+  return std::lower_bound(
+      Pairs.begin(), Pairs.end(), Name,
+      [](const auto &Pair, std::string_view Key) { return Pair.first < Key; });
+}
+
+template <class List>
+std::string_view lookup(const List &Pairs, std::string_view Name) {
+  auto It = findSlot(Pairs, Name);
+  if (It == Pairs.end() || It->first != Name)
+    return {};
+  return It->second;
+}
+
+/// The value slot for \p Name, inserted empty when absent.
+template <class List>
+std::string &slotFor(List &Pairs, std::string_view Name) {
+  auto It = findSlot(Pairs, Name);
+  if (It == Pairs.end() || It->first != Name)
+    It = Pairs.insert(It, {std::string(Name), std::string()});
+  return It->second;
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // Element
 //===----------------------------------------------------------------------===//
 
-Element::Element(Document &Doc, std::string TagName)
-    : Doc(Doc), NodeId(Doc.takeNodeId()), TagName(std::move(TagName)) {}
+Element::Element(Document &Doc, uint64_t NodeId, std::string_view TagName)
+    : Doc(Doc), NodeId(NodeId), TagName(TagName) {}
+
+Element::Element(Document &Doc, const Element &Src)
+    : Doc(Doc), NodeId(Src.NodeId), TagName(Src.TagName),
+      IdValue(Src.IdValue), Classes(Src.Classes), Attributes(Src.Attributes),
+      InlineStyle(Src.InlineStyle), Connected(Src.Connected) {}
 
 void Element::setId(std::string NewId) {
   IdValue = std::move(NewId);
@@ -34,67 +68,65 @@ bool Element::hasClass(std::string_view Name) const {
   return std::find(Classes.begin(), Classes.end(), Name) != Classes.end();
 }
 
-void Element::addClass(std::string Name) {
+void Element::addClass(std::string_view Name) {
   if (hasClass(Name))
     return;
-  Classes.push_back(std::move(Name));
+  Classes.emplace_back(Name);
   Doc.bumpStyleVersion();
 }
 
-void Element::setAttribute(std::string Name, std::string Value) {
-  Attributes[std::move(Name)] = std::move(Value);
+void Element::setAttribute(std::string_view Name, std::string Value) {
+  slotFor(Attributes, Name) = std::move(Value);
 }
 
 std::string_view Element::attribute(std::string_view Name) const {
-  auto It = Attributes.find(std::string(Name));
-  if (It == Attributes.end())
-    return {};
-  return It->second;
+  return lookup(Attributes, Name);
 }
 
 bool Element::hasAttribute(std::string_view Name) const {
-  return Attributes.count(std::string(Name)) != 0;
+  auto It = findSlot(Attributes, Name);
+  return It != Attributes.end() && It->first == Name;
 }
 
 void Element::setStyleProperty(std::string Property, std::string Value) {
-  std::string &Slot = InlineStyle[Property];
-  std::string Old = Slot;
-  if (Old == Value)
+  std::string &Slot = slotFor(InlineStyle, Property);
+  if (Slot == Value)
     return;
+  std::string Old = std::move(Slot);
   Slot = Value;
   Doc.bumpStyleVersion();
+  // The observer gets this call's own strings: it may write inline
+  // style again, which can move the slots.
   if (Doc.StyleMutationObserver)
-    Doc.StyleMutationObserver(*this, Property, Old, Slot);
+    Doc.StyleMutationObserver(*this, Property, Old, Value);
 }
 
 std::string_view Element::styleProperty(std::string_view Property) const {
-  auto It = InlineStyle.find(std::string(Property));
-  if (It == InlineStyle.end())
-    return {};
-  return It->second;
+  return lookup(InlineStyle, Property);
 }
 
-Element *Element::appendChild(std::unique_ptr<Element> Child) {
+Element *Element::appendChild(Element *Child) {
   assert(Child && "appending null child");
-  assert(!Child->Parent && "child already attached");
+  assert(&Child->Doc == &Doc && "child belongs to another document");
+  assert(!Child->Parent && Child != Doc.Root && "child already attached");
   Child->Parent = this;
-  Children.push_back(std::move(Child));
+  Children.push_back(Child);
   if (Connected)
-    Doc.ElementCount += Children.back()->connectSubtree();
+    Doc.ElementCount += Child->connectSubtree();
   // Attachment changes ancestor chains, which descendant/child
   // combinators observe.
   Doc.bumpStyleVersion();
-  return Children.back().get();
+  return Child;
 }
 
-Element *Element::createChild(std::string ChildTag) {
-  return appendChild(Doc.createElement(std::move(ChildTag)));
+Element *Element::createChild(std::string_view ChildTag) {
+  return appendChild(Doc.createElement(ChildTag));
 }
 
 size_t Element::connectSubtree() {
   Connected = true;
   size_t Count = 1;
-  for (const auto &Child : Children)
+  for (Element *Child : Children)
     Count += Child->connectSubtree();
   return Count;
 }
@@ -102,7 +134,7 @@ size_t Element::connectSubtree() {
 void Element::forEachInclusiveDescendant(
     const std::function<void(Element &)> &Fn) {
   Fn(*this);
-  for (const auto &Child : Children)
+  for (Element *Child : Children)
     Child->forEachInclusiveDescendant(Fn);
 }
 
@@ -135,42 +167,66 @@ size_t Element::dispatchEvent(const Event &E) {
   return ToRun.size();
 }
 
-std::unique_ptr<Element> Element::cloneInto(Document &NewDoc) const {
-  // The constructor draws a fresh node id; overwrite it with the
-  // original so the copy is id-identical (Document::clone restores
-  // NextNodeId afterwards).
-  auto Copy = std::make_unique<Element>(NewDoc, TagName);
-  Copy->NodeId = NodeId;
-  Copy->IdValue = IdValue;
-  Copy->Classes = Classes;
-  Copy->Attributes = Attributes;
-  Copy->InlineStyle = InlineStyle;
-  Copy->Connected = Connected;
-  NewDoc.indexElementId(Copy->IdValue, Copy.get());
-  Copy->Children.reserve(Children.size());
-  for (const auto &Child : Children) {
-    std::unique_ptr<Element> ChildCopy = Child->cloneInto(NewDoc);
-    ChildCopy->Parent = Copy.get();
-    Copy->Children.push_back(std::move(ChildCopy));
-  }
-  return Copy;
-}
-
 //===----------------------------------------------------------------------===//
 // Document
 //===----------------------------------------------------------------------===//
 
-Document::Document() {
-  Root = std::make_unique<Element>(*this, "html");
+namespace {
+/// Element slots in a fresh document's first chunk; each further chunk
+/// doubles, up to MaxChunkElements. Small pages stay in one or two
+/// chunks, large ones waste at most one partly filled chunk.
+constexpr size_t FirstChunkElements = 32;
+constexpr size_t MaxChunkElements = 256;
+} // namespace
+
+template <class... Args> Element *Document::newElement(Args &&...A) {
+  if (Chunks.back().Used == Chunks.back().Capacity) {
+    size_t Capacity = std::min(2 * Chunks.back().Capacity, MaxChunkElements);
+    Element *Slots =
+        static_cast<Element *>(::operator new(Capacity * sizeof(Element)));
+    Chunks.push_back({Slots, 0, Capacity});
+  }
+  Chunk &C = Chunks.back();
+  Element *E = ::new (static_cast<void *>(C.Slots + C.Used))
+      Element(std::forward<Args>(A)...);
+  ++C.Used;
+  return E;
+}
+
+Document::Document(size_t Capacity) {
+  Element *Slots =
+      static_cast<Element *>(::operator new(Capacity * sizeof(Element)));
+  Chunks.push_back({Slots, 0, Capacity});
+}
+
+Document::Document() : Document(FirstChunkElements) {
+  Root = newElement(*this, NextNodeId++, "html");
   Root->Connected = true;
 }
 
+Document::~Document() {
+  for (Chunk &C : Chunks) {
+    for (size_t I = 0; I < C.Used; ++I)
+      C.Slots[I].~Element();
+    ::operator delete(C.Slots);
+  }
+}
+
+Element *Document::cloneSubtree(const Element &Src, Element *Parent) {
+  Element *Copy = newElement(*this, Src);
+  Copy->Parent = Parent;
+  indexElementId(Copy->IdValue, Copy);
+  Copy->Children.reserve(Src.Children.size());
+  for (const Element *Child : Src.Children)
+    Copy->Children.push_back(cloneSubtree(*Child, Copy));
+  return Copy;
+}
+
 std::unique_ptr<Document> Document::clone() const {
-  auto Copy = std::make_unique<Document>();
-  // Replace the constructor-made root; id indexing happens inside
-  // cloneInto, and the counters are restored below so the temporary
-  // node-id draws during cloning leave no trace.
-  Copy->Root = Root->cloneInto(*Copy);
+  // One chunk holds the whole copied tree; the copy draws no node ids
+  // (every element keeps its original) and no throwaway root.
+  std::unique_ptr<Document> Copy(new Document(ElementCount));
+  Copy->Root = Copy->cloneSubtree(*Root, nullptr);
   Copy->StyleTexts = StyleTexts;
   Copy->ScriptTexts = ScriptTexts;
   Copy->NextNodeId = NextNodeId;
@@ -179,8 +235,8 @@ std::unique_ptr<Document> Document::clone() const {
   return Copy;
 }
 
-std::unique_ptr<Element> Document::createElement(std::string TagName) {
-  return std::make_unique<Element>(*this, std::move(TagName));
+Element *Document::createElement(std::string_view TagName) {
+  return newElement(*this, NextNodeId++, TagName);
 }
 
 Element *Document::getElementById(std::string_view Id) {

@@ -7,8 +7,9 @@
 /// \file
 /// A Document Object Model for the simulated browser. Elements carry a
 /// tag name, id, classes, attributes, inline style, children, and event
-/// listeners; a Document owns the tree and provides the lookups the
-/// MiniScript bindings and the CSS selector matcher need.
+/// listeners; a Document owns every element in chunked storage and
+/// provides the lookups the MiniScript bindings and the CSS selector
+/// matcher need.
 ///
 /// Event listeners are stored as opaque callables taking an Event; the
 /// script layer registers closures over interpreter state, and the
@@ -19,12 +20,15 @@
 #ifndef GREENWEB_DOM_DOM_H
 #define GREENWEB_DOM_DOM_H
 
+#include "support/SmallVector.h"
+
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace greenweb {
@@ -65,11 +69,16 @@ struct Event {
 /// Listener callable registered on an element for one event type.
 using EventListener = std::function<void(const Event &)>;
 
-/// A DOM element node.
+/// Attribute and inline-style storage: (name, value) pairs kept sorted
+/// by name, so iteration is in name order (inline handler binding and
+/// the DOM digests rely on it) and a lookup needs no key string.
+using AttributeList = SmallVector<std::pair<std::string, std::string>, 1>;
+using InlineStyleList = std::vector<std::pair<std::string, std::string>>;
+
+/// A DOM element node. Elements are created and owned by their Document
+/// (see Document::createElement) and live as long as it does.
 class Element {
 public:
-  Element(Document &Doc, std::string TagName);
-
   Element(const Element &) = delete;
   Element &operator=(const Element &) = delete;
 
@@ -81,19 +90,17 @@ public:
   /// Sets the element id and refreshes the document's id index.
   void setId(std::string NewId);
 
-  const std::vector<std::string> &classes() const { return Classes; }
+  const SmallVector<std::string, 1> &classes() const { return Classes; }
   bool hasClass(std::string_view Name) const;
-  void addClass(std::string Name);
+  void addClass(std::string_view Name);
 
   /// Generic attributes (everything except id/class/style, which have
   /// dedicated storage).
-  void setAttribute(std::string Name, std::string Value);
+  void setAttribute(std::string_view Name, std::string Value);
   /// Returns the attribute value or an empty string.
   std::string_view attribute(std::string_view Name) const;
   bool hasAttribute(std::string_view Name) const;
-  const std::map<std::string, std::string> &attributes() const {
-    return Attributes;
-  }
+  const AttributeList &attributes() const { return Attributes; }
 
   /// Inline style ("style=..." / element.style.X writes). Setting a
   /// property notifies the document's style-mutation observer, which is
@@ -101,21 +108,17 @@ public:
   void setStyleProperty(std::string Property, std::string Value);
   /// Returns the inline style value or an empty string.
   std::string_view styleProperty(std::string_view Property) const;
-  const std::map<std::string, std::string> &inlineStyle() const {
-    return InlineStyle;
-  }
+  const InlineStyleList &inlineStyle() const { return InlineStyle; }
 
   /// --- Tree structure ---
   Element *parent() const { return Parent; }
-  const std::vector<std::unique_ptr<Element>> &children() const {
-    return Children;
-  }
-  /// Appends a child and returns it (ownership stays with this element).
-  /// Attaching under the document's tree counts the child's whole
-  /// subtree into Document::elementCount().
-  Element *appendChild(std::unique_ptr<Element> Child);
+  const SmallVector<Element *, 2> &children() const { return Children; }
+  /// Appends \p Child, an unattached element of this document, and
+  /// returns it. Attaching under the document's tree counts the child's
+  /// whole subtree into Document::elementCount().
+  Element *appendChild(Element *Child);
   /// Creates and appends a child with the given tag.
-  Element *createChild(std::string TagName);
+  Element *createChild(std::string_view TagName);
   /// Visits this element and all descendants pre-order.
   void forEachInclusiveDescendant(const std::function<void(Element &)> &Fn);
 
@@ -132,9 +135,12 @@ public:
 
 private:
   friend class Document;
-  /// Deep copy of this subtree into \p NewDoc, preserving node ids
-  /// verbatim (Document::clone's contract). Listeners are not copied.
-  std::unique_ptr<Element> cloneInto(Document &NewDoc) const;
+  Element(Document &Doc, uint64_t NodeId, std::string_view TagName);
+  /// Copy of \p Src's node id, tag, id, classes, attributes, inline
+  /// style and connection state into \p Doc (Document::clone's
+  /// contract); no tree links, no listeners.
+  Element(Document &Doc, const Element &Src);
+  ~Element() = default;
   /// Marks this subtree as reachable from the document root; returns
   /// its element count.
   size_t connectSubtree();
@@ -143,20 +149,27 @@ private:
   uint64_t NodeId;
   std::string TagName;
   std::string IdValue;
-  std::vector<std::string> Classes;
-  std::map<std::string, std::string> Attributes;
-  std::map<std::string, std::string> InlineStyle;
+  SmallVector<std::string, 1> Classes;
+  AttributeList Attributes;
+  InlineStyleList InlineStyle;
   Element *Parent = nullptr;
   /// True once reachable from the document root (the DOM never detaches).
   bool Connected = false;
-  std::vector<std::unique_ptr<Element>> Children;
+  SmallVector<Element *, 2> Children;
   std::map<std::string, std::vector<EventListener>> Listeners;
 };
 
 /// Owner of a DOM tree plus the document-level indexes.
+///
+/// Ownership: the Document allocates every one of its elements in
+/// chunked storage and frees them all when it is destroyed. Elements
+/// never move and the DOM never detaches, so an Element* handed out by
+/// createElement, createChild or a lookup stays valid for the
+/// document's lifetime, whether or not the element is attached.
 class Document {
 public:
   Document();
+  ~Document();
 
   Document(const Document &) = delete;
   Document &operator=(const Document &) = delete;
@@ -165,8 +178,8 @@ public:
   Element &root() { return *Root; }
   const Element &root() const { return *Root; }
 
-  /// Creates an unattached element owned by the caller until appended.
-  std::unique_ptr<Element> createElement(std::string TagName);
+  /// Creates an unattached element owned by this document.
+  Element *createElement(std::string_view TagName);
 
   /// Deep copy for warm-start runs: tree structure, tags, ids, classes,
   /// attributes, inline styles, style/script texts, the id index, and
@@ -175,7 +188,7 @@ public:
   /// recorded against this document (style-match snapshots, annotation
   /// fault streams) applies verbatim to the copy. Event listeners and
   /// the style-mutation observer are NOT copied; a fresh page load
-  /// rebinds its own.
+  /// rebinds its own. Unattached elements are not copied.
   std::unique_ptr<Document> clone() const;
 
   /// Id lookup; returns nullptr when absent.
@@ -217,16 +230,31 @@ public:
   void bumpStyleVersion() { ++StyleVersion; }
 
   /// --- Internal (used by Element) ---
-  uint64_t takeNodeId() { return NextNodeId++; }
   void indexElementId(const std::string &Id, Element *E);
 
 private:
   friend class Element;
 
+  /// One block of element slots; Used slots hold constructed elements.
+  struct Chunk {
+    Element *Slots;
+    size_t Used;
+    size_t Capacity;
+  };
+
+  /// A document with no elements yet whose first chunk holds
+  /// \p Capacity elements (clone sizes it to the copied tree).
+  explicit Document(size_t Capacity);
+  /// Constructs an element in the next free slot.
+  template <class... Args> Element *newElement(Args &&...A);
+  /// Copies \p Src's subtree into this document under \p Parent.
+  Element *cloneSubtree(const Element &Src, Element *Parent);
+
+  std::vector<Chunk> Chunks;
   uint64_t NextNodeId = 1;
   uint64_t StyleVersion = 1;
   size_t ElementCount = 1;
-  std::unique_ptr<Element> Root;
+  Element *Root = nullptr;
   std::map<std::string, Element *, std::less<>> IdIndex;
 };
 

@@ -10,12 +10,17 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cctype>
 
 using namespace greenweb;
 using namespace greenweb::html;
 
 namespace {
+
+/// ASCII letters, digits, '-' and '_' (no libc call per character).
+bool isNameChar(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
+         (C >= '0' && C <= '9') || C == '-' || C == '_';
+}
 
 /// Tags that never have content or a closing tag.
 bool isVoidTag(std::string_view Tag) {
@@ -57,7 +62,7 @@ private:
     Pos = At == std::string_view::npos ? Src.size() : At + 1;
   }
   void skipSpace() {
-    while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
+    while (!atEnd() && isAsciiSpace(peek()))
       ++Pos;
   }
   /// 1-based line of Pos. Pos only moves forward, so each newline is
@@ -72,10 +77,6 @@ private:
     Diags.push_back(formatString("line %u: %s", line(), Message.c_str()));
   }
 
-  static bool isNameChar(char C) {
-    return std::isalnum(static_cast<unsigned char>(C)) || C == '-' ||
-           C == '_';
-  }
   /// Reads a tag or attribute name, lowercased.
   std::string readName();
   std::string_view readAttributeValue();
@@ -86,7 +87,8 @@ private:
   /// attributes to \p E. Returns true if the tag was self-closing.
   bool parseAttributes(Element &E);
 
-  void applyAttribute(Element &E, std::string &&Name, std::string_view Value);
+  void applyAttribute(Element &E, std::string_view Name,
+                      std::string_view Value);
 
   std::string_view Src;
   size_t Pos = 0;
@@ -113,9 +115,8 @@ std::string_view HtmlParser::readAttributeValue() {
   }
   // Unquoted value: read to whitespace, '>' or '/'.
   size_t End = Pos;
-  while (End < Src.size() &&
-         !std::isspace(static_cast<unsigned char>(Src[End])) &&
-         Src[End] != '>' && Src[End] != '/')
+  while (End < Src.size() && !isAsciiSpace(Src[End]) && Src[End] != '>' &&
+         Src[End] != '/')
     ++End;
   return take(End);
 }
@@ -153,29 +154,29 @@ std::string HtmlParser::readRawTextUntilClose(std::string_view Tag) {
   return Body;
 }
 
-void HtmlParser::applyAttribute(Element &E, std::string &&Name,
+void HtmlParser::applyAttribute(Element &E, std::string_view Name,
                                 std::string_view Value) {
   if (Name == "id") {
     E.setId(std::string(Value));
     return;
   }
   if (Name == "class") {
-    for (std::string_view Class : splitTrimmed(Value, ' '))
-      E.addClass(std::string(Class));
+    forEachTrimmedPiece(Value, ' ',
+                        [&](std::string_view Class) { E.addClass(Class); });
     return;
   }
   if (Name == "style") {
     // Inline style: "prop: value; prop2: value2".
-    for (std::string_view Entry : splitTrimmed(Value, ';')) {
+    forEachTrimmedPiece(Value, ';', [&](std::string_view Entry) {
       size_t Colon = Entry.find(':');
       if (Colon == std::string_view::npos)
-        continue;
+        return;
       E.setStyleProperty(toLower(trim(Entry.substr(0, Colon))),
                          std::string(trim(Entry.substr(Colon + 1))));
-    }
+    });
     return;
   }
-  E.setAttribute(std::move(Name), std::string(Value));
+  E.setAttribute(Name, std::string(Value));
 }
 
 bool HtmlParser::parseAttributes(Element &E) {
@@ -205,7 +206,7 @@ bool HtmlParser::parseAttributes(Element &E) {
       ++Pos;
       Value = readAttributeValue();
     }
-    applyAttribute(E, std::move(Name), Value);
+    applyAttribute(E, Name, Value);
   }
 }
 
@@ -269,9 +270,10 @@ ParseResult HtmlParser::run() {
     }
 
     // <html> and <body> map onto the implicit root rather than nesting.
+    // Their attributes land on an unattached element: it draws a node id
+    // and its id stays indexed, both for the document's lifetime.
     if (Name == "html" || Name == "body" || Name == "head") {
-      Element Discard(Doc, Name);
-      parseAttributes(Discard);
+      parseAttributes(*Doc.createElement(Name));
       continue;
     }
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -19,17 +18,12 @@
 
 using namespace greenweb;
 
-static bool isSpace(char C) {
-  return C == ' ' || C == '\t' || C == '\n' || C == '\r' || C == '\f' ||
-         C == '\v';
-}
-
 std::string_view greenweb::trim(std::string_view S) {
   size_t Begin = 0;
-  while (Begin < S.size() && isSpace(S[Begin]))
+  while (Begin < S.size() && isAsciiSpace(S[Begin]))
     ++Begin;
   size_t End = S.size();
-  while (End > Begin && isSpace(S[End - 1]))
+  while (End > Begin && isAsciiSpace(S[End - 1]))
     --End;
   return S.substr(Begin, End - Begin);
 }
@@ -51,18 +45,15 @@ std::vector<std::string_view> greenweb::split(std::string_view S, char Sep) {
 std::vector<std::string_view> greenweb::splitTrimmed(std::string_view S,
                                                      char Sep) {
   std::vector<std::string_view> Pieces;
-  for (std::string_view Piece : split(S, Sep)) {
-    std::string_view Trimmed = trim(Piece);
-    if (!Trimmed.empty())
-      Pieces.push_back(Trimmed);
-  }
+  forEachTrimmedPiece(S, Sep,
+                      [&](std::string_view Piece) { Pieces.push_back(Piece); });
   return Pieces;
 }
 
 std::string greenweb::toLower(std::string_view S) {
   std::string Result(S);
   for (char &C : Result)
-    C = char(std::tolower(static_cast<unsigned char>(C)));
+    C = asciiLower(C);
   return Result;
 }
 
@@ -99,8 +90,7 @@ bool greenweb::equalsIgnoreCase(std::string_view A, std::string_view B) {
   if (A.size() != B.size())
     return false;
   for (size_t I = 0, E = A.size(); I != E; ++I)
-    if (std::tolower(static_cast<unsigned char>(A[I])) !=
-        std::tolower(static_cast<unsigned char>(B[I])))
+    if (asciiLower(A[I]) != asciiLower(B[I]))
       return false;
   return true;
 }

@@ -25,11 +25,39 @@
 
 namespace greenweb {
 
+/// ASCII whitespace: space, \t, \n, \v, \f, \r. The program never sets
+/// a locale, so this and the ASCII case mapping below agree with
+/// <cctype> without a libc call per character.
+inline bool isAsciiSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\r' || C == '\f' ||
+         C == '\v';
+}
+
+/// \p C with A-Z mapped to a-z.
+inline char asciiLower(char C) {
+  return C >= 'A' && C <= 'Z' ? char(C - 'A' + 'a') : C;
+}
+
 /// Strips ASCII whitespace from both ends.
 std::string_view trim(std::string_view S);
 
 /// Splits on a separator character; empty pieces are kept.
 std::vector<std::string_view> split(std::string_view S, char Sep);
+
+/// Calls \p F on each piece of \p S between \p Sep characters, trimmed,
+/// in order; empty pieces are skipped. splitTrimmed without the vector.
+template <class Fn>
+void forEachTrimmedPiece(std::string_view S, char Sep, Fn &&F) {
+  for (size_t Start = 0;;) {
+    size_t End = S.find(Sep, Start);
+    std::string_view Piece = trim(S.substr(Start, End - Start));
+    if (!Piece.empty())
+      F(Piece);
+    if (End == std::string_view::npos)
+      return;
+    Start = End + 1;
+  }
+}
 
 /// Splits on a separator and trims each piece; empty pieces are dropped.
 std::vector<std::string_view> splitTrimmed(std::string_view S, char Sep);

@@ -13,6 +13,9 @@
 /// back in ascending (specificity, source order) — the order
 /// StyleResolver::matchRules must reproduce exactly.
 ///
+/// Also the full annotation scan that collectQosAnnotations' QoS
+/// candidate filter replaced: qosAnnotationsFor on every element.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GREENWEB_TESTS_COMMON_REFERENCESTYLEMATCH_H
@@ -20,8 +23,10 @@
 
 #include "css/CssAst.h"
 #include "css/StyleResolver.h"
+#include "dom/Dom.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace greenweb {
@@ -49,6 +54,21 @@ referenceMatchRules(const css::Stylesheet &Sheet, const Element &E) {
                      return A.Order < B.Order;
                    });
   return Matches;
+}
+
+/// Every element's QoS annotations, and their diagnostics, pre-order:
+/// what StyleResolver::collectQosAnnotations must return.
+inline std::vector<css::QosAnnotation>
+referenceCollectQosAnnotations(const css::StyleResolver &Resolver,
+                               Document &Doc,
+                               std::vector<std::string> *Diags) {
+  std::vector<css::QosAnnotation> All;
+  Doc.forEachElement([&](Element &E) {
+    std::vector<css::QosAnnotation> Anns =
+        Resolver.qosAnnotationsFor(E, Diags);
+    All.insert(All.end(), Anns.begin(), Anns.end());
+  });
+  return All;
 }
 
 } // namespace reference

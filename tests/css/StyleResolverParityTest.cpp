@@ -8,19 +8,26 @@
 // arbitrary documents and stylesheets, including :QoS-qualified rules,
 // and must stay identical across cache-invalidating DOM mutations.
 //
-// Only matchRules is compared. computedStyle, transitionsFor and
-// qosAnnotationsFor are functions of matchRules' output plus the
-// element itself, so equal match lists on every element imply an
-// equal cascade and equal QoS annotations.
+// Per element, only matchRules is compared. computedStyle,
+// transitionsFor and qosAnnotationsFor are functions of matchRules'
+// output plus the element itself, so equal match lists on every element
+// imply an equal cascade and equal QoS annotations. The document-wide
+// annotation scan skips elements that hit no QoS subject key, so it is
+// compared whole against the full scan: annotations and diagnostics, in
+// order, on random documents and on every paper-suite page, cold and
+// through a PageSnapshot.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ReferenceStyleMatch.h"
+#include "browser/PageSnapshot.h"
 #include "css/CssParser.h"
 #include "css/StyleResolver.h"
 #include "dom/Dom.h"
+#include "html/HtmlParser.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
+#include "workloads/Apps.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +35,7 @@
 
 using namespace greenweb;
 using namespace greenweb::css;
+using reference::referenceCollectQosAnnotations;
 using reference::referenceMatchRules;
 
 namespace {
@@ -182,6 +190,156 @@ TEST(StyleResolverParityTest, GrowingSubtreeInvalidatesCache) {
   expectSameMatches(Resolver.matchRules(*Late),
                     referenceMatchRules(Sheet, *Late));
   EXPECT_EQ(Resolver.matchRules(*Late).size(), 1u);
+}
+
+/// Random stylesheet for the annotation scan: QoS rules with id, class,
+/// upper- and lower-case tag and (when \p Universal) `*` subjects, plain
+/// and behind descendant or child combinators; QoS properties in rules
+/// without `:QoS` and malformed QoS values (both diagnostic paths); and
+/// plain rules, whose subjects must not make an element a candidate.
+std::string makeRandomQosSheet(Rng &R, int Rules, bool Universal) {
+  const char *Tags[] = {"div", "span", "p", "DIV", "Span", "P"};
+  const char *BareTags[] = {"p", "P", "span", "SPAN"};
+  std::string Src;
+  for (int I = 0; I < Rules; ++I) {
+    // Ids and classes reach past the ones makeRandomDom draws, and bare
+    // tag subjects never name div, so most documents keep
+    // non-candidates.
+    std::string Subject;
+    switch (R.uniformInt(0, Universal ? 4 : 3)) {
+    case 0:
+      Subject = formatString("#id-%d", int(R.uniformInt(0, 39)));
+      break;
+    case 1:
+      Subject = formatString(".cls-%d", int(R.uniformInt(0, 13)));
+      break;
+    case 2:
+      Subject = BareTags[R.uniformInt(0, 3)];
+      break;
+    case 3:
+      Subject = formatString("%s.cls-%d", Tags[R.uniformInt(0, 5)],
+                             int(R.uniformInt(0, 13)));
+      break;
+    default:
+      Subject = "*";
+      break;
+    }
+    std::string Sel = Subject;
+    switch (R.uniformInt(0, 2)) {
+    case 0:
+      Sel = formatString(".cls-%d %s", int(R.uniformInt(0, 6)),
+                         Subject.c_str());
+      break;
+    case 1:
+      Sel = formatString("%s > %s", Tags[R.uniformInt(0, 5)],
+                         Subject.c_str());
+      break;
+    default:
+      break;
+    }
+    const char *Event = R.chance(0.5) ? "onclick" : "ontouchmove";
+    switch (R.uniformInt(0, 4)) {
+    case 0: // Annotation.
+      Src += formatString("%s:QoS { %s-qos: single, %s; }\n", Sel.c_str(),
+                          Event, R.chance(0.5) ? "short" : "long");
+      break;
+    case 1: // Malformed value: a parse diagnostic.
+      Src += formatString("%s:QoS { %s-qos: bogus; }\n", Sel.c_str(), Event);
+      break;
+    case 2: // No :QoS qualifier: a "rule without :QoS" diagnostic.
+      Src += formatString("%s { %s-qos: continuous; }\n", Sel.c_str(),
+                          Event);
+      break;
+    default: // Plain rule.
+      Src += formatString("%s { width: %dpx; }\n", Sel.c_str(),
+                          int(R.uniformInt(1, 500)));
+      break;
+    }
+  }
+  return Src;
+}
+
+void expectSameAnnotations(const std::vector<QosAnnotation> &A,
+                           const std::vector<QosAnnotation> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Target->nodeId(), B[I].Target->nodeId());
+    EXPECT_EQ(A[I].EventName, B[I].EventName);
+    EXPECT_EQ(A[I].Value.Kind, B[I].Value.Kind);
+    EXPECT_EQ(A[I].Value.LongDuration, B[I].Value.LongDuration);
+    EXPECT_EQ(A[I].Value.Ti, B[I].Value.Ti);
+    EXPECT_EQ(A[I].Value.Tu, B[I].Value.Tu);
+  }
+}
+
+/// \p Resolver's filtered scan of \p Doc against the full scan by a
+/// fresh resolver over the same sheet. Returns the filtered resolver's
+/// stats.
+StyleResolver::IndexStats expectScanParity(StyleResolver &Resolver,
+                                           Document &Doc) {
+  std::vector<std::string> Diags, RefDiags;
+  std::vector<QosAnnotation> Anns =
+      Resolver.collectQosAnnotations(Doc, &Diags);
+  StyleResolver Full(Resolver.stylesheet());
+  std::vector<QosAnnotation> Ref =
+      referenceCollectQosAnnotations(Full, Doc, &RefDiags);
+  expectSameAnnotations(Anns, Ref);
+  EXPECT_EQ(Diags, RefDiags);
+  return Resolver.indexStats();
+}
+
+TEST_P(StyleResolverParity, QosScanMatchesFullScan) {
+  for (bool Universal : {false, true}) {
+    Rng R(GetParam() ^ (Universal ? 0x5CA1u : 0x5CA0u));
+    Stylesheet Sheet = parseStylesheet(makeRandomQosSheet(R, 20, Universal));
+    Document Doc;
+    std::vector<Element *> Elems = makeRandomDom(R, Doc, 80);
+    // Upper-case tags, as a script's createChild may write them.
+    for (int I = 0; I < 10; ++I)
+      Elems[size_t(R.uniformInt(0, int64_t(Elems.size()) - 1))]
+          ->createChild(R.chance(0.5) ? "DIV" : "Span")
+          ->addClass(formatString("cls-%d", int(R.uniformInt(0, 6))));
+    StyleResolver Resolver(Sheet);
+    StyleResolver::IndexStats Stats = expectScanParity(Resolver, Doc);
+    EXPECT_EQ(Stats.QosScanWalked, Doc.elementCount());
+    if (!Universal) {
+      EXPECT_LT(Stats.QosScanMatched, Stats.QosScanWalked);
+    }
+  }
+}
+
+TEST(StyleResolverParityTest, QosScanMatchesFullScanOnPaperSuitePages) {
+  for (const std::string &App : allAppNames()) {
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      SCOPED_TRACE(App + " seed " + std::to_string(Seed));
+      std::string Html = makeApp(App, Seed).Html;
+
+      // Cold: a fresh parse and a resolver building its own index.
+      html::ParseResult Parsed = html::parseHtml(Html);
+      ASSERT_TRUE(Parsed.Doc);
+      Stylesheet Sheet;
+      for (const std::string &Text : Parsed.Doc->StyleTexts)
+        Sheet.append(parseStylesheet(Text));
+      StyleResolver Cold(Sheet);
+      StyleResolver::IndexStats Stats = expectScanParity(Cold, *Parsed.Doc);
+      EXPECT_GT(Cold.collectQosAnnotations(*Parsed.Doc).size(), 0u);
+      EXPECT_EQ(Stats.QosScanWalked, Parsed.Doc->elementCount());
+      EXPECT_LT(Stats.QosScanMatched, Stats.QosScanWalked);
+
+      // Warm: a clone of the snapshot's prototype, the shared index and
+      // the adopted style cache.
+      PageSnapshot Snap = capturePageSnapshot(Html);
+      ASSERT_TRUE(Snap.Proto);
+      std::unique_ptr<Document> Copy = Snap.Proto->clone();
+      StyleResolver Warm(*Snap.Sheet);
+      Warm.shareIndex(Snap.Index);
+      Warm.warmCache(Snap.StyleCache);
+      Stats = expectScanParity(Warm, *Copy);
+      // Every candidate's matches come from the snapshot.
+      EXPECT_EQ(Stats.WarmHits, Stats.QosScanMatched);
+      EXPECT_EQ(Snap.StyleCache->size(), Stats.QosScanMatched);
+    }
+  }
 }
 
 } // namespace

@@ -8,15 +8,20 @@
 // reproduce node ids, attributes, classes, and inline style verbatim
 // (so shared style caches stay valid), rebuild the id index, and leave
 // listeners and the mutation observer behind (the load path rebinds
-// them).
+// them). A document owns its elements: a clone shares no storage with
+// its prototype, and elements a script creates die with the document.
 //
 //===----------------------------------------------------------------------===//
 
+#include "browser/Browser.h"
 #include "dom/Dom.h"
 #include "html/HtmlParser.h"
+#include "hw/AcmpChip.h"
+#include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 using namespace greenweb;
@@ -51,8 +56,11 @@ struct NodeFacts {
 std::vector<NodeFacts> factsOf(Document &Doc) {
   std::vector<NodeFacts> Facts;
   Doc.forEachElement([&](Element &E) {
-    Facts.push_back({E.nodeId(), E.tagName(), E.id(), E.classes(),
-                     E.attributes(), E.inlineStyle()});
+    Facts.push_back(
+        {E.nodeId(), E.tagName(), E.id(),
+         {E.classes().begin(), E.classes().end()},
+         {E.attributes().begin(), E.attributes().end()},
+         {E.inlineStyle().begin(), E.inlineStyle().end()}});
   });
   return Facts;
 }
@@ -120,6 +128,65 @@ TEST(DomCloneTest, ListenersAndObserverAreNotCloned) {
   EXPECT_TRUE(Menu->hasEventListener("click"));
   EXPECT_FALSE(Cloned->hasEventListener("click"));
   EXPECT_FALSE(Copy->StyleMutationObserver);
+}
+
+TEST(DomCloneTest, CloneOutlivesItsPrototype) {
+  std::unique_ptr<Document> Copy;
+  std::vector<NodeFacts> Expected;
+  {
+    html::ParseResult Parsed = html::parseHtml(PageHtml);
+    ASSERT_TRUE(Parsed.Doc);
+    Copy = Parsed.Doc->clone();
+    Expected = factsOf(*Parsed.Doc);
+  }
+  // The prototype and its element storage are gone; the copy reads,
+  // links and grows on its own.
+  EXPECT_EQ(factsOf(*Copy), Expected);
+  Element *Menu = Copy->getElementById("menu");
+  ASSERT_TRUE(Menu);
+  EXPECT_EQ(Menu->parent(), &Copy->root());
+  ASSERT_EQ(Menu->children().size(), 2u);
+  EXPECT_EQ(Menu->children()[1]->parent(), Menu);
+  Element *Em = Menu->children()[0]->createChild("em");
+  Em->setAttribute("k", "v");
+  EXPECT_EQ(Em->attribute("k"), "v");
+  EXPECT_EQ(Copy->elementCount(), Expected.size() + 1);
+}
+
+TEST(DomCloneTest, ScriptCreatedElementsAreFreedWithTheirDocument) {
+  Simulator Sim;
+  AcmpChip Chip(Sim);
+  auto Sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> Watch = Sentinel;
+  {
+    Browser B(Sim, Chip);
+    ASSERT_NE(B.loadPage(R"raw(
+      <div id=list></div>
+      <script>
+        var l = document.getElementById('list');
+        for (var i = 0; i < 40; i++) { l.createChild('div').createChild('b'); }
+      </script>
+    )raw"),
+              0u);
+    Sim.runUntil(Sim.now() + Duration::seconds(1));
+    ASSERT_TRUE(B.ScriptErrors.empty());
+    Element *List = B.document()->getElementById("list");
+    ASSERT_TRUE(List);
+    ASSERT_EQ(List->children().size(), 40u);
+    // Every script-made element holds a share of the sentinel through a
+    // listener, which is destroyed only with its element.
+    size_t Made = 0;
+    List->forEachInclusiveDescendant([&](Element &E) {
+      if (&E == List)
+        return;
+      E.addEventListener("click", [Sentinel](const Event &) {});
+      ++Made;
+    });
+    EXPECT_EQ(Made, 80u);
+    Sentinel.reset();
+    EXPECT_FALSE(Watch.expired());
+  }
+  EXPECT_TRUE(Watch.expired());
 }
 
 } // namespace

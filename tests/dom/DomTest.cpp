@@ -155,13 +155,13 @@ TEST(DomTest, ElementCountTracksEveryAttachment) {
 
   // A detached three-level subtree counts only once it is attached, and
   // then with all of its descendants.
-  std::unique_ptr<Element> Sub = Doc.createElement("ul");
+  Element *Sub = Doc.createElement("ul");
   Element *Li = Sub->createChild("li");
   Li->createChild("a");
   Li->createChild("b");
   Sub->createChild("li");
   EXPECT_EQ(Doc.elementCount(), 3u);
-  Element *Ul = Body->appendChild(std::move(Sub));
+  Element *Ul = Body->appendChild(Sub);
   EXPECT_EQ(Doc.elementCount(), 8u);
   EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
 
@@ -171,7 +171,7 @@ TEST(DomTest, ElementCountTracksEveryAttachment) {
   EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
 
   // Elements created but never attached are not counted.
-  std::unique_ptr<Element> Loose = Doc.createElement("span");
+  Element *Loose = Doc.createElement("span");
   Loose->createChild("em");
   EXPECT_EQ(Doc.elementCount(), walkedCount(Doc));
 }
@@ -184,9 +184,9 @@ TEST(DomTest, ElementCountSurvivesCloneAndCloneGrowth) {
   EXPECT_EQ(Copy->elementCount(), 4u);
   EXPECT_EQ(Copy->elementCount(), walkedCount(*Copy));
 
-  std::unique_ptr<Element> Sub = Copy->createElement("ul");
+  Element *Sub = Copy->createElement("ul");
   Sub->createChild("li")->createChild("a");
-  Copy->root().children()[0]->appendChild(std::move(Sub));
+  Copy->root().children()[0]->appendChild(Sub);
   Copy->root().createChild("footer");
   EXPECT_EQ(Copy->elementCount(), 8u);
   EXPECT_EQ(Copy->elementCount(), walkedCount(*Copy));

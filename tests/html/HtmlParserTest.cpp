@@ -25,7 +25,7 @@ TEST(HtmlParserTest, NestedElements) {
   ParseResult R = parseHtml("<div><span></span><p></p></div>");
   Element &Root = R.Doc->root();
   ASSERT_EQ(Root.children().size(), 1u);
-  Element *Div = Root.children()[0].get();
+  Element *Div = Root.children()[0];
   EXPECT_EQ(Div->tagName(), "div");
   ASSERT_EQ(Div->children().size(), 2u);
   EXPECT_EQ(Div->children()[0]->tagName(), "span");
@@ -61,7 +61,7 @@ TEST(HtmlParserTest, InlineStyleParsed) {
 
 TEST(HtmlParserTest, VoidAndSelfClosingTags) {
   ParseResult R = parseHtml("<div><br><img src=x><span/></div><p></p>");
-  Element *Div = R.Doc->root().children()[0].get();
+  Element *Div = R.Doc->root().children()[0];
   EXPECT_EQ(Div->children().size(), 3u);
   // <p> is a sibling of <div>, not swallowed by the void tags.
   EXPECT_EQ(R.Doc->root().children().size(), 2u);

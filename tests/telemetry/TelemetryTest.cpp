@@ -190,7 +190,7 @@ TEST(TelemetryTest, LogCapacityCountsDrops) {
 TEST(TelemetryTest, MetricsOnlyModeKeepsLogEmpty) {
   Telemetry T;
   T.setLogCapacity(0);
-  T.recordQosViolation({"EBS", 1, "k", 40.0, 16.7});
+  T.recordQosViolation({"EBS", 1, "k", 40.0, 16.7, 0, ""});
   EXPECT_TRUE(T.log().empty());
   EXPECT_EQ(T.metrics().counter("qos.violations").value(), 1u);
 }
