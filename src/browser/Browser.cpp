@@ -322,20 +322,21 @@ void Browser::installBindings() {
 }
 
 void Browser::bindInlineHandlers() {
-  Doc->forEachElement([this](Element &E) {
+  // Handler attributes are statement lists (function-body semantics),
+  // compiled once per page in this same walk order; run per dispatch.
+  size_t Next = 0;
+  Doc->forEachElement([this, &Next](Element &E) {
     for (const auto &[Name, Source] : E.attributes()) {
-      if (!startsWith(Name, "on") || Name.size() <= 2)
+      if (!isInlineHandlerAttribute(Name))
         continue;
-      std::string Type = Name.substr(2);
-      // Handler attributes are statement lists (function-body
-      // semantics); compile once, run per dispatch.
-      std::shared_ptr<js::Program> Handler = Interp.compile(Source);
-      if (!Handler) {
-        ScriptErrors.push_back(Interp.lastError());
-        Interp.clearError();
+      assert(Next < Scripts->Handlers.size() && "handler list out of sync");
+      const PageScripts::Entry &Compiled = Scripts->Handlers[Next++];
+      if (!Compiled.Program) {
+        ScriptErrors.push_back(Compiled.Error);
         continue;
       }
-      E.addEventListener(Type, [this, Handler](const Event &) {
+      std::shared_ptr<const js::Program> Handler = Compiled.Program;
+      E.addEventListener(Name.substr(2), [this, Handler](const Event &) {
         if (!Interp.runProgram(*Handler)) {
           ScriptErrors.push_back(Interp.lastError());
           Interp.clearError();
@@ -343,6 +344,7 @@ void Browser::bindInlineHandlers() {
       });
     }
   });
+  assert(Next == Scripts->Handlers.size() && "handler list out of sync");
 }
 
 uint64_t Browser::loadPage(std::string_view Html) {
@@ -366,6 +368,7 @@ uint64_t Browser::loadPage(std::string_view Html) {
   size_t JsBytes = 0;
   for (const std::string &Script : Doc->ScriptTexts)
     JsBytes += Script.size();
+  Scripts = std::make_shared<const PageScripts>(compilePageScripts(*Doc));
   return finishLoad(Html.size(), CssBytes, JsBytes);
 }
 
@@ -380,6 +383,7 @@ uint64_t Browser::loadPage(const PageSnapshot &Snapshot) {
   Resolver = std::make_unique<css::StyleResolver>(*Sheet);
   Resolver->shareIndex(Snapshot.Index);
   Resolver->warmCache(Snapshot.StyleCache);
+  Scripts = Snapshot.Scripts;
   return finishLoad(Snapshot.HtmlBytes, Snapshot.CssBytes,
                     Snapshot.JsBytes);
 }
@@ -431,8 +435,10 @@ uint64_t Browser::finishLoad(size_t HtmlBytes, size_t CssBytes,
           CurrentRootEvent = Msg.RootEvent;
           Interp.resetCostCounters();
           ScriptDirtied = false;
-          for (const std::string &Source : Doc->ScriptTexts) {
-            if (!Interp.runScript(Source)) {
+          for (const PageScripts::Entry &Script : Scripts->Scripts) {
+            if (!Script.Program) {
+              ScriptErrors.push_back(Script.Error);
+            } else if (!Interp.runProgram(*Script.Program)) {
               ScriptErrors.push_back(Interp.lastError());
               Interp.clearError();
             }

@@ -40,6 +40,7 @@
 
 namespace greenweb {
 
+struct PageScripts;
 struct PageSnapshot;
 
 /// The simulated browser runtime.
@@ -259,6 +260,10 @@ private:
   std::unique_ptr<Document> Doc;
   std::shared_ptr<const css::Stylesheet> Sheet;
   std::unique_ptr<css::StyleResolver> Resolver;
+  /// The page's compiled scripts and handlers (the snapshot's on a warm
+  /// restore). Declared before Interp: closures point into these
+  /// programs, so they outlive the interpreter.
+  std::shared_ptr<const PageScripts> Scripts;
   js::Interpreter Interp;
 
   FrameTracker Tracker;

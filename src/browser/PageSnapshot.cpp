@@ -8,9 +8,33 @@
 
 #include "css/CssParser.h"
 #include "html/HtmlParser.h"
+#include "js/JsInterp.h"
 #include "profiling/Profiler.h"
+#include "support/StringUtils.h"
 
 using namespace greenweb;
+
+bool greenweb::isInlineHandlerAttribute(std::string_view Name) {
+  return Name.size() > 2 && startsWith(Name, "on");
+}
+
+PageScripts greenweb::compilePageScripts(Document &Doc) {
+  PageScripts Out;
+  auto Compile = [](std::string_view Source) {
+    PageScripts::Entry E;
+    E.Program = js::compileProgram(Source, E.Error);
+    return E;
+  };
+  Out.Scripts.reserve(Doc.ScriptTexts.size());
+  for (const std::string &Source : Doc.ScriptTexts)
+    Out.Scripts.push_back(Compile(Source));
+  Doc.forEachElement([&](Element &E) {
+    for (const auto &[Name, Source] : E.attributes())
+      if (isInlineHandlerAttribute(Name))
+        Out.Handlers.push_back(Compile(Source));
+  });
+  return Out;
+}
 
 PageSnapshot greenweb::capturePageSnapshot(std::string_view Html) {
   GW_PROF_SCOPE("browser.capture_snapshot");
@@ -40,5 +64,6 @@ PageSnapshot greenweb::capturePageSnapshot(std::string_view Html) {
   Resolver.shareIndex(S.Index);
   Resolver.collectQosAnnotations(*S.Proto);
   S.StyleCache = Resolver.snapshotCache();
+  S.Scripts = std::make_shared<const PageScripts>(compilePageScripts(*S.Proto));
   return S;
 }

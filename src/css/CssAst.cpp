@@ -57,7 +57,7 @@ std::string SimpleSelector::str() const {
   for (const std::string &Pseudo : PseudoClasses)
     Out += ":" + Pseudo;
   if (Out.empty())
-    Out = "*";
+    Out.push_back('*');
   return Out;
 }
 

@@ -80,7 +80,7 @@ bool Parser::parseCompound(SimpleSelector &Out) {
     Any = true;
   } else if (peek().is(TokenKind::Star)) {
     advance();
-    Out.Tag = "*";
+    Out.Tag.assign(1, '*');
     Any = true;
   }
   // Then any run of #id, .class, :pseudo with no intervening space.

@@ -483,18 +483,29 @@ Value *Interpreter::findGlobal(const std::string &Name) {
   return Globals->find(Name);
 }
 
+std::shared_ptr<const Program> js::compileProgram(std::string_view Source,
+                                                  std::string &Error) {
+  GW_PROF_SCOPE("js.compile");
+  auto P = std::make_shared<const Program>(parseProgram(Source));
+  if (P->hadErrors()) {
+    Error = "parse error: " + P->Diagnostics.front();
+    return nullptr;
+  }
+  return P;
+}
+
 bool Interpreter::runScript(std::string_view Source) {
-  std::shared_ptr<Program> P = compile(Source);
+  std::shared_ptr<const Program> P = compile(Source);
   if (!P)
     return false;
   return runProgram(*P);
 }
 
-std::shared_ptr<Program> Interpreter::compile(std::string_view Source) {
-  GW_PROF_SCOPE("js.compile");
-  auto P = std::make_shared<Program>(parseProgram(Source));
-  if (P->hadErrors()) {
-    ErrorMessage = "parse error: " + P->Diagnostics.front();
+std::shared_ptr<const Program> Interpreter::compile(std::string_view Source) {
+  std::string Error;
+  std::shared_ptr<const Program> P = compileProgram(Source, Error);
+  if (!P) {
+    ErrorMessage = std::move(Error);
     return nullptr;
   }
   LoadedPrograms.push_back(P);

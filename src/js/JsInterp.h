@@ -72,6 +72,13 @@ struct FunctionValue {
   std::shared_ptr<Environment> Closure;
 };
 
+/// Parses \p Source into an immutable program. On a parse error returns
+/// null and sets \p Error to the text Interpreter::compile raises.
+/// Evaluation never writes to a program, so one program can run in any
+/// number of interpreters, concurrently.
+std::shared_ptr<const Program> compileProgram(std::string_view Source,
+                                              std::string &Error);
+
 /// The MiniScript interpreter.
 class Interpreter {
 public:
@@ -98,7 +105,7 @@ public:
   /// Parses \p Source into a retained program without running it (for
   /// inline `on<event>="..."` handler attributes, which execute many
   /// times). Returns nullptr and sets the error state on parse failure.
-  std::shared_ptr<Program> compile(std::string_view Source);
+  std::shared_ptr<const Program> compile(std::string_view Source);
 
   /// Executes a previously compiled program at global scope.
   bool runProgram(const Program &P);
@@ -145,7 +152,7 @@ private:
   void noteCapturedEnv(const std::shared_ptr<Environment> &Env);
 
   std::shared_ptr<Environment> Globals;
-  std::vector<std::shared_ptr<Program>> LoadedPrograms;
+  std::vector<std::shared_ptr<const Program>> LoadedPrograms;
   std::vector<ExprPtr> LoadedExpressions;
   /// Scopes captured by closures, each once, emptied by the destructor.
   /// Expired entries are pruned whenever the list doubles.

@@ -28,15 +28,26 @@ uint64_t greenweb::fleetHash(std::string_view Text) {
 // FleetState
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The worst-k order: higher violation percentage, then higher joules,
+/// then lower item index.
+bool worseThan(const FleetWorstDevice &A, const FleetWorstDevice &B) {
+  if (A.ViolationPct != B.ViolationPct)
+    return A.ViolationPct > B.ViolationPct;
+  if (A.Joules != B.Joules)
+    return A.Joules > B.Joules;
+  return A.Item < B.Item;
+}
+
+} // namespace
+
+bool FleetState::couldEnterWorst(const FleetWorstDevice &D) const {
+  return Worst.size() < WorstKCapacity || worseThan(D, Worst.back());
+}
+
 void FleetState::noteDevice(FleetWorstDevice D) {
-  auto WorseThan = [](const FleetWorstDevice &A, const FleetWorstDevice &B) {
-    if (A.ViolationPct != B.ViolationPct)
-      return A.ViolationPct > B.ViolationPct;
-    if (A.Joules != B.Joules)
-      return A.Joules > B.Joules;
-    return A.Item < B.Item;
-  };
-  auto It = std::lower_bound(Worst.begin(), Worst.end(), D, WorseThan);
+  auto It = std::lower_bound(Worst.begin(), Worst.end(), D, worseThan);
   Worst.insert(It, std::move(D));
   if (Worst.size() > WorstKCapacity)
     Worst.resize(WorstKCapacity);

@@ -82,6 +82,11 @@ struct FleetState {
   /// resume-exact.
   std::vector<std::string> WarmKeys;
 
+  /// Whether noteDevice(D) would keep \p D now: the list has room, or D
+  /// ranks worse than its last entry (in noteDevice's order). The last
+  /// entry only gets worse as devices fold in, so a "no" stays a "no"
+  /// for the rest of the run.
+  bool couldEnterWorst(const FleetWorstDevice &D) const;
   /// Folds \p D into the worst-k list (insertion sort + truncate).
   void noteDevice(FleetWorstDevice D);
   /// Records \p Key into WarmKeys if new (kept sorted).

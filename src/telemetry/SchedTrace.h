@@ -60,7 +60,7 @@ struct SchedItem {
   int64_t RunNs = 0;      ///< Total wall time of the work item.
   int64_t SetupNs = 0;    ///< Phase: config copy + private hub setup.
   int64_t SimNs = 0;      ///< Phase: the simulation itself.
-  int64_t HookNs = 0;     ///< Phase: the per-run hook.
+  int64_t HookNs = 0;     ///< Phase: hook + unmerged hub teardown.
   int64_t MergeNs = 0;    ///< Post-batch serialized merge of this item.
   int64_t HubRecords = 0; ///< Log records left in the private hub.
 };

@@ -175,10 +175,23 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                      static_cast<unsigned long long>(Batches));
     if (Opts.Progress)
       POpts.Progress = &Progress;
-    POpts.PerJobHook = [&Samples, &BlackBoxes](
+    // Only a durable run writes black boxes, and only for worst-k
+    // devices, so a dump is serialized only when its device can still
+    // make the cut. The state is read-only until the fold below; its
+    // cut at batch start never drops a device the fold keeps.
+    const FleetState &Folded = C.State;
+    POpts.PerJobHook = [&Samples, &BlackBoxes, &Folded, Durable, First](
                            size_t I, const ExperimentResult &Result,
                            Telemetry &Hub) {
       Samples[I] = makeRunSample(Result, &Hub);
+      if (!Durable)
+        return;
+      FleetWorstDevice D;
+      D.Item = First + I;
+      D.ViolationPct = Samples[I].ViolationPct;
+      D.Joules = Samples[I].Joules;
+      if (!Folded.couldEnterWorst(D))
+        return;
       if (const FlightRecorder *FR = Hub.flightRecorder())
         if (!FR->dumps().empty())
           BlackBoxes[I] = FR->dumpsJson();
@@ -230,7 +243,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
       D.ViolationPct = S.ViolationPct;
       D.Joules = S.Joules;
       D.Alerts = S.Alerts;
-      if (Durable && !BlackBoxes[I].empty())
+      if (!BlackBoxes[I].empty())
         D.BlackBoxRef = blackBoxRef(Item.Index);
       C.State.noteDevice(std::move(D));
     }

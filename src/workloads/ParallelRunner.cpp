@@ -84,10 +84,13 @@ std::vector<ExperimentResult>
 greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                                  const ParallelExperimentOptions &Opts) {
   std::vector<ExperimentResult> Results(Configs.size());
-  // Private hubs live until the ordered merge below, even for runs that
-  // finish early. A hook without a shared hub harvests them itself.
+  // A private hub lives only through its item's run and hook, and dies
+  // on the worker that ran it. Only hubs bound for the ordered merge
+  // into SharedTel below are kept past their item.
   const bool Private = Opts.SharedTel || Opts.PerJobHook;
-  std::vector<std::unique_ptr<Telemetry>> Hubs(Private ? Configs.size() : 0);
+  std::vector<std::unique_ptr<Telemetry>> Hubs;
+  if (Opts.SharedTel)
+    Hubs.resize(Configs.size());
 
   ParallelRunner Runner(Opts.Jobs);
   const bool Timed = Opts.Sched || Opts.Progress;
@@ -116,14 +119,15 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
   Runner.forEachIndexWorker(Configs.size(), [&](unsigned Worker, size_t I) {
     int64_t T0 = Timed ? HostNs() : 0;
     ExperimentConfig Config = Configs[I];
+    std::unique_ptr<Telemetry> Hub;
     if (Private) {
-      Hubs[I] = std::make_unique<Telemetry>();
-      Hubs[I]->setLogCapacity(Opts.JobLogCapacity);
+      Hub = std::make_unique<Telemetry>();
+      Hub->setLogCapacity(Opts.JobLogCapacity);
       if (Opts.EnableDetectors)
-        Hubs[I]->enableAnomalyDetectors();
+        Hub->enableAnomalyDetectors();
       if (Opts.EnableFlightRecorder)
-        Hubs[I]->enableFlightRecorder();
-      Config.Tel = Hubs[I].get();
+        Hub->enableFlightRecorder();
+      Config.Tel = Hub.get();
     } else {
       // A caller-supplied hub would be written from several workers at
       // once; isolation is the whole contract here.
@@ -135,7 +139,11 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
                      : runExperimentMedian(Config, Opts.MedianSeeds);
     int64_t T2 = Timed ? HostNs() : 0;
     if (Opts.PerJobHook)
-      Opts.PerJobHook(I, Results[I], *Hubs[I]);
+      Opts.PerJobHook(I, Results[I], *Hub);
+    const int64_t HubRecords = Hub ? int64_t(Hub->log().size()) : 0;
+    if (Opts.SharedTel)
+      Hubs[I] = std::move(Hub);
+    Hub.reset();
     int64_t T3 = Timed ? HostNs() : 0;
     if (Opts.Sched) {
       SchedItem Item;
@@ -152,7 +160,7 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
       Item.SetupNs = (T1 - T0) + RunSetup;
       Item.SimNs = (T2 - T1) - RunSetup;
       Item.HookNs = T3 - T2;
-      Item.HubRecords = Private ? int64_t(Hubs[I]->log().size()) : 0;
+      Item.HubRecords = HubRecords;
       Opts.Sched->record(std::move(Item));
     }
     if (Opts.Progress)

@@ -86,9 +86,10 @@ struct ParallelExperimentOptions {
   size_t JobLogCapacity = 0;
   /// Optional per-run hook invoked on the worker thread after run I
   /// completes, with that run's private hub (runs get private hubs
-  /// whenever a hook is set, merged only when SharedTel is set). Runs
-  /// concurrently across workers; touch only the given hub and the
-  /// result.
+  /// whenever a hook is set). Without SharedTel the hub is destroyed on
+  /// the same worker as soon as the hook returns, so the hook must copy
+  /// out whatever it keeps. Runs concurrently across workers; touch
+  /// only the given hub and the result.
   std::function<void(size_t, const ExperimentResult &, Telemetry &)>
       PerJobHook;
   /// When set, every per-run private hub gets the online anomaly

@@ -7,9 +7,13 @@
 #include "telemetry/FleetReport.h"
 
 #include "support/Json.h"
+#include "support/Rng.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 using namespace greenweb;
 
@@ -212,6 +216,73 @@ TEST(FleetReportTest, WorstKOrderingAndTruncation) {
   }
   EXPECT_EQ(S.Worst.front().ViolationPct, 9.0);
   EXPECT_EQ(S.Worst.front().Joules, 19.0); // 19 beats 9 on joules.
+}
+
+/// A device drawn from a small grid of violation percentages and joules,
+/// so sequences are full of ties on one field or on both.
+FleetWorstDevice randomDevice(Rng &R, uint64_t Item) {
+  FleetWorstDevice D;
+  D.Item = Item;
+  D.ViolationPct = double(R.uniformInt(0, 3)) * 2.5;
+  D.Joules = double(R.uniformInt(1, 3));
+  return D;
+}
+
+std::vector<uint64_t> worstItems(const FleetState &S) {
+  std::vector<uint64_t> Items;
+  for (const FleetWorstDevice &D : S.Worst)
+    Items.push_back(D.Item);
+  return Items;
+}
+
+TEST(FleetReportTest, CutPredicateMatchesNoteDevice) {
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    Rng R(Seed);
+    FleetState S;
+    const uint64_t Devices = uint64_t(R.uniformInt(1, 40));
+    for (uint64_t Item = 0; Item < Devices; ++Item) {
+      FleetWorstDevice D = randomDevice(R, Item);
+      const bool Could = S.couldEnterWorst(D);
+      const std::vector<uint64_t> Before = worstItems(S);
+      S.noteDevice(D);
+      const std::vector<uint64_t> After = worstItems(S);
+      const bool Entered =
+          std::find(After.begin(), After.end(), Item) != After.end();
+      EXPECT_EQ(Entered, Could) << "seed " << Seed << " item " << Item;
+      if (!Could) {
+        EXPECT_EQ(After, Before) << "seed " << Seed << " item " << Item;
+      }
+    }
+  }
+}
+
+TEST(FleetReportTest, CutAtBatchStartKeepsEveryDeviceTheFoldKeeps) {
+  // The fleet driver serializes black boxes only for devices the cut,
+  // taken once before a batch runs, lets through; every device of the
+  // batch that the fold then keeps must be among them.
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+    Rng R(Seed);
+    FleetState S;
+    uint64_t Item = 0;
+    while (Item < 120) {
+      const uint64_t Batch = uint64_t(R.uniformInt(1, 12));
+      const FleetState AtStart = S;
+      std::vector<uint64_t> Passed;
+      for (uint64_t I = 0; I < Batch; ++I, ++Item) {
+        FleetWorstDevice D = randomDevice(R, Item);
+        if (AtStart.couldEnterWorst(D))
+          Passed.push_back(Item);
+        S.noteDevice(D);
+      }
+      for (uint64_t Kept : worstItems(S)) {
+        if (Kept >= Item - Batch) {
+          EXPECT_NE(std::find(Passed.begin(), Passed.end(), Kept),
+                    Passed.end())
+              << "seed " << Seed << " item " << Kept;
+        }
+      }
+    }
+  }
 }
 
 TEST(FleetReportTest, ReportCarriesEnergyExtrapolation) {

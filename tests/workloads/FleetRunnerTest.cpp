@@ -7,14 +7,18 @@
 #include "workloads/FleetRunner.h"
 
 #include "support/Json.h"
+#include "telemetry/FleetReport.h"
 #include "telemetry/TelemetryLog.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 using namespace greenweb;
 
@@ -288,6 +292,80 @@ TEST(FleetRunnerTest, MissingOrMalformedModelStopsBeforeAnyBatch) {
   EXPECT_NE(Error.find(Plan.ModelPath), std::string::npos) << Error;
   EXPECT_FALSE(std::ifstream(Opts.CheckpointPath).good());
   std::remove(Plan.ModelPath.c_str());
+}
+
+/// Name (without the checkpoint prefix), size and FNV-1a of one file.
+struct FileGolden {
+  std::string Name;
+  size_t Bytes = 0;
+  uint64_t Fnv = 0;
+  bool operator==(const FileGolden &O) const {
+    return Name == O.Name && Bytes == O.Bytes && Fnv == O.Fnv;
+  }
+};
+
+std::ostream &operator<<(std::ostream &OS, const FileGolden &G) {
+  return OS << "{\"" << G.Name << "\", " << G.Bytes << ", 0x" << std::hex
+            << G.Fnv << std::dec << "ull}";
+}
+
+FileGolden goldenOf(const std::string &Name, const std::string &Bytes) {
+  return {Name, Bytes.size(), fleetHash(Bytes)};
+}
+
+TEST(FleetRunnerTest, BlackBoxesAndReportsMatchGoldens) {
+  // Black boxes are serialized only for devices that can still make the
+  // worst-k cut; the files a durable run writes, and the report of a
+  // run that writes none, must not move. 24 items in batches of 4 trip
+  // more recorder triggers than the list keeps.
+  FleetPlan Plan = smallPlan();
+  Plan.Scenarios = {"none", "thermal", "chaos"};
+  std::filesystem::path Dir = tempPath("goldens");
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  FleetRunOptions Opts;
+  Opts.Jobs = 2;
+  Opts.BatchSize = 4;
+  Opts.CheckpointPath = (Dir / "fleet.ckpt").string();
+  FleetRunSummary Durable;
+  std::string Error;
+  ASSERT_TRUE(runFleet(Plan, Opts, Durable, &Error)) << Error;
+
+  const std::string Prefix = "fleet.ckpt.";
+  std::vector<FileGolden> BlackBoxes;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    std::string Name = Entry.path().filename().string();
+    if (Name.find(".blackbox.json") == std::string::npos)
+      continue;
+    ASSERT_EQ(Name.rfind(Prefix, 0), 0u) << Name;
+    BlackBoxes.push_back(
+        goldenOf(Name.substr(Prefix.size()), slurp(Entry.path().string())));
+  }
+  std::sort(BlackBoxes.begin(), BlackBoxes.end(),
+            [](const FileGolden &A, const FileGolden &B) {
+              return A.Name < B.Name;
+            });
+  // Recorded before black boxes were cut to worst-k candidates.
+  const std::vector<FileGolden> Expected = {
+      {"item-000002.blackbox.json", 1321, 0xa51f401b3bf9f139ull},
+      {"item-000003.blackbox.json", 1321, 0xa51f401b3bf9f139ull},
+      {"item-000004.blackbox.json", 1979, 0x8f223425535fc42cull},
+      {"item-000005.blackbox.json", 1313, 0x6616e70d59c51f41ull},
+      {"item-000008.blackbox.json", 1723, 0xd4714da382e40aa4ull},
+      {"item-000009.blackbox.json", 1723, 0xd4714da382e40aa4ull},
+      {"item-000010.blackbox.json", 1964, 0x98320c1dd4bffd16ull},
+      {"item-000011.blackbox.json", 1715, 0xa54587cd002f19b7ull},
+  };
+  EXPECT_EQ(BlackBoxes, Expected);
+  EXPECT_EQ(goldenOf("report", Durable.Report.toJson()),
+            (FileGolden{"report", 3972, 0xd26c2bf472727bf1ull}));
+
+  Opts.CheckpointPath.clear();
+  FleetRunSummary Transient;
+  ASSERT_TRUE(runFleet(Plan, Opts, Transient, &Error)) << Error;
+  EXPECT_EQ(goldenOf("report", Transient.Report.toJson()),
+            (FileGolden{"report", 3928, 0x219bdd5d111499f3ull}));
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(FleetRunnerTest, UnwritableBlackBoxFailsTheRunNamingTheFile) {

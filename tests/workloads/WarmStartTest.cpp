@@ -20,6 +20,10 @@
 #include "workloads/ParallelRunner.h"
 #include "workloads/WorkloadAssets.h"
 
+#include "browser/Browser.h"
+#include "browser/PageSnapshot.h"
+#include "hw/AcmpChip.h"
+#include "sim/Simulator.h"
 #include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -186,6 +190,84 @@ TEST(WarmStartTest, ParallelSweepWithWarmCacheMatchesColdSweep) {
   EXPECT_EQ(ColdTel.log().toJsonl(), WarmTel.log().toJsonl());
   EXPECT_EQ(ColdTel.metrics().snapshotJson(),
             WarmTel.metrics().snapshotJson());
+}
+
+/// A page whose scripts fail every way a page script can: an inline
+/// handler and a <script> that do not parse, and a handler and a
+/// <script> that throw when they run.
+constexpr const char *FaultyPage = R"(<html><body>
+<div id="ok" onclick="performWork(5); count = count + 1;">ok</div>
+<div id="unparsable" onclick="var = ;">unparsable</div>
+<div id="throws" onclick="missingFunction(count);">throws</div>
+<div id="both" onclick="count = count + 1;" ontouchstart="(((;">both</div>
+<script>var count = 0;</script>
+<script>function broken( { return 1; }</script>
+<script>var after = missingGlobal + 1;</script>
+<script>count = count + 10;</script>
+</body></html>)";
+
+struct PageRun {
+  std::vector<std::string> ScriptErrors;
+  std::string Jsonl;
+  std::string Metrics;
+};
+
+/// Loads the faulty page cold (\p Snapshot null) or restored from
+/// \p Snapshot, then clicks every element, one after another.
+PageRun runFaultyPage(const PageSnapshot *Snapshot) {
+  Telemetry Tel;
+  Simulator Sim;
+  Sim.setTelemetry(&Tel);
+  AcmpChip Chip(Sim);
+  Browser B(Sim, Chip);
+  uint64_t Root = Snapshot ? B.loadPage(*Snapshot) : B.loadPage(FaultyPage);
+  EXPECT_NE(Root, 0u);
+  Sim.runUntil(Sim.now() + Duration::seconds(1));
+  for (const char *Id : {"ok", "unparsable", "throws", "both", "ok"}) {
+    B.dispatchInput("click", Id);
+    Sim.runUntil(Sim.now() + Duration::milliseconds(200));
+  }
+  B.dispatchInput("touchstart", "both");
+  Sim.runUntil(Sim.now() + Duration::milliseconds(200));
+  return {B.ScriptErrors, Tel.log().toJsonl(), Tel.metrics().snapshotJson()};
+}
+
+void expectSameRun(const PageRun &Cold, const PageRun &Other) {
+  EXPECT_EQ(Cold.ScriptErrors, Other.ScriptErrors);
+  EXPECT_EQ(Cold.Jsonl, Other.Jsonl);
+  EXPECT_EQ(Cold.Metrics, Other.Metrics);
+}
+
+TEST(WarmStartTest, ScriptErrorsMatchAcrossColdWarmAndParallelRestores) {
+  const PageRun Cold = runFaultyPage(nullptr);
+  // Two parse errors while binding handlers (document order), then one
+  // per failing <script> at load, then one per throwing dispatch.
+  ASSERT_EQ(Cold.ScriptErrors.size(), 5u);
+  EXPECT_EQ(Cold.ScriptErrors[0].rfind("parse error: ", 0), 0u);
+  EXPECT_EQ(Cold.ScriptErrors[1].rfind("parse error: ", 0), 0u);
+  EXPECT_EQ(Cold.ScriptErrors[2].rfind("parse error: ", 0), 0u);
+  EXPECT_NE(Cold.ScriptErrors[3].find("missingGlobal"), std::string::npos)
+      << Cold.ScriptErrors[3];
+  EXPECT_NE(Cold.ScriptErrors[4].find("missingFunction"), std::string::npos)
+      << Cold.ScriptErrors[4];
+  EXPECT_GT(Cold.Jsonl.size(), 0u);
+
+  // The snapshot compiles each script and handler once; restores reuse
+  // those programs and their compile-error texts.
+  const PageSnapshot Snapshot = capturePageSnapshot(FaultyPage);
+  ASSERT_TRUE(Snapshot.Proto);
+  ASSERT_TRUE(Snapshot.Scripts);
+  EXPECT_EQ(Snapshot.Scripts->Scripts.size(), 4u);
+  EXPECT_EQ(Snapshot.Scripts->Handlers.size(), 5u);
+  expectSameRun(Cold, runFaultyPage(&Snapshot));
+
+  // Four workers restore the same snapshot at once and run its shared
+  // programs (the sanitizer build checks they share them race-free).
+  std::vector<PageRun> Runs(8);
+  ParallelRunner(4).forEachIndex(
+      Runs.size(), [&](size_t I) { Runs[I] = runFaultyPage(&Snapshot); });
+  for (const PageRun &Run : Runs)
+    expectSameRun(Cold, Run);
 }
 
 } // namespace
