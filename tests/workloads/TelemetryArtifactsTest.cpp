@@ -6,6 +6,8 @@
 
 #include "workloads/TelemetryArtifacts.h"
 
+#include "BenchUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,13 +17,19 @@ using namespace greenweb;
 
 namespace {
 
-/// Runs parseArgs over \p Args (argv[0] is prepended).
-bool parse(TelemetryArtifactOptions &O, std::vector<std::string> Args,
-           const ArgHandler &Own = nullptr) {
+/// Pointers into \p Args, after a prepended argv[0].
+std::vector<char *> argv(std::vector<std::string> &Args) {
   Args.insert(Args.begin(), "driver");
   std::vector<char *> Argv;
   for (std::string &A : Args)
     Argv.push_back(A.data());
+  return Argv;
+}
+
+/// Runs parseArgs over \p Args (argv[0] is prepended).
+bool parse(TelemetryArtifactOptions &O, std::vector<std::string> Args,
+           const ArgHandler &Own = nullptr) {
+  std::vector<char *> Argv = argv(Args);
   return O.parseArgs(int(Argv.size()), Argv.data(), Own);
 }
 
@@ -75,6 +83,26 @@ TEST(TelemetryArtifactsTest, MalformedAndUnknownArgumentsAreRefused) {
   // Without a driver handler every non-shared argument is unknown.
   TelemetryArtifactOptions O;
   EXPECT_FALSE(parse(O, {"--jobs=2"}));
+}
+
+// A bench sweep pays for telemetry only when an artifact will read it:
+// with neither a shared hub nor a hook, runExperimentsParallel builds no
+// per-run hub.
+TEST(TelemetryArtifactsTest, HarnessSweepsAttachAHubOnlyForArtifacts) {
+  std::vector<std::string> Plain = {"--jobs=3"};
+  std::vector<char *> PlainArgv = argv(Plain);
+  bench::Harness Bare("bench", int(PlainArgv.size()), PlainArgv.data());
+  ParallelExperimentOptions BareOpts = Bare.sweepOptions();
+  EXPECT_EQ(BareOpts.Jobs, 3u);
+  EXPECT_EQ(BareOpts.SharedTel, nullptr);
+  EXPECT_FALSE(BareOpts.PerJobHook);
+
+  std::vector<std::string> Alerts = {"--alerts"};
+  std::vector<char *> AlertsArgv = argv(Alerts);
+  bench::Harness Read("bench", int(AlertsArgv.size()), AlertsArgv.data());
+  ParallelExperimentOptions ReadOpts = Read.sweepOptions();
+  EXPECT_EQ(ReadOpts.SharedTel, &Read.Tel);
+  EXPECT_TRUE(ReadOpts.PerJobHook);
 }
 
 } // namespace
