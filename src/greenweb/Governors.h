@@ -147,11 +147,11 @@ private:
 /// *measures* each event's latency and uses it as a proxy for user
 /// expectations — "if an event takes a long time to execute, EBS
 /// guesses that users could naturally tolerate a long latency and
-/// reduces CPU frequency". The paper's criticism, reproduced by the
-/// bench_ablation_ebs harness, is that measured latency is an artifact
-/// of the device's speed, not of the user's expectation: a heavyweight
-/// tap that users expect to feel instant (MSN) gets slowed down, while
-/// a lightweight long-tolerance job wastes energy at high speed.
+/// reduces CPU frequency". The paper's criticism is that measured latency
+/// is an artifact of the device's speed, not of the user's expectation.
+/// Section A7 of bench_design_suite compares EBS with GreenWeb; the gap
+/// shows where events outlive their first frame (Goo.ne.jp's animations),
+/// not on MSN's taps, which EBS measures fast at peak and keeps there.
 class EbsGovernor : public Governor, public FrameObserver {
 public:
   struct Params {
