@@ -691,10 +691,15 @@ void Browser::beginFrame(TimePoint BeginTime) {
   SpanTracer *Tr = tracer();
   int64_t PrevSpanCtx = 0;
   if (Tr) {
-    FrameSpan = Tr->begin(
-        formatString("frame %llu", static_cast<unsigned long long>(
-                                       NextFrameId)),
-        "frames", 0, int64_t(NextFrameId), /*Parent=*/0);
+    // The name is built only when traced: a metrics-only hub keeps its
+    // tracer but records no spans.
+    FrameSpan = Tr->tracingEnabled()
+                    ? Tr->begin(formatString("frame %llu",
+                                             static_cast<unsigned long long>(
+                                                 NextFrameId)),
+                                "frames", 0, int64_t(NextFrameId),
+                                /*Parent=*/0)
+                    : 0;
     PrevSpanCtx = Tr->setCurrent(FrameSpan);
   }
   Main->post(std::move(Animate));
@@ -721,8 +726,10 @@ int64_t Browser::beginRootSpan(uint64_t RootId, const std::string &Type) {
   SpanTracer *Tr = tracer();
   if (!Tr)
     return 0;
-  int64_t Span = Tr->begin("input:" + Type, "inputs", int64_t(RootId), 0,
-                           /*Parent=*/0);
+  int64_t Span = Tr->tracingEnabled()
+                     ? Tr->begin("input:" + Type, "inputs", int64_t(RootId),
+                                 0, /*Parent=*/0)
+                     : 0;
   RootSpans[RootId] = Span;
   return Tr->setCurrent(Span);
 }

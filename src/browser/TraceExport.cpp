@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string_view>
 
@@ -33,17 +34,27 @@ struct Events {
   std::string &Out; ///< What W writes to.
   bool First = true;
 
-  /// Starts one event: the fields every event starts with, through its
-  /// phase. Returns the buffer the caller appends the rest to.
-  std::string &open(NameParts Name, char Phase) {
+  /// What follows an event's name through the opening quote of its
+  /// phase.
+  static constexpr std::string_view CatAndPhase =
+      "\",\"cat\":\"greenweb\",\"ph\":\"";
+
+  /// Places the separator before one event.
+  void start() {
     if (!First)
       W.lineBreak();
     First = false;
     W.rawValue();
+  }
+
+  /// Starts one event: the fields every event starts with, through its
+  /// phase. Returns the buffer the caller appends the rest to.
+  std::string &open(NameParts Name, char Phase) {
+    start();
     Out += "{\"name\":\"";
     for (std::string_view Part : Name)
       appendJsonEscaped(Out, Part);
-    Out += "\",\"cat\":\"greenweb\",\"ph\":\"";
+    Out += CatAndPhase;
     Out += Phase;
     Out += '"';
     return Out;
@@ -71,23 +82,44 @@ std::string &openCompleteEvent(Events &E, NameParts Name,
   return Out;
 }
 
+/// `,"ts":` and \p Ts (see appendTs) in a buffer of its own, so events
+/// that share a timestamp format it once.
+struct TsText {
+  char Buf[FixedBufferSize + 8];
+  size_t Len;
+
+  explicit TsText(TimePoint Ts) {
+    std::memcpy(Buf, ",\"ts\":", 6);
+    Len = size_t(formatFixed(Buf + 6, Ts.nanos() / 1e3, 3) - Buf);
+  }
+  std::string_view view() const { return {Buf, Len}; }
+};
+
 /// Opens one counter ("C") event through `"args":`.
-std::string &openCounterEvent(Events &E, NameParts Name, TimePoint Ts) {
+std::string &openCounterEvent(Events &E, NameParts Name, const TsText &Ts) {
   std::string &Out = E.open(Name, 'C');
-  appendTs(Out, Ts.nanos());
+  Out += Ts.view();
   Out += ",\"pid\":1,\"args\":";
   return Out;
 }
 
-/// Appends one counter event whose args hold a single series.
-void appendCounterEvent(Events &E, std::string_view Name, TimePoint Ts,
-                        const char *Series, double Value, int Precision) {
-  std::string &Out = openCounterEvent(E, {Name}, Ts);
-  Out += "{\"";
-  Out += Series;
-  Out += "\":";
-  appendFixed(Out, Value, Precision);
-  Out += "}}";
+/// Appends one counter event whose args hold a single series, built
+/// in one buffer: a sampled session writes three per energy sample.
+void appendCounterEvent(Events &E, std::string_view Name, const TsText &Ts,
+                        std::string_view Series, double Value,
+                        int Precision) {
+  E.start();
+  LineBuffer Line(E.Out);
+  Line.text("{\"name\":\"");
+  Line.escaped(Name);
+  Line.text(Events::CatAndPhase);
+  Line.text("C\"");
+  Line.text(Ts.view());
+  Line.text(",\"pid\":1,\"args\":{\"");
+  Line.text(Series);
+  Line.text("\":");
+  Line.fixed(Value, Precision);
+  Line.text("}}");
 }
 
 /// Opens one thread-scoped instant ("i") event on the governor track
@@ -184,82 +216,81 @@ void appendTelemetryEvents(Events &E, const std::vector<FrameRecord> &Frames,
   const std::vector<TelemetryRecord> &Records = Tel.log().records();
   for (const TelemetryRecord &R : Records) {
     switch (R.Kind) {
-    case TelemetryEventKind::EnergySample:
-      appendCounterEvent(E, "power_watts", R.Ts, "watts",
-                         R.numberOr("watts", 0.0), 6);
-      appendCounterEvent(E, "energy_joules", R.Ts, "joules",
-                         R.numberOr("joules", 0.0), 6);
-      appendCounterEvent(E, "sim_queue_depth", R.Ts, "events",
-                         R.numberOr("queue_depth", 0.0), 0);
+    case TelemetryEventKind::EnergySample: {
+      // Three counters, one timestamp: the bulk of a sampled session.
+      const EnergySampleRecord &S = R.as<EnergySampleRecord>();
+      TsText Ts(R.Ts);
+      appendCounterEvent(E, "power_watts", Ts, "watts", S.Watts, 6);
+      appendCounterEvent(E, "energy_joules", Ts, "joules",
+                         S.CumulativeJoules, 6);
+      appendCounterEvent(E, "sim_queue_depth", Ts, "events",
+                         double(S.QueueDepth), 0);
       break;
+    }
     case TelemetryEventKind::ConfigSwitch: {
       // One series per cluster; the idle cluster drops to 0 so cluster
       // migrations are visible as the two series trading places.
-      bool Big = R.numberOr("big", 0.0) != 0.0;
-      double FreqMHz = R.numberOr("freq_mhz", 0.0);
-      openCounterEvent(E, {"freq_mhz"}, R.Ts);
-      appendNumberArg(Out, "{\"A15\":", Big ? FreqMHz : 0.0, 0);
-      appendNumberArg(Out, ",\"A7\":", Big ? 0.0 : FreqMHz, 0);
+      const ConfigSwitchRecord &S = R.as<ConfigSwitchRecord>();
+      double FreqMHz = double(S.ToFreqMHz);
+      openCounterEvent(E, {"freq_mhz"}, TsText(R.Ts));
+      appendNumberArg(Out, "{\"A15\":", S.ToCoreIsBig ? FreqMHz : 0.0, 0);
+      appendNumberArg(Out, ",\"A7\":", S.ToCoreIsBig ? 0.0 : FreqMHz, 0);
       Out += "}}";
       break;
     }
-    case TelemetryEventKind::GovernorDecision:
-      openInstantEvent(E,
-                       {R.stringViewOr("governor", "?"), ": ",
-                        R.stringViewOr("reason", "?")},
-                       R.Ts);
-      appendStringArg(Out, "{\"config\":\"", R.stringViewOr("config", ""));
-      appendNumberArg(Out, ",\"predicted_ms\":",
-                      R.numberOr("predicted_ms", -1.0), 3);
-      appendNumberArg(Out, ",\"target_ms\":", R.numberOr("target_ms", -1.0),
-                      3);
-      appendNumberArg(Out, ",\"offset\":", R.numberOr("offset", 0.0), 0);
+    case TelemetryEventKind::GovernorDecision: {
+      const GovernorDecisionRecord &D = R.as<GovernorDecisionRecord>();
+      openInstantEvent(E, {D.Governor, ": ", D.Reason}, R.Ts);
+      appendStringArg(Out, "{\"config\":\"", D.Config);
+      appendNumberArg(Out, ",\"predicted_ms\":", D.PredictedMs, 3);
+      appendNumberArg(Out, ",\"target_ms\":", D.TargetMs, 3);
+      appendNumberArg(Out, ",\"offset\":", double(D.FeedbackOffset), 0);
       Out += "}}";
       break;
-    case TelemetryEventKind::FeedbackAction:
-      openInstantEvent(E,
-                       {R.stringViewOr("governor", "?"), " feedback: ",
-                        R.stringViewOr("action", "?")},
-                       R.Ts);
-      appendStringArg(Out, "{\"key\":\"", R.stringViewOr("key", ""));
-      appendNumberArg(Out, ",\"offset\":", R.numberOr("offset", 0.0), 0);
-      appendNumberArg(Out, ",\"measured_ms\":",
-                      R.numberOr("measured_ms", -1.0), 3);
-      appendNumberArg(Out, ",\"target_ms\":", R.numberOr("target_ms", -1.0),
-                      3);
+    }
+    case TelemetryEventKind::FeedbackAction: {
+      const FeedbackActionRecord &F = R.as<FeedbackActionRecord>();
+      openInstantEvent(E, {F.Governor, " feedback: ", F.Action}, R.Ts);
+      appendStringArg(Out, "{\"key\":\"", F.ModelKey);
+      appendNumberArg(Out, ",\"offset\":", double(F.NewOffset), 0);
+      appendNumberArg(Out, ",\"measured_ms\":", F.MeasuredMs, 3);
+      appendNumberArg(Out, ",\"target_ms\":", F.TargetMs, 3);
       Out += "}}";
       break;
-    case TelemetryEventKind::CounterSample:
-      appendCounterEvent(E, R.stringViewOr("track", "counter"), R.Ts,
-                         "value", R.numberOr("value", 0.0), 6);
+    }
+    case TelemetryEventKind::CounterSample: {
+      const CounterSampleRecord &C = R.as<CounterSampleRecord>();
+      appendCounterEvent(E, C.Track, TsText(R.Ts), "value", C.Value, 6);
       break;
+    }
     case TelemetryEventKind::Span: {
       // Causal task spans on their own simulated-thread tracks; the
       // args carry the parent links so the span DAG survives export.
-      double BeginUs = R.numberOr("begin_us", 0.0);
+      const CompletedSpanRecord &S = R.as<CompletedSpanRecord>();
       openCompleteEvent(
-          E, {R.stringViewOr("name", "?")}, R.stringViewOr("thread", "?"),
-          TimePoint::fromNanos(int64_t(std::llround(BeginUs * 1e3))),
-          Duration::fromMillis(R.numberOr("dur_ms", 0.0)));
-      appendNumberArg(Out, "{\"id\":", R.numberOr("id", 0.0), 0);
-      appendNumberArg(Out, ",\"parent\":", R.numberOr("parent", 0.0), 0);
-      appendNumberArg(Out, ",\"root\":", R.numberOr("root", 0.0), 0);
-      appendNumberArg(Out, ",\"frame\":", R.numberOr("frame", 0.0), 0);
-      appendNumberArg(Out, ",\"open\":", R.numberOr("open", 0.0), 0);
+          E, {S.Name}, S.Thread,
+          TimePoint::fromNanos(int64_t(std::llround(S.BeginUs * 1e3))),
+          Duration::fromMillis(S.DurMs));
+      appendNumberArg(Out, "{\"id\":", double(S.Id), 0);
+      appendNumberArg(Out, ",\"parent\":", double(S.Parent), 0);
+      appendNumberArg(Out, ",\"root\":", double(S.Root), 0);
+      appendNumberArg(Out, ",\"frame\":", double(S.Frame), 0);
+      appendNumberArg(Out, ",\"open\":", double(S.Open), 0);
       Out += "}}";
       break;
     }
-    case TelemetryEventKind::Fault:
+    case TelemetryEventKind::Fault: {
       // Window begin/end already export as "fault:<kind>" spans; the
       // discrete injections show as instants on the same track.
-      if (R.stringViewOr("phase", "") == "inject") {
-        openInstantEvent(E, {"inject: ", R.stringViewOr("fault", "?")},
-                         R.Ts);
-        appendStringArg(Out, "{\"detail\":\"", R.stringViewOr("detail", ""));
-        appendNumberArg(Out, ",\"value\":", R.numberOr("value", 0.0), 3);
+      const FaultEventRecord &F = R.as<FaultEventRecord>();
+      if (F.Phase == "inject") {
+        openInstantEvent(E, {"inject: ", F.Fault}, R.Ts);
+        appendStringArg(Out, "{\"detail\":\"", F.Detail);
+        appendNumberArg(Out, ",\"value\":", F.Value, 3);
         Out += "}}";
       }
       break;
+    }
     case TelemetryEventKind::FrameStage:
     case TelemetryEventKind::QosViolation:
     case TelemetryEventKind::Alert:
@@ -293,12 +324,10 @@ void appendTelemetryEvents(Events &E, const std::vector<FrameRecord> &Frames,
     }
   }
   for (const TelemetryRecord &R : Records) {
-    if (R.Kind != TelemetryEventKind::GovernorDecision)
+    const GovernorDecisionRecord *D = R.get<GovernorDecisionRecord>();
+    if (!D || D->RootId <= 0)
       continue;
-    double Root = R.numberOr("root", 0.0);
-    if (Root <= 0.0)
-      continue;
-    auto It = HopsByRoot.find(static_cast<uint64_t>(Root));
+    auto It = HopsByRoot.find(static_cast<uint64_t>(D->RootId));
     if (It != HopsByRoot.end())
       It->second.push_back({R.Ts.nanos() / 1e3, "governor"});
   }

@@ -223,7 +223,10 @@ void GreenWebRuntime::recordDecisionSpan(Telemetry &T,
                                          int64_t RootId) {
   // Zero-length marker on the governor track; critical-path reports use
   // it to correlate "what did the governor last decide for this root".
+  // Metrics-only hubs trace nothing: build no name for them.
   SpanTracer &Tr = T.spans();
+  if (!Tr.tracingEnabled())
+    return;
   int64_t Id = Tr.begin("decision:" + Reason, "governor", RootId, 0,
                         /*Parent=*/0);
   Tr.end(Id);

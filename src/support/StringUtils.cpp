@@ -245,9 +245,8 @@ void greenweb::appendFixed(std::string &Out, double X, int Precision) {
   Out.append(Buf, formatFixed(Buf, X, Precision));
 }
 
-void greenweb::appendTrimmedFixed6(std::string &Out, double X) {
-  char Buf[FixedBufferSize];
-  char *End = formatFixed(Buf, X, 6);
+char *greenweb::formatTrimmedFixed6(char *First, double X) {
+  char *End = formatFixed(First, X, 6);
   if (std::isfinite(X)) {
     // A finite "%.6f" always has a point, which stops the scan.
     while (End[-1] == '0')
@@ -255,5 +254,10 @@ void greenweb::appendTrimmedFixed6(std::string &Out, double X) {
     if (End[-1] == '.')
       ++End;
   }
-  Out.append(Buf, End);
+  return End;
+}
+
+void greenweb::appendTrimmedFixed6(std::string &Out, double X) {
+  char Buf[FixedBufferSize];
+  Out.append(Buf, formatTrimmedFixed6(Buf, X));
 }

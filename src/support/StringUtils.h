@@ -14,8 +14,10 @@
 #ifndef GREENWEB_SUPPORT_STRINGUTILS_H
 #define GREENWEB_SUPPORT_STRINGUTILS_H
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -161,10 +163,80 @@ char *formatFixed(char *First, double X, int Precision);
 /// Appends formatFixed's text.
 void appendFixed(std::string &Out, double X, int Precision);
 
-/// Appends \p X as "%.6f" with trailing zeros trimmed down to one
-/// digit after the point ("1.5", "2.0", "-0.0", "0.000001"): the number
-/// format of telemetry log fields.
+/// Writes \p X as "%.6f" with trailing zeros trimmed down to one digit
+/// after the point ("1.5", "2.0", "-0.0", "0.000001"), the number format
+/// of telemetry log fields, like formatFixed; returns the end.
+char *formatTrimmedFixed6(char *First, double X);
+
+/// Appends formatTrimmedFixed6's text.
 void appendTrimmedFixed6(std::string &Out, double X);
+
+/// Builds a short text (one log line, one trace event) in a stack
+/// buffer and appends it to \p Out in one piece when destroyed: a line
+/// is a dozen short pieces, and appending each to the string costs a
+/// capacity check and a copy apiece. A piece that does not fit flushes
+/// the buffer first; a piece longer than the buffer goes straight out.
+class LineBuffer {
+public:
+  explicit LineBuffer(std::string &Out) : Out(Out) {}
+  ~LineBuffer() { flush(); }
+  LineBuffer(const LineBuffer &) = delete;
+  LineBuffer &operator=(const LineBuffer &) = delete;
+
+  void text(std::string_view S) {
+    room(S.size());
+    if (S.size() > Capacity) {
+      Out += S;
+      return;
+    }
+    std::memcpy(Buf + Len, S.data(), S.size());
+    Len += S.size();
+  }
+  /// formatFixed's text.
+  void fixed(double X, int Precision) {
+    room(FixedBufferSize);
+    Len = size_t(formatFixed(Buf + Len, X, Precision) - Buf);
+  }
+  /// formatTrimmedFixed6's text.
+  void trimmedFixed6(double X) {
+    room(FixedBufferSize);
+    Len = size_t(formatTrimmedFixed6(Buf + Len, X) - Buf);
+  }
+  void integer(int64_t X) {
+    room(24);
+    Len = size_t(std::to_chars(Buf + Len, Buf + Capacity, X).ptr - Buf);
+  }
+  /// appendJsonEscaped's text.
+  void escaped(std::string_view S) {
+    bool Plain = S.size() <= Capacity - Len;
+    for (size_t I = 0; Plain && I != S.size(); ++I) {
+      unsigned char C = static_cast<unsigned char>(S[I]);
+      Plain = C >= 0x20 && C != '"' && C != '\\';
+    }
+    if (Plain) {
+      text(S);
+      return;
+    }
+    flush();
+    appendJsonEscaped(Out, S);
+  }
+
+private:
+  static constexpr size_t Capacity = 1024;
+
+  void room(size_t N) {
+    if (Capacity - Len < N)
+      flush();
+  }
+  void flush() {
+    Out.append(Buf, Len);
+    Len = 0;
+  }
+
+  std::string &Out;
+  size_t Len = 0;
+  char Buf[Capacity];
+};
 
 /// printf-style formatting into a std::string.
 std::string formatString(const char *Fmt, ...)

@@ -51,6 +51,25 @@ EwmaCusum::Step EwmaCusum::observe(double X) {
   return S;
 }
 
+size_t TrailingWindow::add(int64_t Ts, int64_t WindowNs) {
+  size_t Mask = Ring.size() - 1;
+  while (Count > 0 && Ring[Head] < Ts - WindowNs) {
+    Head = (Head + 1) & Mask;
+    --Count;
+  }
+  if (Count == Ring.size()) {
+    // Full: unroll into a ring twice the size, oldest first.
+    std::vector<int64_t> Grown(std::max<size_t>(8, 2 * Ring.size()));
+    for (size_t I = 0; I < Count; ++I)
+      Grown[I] = Ring[(Head + I) & Mask];
+    Ring = std::move(Grown);
+    Head = 0;
+    Mask = Ring.size() - 1;
+  }
+  Ring[(Head + Count) & Mask] = Ts;
+  return ++Count;
+}
+
 DetectorBank::DetectorBank(const DetectorConfig &C)
     : Cfg(C), FrameLatency(C), EnergyPerFrame(C), DecisionChurn(C) {}
 
@@ -62,17 +81,10 @@ void DetectorBank::score(const char *Detector, EwmaCusum &D, double X,
   if (!S.Fired)
     return;
   ++Alerts;
-  TelemetryRecord A;
-  A.Kind = TelemetryEventKind::Alert;
-  A.Ts = Origin.Ts; // Virtual time of the provoking record, never a clock.
-  A.Fields.reserve(6);
-  A.Fields.push_back({"detector", std::string(Detector)});
-  A.Fields.push_back({"value", X});
-  A.Fields.push_back({"baseline", BaselineMean});
-  A.Fields.push_back({"score", S.Score});
-  A.Fields.push_back({"dir", S.Dir});
-  A.Fields.push_back({"n", int64_t(D.samples())});
-  Out.push_back(std::move(A));
+  // Timestamped with the provoking record's virtual time, never a clock.
+  Out.emplace_back(Origin.Ts,
+                   AlertRecord{Detector, X, BaselineMean, S.Score, S.Dir,
+                               int64_t(D.samples())});
 }
 
 std::vector<TelemetryRecord>
@@ -80,26 +92,22 @@ DetectorBank::onRecord(const TelemetryRecord &R) {
   std::vector<TelemetryRecord> Out;
   switch (R.Kind) {
   case TelemetryEventKind::FrameStage: {
-    const TelemetryField *Stage = R.find("stage");
-    const std::string *Name =
-        Stage ? std::get_if<std::string>(&Stage->Value) : nullptr;
-    if (!Name)
-      break;
-    if (*Name == "present")
+    const FrameStageRecord &F = R.as<FrameStageRecord>();
+    if (F.Stage == "present")
       ++FramesPresented;
-    else if (*Name == "total")
+    else if (F.Stage == "total")
       // Score the canonical (serialized) value so replaying the log
       // through the same detector reproduces the alert stream exactly.
       score("frame_latency", FrameLatency,
-            telemetryCanonicalNumber(R.numberOr("duration_ms", 0.0)), R,
-            Out);
+            telemetryCanonicalNumber(F.DurationMs), R, Out);
     break;
   }
   case TelemetryEventKind::EnergySample: {
     // The energy accumulator is a free-running double that loses
     // precision in JSONL serialization; canonicalize before the delta
     // so online and offline detection see identical inputs.
-    double Joules = telemetryCanonicalNumber(R.numberOr("joules", 0.0));
+    double Joules = telemetryCanonicalNumber(
+        R.as<EnergySampleRecord>().CumulativeJoules);
     if (LastJoules >= 0.0 && FramesPresented > FramesAtLastSample) {
       double PerFrameMj = (Joules - LastJoules) * 1e3 /
                           double(FramesPresented - FramesAtLastSample);
@@ -110,13 +118,9 @@ DetectorBank::onRecord(const TelemetryRecord &R) {
     break;
   }
   case TelemetryEventKind::GovernorDecision: {
-    int64_t Ts = R.Ts.nanos();
-    int64_t WindowNs = int64_t(Cfg.ChurnWindowMs * 1e6);
-    while (!DecisionTsNs.empty() && DecisionTsNs.front() < Ts - WindowNs)
-      DecisionTsNs.pop_front();
-    DecisionTsNs.push_back(Ts);
-    score("decision_churn", DecisionChurn, double(DecisionTsNs.size()), R,
-          Out);
+    size_t InWindow =
+        Decisions.add(R.Ts.nanos(), int64_t(Cfg.ChurnWindowMs * 1e6));
+    score("decision_churn", DecisionChurn, double(InWindow), R, Out);
     break;
   }
   default:

@@ -38,7 +38,6 @@
 #include "telemetry/TelemetryLog.h"
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace greenweb {
@@ -60,6 +59,24 @@ struct DetectorConfig {
   /// Trailing window (milliseconds of virtual time) over which governor
   /// decisions are counted for the churn signal.
   double ChurnWindowMs = 250.0;
+};
+
+/// Timestamps (nanoseconds, non-decreasing) of the events inside a
+/// trailing window, on a ring that grows only when more events fall
+/// inside the window than ever before: a steady stream allocates
+/// nothing.
+class TrailingWindow {
+public:
+  /// Drops the timestamps before \p Ts - \p WindowNs, adds \p Ts, and
+  /// returns how many the window holds.
+  size_t add(int64_t Ts, int64_t WindowNs);
+  size_t size() const { return Count; }
+  void clear() { Head = Count = 0; }
+
+private:
+  std::vector<int64_t> Ring; ///< Power-of-two size once used.
+  size_t Head = 0;           ///< Oldest timestamp's slot.
+  size_t Count = 0;
 };
 
 /// One EWMA-baselined two-sided CUSUM over a scalar series; see file
@@ -122,8 +139,8 @@ private:
   uint64_t FramesPresented = 0;
   uint64_t FramesAtLastSample = 0;
 
-  // decision_churn trailing window (timestamps in nanoseconds).
-  std::deque<int64_t> DecisionTsNs;
+  // decision_churn trailing window.
+  TrailingWindow Decisions;
 };
 
 } // namespace greenweb

@@ -14,18 +14,19 @@ using namespace greenweb;
 
 SpanIndex::SpanIndex(const TelemetryLog &Log) {
   for (const TelemetryRecord &R : Log.records()) {
-    if (R.Kind != TelemetryEventKind::Span)
+    const CompletedSpanRecord *C = R.get<CompletedSpanRecord>();
+    if (!C)
       continue;
     SpanRecord S;
-    S.Id = int64_t(R.numberOr("id", 0));
-    S.Parent = int64_t(R.numberOr("parent", 0));
-    S.Root = int64_t(R.numberOr("root", 0));
-    S.Frame = int64_t(R.numberOr("frame", 0));
-    S.Name = R.stringOr("name", "");
-    S.Thread = R.stringOr("thread", "");
-    S.BeginUs = R.numberOr("begin_us", 0.0);
-    S.EndUs = S.BeginUs + R.numberOr("dur_ms", 0.0) * 1e3;
-    S.Truncated = R.numberOr("open", 0.0) != 0.0;
+    S.Id = C->Id;
+    S.Parent = C->Parent;
+    S.Root = C->Root;
+    S.Frame = C->Frame;
+    S.Name = C->Name;
+    S.Thread = C->Thread;
+    S.BeginUs = C->BeginUs;
+    S.EndUs = S.BeginUs + C->DurMs * 1e3;
+    S.Truncated = C->Open != 0;
     ById[S.Id] = Spans.size();
     Spans.push_back(std::move(S));
   }
@@ -206,17 +207,18 @@ std::vector<WhyReport> greenweb::buildWhyReports(const TelemetryLog &Log) {
       Log.byKind(TelemetryEventKind::GovernorDecision);
   std::vector<WhyReport> Out;
   for (const TelemetryRecord &R : Log.records()) {
-    if (R.Kind != TelemetryEventKind::QosViolation)
+    const QosViolationRecord *V = R.get<QosViolationRecord>();
+    if (!V)
       continue;
     WhyReport W;
     W.TsUs = R.Ts.nanos() / 1e3;
-    W.FrameId = int64_t(R.numberOr("frame", 0));
-    W.RootId = int64_t(R.numberOr("root", 0));
-    W.Governor = R.stringOr("governor", "");
-    W.ModelKey = R.stringOr("key", "");
-    W.QosKind = R.stringOr("qos", "");
-    W.LatencyMs = R.numberOr("latency_ms", 0.0);
-    W.TargetMs = R.numberOr("target_ms", 0.0);
+    W.FrameId = V->FrameId;
+    W.RootId = V->RootId;
+    W.Governor = V->Governor;
+    W.ModelKey = V->ModelKey;
+    W.QosKind = V->QosKind;
+    W.LatencyMs = V->LatencyMs;
+    W.TargetMs = V->TargetMs;
 
     // The decision to blame: the nearest preceding one for this root,
     // else the nearest preceding one overall.
@@ -226,14 +228,16 @@ std::vector<WhyReport> greenweb::buildWhyReports(const TelemetryLog &Log) {
       if (D->Ts > R.Ts)
         break;
       Any = D;
-      if (W.RootId != 0 && int64_t(D->numberOr("root", 0)) == W.RootId)
+      if (W.RootId != 0 &&
+          D->as<GovernorDecisionRecord>().RootId == W.RootId)
         SameRoot = D;
     }
     if (const TelemetryRecord *D = SameRoot ? SameRoot : Any) {
+      const GovernorDecisionRecord &G = D->as<GovernorDecisionRecord>();
       W.HasDecision = true;
-      W.DecisionReason = D->stringOr("reason", "");
-      W.DecisionConfig = D->stringOr("config", "");
-      W.PredictedMs = D->numberOr("predicted_ms", -1.0);
+      W.DecisionReason = G.Reason;
+      W.DecisionConfig = G.Config;
+      W.PredictedMs = G.PredictedMs;
       W.DecisionAgeMs = (R.Ts - D->Ts).millis();
     }
 

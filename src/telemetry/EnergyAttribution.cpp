@@ -35,33 +35,34 @@ EnergyAttributionResult greenweb::attributeEnergy(const TelemetryLog &Log) {
   std::map<int64_t, std::string> KeyByRoot;
   std::map<int64_t, uint64_t> ViolationsByRoot;
   std::vector<std::pair<double, double>> Samples; // (ts_us, cumulative J)
+  auto noteKey = [&KeyByRoot](int64_t Root, const std::string &Key) {
+    if (Root != 0 && !Key.empty())
+      KeyByRoot.emplace(Root, Key);
+  };
   for (const TelemetryRecord &R : Log.records()) {
     switch (R.Kind) {
     case TelemetryEventKind::Span: {
-      if (R.stringOr("thread", "") != "inputs")
+      const CompletedSpanRecord &S = R.as<CompletedSpanRecord>();
+      if (S.Thread != "inputs" || S.Root == 0)
         break;
-      RootWindow W;
-      W.Root = int64_t(R.numberOr("root", 0));
-      if (W.Root == 0)
-        break;
-      W.BeginUs = R.numberOr("begin_us", 0.0);
-      W.EndUs = W.BeginUs + R.numberOr("dur_ms", 0.0) * 1e3;
-      W.Name = R.stringOr("name", "input:?");
-      Roots.push_back(std::move(W));
+      Roots.push_back(
+          {S.Root, S.BeginUs, S.BeginUs + S.DurMs * 1e3, S.Name});
       break;
     }
-    case TelemetryEventKind::GovernorDecision:
+    case TelemetryEventKind::GovernorDecision: {
+      const GovernorDecisionRecord &D = R.as<GovernorDecisionRecord>();
+      noteKey(D.RootId, D.ModelKey);
+      break;
+    }
     case TelemetryEventKind::QosViolation: {
-      int64_t Root = int64_t(R.numberOr("root", 0));
-      if (R.Kind == TelemetryEventKind::QosViolation)
-        ++ViolationsByRoot[Root];
-      std::string Key = R.stringOr("key", "");
-      if (Root != 0 && !Key.empty() && !KeyByRoot.count(Root))
-        KeyByRoot[Root] = std::move(Key);
+      const QosViolationRecord &V = R.as<QosViolationRecord>();
+      ++ViolationsByRoot[V.RootId];
+      noteKey(V.RootId, V.ModelKey);
       break;
     }
     case TelemetryEventKind::EnergySample:
-      Samples.emplace_back(R.Ts.nanos() / 1e3, R.numberOr("joules", 0.0));
+      Samples.emplace_back(R.Ts.nanos() / 1e3,
+                           R.as<EnergySampleRecord>().CumulativeJoules);
       break;
     default:
       break;

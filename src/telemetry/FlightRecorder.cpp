@@ -7,7 +7,6 @@
 #include "telemetry/FlightRecorder.h"
 
 #include "support/Json.h"
-#include "telemetry/AnomalyDetector.h"
 
 using namespace greenweb;
 
@@ -37,51 +36,70 @@ void FlightRecorder::trigger(const std::string &Reason, std::string Detail,
   // Ring snapshot, oldest first. Before the first wrap the ring is
   // simply [0, Seq); afterwards slot Seq % capacity is the oldest.
   size_t N = Ring.size();
-  size_t Start = Seq >= Cfg.RingCapacity ? size_t(Seq % Cfg.RingCapacity) : 0;
+  size_t Start = N == Cfg.RingCapacity ? RingNext : 0;
   D.Records.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    D.Records.push_back(Ring[(Start + I) % N]);
+  for (size_t I = 0; I < N; ++I) {
+    const Entry &E = Ring[(Start + I) % N];
+    D.Records.push_back(Lanes[E.Lane].Slots[E.Slot]);
+  }
   Dumps.push_back(std::move(D));
   LastDumpSeq = Seq;
 }
 
 void FlightRecorder::onRecord(const TelemetryRecord &R) {
-  if (Ring.size() < Cfg.RingCapacity)
-    Ring.push_back(R);
+  // The ring holds the last RingCapacity records, so each lane slot it
+  // names is among its lane's last RingCapacity rows: still in place.
+  size_t Cap = Cfg.RingCapacity;
+  Lane &L = Lanes[R.Data.index()];
+  Entry E{uint32_t(R.Data.index()), L.Next};
+  if (L.Slots.size() < Cap) {
+    if (L.Slots.empty())
+      L.Slots.reserve(Cap);
+    L.Slots.push_back(R);
+  } else {
+    L.Slots[L.Next] = R;
+  }
+  if (++L.Next == Cap)
+    L.Next = 0;
+  if (Ring.size() < Cap)
+    Ring.push_back(E);
   else
-    Ring[size_t(Seq % Cfg.RingCapacity)] = R;
+    Ring[RingNext] = E;
+  if (++RingNext == Cap)
+    RingNext = 0;
   ++Seq;
 
   switch (R.Kind) {
   case TelemetryEventKind::QosViolation: {
-    int64_t Ts = R.Ts.nanos();
-    int64_t WindowNs = int64_t(Cfg.BurstWindowMs * 1e6);
-    while (!ViolationTsNs.empty() && ViolationTsNs.front() < Ts - WindowNs)
-      ViolationTsNs.pop_front();
-    ViolationTsNs.push_back(Ts);
-    if (ViolationTsNs.size() >= Cfg.BurstCount) {
+    size_t InWindow =
+        Violations.add(R.Ts.nanos(), int64_t(Cfg.BurstWindowMs * 1e6));
+    if (InWindow >= Cfg.BurstCount) {
       trigger("qos_burst",
-              formatString("%zu violations in %.0f ms",
-                           ViolationTsNs.size(), Cfg.BurstWindowMs),
+              formatString("%zu violations in %.0f ms", InWindow,
+                           Cfg.BurstWindowMs),
               R);
-      ViolationTsNs.clear();
+      Violations.clear();
     }
     break;
   }
-  case TelemetryEventKind::GovernorDecision:
-    if (R.stringViewOr("reason", "") == "watchdog_fallback")
-      trigger("watchdog_trip", R.stringOr("governor", ""), R);
+  case TelemetryEventKind::GovernorDecision: {
+    const GovernorDecisionRecord &D = R.as<GovernorDecisionRecord>();
+    if (D.Reason == "watchdog_fallback")
+      trigger("watchdog_trip", D.Governor, R);
     break;
-  case TelemetryEventKind::Fault:
-    if (R.stringViewOr("phase", "") == "begin")
-      trigger("fault_window", R.stringOr("fault", ""), R);
+  }
+  case TelemetryEventKind::Fault: {
+    const FaultEventRecord &F = R.as<FaultEventRecord>();
+    if (F.Phase == "begin")
+      trigger("fault_window", F.Fault, R);
     break;
-  case TelemetryEventKind::Alert:
-    trigger("alert:" + R.stringOr("detector", "?"),
-            formatString("value %.3f score %.3f",
-                         R.numberOr("value", 0.0), R.numberOr("score", 0.0)),
-            R);
+  }
+  case TelemetryEventKind::Alert: {
+    const AlertRecord &A = R.as<AlertRecord>();
+    trigger("alert:" + A.Detector,
+            formatString("value %.3f score %.3f", A.Value, A.Score), R);
     break;
+  }
   default:
     break;
   }

@@ -36,10 +36,11 @@
 #ifndef GREENWEB_TELEMETRY_FLIGHTRECORDER_H
 #define GREENWEB_TELEMETRY_FLIGHTRECORDER_H
 
+#include "telemetry/AnomalyDetector.h"
 #include "telemetry/TelemetryLog.h"
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,6 @@ namespace greenweb {
 namespace json {
 class Writer;
 }
-
-class DetectorBank;
 
 /// Flight-recorder tuning; the defaults keep one dump around 256
 /// records and bound per-run memory at MaxDumps rings.
@@ -105,14 +104,29 @@ private:
   void trigger(const std::string &Reason, std::string Detail,
                const TelemetryRecord &R);
 
+  /// The last RingCapacity records of one row type. A slot is only
+  /// ever overwritten by a row of its own type, so the copy reuses the
+  /// slot's string capacity and a steady stream allocates nothing.
+  struct Lane {
+    std::vector<TelemetryRecord> Slots;
+    uint32_t Next = 0; ///< Slot the next row of this type takes.
+  };
+  /// A ring slot: where its record sits.
+  struct Entry {
+    uint32_t Lane = 0;
+    uint32_t Slot = 0;
+  };
+
   FlightRecorderConfig Cfg;
-  std::vector<TelemetryRecord> Ring; ///< Ring storage, Seq % capacity.
-  uint64_t Seq = 0;                  ///< Total records observed.
+  std::array<Lane, std::variant_size_v<TelemetryPayload>> Lanes;
+  std::vector<Entry> Ring; ///< The last RingCapacity records.
+  size_t RingNext = 0;     ///< Slot the next record takes (oldest once full).
+  uint64_t Seq = 0;        ///< Total records observed.
   uint64_t LastDumpSeq = 0;
   uint64_t Triggers = 0;
   uint64_t Suppressed = 0;
   uint64_t Dropped = 0;
-  std::deque<int64_t> ViolationTsNs; ///< qos_burst trailing window.
+  TrailingWindow Violations; ///< qos_burst trailing window.
   std::vector<BlackBoxDump> Dumps;
 };
 

@@ -23,8 +23,8 @@ const SpanTracer::Span *SpanTracer::find(int64_t Id) const {
   return const_cast<SpanTracer *>(this)->findMutable(Id);
 }
 
-int64_t SpanTracer::begin(std::string Name, std::string Thread, int64_t Root,
-                          int64_t Frame, int64_t Parent) {
+int64_t SpanTracer::begin(std::string_view Name, std::string_view Thread,
+                          int64_t Root, int64_t Frame, int64_t Parent) {
   if (!Enabled)
     return 0;
   if (Parent == UseCurrent)
@@ -40,8 +40,8 @@ int64_t SpanTracer::begin(std::string Name, std::string Thread, int64_t Root,
   S.Parent = Parent;
   S.Root = Root;
   S.Frame = Frame;
-  S.Name = std::move(Name);
-  S.Thread = std::move(Thread);
+  S.Name = Name;
+  S.Thread = Thread;
   S.Begin = Hub->now();
   S.End = S.Begin;
   All.push_back(std::move(S));

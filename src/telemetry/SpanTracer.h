@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace greenweb {
@@ -72,9 +73,11 @@ public:
   /// Opens a span beginning now. \p Parent may be an explicit id, 0 for
   /// a causal root, or UseCurrent for the ambient context. Root/Frame
   /// default to the parent's tags when passed as 0. Returns the id, or
-  /// 0 when tracing is disabled.
-  int64_t begin(std::string Name, std::string Thread, int64_t Root = 0,
-                int64_t Frame = 0, int64_t Parent = UseCurrent);
+  /// 0 when tracing is disabled; the names are copied only when traced,
+  /// so callers that build a name check tracingEnabled() first.
+  int64_t begin(std::string_view Name, std::string_view Thread,
+                int64_t Root = 0, int64_t Frame = 0,
+                int64_t Parent = UseCurrent);
 
   /// Closes \p Id at the current instant and mirrors it into the
   /// telemetry log. No-op for 0, unknown, or already-closed ids.

@@ -11,6 +11,18 @@
 
 using namespace greenweb;
 
+namespace {
+/// The index of row type \p P in the row variant \p V.
+template <class P, class V> struct RowIndex;
+template <class P, class... Rows> struct RowIndex<P, std::variant<Rows...>> {
+  static constexpr size_t value = [] {
+    size_t I = 0;
+    ((std::is_same_v<P, Rows> ? false : (++I, true)) && ...);
+    return I;
+  }();
+};
+} // namespace
+
 Telemetry::Telemetry() = default;
 
 Telemetry::Telemetry(ClockFn Clock) : Clock(std::move(Clock)) {}
@@ -34,22 +46,29 @@ void Telemetry::enableFlightRecorder(const FlightRecorderConfig &C) {
   Recorder = std::make_unique<FlightRecorder>(C);
 }
 
-void Telemetry::appendRecord(TelemetryEventKind Kind,
-                             std::vector<TelemetryField> Fields) {
+template <class P> void Telemetry::appendRecord(const P &Row) {
   if (Bank || Recorder) {
-    observeAndAppend(Kind, std::move(Fields));
+    observeAndAppend(Row);
     return;
   }
   if (Log.size() >= LogCapacity) {
-    Metrics.counter("telemetry.dropped_records").add();
+    counter(DroppedCtr, "telemetry.dropped_records").add();
     return;
   }
-  Log.append(Kind, now(), std::move(Fields));
+  Log.append(now(), Row);
 }
 
-void Telemetry::observeAndAppend(TelemetryEventKind Kind,
-                                 std::vector<TelemetryField> Fields) {
-  TelemetryRecord R{Kind, now(), std::move(Fields)};
+template <class P> void Telemetry::observeAndAppend(const P &Row) {
+  constexpr size_t Index = RowIndex<P, TelemetryPayload>::value;
+  if (Scratch.empty())
+    Scratch.resize(std::variant_size_v<TelemetryPayload>);
+  TelemetryRecord &R = Scratch[Index];
+  if (R.Data.index() == Index) {
+    R.Ts = now();
+    std::get<P>(R.Data) = Row;
+  } else {
+    R = TelemetryRecord(now(), Row);
+  }
   // The ring and the detectors see every record, capped log or not —
   // that is the whole point of the flight recorder. Feed order (record,
   // then its alerts) matches replayObservability exactly, so offline
@@ -58,17 +77,16 @@ void Telemetry::observeAndAppend(TelemetryEventKind Kind,
   std::vector<TelemetryRecord> Alerts =
       observeTelemetryRecord(R, Recorder.get(), Bank.get());
   if (Log.size() < LogCapacity)
-    Log.append(R.Kind, R.Ts, std::move(R.Fields));
+    Log.append(R);
   else
-    Metrics.counter("telemetry.dropped_records").add();
+    counter(DroppedCtr, "telemetry.dropped_records").add();
   for (TelemetryRecord &A : Alerts) {
     if (AlertsCtr)
       AlertsCtr->add();
-    Metrics.counter("telemetry.alerts." + A.stringOr("detector", "?"))
-        .add();
+    Metrics.counter("telemetry.alerts." + A.as<AlertRecord>().Detector).add();
     // Alerts bypass the capacity cap: rare, and the one thing a
     // metrics-only sweep still records.
-    Log.append(A.Kind, A.Ts, std::move(A.Fields));
+    Log.append(std::move(A));
   }
 }
 
@@ -80,132 +98,96 @@ void Telemetry::mergeLogFrom(const TelemetryLog &Other) {
     // alerts grow Log.size() and so count against later capacity
     // checks, exactly as live.
     if (R.Kind != TelemetryEventKind::Alert && Log.size() >= LogCapacity) {
-      Metrics.counter("telemetry.dropped_records").add();
+      counter(DroppedCtr, "telemetry.dropped_records").add();
       continue;
     }
-    Log.append(R.Kind, R.Ts, R.Fields);
+    Log.append(R);
   }
+}
+
+Histogram &Telemetry::stageHistogram(const std::string &Stage) {
+  for (const LabeledHandle<Histogram> &H : StageHists)
+    if (H.Label == Stage)
+      return *H.Metric;
+  Histogram &H = Metrics.histogram("browser.stage_" + Stage + "_ms");
+  StageHists.push_back({Stage, &H});
+  return H;
+}
+
+Counter &Telemetry::feedbackCounter(const std::string &Action) {
+  for (const LabeledHandle<Counter> &C : FeedbackCtrs)
+    if (C.Label == Action)
+      return *C.Metric;
+  Counter &C = Metrics.counter("governor.feedback_" + Action);
+  FeedbackCtrs.push_back({Action, &C});
+  return C;
 }
 
 void Telemetry::recordGovernorDecision(const GovernorDecisionRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("governor.decisions").add();
-  appendRecord(TelemetryEventKind::GovernorDecision,
-               {{"governor", R.Governor},
-                {"reason", R.Reason},
-                {"config", R.Config},
-                {"big", R.CoreIsBig},
-                {"freq_mhz", R.FreqMHz},
-                {"root", R.RootId},
-                {"key", R.ModelKey},
-                {"predicted_ms", R.PredictedMs},
-                {"target_ms", R.TargetMs},
-                {"offset", R.FeedbackOffset}});
+  counter(DecisionsCtr, "governor.decisions").add();
+  appendRecord(R);
 }
 
 void Telemetry::recordFeedbackAction(const FeedbackActionRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("governor.feedback_" + R.Action).add();
-  appendRecord(TelemetryEventKind::FeedbackAction,
-               {{"governor", R.Governor},
-                {"action", R.Action},
-                {"key", R.ModelKey},
-                {"offset", R.NewOffset},
-                {"measured_ms", R.MeasuredMs},
-                {"predicted_ms", R.PredictedMs},
-                {"target_ms", R.TargetMs}});
+  feedbackCounter(R.Action).add();
+  appendRecord(R);
 }
 
 void Telemetry::recordConfigSwitch(const ConfigSwitchRecord &R) {
   if (!Enabled)
     return;
   if (R.FreqChanged)
-    Metrics.counter("hw.freq_switches").add();
+    counter(FreqSwitchesCtr, "hw.freq_switches").add();
   if (R.Migrated)
-    Metrics.counter("hw.migrations").add();
-  Metrics.gauge("hw.switch_penalty_us_total").add(R.PenaltyUs);
-  appendRecord(TelemetryEventKind::ConfigSwitch,
-               {{"from", R.FromConfig},
-                {"to", R.ToConfig},
-                {"big", R.ToCoreIsBig},
-                {"freq_mhz", R.ToFreqMHz},
-                {"freq_changed", R.FreqChanged},
-                {"migrated", R.Migrated},
-                {"penalty_us", R.PenaltyUs}});
+    counter(MigrationsCtr, "hw.migrations").add();
+  gauge(SwitchPenaltyGauge, "hw.switch_penalty_us_total").add(R.PenaltyUs);
+  appendRecord(R);
 }
 
 void Telemetry::recordFrameStage(const FrameStageRecord &R) {
   if (!Enabled)
     return;
-  Metrics.histogram("browser.stage_" + R.Stage + "_ms").observe(R.DurationMs);
-  // Hot per-frame path: build fields in place instead of copying an
-  // initializer list of string-carrying variants.
-  std::vector<TelemetryField> Fields;
-  Fields.reserve(3);
-  Fields.push_back({"frame", R.FrameId});
-  Fields.push_back({"stage", R.Stage});
-  Fields.push_back({"duration_ms", R.DurationMs});
-  appendRecord(TelemetryEventKind::FrameStage, std::move(Fields));
+  stageHistogram(R.Stage).observe(R.DurationMs);
+  appendRecord(R);
 }
 
 void Telemetry::recordQosViolation(const QosViolationRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("qos.violations").add();
-  Metrics.histogram("qos.violation_overshoot_ms")
+  counter(ViolationsCtr, "qos.violations").add();
+  histogram(OvershootHist, "qos.violation_overshoot_ms")
       .observe(R.LatencyMs - R.TargetMs);
-  appendRecord(TelemetryEventKind::QosViolation,
-               {{"governor", R.Governor},
-                {"root", R.RootId},
-                {"key", R.ModelKey},
-                {"latency_ms", R.LatencyMs},
-                {"target_ms", R.TargetMs},
-                {"frame", R.FrameId},
-                {"qos", R.QosKind}});
+  appendRecord(R);
 }
 
 void Telemetry::recordSpan(const SpanTracer::Span &S, bool Truncated) {
   if (!Enabled)
     return;
-  Metrics.counter("telemetry.spans").add();
-  // Hot path: one record per completed span.
-  std::vector<TelemetryField> Fields;
-  Fields.reserve(9);
-  Fields.push_back({"id", S.Id});
-  Fields.push_back({"parent", S.Parent});
-  Fields.push_back({"root", S.Root});
-  Fields.push_back({"frame", S.Frame});
-  Fields.push_back({"name", S.Name});
-  Fields.push_back({"thread", S.Thread});
-  Fields.push_back({"begin_us", S.Begin.nanos() / 1e3});
-  Fields.push_back({"dur_ms", (S.End - S.Begin).millis()});
-  Fields.push_back({"open", int64_t(Truncated ? 1 : 0)});
-  appendRecord(TelemetryEventKind::Span, std::move(Fields));
+  counter(SpansCtr, "telemetry.spans").add();
+  appendRecord(CompletedSpanRecord{S.Id, S.Parent, S.Root, S.Frame, S.Name,
+                                   S.Thread, S.Begin.nanos() / 1e3,
+                                   (S.End - S.Begin).millis(),
+                                   Truncated ? 1 : 0});
 }
 
 void Telemetry::recordEnergySample(const EnergySampleRecord &R) {
   if (!Enabled)
     return;
-  Metrics.counter("hw.energy_samples").add();
-  Metrics.gauge("hw.power_watts").set(R.Watts);
-  Metrics.gauge("hw.cumulative_joules").set(R.CumulativeJoules);
-  appendRecord(TelemetryEventKind::EnergySample,
-               {{"watts", R.Watts},
-                {"joules", R.CumulativeJoules},
-                {"queue_depth", R.QueueDepth}});
+  counter(EnergySamplesCtr, "hw.energy_samples").add();
+  gauge(PowerGauge, "hw.power_watts").set(R.Watts);
+  gauge(JoulesGauge, "hw.cumulative_joules").set(R.CumulativeJoules);
+  appendRecord(R);
 }
 
 void Telemetry::recordFaultEvent(const FaultEventRecord &R) {
   if (!Enabled)
     return;
   Metrics.counter("faults." + R.Fault + "." + R.Phase).add();
-  appendRecord(TelemetryEventKind::Fault,
-               {{"fault", R.Fault},
-                {"phase", R.Phase},
-                {"detail", R.Detail},
-                {"value", R.Value}});
+  appendRecord(R);
 }
 
 void Telemetry::recordCounterSample(const std::string &Track,
@@ -213,6 +195,5 @@ void Telemetry::recordCounterSample(const std::string &Track,
   if (!Enabled)
     return;
   Metrics.gauge("counter." + Track).set(Value);
-  appendRecord(TelemetryEventKind::CounterSample,
-               {{"track", Track}, {"value", Value}});
+  appendRecord(CounterSampleRecord{Track, Value});
 }

@@ -32,6 +32,8 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace greenweb {
 
@@ -39,78 +41,6 @@ class DetectorBank;
 class FlightRecorder;
 struct DetectorConfig;
 struct FlightRecorderConfig;
-
-/// A policy's configuration choice. Configurations travel as their
-/// display label plus raw core/frequency numbers so the telemetry layer
-/// stays below the hardware model in the dependency order.
-struct GovernorDecisionRecord {
-  std::string Governor;   ///< Policy name ("GreenWeb-I", "Interactive"...)
-  std::string Reason;     ///< "predicted", "profile_max", "utilization"...
-  std::string Config;     ///< Chosen configuration label ("A15@1800MHz").
-  int64_t CoreIsBig = 0;  ///< 1 when the chosen cluster is the big one.
-  int64_t FreqMHz = 0;    ///< Chosen frequency.
-  int64_t RootId = 0;     ///< Originating input event (0 = none).
-  std::string ModelKey;   ///< Per-(element,event) model key, if any.
-  double PredictedMs = -1.0; ///< Predicted latency at Config (<0 = n/a).
-  double TargetMs = -1.0;    ///< Active QoS target (<0 = n/a).
-  int64_t FeedbackOffset = 0;
-};
-
-/// A feedback correction on measured latency.
-struct FeedbackActionRecord {
-  std::string Governor;
-  std::string Action; ///< "step_up", "step_down", "recalibrate".
-  std::string ModelKey;
-  int64_t NewOffset = 0;
-  double MeasuredMs = -1.0;
-  double PredictedMs = -1.0;
-  double TargetMs = -1.0;
-};
-
-/// The chip executed a configuration change.
-struct ConfigSwitchRecord {
-  std::string FromConfig;
-  std::string ToConfig;
-  int64_t ToCoreIsBig = 0;
-  int64_t ToFreqMHz = 0;
-  int64_t FreqChanged = 0;
-  int64_t Migrated = 0;
-  double PenaltyUs = 0.0;
-};
-
-/// One pipeline stage of one frame finished.
-struct FrameStageRecord {
-  int64_t FrameId = 0;
-  std::string Stage; ///< "animate","style","layout","paint","composite","present".
-  double DurationMs = 0.0;
-};
-
-/// A frame missed its active QoS target.
-struct QosViolationRecord {
-  std::string Governor;
-  int64_t RootId = 0;
-  std::string ModelKey;
-  double LatencyMs = 0.0;
-  double TargetMs = 0.0;
-  int64_t FrameId = 0;  ///< Frame that missed (0 = unknown).
-  std::string QosKind;  ///< "single" or "continuous" ("" = unknown).
-};
-
-/// A fault-injection event: a scheduled fault window opening or
-/// closing, or one discrete injection landing inside a window.
-struct FaultEventRecord {
-  std::string Fault;  ///< Family name ("thermal_throttle", ...).
-  std::string Phase;  ///< "begin", "end", or "inject".
-  std::string Detail; ///< Human-readable parameters or injection context.
-  double Value = 0.0; ///< Family-specific magnitude (cap MHz, scale, ...).
-};
-
-/// Periodic (DAQ-style) power reading plus co-sampled simulator state.
-struct EnergySampleRecord {
-  double Watts = 0.0;
-  double CumulativeJoules = 0.0;
-  int64_t QueueDepth = 0; ///< Simulator event-queue depth at the sample.
-};
 
 /// The telemetry hub; see file comment.
 class Telemetry {
@@ -200,18 +130,39 @@ public:
 private:
   friend class SpanTracer;
 
-  /// Appends within the log cap; counts drops otherwise. With the
-  /// observability layer attached the record (and any alerts it
+  /// Appends \p Row within the log cap and counts drops otherwise. With
+  /// the observability layer attached the record (and any alerts it
   /// provokes) also flows through the recorder ring and detector bank.
-  void appendRecord(TelemetryEventKind Kind,
-                    std::vector<TelemetryField> Fields);
+  template <class P> void appendRecord(const P &Row);
 
   /// Slow path of appendRecord when detectors / recorder are attached.
-  void observeAndAppend(TelemetryEventKind Kind,
-                        std::vector<TelemetryField> Fields);
+  template <class P> void observeAndAppend(const P &Row);
 
   /// Mirrors a completed span into the metrics + log (SpanTracer only).
   void recordSpan(const SpanTracer::Span &S, bool Truncated);
+
+  /// The metric named \p Name, looked up on first use only: a hub that
+  /// never records a kind keeps that kind's metrics out of its snapshot.
+  /// The registry's map nodes never move, so a handle stays valid as
+  /// long as nothing calls metrics().clear() on this hub.
+  Counter &counter(Counter *&Handle, std::string_view Name) {
+    return Handle ? *Handle : *(Handle = &Metrics.counter(Name));
+  }
+  Gauge &gauge(Gauge *&Handle, std::string_view Name) {
+    return Handle ? *Handle : *(Handle = &Metrics.gauge(Name));
+  }
+  Histogram &histogram(Histogram *&Handle, std::string_view Name) {
+    return Handle ? *Handle : *(Handle = &Metrics.histogram(Name));
+  }
+
+  /// A metric whose name depends on a record's short label (a frame
+  /// stage, a feedback action), resolved once per label.
+  template <class M> struct LabeledHandle {
+    std::string Label;
+    M *Metric;
+  };
+  Histogram &stageHistogram(const std::string &Stage);
+  Counter &feedbackCounter(const std::string &Action);
 
   ClockFn Clock;
   bool Enabled = true;
@@ -221,7 +172,25 @@ private:
   SpanTracer Spans{this};
   std::unique_ptr<DetectorBank> Bank;
   std::unique_ptr<FlightRecorder> Recorder;
-  Counter *AlertsCtr = nullptr; ///< Cached "telemetry.alerts".
+  /// One record per row type for the observed path, reused so feeding
+  /// the ring and detectors copies into existing string capacity.
+  std::vector<TelemetryRecord> Scratch;
+
+  // Fixed metric handles (see counter()).
+  Counter *AlertsCtr = nullptr;
+  Counter *DroppedCtr = nullptr;
+  Counter *DecisionsCtr = nullptr;
+  Counter *FreqSwitchesCtr = nullptr;
+  Counter *MigrationsCtr = nullptr;
+  Gauge *SwitchPenaltyGauge = nullptr;
+  Counter *ViolationsCtr = nullptr;
+  Histogram *OvershootHist = nullptr;
+  Counter *SpansCtr = nullptr;
+  Counter *EnergySamplesCtr = nullptr;
+  Gauge *PowerGauge = nullptr;
+  Gauge *JoulesGauge = nullptr;
+  std::vector<LabeledHandle<Histogram>> StageHists;
+  std::vector<LabeledHandle<Counter>> FeedbackCtrs;
 };
 
 } // namespace greenweb

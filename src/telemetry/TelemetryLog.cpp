@@ -10,92 +10,32 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 using namespace greenweb;
 
+/// Serialized kind names, in enumerator order.
+static constexpr const char *KindNames[] = {
+    "governor_decision", "feedback_action", "config_switch",
+    "frame_stage",       "qos_violation",   "energy_sample",
+    "counter_sample",    "span",            "fault",
+    "alert",             "sched"};
+static_assert(std::size(KindNames) == size_t(TelemetryEventKind::Sched) + 1);
+
 const char *greenweb::telemetryEventKindName(TelemetryEventKind Kind) {
-  switch (Kind) {
-  case TelemetryEventKind::GovernorDecision:
-    return "governor_decision";
-  case TelemetryEventKind::FeedbackAction:
-    return "feedback_action";
-  case TelemetryEventKind::ConfigSwitch:
-    return "config_switch";
-  case TelemetryEventKind::FrameStage:
-    return "frame_stage";
-  case TelemetryEventKind::QosViolation:
-    return "qos_violation";
-  case TelemetryEventKind::EnergySample:
-    return "energy_sample";
-  case TelemetryEventKind::CounterSample:
-    return "counter_sample";
-  case TelemetryEventKind::Span:
-    return "span";
-  case TelemetryEventKind::Fault:
-    return "fault";
-  case TelemetryEventKind::Alert:
-    return "alert";
-  case TelemetryEventKind::Sched:
-    return "sched";
-  }
-  return "unknown";
+  return size_t(Kind) < std::size(KindNames) ? KindNames[size_t(Kind)]
+                                             : "unknown";
 }
 
-bool greenweb::telemetryEventKindFromName(const std::string &Name,
+bool greenweb::telemetryEventKindFromName(std::string_view Name,
                                           TelemetryEventKind &Out) {
-  static const TelemetryEventKind Kinds[] = {
-      TelemetryEventKind::GovernorDecision, TelemetryEventKind::FeedbackAction,
-      TelemetryEventKind::ConfigSwitch,     TelemetryEventKind::FrameStage,
-      TelemetryEventKind::QosViolation,     TelemetryEventKind::EnergySample,
-      TelemetryEventKind::CounterSample,    TelemetryEventKind::Span,
-      TelemetryEventKind::Fault,            TelemetryEventKind::Alert,
-      TelemetryEventKind::Sched};
-  for (TelemetryEventKind K : Kinds)
-    if (Name == telemetryEventKindName(K)) {
-      Out = K;
+  for (size_t K = 0; K < std::size(KindNames); ++K)
+    if (Name == KindNames[K]) {
+      Out = TelemetryEventKind(K);
       return true;
     }
   return false;
-}
-
-const TelemetryField *TelemetryRecord::find(std::string_view Key) const {
-  for (const TelemetryField &F : Fields)
-    if (F.Key == Key)
-      return &F;
-  return nullptr;
-}
-
-double TelemetryRecord::numberOr(std::string_view Key,
-                                 double Default) const {
-  const TelemetryField *F = find(Key);
-  if (!F)
-    return Default;
-  if (const int64_t *I = std::get_if<int64_t>(&F->Value))
-    return double(*I);
-  if (const double *D = std::get_if<double>(&F->Value))
-    return *D;
-  return Default;
-}
-
-std::string TelemetryRecord::stringOr(std::string_view Key,
-                                      const std::string &Default) const {
-  return std::string(stringViewOr(Key, Default));
-}
-
-std::string_view
-TelemetryRecord::stringViewOr(std::string_view Key,
-                              std::string_view Default) const {
-  const TelemetryField *F = find(Key);
-  if (!F)
-    return Default;
-  if (const std::string *S = std::get_if<std::string>(&F->Value))
-    return *S;
-  return Default;
-}
-
-void TelemetryLog::append(TelemetryEventKind Kind, TimePoint Ts,
-                          std::vector<TelemetryField> Fields) {
-  Records.push_back({Kind, Ts, std::move(Fields)});
 }
 
 std::vector<const TelemetryRecord *>
@@ -122,26 +62,29 @@ double greenweb::telemetryCanonicalNumber(double X) {
 }
 
 void greenweb::appendRecordJson(std::string &Out, const TelemetryRecord &R) {
-  Out += "{\"ts_us\":";
-  appendFixed(Out, R.Ts.nanos() / 1e3, 3);
-  Out += ",\"kind\":\"";
-  Out += telemetryEventKindName(R.Kind);
-  Out += '"';
-  for (const TelemetryField &F : R.Fields) {
-    Out += ",\"";
-    appendJsonEscaped(Out, F.Key);
-    Out += "\":";
-    if (const int64_t *I = std::get_if<int64_t>(&F.Value)) {
-      appendInt(Out, *I);
-    } else if (const double *D = std::get_if<double>(&F.Value)) {
-      appendTrimmedFixed6(Out, *D);
+  LineBuffer Line(Out);
+  Line.text("{\"ts_us\":");
+  Line.fixed(R.Ts.nanos() / 1e3, 3);
+  Line.text(",\"kind\":\"");
+  Line.text(telemetryEventKindName(R.Kind));
+  Line.text("\"");
+  // Schema keys are plain identifiers, so they need no escaping.
+  forEachField(R, [&Line](std::string_view Key, const auto &Value) {
+    using T = std::decay_t<decltype(Value)>;
+    Line.text(",\"");
+    Line.text(Key);
+    Line.text("\":");
+    if constexpr (std::is_same_v<T, int64_t>) {
+      Line.integer(Value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      Line.trimmedFixed6(Value);
     } else {
-      Out += '"';
-      appendJsonEscaped(Out, std::get<std::string>(F.Value));
-      Out += '"';
+      Line.text("\"");
+      Line.escaped(Value);
+      Line.text("\"");
     }
-  }
-  Out += '}';
+  });
+  Line.text("}");
 }
 
 std::string greenweb::telemetryRecordJson(const TelemetryRecord &R) {
@@ -167,30 +110,103 @@ void TelemetryLog::appendJsonl(std::string &Out) const {
 
 namespace {
 
-/// A JSONL log line as a record: "ts_us" and "kind" plus flat string or
-/// number fields. A number written without a point or exponent reads
-/// back as an integer field, as toJsonl writes them.
+/// Reads one JSON member into the schema entry \p Def of \p Row: false
+/// when the value's type is not the entry's.
+template <class P>
+bool readMember(const json::Value &V, const SchemaTag &Def, P &) {
+  return V.isString() && V.Str == Def.Value;
+}
+
+template <class P>
+bool readMember(const json::Value &V, const SchemaField<P, int64_t> &Def,
+                P &Row) {
+  if (!V.isNumber() || !V.Integral || !(std::fabs(V.Num) < 0x1p63))
+    return false;
+  Row.*Def.Member = int64_t(V.Num);
+  return true;
+}
+
+template <class P>
+bool readMember(const json::Value &V, const SchemaField<P, double> &Def,
+                P &Row) {
+  if (!V.isNumber())
+    return false;
+  Row.*Def.Member = V.Num;
+  return true;
+}
+
+template <class P>
+bool readMember(const json::Value &V,
+                const SchemaField<P, std::string> &Def, P &Row) {
+  if (!V.isString())
+    return false;
+  Row.*Def.Member = V.Str;
+  return true;
+}
+
+/// Reads \p Obj as a \p P row: every schema key exactly once with its
+/// type, and no key outside the schema besides "ts_us" and "kind".
+template <class P> bool readRow(const json::Value &Obj, P &Row) {
+  constexpr size_t N = std::tuple_size_v<decltype(P::schema())>;
+  static_assert(N < 32, "one bit per schema entry");
+  uint32_t Seen = 0;
+  for (const auto &[Key, V] : Obj.Obj) {
+    if (Key == "ts_us" || Key == "kind")
+      continue;
+    bool Ok = false;
+    std::apply(
+        [&](const auto &...Def) {
+          uint32_t Bit = 1;
+          auto Try = [&](const auto &D) {
+            if (D.Key == Key && !(Seen & Bit)) {
+              Seen |= Bit;
+              Ok = readMember(V, D, Row);
+            }
+            Bit <<= 1;
+          };
+          (Try(Def), ...);
+        },
+        P::schema());
+    if (!Ok)
+      return false;
+  }
+  return Seen == (uint32_t(1) << N) - 1;
+}
+
+/// Reads \p Obj as the first row type of \p Kind, in variant order,
+/// whose schema accepts it (the two sched rows differ by their tag).
+template <size_t... I>
+bool readAnyRow(const json::Value &Obj, TelemetryEventKind Kind,
+                TimePoint Ts, TelemetryRecord &R,
+                std::index_sequence<I...>) {
+  auto Try = [&](auto Index) {
+    using P = std::variant_alternative_t<decltype(Index)::value,
+                                         TelemetryPayload>;
+    P Row;
+    if (P::Kind != Kind || !readRow(Obj, Row))
+      return false;
+    R = TelemetryRecord(Ts, std::move(Row));
+    return true;
+  };
+  return (Try(std::integral_constant<size_t, I>{}) || ...);
+}
+
+/// A JSONL log line as a record: "ts_us" and "kind", then the members
+/// of the kind's schema.
 bool recordFromJson(const json::Value &V, TelemetryRecord &R) {
   if (!V.isObject())
     return false;
-  double TsUs = 0.0;
-  std::string KindName;
-  for (const auto &[Key, F] : V.Obj) {
-    if (Key == "ts_us" && F.isNumber())
-      TsUs = F.Num;
-    else if (Key == "kind" && F.isString())
-      KindName = F.Str;
-    else if (F.isString())
-      R.Fields.push_back({Key, F.Str});
-    else if (F.isNumber() && F.Integral && std::fabs(F.Num) < 0x1p63)
-      R.Fields.push_back({Key, int64_t(F.Num)});
-    else if (F.isNumber())
-      R.Fields.push_back({Key, F.Num});
-    else
-      return false;
-  }
-  R.Ts = TimePoint::fromNanos(int64_t(std::llround(TsUs * 1e3)));
-  return telemetryEventKindFromName(KindName, R.Kind);
+  const json::Value *TsUs = V.get("ts_us");
+  const json::Value *KindName = V.get("kind");
+  TelemetryEventKind Kind;
+  if (!TsUs || !TsUs->isNumber() || !KindName || !KindName->isString() ||
+      !telemetryEventKindFromName(KindName->Str, Kind))
+    return false;
+  TimePoint Ts =
+      TimePoint::fromNanos(int64_t(std::llround(TsUs->Num * 1e3)));
+  return readAnyRow(
+      V, Kind, Ts, R,
+      std::make_index_sequence<std::variant_size_v<TelemetryPayload>>{});
 }
 
 } // namespace

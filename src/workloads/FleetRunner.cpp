@@ -9,6 +9,7 @@
 #include "greenweb/Features.h"
 #include "greenweb/Governors.h"
 #include "hw/AcmpChip.h"
+#include "profiling/Profiler.h"
 #include "profiling/RunMeta.h"
 #include "sim/Simulator.h"
 #include "support/FileIo.h"
@@ -252,7 +253,9 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     C.State.Shards.push_back(std::move(Rollup));
 
     // Persist black boxes for batch devices that made the worst-k cut.
-    if (Durable)
+    // Every durable write below is timed as one host-profiler scope.
+    if (Durable) {
+      GW_PROF_SCOPE("workloads.checkpoint");
       for (const FleetWorstDevice &D : C.State.Worst) {
         if (D.Item < First || D.Item >= First + Count ||
             D.BlackBoxRef.empty())
@@ -265,6 +268,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
                          Dump, Error))
           return false;
       }
+    }
 
     for (uint64_t I = 0; I < Count; ++I)
       C.markDone(First + I);
@@ -273,6 +277,7 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
     ++SinceCheckpoint;
     if (Durable &&
         SinceCheckpoint >= std::max(1u, Opts.CheckpointEveryBatches)) {
+      GW_PROF_SCOPE("workloads.checkpoint");
       if (!replaceFile(Opts.CheckpointPath, C.serialize(), Error))
         return false;
       SinceCheckpoint = 0;
@@ -293,8 +298,10 @@ bool greenweb::runFleet(const FleetPlan &Plan, const FleetRunOptions &Opts,
   } else {
     Out.Report = FleetReport::fromCheckpoint(C);
   }
-  if (Durable && (SinceCheckpoint > 0 || Out.Complete))
+  if (Durable && (SinceCheckpoint > 0 || Out.Complete)) {
+    GW_PROF_SCOPE("workloads.checkpoint");
     if (!replaceFile(Opts.CheckpointPath, C.serialize(), Error))
       return false;
+  }
   return true;
 }

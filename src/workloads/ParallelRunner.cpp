@@ -198,29 +198,16 @@ greenweb::runExperimentsParallel(const std::vector<ExperimentConfig> &Configs,
     TelemetryLog &Log = Opts.SharedTel->log();
     TimePoint Now = Opts.SharedTel->now();
     for (const SchedItem &It : Opts.Sched->items())
-      Log.append(TelemetryEventKind::Sched, Now,
-                 {{"event", std::string("item")},
-                  {"item", int64_t(It.Item)},
-                  {"worker", int64_t(It.Worker)},
-                  {"label", It.Label},
-                  {"start_ns", It.StartNs},
-                  {"run_ns", It.RunNs},
-                  {"setup_ns", It.SetupNs},
-                  {"sim_ns", It.SimNs},
-                  {"hook_ns", It.HookNs},
-                  {"merge_ns", It.MergeNs},
-                  {"hub_records", It.HubRecords}});
+      Log.append(Now, SchedItemRecord{int64_t(It.Item), int64_t(It.Worker),
+                                      It.Label, It.StartNs, It.RunNs,
+                                      It.SetupNs, It.SimNs, It.HookNs,
+                                      It.MergeNs, It.HubRecords});
     SchedReport Report = SchedReport::fromTrace(*Opts.Sched);
-    Log.append(TelemetryEventKind::Sched, Now,
-               {{"event", std::string("batch")},
-                {"workers", int64_t(Report.Workers)},
-                {"items", int64_t(Report.Items)},
-                {"batch_ns", Report.BatchNs},
-                {"merge_ns", Report.MergeNs},
-                {"makespan_ns", Report.MakespanNs},
-                {"serial_sum_ns", Report.SerialSumNs},
-                {"speedup", Report.Speedup},
-                {"efficiency", Report.Efficiency}});
+    Log.append(Now, SchedBatchRecord{int64_t(Report.Workers),
+                                     int64_t(Report.Items), Report.BatchNs,
+                                     Report.MergeNs, Report.MakespanNs,
+                                     Report.SerialSumNs, Report.Speedup,
+                                     Report.Efficiency});
   }
   return Results;
 }

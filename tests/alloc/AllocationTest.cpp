@@ -18,6 +18,12 @@
 //     (cancelling and rescheduling their completions);
 //   - EnergyMeter integration on every busy/idle flip and config change.
 //
+// A second gate holds the telemetry record path to the same rule in the
+// hub shape every fleet item runs: log capacity 0, detectors and flight
+// recorder on, tracing off. Frame stages, energy samples, config
+// switches, governor decisions and their decision spans must reach the
+// metrics, the recorder ring and the detectors without allocating.
+//
 // It also holds a cold page load to an allocation budget per element:
 // parseHtml of a fixed app page, and Browser::loadPage with the
 // annotation scan the experiments run at load.
@@ -31,6 +37,9 @@
 #include "hw/EnergyMeter.h"
 #include "sim/SimThread.h"
 #include "sim/Simulator.h"
+#include "telemetry/AnomalyDetector.h"
+#include "telemetry/FlightRecorder.h"
+#include "telemetry/Telemetry.h"
 #include "workloads/Apps.h"
 
 #include <atomic>
@@ -148,6 +157,91 @@ TEST(AllocationTest, SteadyStateEventsDoNotAllocate) {
   EXPECT_GT(W->GuardedFired - GuardedBefore, 100u);
   EXPECT_GT(W->Chip.freqSwitches() + W->Chip.migrations(), 100u);
   EXPECT_GT(W->Meter.totalJoules(), JoulesBefore);
+}
+
+/// A steady, trigger-free record stream into a fleet-shaped hub. Each
+/// 16 ms frame records its seven stages and four 1 ms-spaced energy
+/// samples; every fourth frame also records a governor decision with
+/// its (untraced) decision span and a config switch. Latencies, energy
+/// per frame and decision rate are constant, so no detector alerts and
+/// no flight-recorder trigger fires.
+struct RecordStream {
+  Telemetry Tel;
+  int64_t NowNs = 0;
+  int64_t Frame = 0;
+  uint64_t Records = 0;
+  double Joules = 0.0;
+  FrameStageRecord Stage;
+  EnergySampleRecord Sample{1.5, 0.0, 12};
+  GovernorDecisionRecord Decision{"GreenWeb-I", "predicted", "A15@1200MHz",
+                                  1, 1200, 0, "div|touchmove|continuous",
+                                  9.5, 16.7, 0};
+  ConfigSwitchRecord Switches[2] = {
+      {"A7@500MHz", "A15@1200MHz", 1, 1200, 1, 1, 120.0},
+      {"A15@1200MHz", "A7@500MHz", 0, 500, 1, 1, 120.0}};
+  std::string SpanName = "decision:predicted";
+
+  RecordStream() {
+    Tel.setClock([this] { return TimePoint::fromNanos(NowNs); });
+    Tel.setLogCapacity(0);
+    Tel.enableAnomalyDetectors();
+    Tel.enableFlightRecorder();
+  }
+
+  void frame() {
+    static const char *const Stages[] = {"animate", "style",   "layout",
+                                         "paint",   "composite", "present"};
+    ++Frame;
+    for (int I = 0; I < 4; ++I) {
+      NowNs += 1'000'000;
+      Joules += 0.004;
+      Sample.CumulativeJoules = Joules;
+      Tel.recordEnergySample(Sample);
+    }
+    Stage.FrameId = Frame;
+    for (const char *Name : Stages) {
+      Stage.Stage = Name;
+      Stage.DurationMs = 1.5;
+      Tel.recordFrameStage(Stage);
+    }
+    Stage.Stage = "total";
+    Stage.DurationMs = 9.0;
+    Tel.recordFrameStage(Stage);
+    Records += 11;
+    if (Frame % 4 == 0) {
+      Decision.RootId = Frame;
+      Tel.recordGovernorDecision(Decision);
+      SpanTracer &Tr = Tel.spans();
+      Tr.end(Tr.begin(SpanName, "governor", Frame, 0, /*Parent=*/0));
+      Tel.recordConfigSwitch(Switches[(Frame / 4) % 2]);
+      Records += 2;
+    }
+    NowNs += 12'000'000;
+  }
+};
+
+TEST(AllocationTest, FleetShapedRecordPathDoesNotAllocate) {
+  auto S = std::make_unique<RecordStream>();
+  // Warm-up: every recorder lane fills its 256 slots (the decision
+  // lane, one row per 46 records, after ~12k records), and the detector
+  // windows and per-stage metric handles reach their steady sizes.
+  while (S->Records < 20000)
+    S->frame();
+
+  uint64_t RecordsBefore = S->Records;
+  uint64_t Before = Allocations.load(std::memory_order_relaxed);
+  while (S->Records - RecordsBefore < 10000)
+    S->frame();
+  uint64_t After = Allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(After - Before, 0u) << "allocations in 10k steady-state records";
+  // The window really took the observed, capacity-0 path.
+  EXPECT_EQ(S->Tel.log().size(), 0u);
+  EXPECT_EQ(S->Tel.metrics().findCounter("telemetry.dropped_records")->value(),
+            S->Records);
+  EXPECT_EQ(S->Tel.detectors()->alertsEmitted(), 0u);
+  EXPECT_EQ(S->Tel.flightRecorder()->triggers(), 0u);
+  EXPECT_TRUE(S->Tel.spans().spans().empty());
 }
 
 TEST(AllocationTest, CounterSeesBoxedCaptures) {

@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The printf-per-field telemetry serializers that the append-in-place
-/// writers in src/ replaced, kept verbatim as reference oracles for the
+/// writers in src/ replaced, kept as reference oracles for the
 /// differential tests. Each formats through formatString, so it is
 /// correct by construction and slow; the production writers must match
-/// it byte for byte.
+/// it byte for byte. The record-line oracle walks each row's schema
+/// (telemetry/TelemetryLog.h), the one table the production writer and
+/// fromJsonl read too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace greenweb {
@@ -68,20 +71,22 @@ inline double canonicalNumber(double X) {
   return std::strtod(fieldNumber(X).c_str(), nullptr);
 }
 
+/// One log line from the row's schema (the same table the production
+/// writer reads), each member formatted through printf.
 inline std::string recordJson(const TelemetryRecord &R) {
   std::string Out = formatString("{\"ts_us\":%.3f,\"kind\":\"%s\"",
                                  R.Ts.nanos() / 1e3,
                                  telemetryEventKindName(R.Kind));
-  for (const TelemetryField &F : R.Fields) {
-    Out += formatString(",\"%s\":", jsonEscape(F.Key).c_str());
-    if (const int64_t *I = std::get_if<int64_t>(&F.Value))
-      Out += formatString("%lld", static_cast<long long>(*I));
-    else if (const double *D = std::get_if<double>(&F.Value))
-      Out += fieldNumber(*D);
+  forEachField(R, [&Out](std::string_view Key, const auto &Value) {
+    using T = std::decay_t<decltype(Value)>;
+    Out += formatString(",\"%s\":", jsonEscape(Key).c_str());
+    if constexpr (std::is_same_v<T, int64_t>)
+      Out += formatString("%lld", static_cast<long long>(Value));
+    else if constexpr (std::is_same_v<T, double>)
+      Out += fieldNumber(Value);
     else
-      Out += formatString(
-          "\"%s\"", jsonEscape(std::get<std::string>(F.Value)).c_str());
-  }
+      Out += formatString("\"%s\"", jsonEscape(Value).c_str());
+  });
   Out += "}";
   return Out;
 }
@@ -208,77 +213,75 @@ inline std::string chromeTrace(const std::vector<FrameRecord> &Frames,
   Out.resize(Out.size() - 2);
   for (const TelemetryRecord &R : Tel.log().records()) {
     switch (R.Kind) {
-    case TelemetryEventKind::EnergySample:
+    case TelemetryEventKind::EnergySample: {
+      const EnergySampleRecord &S = R.as<EnergySampleRecord>();
       appendCounterEvent(Out, "power_watts", R.Ts,
-                         formatString("{\"watts\":%.6f}",
-                                      R.numberOr("watts", 0.0)));
-      appendCounterEvent(Out, "energy_joules", R.Ts,
-                         formatString("{\"joules\":%.6f}",
-                                      R.numberOr("joules", 0.0)));
-      appendCounterEvent(Out, "sim_queue_depth", R.Ts,
-                         formatString("{\"events\":%.0f}",
-                                      R.numberOr("queue_depth", 0.0)));
+                         formatString("{\"watts\":%.6f}", S.Watts));
+      appendCounterEvent(
+          Out, "energy_joules", R.Ts,
+          formatString("{\"joules\":%.6f}", S.CumulativeJoules));
+      appendCounterEvent(
+          Out, "sim_queue_depth", R.Ts,
+          formatString("{\"events\":%.0f}", double(S.QueueDepth)));
       break;
+    }
     case TelemetryEventKind::ConfigSwitch: {
-      bool Big = R.numberOr("big", 0.0) != 0.0;
-      double FreqMHz = R.numberOr("freq_mhz", 0.0);
+      const ConfigSwitchRecord &S = R.as<ConfigSwitchRecord>();
+      bool Big = S.ToCoreIsBig != 0;
+      double FreqMHz = double(S.ToFreqMHz);
       appendCounterEvent(Out, "freq_mhz", R.Ts,
                          formatString("{\"A15\":%.0f,\"A7\":%.0f}",
                                       Big ? FreqMHz : 0.0,
                                       Big ? 0.0 : FreqMHz));
       break;
     }
-    case TelemetryEventKind::GovernorDecision:
+    case TelemetryEventKind::GovernorDecision: {
+      const GovernorDecisionRecord &D = R.as<GovernorDecisionRecord>();
       appendInstantEvent(
-          Out, R.stringOr("governor", "?") + ": " + R.stringOr("reason", "?"),
-          R.Ts,
+          Out, D.Governor + ": " + D.Reason, R.Ts,
           formatString("{\"config\":\"%s\",\"predicted_ms\":%.3f,"
                        "\"target_ms\":%.3f,\"offset\":%.0f}",
-                       jsonEscape(R.stringOr("config", "")).c_str(),
-                       R.numberOr("predicted_ms", -1.0),
-                       R.numberOr("target_ms", -1.0),
-                       R.numberOr("offset", 0.0)));
-      break;
-    case TelemetryEventKind::FeedbackAction:
-      appendInstantEvent(
-          Out,
-          R.stringOr("governor", "?") + " feedback: " +
-              R.stringOr("action", "?"),
-          R.Ts,
-          formatString("{\"key\":\"%s\",\"offset\":%.0f,"
-                       "\"measured_ms\":%.3f,\"target_ms\":%.3f}",
-                       jsonEscape(R.stringOr("key", "")).c_str(),
-                       R.numberOr("offset", 0.0),
-                       R.numberOr("measured_ms", -1.0),
-                       R.numberOr("target_ms", -1.0)));
-      break;
-    case TelemetryEventKind::CounterSample:
-      appendCounterEvent(Out, R.stringOr("track", "counter").c_str(), R.Ts,
-                         formatString("{\"value\":%.6f}",
-                                      R.numberOr("value", 0.0)));
-      break;
-    case TelemetryEventKind::Span: {
-      std::string Track = R.stringOr("thread", "?");
-      double BeginUs = R.numberOr("begin_us", 0.0);
-      appendCompleteEvent(
-          Out, R.stringOr("name", "?"), Track.c_str(),
-          TimePoint::fromNanos(int64_t(std::llround(BeginUs * 1e3))),
-          Duration::fromMillis(R.numberOr("dur_ms", 0.0)),
-          formatString("{\"id\":%.0f,\"parent\":%.0f,\"root\":%.0f,"
-                       "\"frame\":%.0f,\"open\":%.0f}",
-                       R.numberOr("id", 0.0), R.numberOr("parent", 0.0),
-                       R.numberOr("root", 0.0), R.numberOr("frame", 0.0),
-                       R.numberOr("open", 0.0)));
+                       jsonEscape(D.Config).c_str(), D.PredictedMs,
+                       D.TargetMs, double(D.FeedbackOffset)));
       break;
     }
-    case TelemetryEventKind::Fault:
-      if (R.stringOr("phase", "") == "inject")
-        appendInstantEvent(
-            Out, "inject: " + R.stringOr("fault", "?"), R.Ts,
-            formatString("{\"detail\":\"%s\",\"value\":%.3f}",
-                         jsonEscape(R.stringOr("detail", "")).c_str(),
-                         R.numberOr("value", 0.0)));
+    case TelemetryEventKind::FeedbackAction: {
+      const FeedbackActionRecord &F = R.as<FeedbackActionRecord>();
+      appendInstantEvent(
+          Out, F.Governor + " feedback: " + F.Action, R.Ts,
+          formatString("{\"key\":\"%s\",\"offset\":%.0f,"
+                       "\"measured_ms\":%.3f,\"target_ms\":%.3f}",
+                       jsonEscape(F.ModelKey).c_str(), double(F.NewOffset),
+                       F.MeasuredMs, F.TargetMs));
       break;
+    }
+    case TelemetryEventKind::CounterSample: {
+      const CounterSampleRecord &C = R.as<CounterSampleRecord>();
+      appendCounterEvent(Out, C.Track.c_str(), R.Ts,
+                         formatString("{\"value\":%.6f}", C.Value));
+      break;
+    }
+    case TelemetryEventKind::Span: {
+      const CompletedSpanRecord &S = R.as<CompletedSpanRecord>();
+      appendCompleteEvent(
+          Out, S.Name, S.Thread.c_str(),
+          TimePoint::fromNanos(int64_t(std::llround(S.BeginUs * 1e3))),
+          Duration::fromMillis(S.DurMs),
+          formatString("{\"id\":%.0f,\"parent\":%.0f,\"root\":%.0f,"
+                       "\"frame\":%.0f,\"open\":%.0f}",
+                       double(S.Id), double(S.Parent), double(S.Root),
+                       double(S.Frame), double(S.Open)));
+      break;
+    }
+    case TelemetryEventKind::Fault: {
+      const FaultEventRecord &F = R.as<FaultEventRecord>();
+      if (F.Phase == "inject")
+        appendInstantEvent(
+            Out, "inject: " + F.Fault, R.Ts,
+            formatString("{\"detail\":\"%s\",\"value\":%.3f}",
+                         jsonEscape(F.Detail).c_str(), F.Value));
+      break;
+    }
     default:
       break;
     }
@@ -299,12 +302,10 @@ inline std::string chromeTrace(const std::vector<FrameRecord> &Frames,
     }
   }
   for (const TelemetryRecord &R : Tel.log().records()) {
-    if (R.Kind != TelemetryEventKind::GovernorDecision)
+    const GovernorDecisionRecord *D = R.get<GovernorDecisionRecord>();
+    if (!D || D->RootId <= 0)
       continue;
-    double Root = R.numberOr("root", 0.0);
-    if (Root <= 0.0)
-      continue;
-    auto It = HopsByRoot.find(static_cast<unsigned long long>(Root));
+    auto It = HopsByRoot.find(static_cast<unsigned long long>(D->RootId));
     if (It != HopsByRoot.end())
       It->second.push_back({R.Ts.nanos() / 1e3, "governor"});
   }

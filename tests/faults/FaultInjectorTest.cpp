@@ -291,8 +291,8 @@ TEST(FaultInjectorTest, WindowsAndInjectionsReachTelemetry) {
   std::vector<std::string> Phases;
   for (const TelemetryRecord *R :
        Tel.log().byKind(TelemetryEventKind::Fault)) {
-    EXPECT_EQ(R->stringOr("fault", ""), "callback_spike");
-    Phases.push_back(R->stringOr("phase", ""));
+    EXPECT_EQ(R->as<FaultEventRecord>().Fault, "callback_spike");
+    Phases.push_back(R->as<FaultEventRecord>().Phase);
   }
   ASSERT_EQ(Phases.size(), 3u);
   EXPECT_EQ(Phases[0], "begin");

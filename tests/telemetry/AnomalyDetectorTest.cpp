@@ -19,40 +19,22 @@ TimePoint at(int64_t Ms) {
 }
 
 TelemetryRecord frameTotal(int64_t Ms, double DurationMs) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::FrameStage;
-  R.Ts = at(Ms);
-  R.Fields = {{"frame", int64_t(Ms / 16)},
-              {"stage", std::string("total")},
-              {"duration_ms", DurationMs}};
-  return R;
+  return {at(Ms), FrameStageRecord{Ms / 16, "total", DurationMs}};
 }
 
 TelemetryRecord framePresent(int64_t Ms) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::FrameStage;
-  R.Ts = at(Ms);
-  R.Fields = {{"frame", int64_t(Ms / 16)},
-              {"stage", std::string("present")},
-              {"duration_ms", 0.1}};
-  return R;
+  return {at(Ms), FrameStageRecord{Ms / 16, "present", 0.1}};
 }
 
 TelemetryRecord energySample(int64_t Ms, double Joules) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::EnergySample;
-  R.Ts = at(Ms);
-  R.Fields = {{"watts", 1.5}, {"joules", Joules}};
-  return R;
+  return {at(Ms), EnergySampleRecord{1.5, Joules, 0}};
 }
 
 TelemetryRecord decision(int64_t Ms) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::GovernorDecision;
-  R.Ts = at(Ms);
-  R.Fields = {{"governor", std::string("test")},
-              {"reason", std::string("predicted")}};
-  return R;
+  GovernorDecisionRecord D;
+  D.Governor = "test";
+  D.Reason = "predicted";
+  return {at(Ms), D};
 }
 
 } // namespace
@@ -124,14 +106,14 @@ TEST(DetectorBankTest, FrameLatencyShiftEmitsWellFormedAlert) {
   ASSERT_EQ(Alerts.size(), 1u);
   EXPECT_EQ(Bank.alertsEmitted(), 1u);
 
-  const TelemetryRecord &A = Alerts[0];
-  EXPECT_EQ(A.Kind, TelemetryEventKind::Alert);
-  EXPECT_EQ(A.stringOr("detector", ""), "frame_latency");
-  EXPECT_EQ(A.numberOr("dir", 0), 1.0);
-  EXPECT_GT(A.numberOr("value", 0.0), 25.0);
-  EXPECT_GT(A.numberOr("score", 0.0), 0.0);
+  EXPECT_EQ(Alerts[0].Kind, TelemetryEventKind::Alert);
+  const AlertRecord &A = Alerts[0].as<AlertRecord>();
+  EXPECT_EQ(A.Detector, "frame_latency");
+  EXPECT_EQ(A.Dir, 1);
+  EXPECT_GT(A.Value, 25.0);
+  EXPECT_GT(A.Score, 0.0);
   // The alert timestamp is the provoking record's, never a live clock.
-  EXPECT_GE(A.Ts.nanos(), at(200 * 16).nanos());
+  EXPECT_GE(Alerts[0].Ts.nanos(), at(200 * 16).nanos());
 }
 
 TEST(DetectorBankTest, EnergyPerFrameNeedsFramesAndTwoSamples) {
@@ -152,8 +134,8 @@ TEST(DetectorBankTest, EnergyPerFrameNeedsFramesAndTwoSamples) {
       Alerts.push_back(A);
   }
   ASSERT_GE(Alerts.size(), 1u);
-  EXPECT_EQ(Alerts[0].stringOr("detector", ""), "energy_per_frame");
-  EXPECT_EQ(Alerts[0].numberOr("dir", 0), 1.0);
+  EXPECT_EQ(Alerts[0].as<AlertRecord>().Detector, "energy_per_frame");
+  EXPECT_EQ(Alerts[0].as<AlertRecord>().Dir, 1);
 }
 
 TEST(DetectorBankTest, DecisionChurnCountsTrailingWindow) {
@@ -170,16 +152,16 @@ TEST(DetectorBankTest, DecisionChurnCountsTrailingWindow) {
     for (auto &A : Bank.onRecord(decision(Ms)))
       Alerts.push_back(A);
   ASSERT_GE(Alerts.size(), 1u);
-  EXPECT_EQ(Alerts[0].stringOr("detector", ""), "decision_churn");
-  EXPECT_EQ(Alerts[0].numberOr("dir", 0), 1.0);
+  EXPECT_EQ(Alerts[0].as<AlertRecord>().Detector, "decision_churn");
+  EXPECT_EQ(Alerts[0].as<AlertRecord>().Dir, 1);
 }
 
 TEST(DetectorBankTest, IgnoresAlertRecords) {
   DetectorBank Bank;
-  TelemetryRecord A;
-  A.Kind = TelemetryEventKind::Alert;
-  A.Ts = at(0);
-  A.Fields = {{"detector", std::string("frame_latency")}, {"value", 1.0}};
+  AlertRecord Row;
+  Row.Detector = "frame_latency";
+  Row.Value = 1.0;
+  TelemetryRecord A(at(0), Row);
   // A bank fed a stream containing its own output must not feed back.
   for (int I = 0; I < 100; ++I)
     EXPECT_TRUE(Bank.onRecord(A).empty());
@@ -225,10 +207,10 @@ TEST(ReplayTest, OfflineReplayReproducesOnlineAlerts) {
     double Lat = I < 250 ? 10.0 + (I % 5) * 0.2 : 28.0 + (I % 5) * 0.2;
     TelemetryRecord R = frameTotal(Ms, Lat);
     std::vector<TelemetryRecord> Alerts = Online.onRecord(R);
-    Log.append(R.Kind, R.Ts, std::move(R.Fields));
+    Log.append(std::move(R));
     for (TelemetryRecord &A : Alerts) {
       OnlineAlerts.push_back(telemetryRecordJson(A));
-      Log.append(A.Kind, A.Ts, std::move(A.Fields));
+      Log.append(std::move(A));
     }
   }
   ASSERT_FALSE(OnlineAlerts.empty());

@@ -9,6 +9,8 @@
 // plausible value. One table covers the loaders: each row takes a seed
 // document that loads (a committed plan or model, or a serialized
 // fixture), sets one field to a bad value and expects the refusal.
+// Telemetry log lines are read by their kind's schema: a line that
+// breaks it is skipped and reported by line number.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include "profiling/RunMeta.h"
 #include "telemetry/FleetReport.h"
 #include "telemetry/SchedTrace.h"
+#include "telemetry/TelemetryLog.h"
 #include "workloads/FleetPlan.h"
 
 #include <gtest/gtest.h>
@@ -169,6 +172,67 @@ TEST(ArtifactIngestTest, MalformedFieldIsRefusedNamingItsKey) {
               std::string::npos)
         << R.Artifact << " " << R.Key << " = " << R.Bad << ": " << Error;
   }
+}
+
+TEST(ArtifactIngestTest, LogLinesAreReadByTheirKindsSchema) {
+  const std::string Good =
+      R"({"ts_us":1.000,"kind":"energy_sample","watts":1.5,"joules":0.25,)"
+      R"("queue_depth":3})";
+  const std::string Item =
+      R"({"ts_us":2.000,"kind":"sched","event":"item","item":1,"worker":0,)"
+      R"("label":"BBC|Perf","start_ns":0,"run_ns":5,"setup_ns":1,)"
+      R"("sim_ns":3,"hook_ns":1,"merge_ns":0,"hub_records":0})";
+  struct Row {
+    const char *Why;
+    std::string Line;
+  };
+  auto Edit = [](std::string Line, const std::string &From,
+                 const std::string &To) {
+    size_t At = Line.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return Line.replace(At, From.size(), To);
+  };
+  const Row Bad[] = {
+      {"missing field", Edit(Good, R"(,"queue_depth":3)", "")},
+      {"unknown key", Edit(Good, R"("queue_depth")", R"("depth")")},
+      {"extra key", Edit(Good, "}", R"(,"note":"x"})")},
+      {"duplicate key", Edit(Good, "}", R"(,"watts":2.0})")},
+      {"string for a double", Edit(Good, "1.5", R"("1.5")")},
+      {"string for an int", Edit(Good, R"("queue_depth":3)",
+                                 R"("queue_depth":"3")")},
+      {"fraction for an int", Edit(Good, R"("queue_depth":3)",
+                                   R"("queue_depth":3.5)")},
+      {"number for a string", Edit(Item, R"("BBC|Perf")", "7")},
+      {"unknown sched event", Edit(Item, R"("item","item")",
+                                   R"("items","item")")},
+      {"missing timestamp", Edit(Good, R"("ts_us":1.000,)", "")},
+      {"unknown kind", Edit(Good, "energy_sample", "energy_samples")},
+  };
+  size_t Skipped = 0;
+  TelemetryLog Log = TelemetryLog::fromJsonl(Good + "\n" + Item + "\n",
+                                             &Skipped);
+  EXPECT_EQ(Skipped, 0u);
+  ASSERT_EQ(Log.size(), 2u);
+  EXPECT_EQ(Log.records()[0].as<EnergySampleRecord>().QueueDepth, 3);
+  EXPECT_EQ(Log.records()[1].as<SchedItemRecord>().Label, "BBC|Perf");
+  EXPECT_EQ(Log.toJsonl(), Good + "\n" + Item + "\n");
+  for (const Row &R : Bad) {
+    // The bad line sits between two good ones and is reported by its
+    // 1-based number; the good lines still load.
+    std::vector<size_t> SkippedAt;
+    Log = TelemetryLog::fromJsonl(Good + "\n" + R.Line + "\n" + Good + "\n",
+                                  &Skipped, &SkippedAt);
+    EXPECT_EQ(Skipped, 1u) << R.Why << ": " << R.Line;
+    EXPECT_EQ(SkippedAt, std::vector<size_t>{2}) << R.Why;
+    EXPECT_EQ(Log.size(), 2u) << R.Why;
+  }
+  // The run-metadata header names no record kind: skipped as line 1.
+  std::vector<size_t> SkippedAt;
+  Log = TelemetryLog::fromJsonl(
+      R"({"kind":"meta","schema":1,"git_commit":"x"})" "\n" + Good + "\n",
+      &Skipped, &SkippedAt);
+  EXPECT_EQ(SkippedAt, std::vector<size_t>{1});
+  EXPECT_EQ(Log.size(), 1u);
 }
 
 TEST(ArtifactIngestTest, CommittedArtifactsLoad) {

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
@@ -109,8 +110,8 @@ Exports runSession(bool Chaos) {
   E.Metrics = Tel.metrics().snapshotJson();
   E.Blackbox = Tel.flightRecorder()->dumpsJson();
   for (const TelemetryRecord &R : Tel.log().records()) {
-    E.Injects += R.Kind == TelemetryEventKind::Fault &&
-                 R.stringOr("phase", "") == "inject";
+    const FaultEventRecord *F = R.get<FaultEventRecord>();
+    E.Injects += F && F->Phase == "inject";
     E.Feedback += R.Kind == TelemetryEventKind::FeedbackAction;
     E.Counters += R.Kind == TelemetryEventKind::CounterSample;
   }
@@ -151,6 +152,23 @@ TEST(ExportGoldenTest, ChaosSessionExportsAreByteIdentical) {
   expectGolden(E.Trace, {"trace", 4093215, 0x053719cfae8e161dull});
   expectGolden(E.Blackbox, {"blackbox", 124444, 0xab1c18836d7f12b4ull});
   expectGolden(E.Metrics, {"metrics", 2856, 0xa96f0daeb1a6de5full});
+}
+
+TEST(ExportGoldenTest, GoldenLogsRoundTripThroughFromJsonl) {
+  // Every line of both golden logs parses back by its kind's schema and
+  // re-serializes to the same bytes: the offline tools read exactly the
+  // rows the live hub recorded.
+  for (bool Chaos : {false, true}) {
+    Exports E = runSession(Chaos);
+    std::vector<size_t> SkippedAt;
+    TelemetryLog Back = TelemetryLog::fromJsonl(E.Jsonl, nullptr, &SkippedAt);
+    EXPECT_TRUE(SkippedAt.empty())
+        << (Chaos ? "chaos" : "full") << " log: first skipped line "
+        << SkippedAt.front();
+    EXPECT_EQ(Back.size(),
+              size_t(std::count(E.Jsonl.begin(), E.Jsonl.end(), '\n')));
+    EXPECT_EQ(Back.toJsonl(), E.Jsonl);
+  }
 }
 
 } // namespace

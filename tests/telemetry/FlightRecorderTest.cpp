@@ -19,38 +19,26 @@ TimePoint at(int64_t Ms) {
 }
 
 TelemetryRecord counter(int64_t Ms, int64_t N) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::CounterSample;
-  R.Ts = at(Ms);
-  R.Fields = {{"track", std::string("t")}, {"value", double(N)}};
-  return R;
+  return {at(Ms), CounterSampleRecord{"t", double(N)}};
 }
 
 TelemetryRecord qosViolation(int64_t Ms) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::QosViolation;
-  R.Ts = at(Ms);
-  R.Fields = {{"governor", std::string("test")}, {"latency_ms", 50.0}};
-  return R;
+  QosViolationRecord V;
+  V.Governor = "test";
+  V.LatencyMs = 50.0;
+  return {at(Ms), V};
 }
 
 TelemetryRecord watchdogTrip(int64_t Ms) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::GovernorDecision;
-  R.Ts = at(Ms);
-  R.Fields = {{"governor", std::string("GreenWeb-I")},
-              {"reason", std::string("watchdog_fallback")}};
-  return R;
+  GovernorDecisionRecord D;
+  D.Governor = "GreenWeb-I";
+  D.Reason = "watchdog_fallback";
+  return {at(Ms), D};
 }
 
 TelemetryRecord faultBegin(int64_t Ms) {
-  TelemetryRecord R;
-  R.Kind = TelemetryEventKind::Fault;
-  R.Ts = at(Ms);
-  R.Fields = {{"fault", std::string("thermal_throttle")},
-              {"phase", std::string("begin")},
-              {"detail", std::string("cap 800 MHz")}};
-  return R;
+  return {at(Ms),
+          FaultEventRecord{"thermal_throttle", "begin", "cap 800 MHz", 0.0}};
 }
 
 } // namespace
@@ -66,10 +54,10 @@ TEST(FlightRecorderTest, RingKeepsMostRecentRecordsOldestFirst) {
   const BlackBoxDump &D = R.dumps()[0];
   // Last 4 records, oldest first: counters 7, 8, 9, then the fault.
   ASSERT_EQ(D.Records.size(), 4u);
-  EXPECT_EQ(D.Records[0].numberOr("value", -1), 7.0);
-  EXPECT_EQ(D.Records[1].numberOr("value", -1), 8.0);
-  EXPECT_EQ(D.Records[2].numberOr("value", -1), 9.0);
-  EXPECT_EQ(D.Records[3].stringOr("phase", ""), "begin");
+  EXPECT_EQ(D.Records[0].as<CounterSampleRecord>().Value, 7.0);
+  EXPECT_EQ(D.Records[1].as<CounterSampleRecord>().Value, 8.0);
+  EXPECT_EQ(D.Records[2].as<CounterSampleRecord>().Value, 9.0);
+  EXPECT_EQ(D.Records[3].as<FaultEventRecord>().Phase, "begin");
   EXPECT_EQ(D.Trigger, "fault_window");
   EXPECT_EQ(D.Seq, 11u);
 }
@@ -138,12 +126,8 @@ TEST(FlightRecorderTest, AlertRecordsTriggerNamedDump) {
   int64_t Ms = 0;
   for (int I = 0; I < 400; ++I) {
     Ms += 16;
-    TelemetryRecord F;
-    F.Kind = TelemetryEventKind::FrameStage;
-    F.Ts = at(Ms);
-    F.Fields = {{"frame", int64_t(I)},
-                {"stage", std::string("total")},
-                {"duration_ms", I < 200 ? 10.0 : 30.0}};
+    TelemetryRecord F(at(Ms),
+                      FrameStageRecord{I, "total", I < 200 ? 10.0 : 30.0});
     observeTelemetryRecord(F, &R, &Bank);
   }
   ASSERT_GE(Bank.alertsEmitted(), 1u);

@@ -6,8 +6,8 @@
 // printf-based serializers they replaced (tests/common/
 // ReferenceSerializers.h), on adversarial numbers and strings — signed
 // zero, NaN, infinities, 1e308, "%.0f" ties, values just around
-// rounding boundaries, INT64_MIN, quotes and backslashes, records with
-// no fields, an empty log — and on seeded random doubles.
+// rounding boundaries, INT64_MIN, quotes and backslashes, a default
+// row of every record type, an empty log — and on seeded random doubles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -164,35 +164,46 @@ TEST(SerializerDiffTest, IntegersAndEscapesMatchPrintf) {
 }
 
 /// Records covering every field type and every adversarial value.
+/// A default-constructed row of every record type.
+template <size_t... I>
+void appendDefaultRows(std::vector<TelemetryRecord> &Rs,
+                       std::index_sequence<I...>) {
+  (Rs.emplace_back(TimePoint::origin(),
+                   std::variant_alternative_t<I, TelemetryPayload>{}),
+   ...);
+}
+
 std::vector<TelemetryRecord> adversarialRecords() {
   std::vector<TelemetryRecord> Rs;
   int64_t Ns = -1'500;
   for (double X : adversarialDoubles()) {
-    Rs.push_back({TelemetryEventKind::CounterSample, TimePoint::fromNanos(Ns),
-                  {{"value", X}, {"k\"ey\\", X}}});
+    Rs.emplace_back(TimePoint::fromNanos(Ns),
+                    CounterSampleRecord{"k\"ey\\", X});
+    Rs.emplace_back(TimePoint::fromNanos(Ns),
+                    AlertRecord{"", X, -X, X * 0.5, -1, 0});
     Ns = (Ns * 3 + 1'234'567) % 1'000'000'000'000'000'000;
   }
-  Rs.push_back({TelemetryEventKind::Alert, TimePoint::origin(), {}});
-  Rs.push_back({TelemetryEventKind::Sched,
-                TimePoint::fromNanos(std::numeric_limits<int64_t>::max()),
-                {{"min", std::numeric_limits<int64_t>::min()},
-                 {"max", std::numeric_limits<int64_t>::max()},
-                 {"", std::string()},
-                 {"\\", std::string("say \"hi\" \\ bye\\")}}});
-  Rs.push_back({TelemetryEventKind::Fault, TimePoint::fromNanos(-1),
-                {{"fault", std::string("x\"y")},
-                 {"phase", std::string("inject")},
-                 {"detail", std::string("\\\"")},
-                 {"value", 0.0005}}});
-  // Every byte below 0x20, plus DEL, in a key and a value.
+  appendDefaultRows(
+      Rs, std::make_index_sequence<std::variant_size_v<TelemetryPayload>>{});
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  Rs.emplace_back(TimePoint::fromNanos(Max),
+                  SchedItemRecord{Min, Max, "say \"hi\" \\ bye\\", Min, Max,
+                                  0, -1, 1, Min, Max});
+  Rs.emplace_back(TimePoint::fromNanos(Max),
+                  SchedBatchRecord{Min, Max, 0, -1, Min, Max, -0.0, 1e308});
+  Rs.emplace_back(TimePoint::fromNanos(-1),
+                  FaultEventRecord{"x\"y", "inject", "\\\"", 0.0005});
+  // Every byte below 0x20, plus DEL, in two values.
   std::string Controls;
   for (char C = 0; C < 0x20; ++C)
     Controls += C;
   Controls += '\x7f';
-  Rs.push_back({TelemetryEventKind::Fault, TimePoint::fromNanos(7),
-                {{"ctl" + Controls, Controls},
-                 {"phase", std::string("inject")},
-                 {"detail", std::string("a\nb\tc")}}});
+  Rs.emplace_back(TimePoint::fromNanos(7),
+                  FaultEventRecord{"ctl" + Controls, "inject", "a\nb\tc", 0.0});
+  Rs.emplace_back(TimePoint::fromNanos(7),
+                  CompletedSpanRecord{1, 0, Max, Min, Controls, "\\", -0.0,
+                                      1e-7, 1});
   return Rs;
 }
 
@@ -202,7 +213,7 @@ TEST(SerializerDiffTest, RecordsAndLogsMatchReference) {
   EXPECT_EQ(Log.toJsonl(), reference::jsonl(Log));
   for (const TelemetryRecord &R : adversarialRecords()) {
     EXPECT_EQ(telemetryRecordJson(R), reference::recordJson(R));
-    Log.append(R.Kind, R.Ts, R.Fields);
+    Log.append(R);
   }
   EXPECT_EQ(Log.toJsonl(), reference::jsonl(Log));
   std::string Prefixed = "header\n";

@@ -59,11 +59,12 @@ TEST(SpanTracerTest, BeginEndRecordsSpanWithTimes) {
 
   const TelemetryRecord *R = lastSpanRecord(Hub.Tel);
   ASSERT_NE(R, nullptr);
-  EXPECT_EQ(int64_t(R->numberOr("id", 0)), Id);
-  EXPECT_EQ(int64_t(R->numberOr("root", 0)), 7);
-  EXPECT_EQ(int64_t(R->numberOr("frame", 0)), 3);
-  EXPECT_DOUBLE_EQ(R->numberOr("dur_ms", -1.0), 2.5);
-  EXPECT_EQ(int64_t(R->numberOr("open", 1)), 0);
+  const CompletedSpanRecord &C = R->as<CompletedSpanRecord>();
+  EXPECT_EQ(C.Id, Id);
+  EXPECT_EQ(C.Root, 7);
+  EXPECT_EQ(C.Frame, 3);
+  EXPECT_DOUBLE_EQ(C.DurMs, 2.5);
+  EXPECT_EQ(C.Open, 0);
 }
 
 TEST(SpanTracerTest, ChildInheritsRootAndFrameFromParent) {
@@ -104,7 +105,7 @@ TEST(SpanTracerTest, ZeroLengthSpanRecorded) {
   Tr.end(Id);
   const TelemetryRecord *R = lastSpanRecord(Hub.Tel);
   ASSERT_NE(R, nullptr);
-  EXPECT_DOUBLE_EQ(R->numberOr("dur_ms", -1.0), 0.0);
+  EXPECT_DOUBLE_EQ(R->as<CompletedSpanRecord>().DurMs, 0.0);
 }
 
 TEST(SpanTracerTest, FinishAllClosesOpenSpansAsTruncated) {
@@ -124,7 +125,7 @@ TEST(SpanTracerTest, FinishAllClosesOpenSpansAsTruncated) {
   int64_t OpenMarks = 0;
   for (const TelemetryRecord *R :
        Hub.Tel.log().byKind(TelemetryEventKind::Span))
-    OpenMarks += int64_t(R->numberOr("open", 0));
+    OpenMarks += R->as<CompletedSpanRecord>().Open;
   EXPECT_EQ(OpenMarks, 1);
   EXPECT_DOUBLE_EQ(Tr.find(A)->End.millis(), 1.0);
   // Idempotent: nothing left to close.

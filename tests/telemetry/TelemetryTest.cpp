@@ -163,8 +163,8 @@ TEST(TelemetryTest, RecordersUpdateMetricsAndLogTogether) {
   ASSERT_EQ(T.log().size(), 1u);
   const TelemetryRecord &R = T.log().records().front();
   EXPECT_EQ(R.Kind, TelemetryEventKind::GovernorDecision);
-  EXPECT_EQ(R.stringOr("reason", ""), "predicted");
-  EXPECT_DOUBLE_EQ(R.numberOr("predicted_ms", 0.0), 12.5);
+  EXPECT_EQ(R.as<GovernorDecisionRecord>().Reason, "predicted");
+  EXPECT_DOUBLE_EQ(R.as<GovernorDecisionRecord>().PredictedMs, 12.5);
 }
 
 TEST(TelemetryTest, DisabledHubRecordsNothing) {
@@ -221,8 +221,8 @@ TEST(TelemetryTest, ByKindFiltersInOrder) {
   T.recordEnergySample({0.2, 0.3, 0});
   auto Samples = T.log().byKind(TelemetryEventKind::EnergySample);
   ASSERT_EQ(Samples.size(), 2u);
-  EXPECT_DOUBLE_EQ(Samples[0]->numberOr("watts", 0.0), 0.1);
-  EXPECT_DOUBLE_EQ(Samples[1]->numberOr("watts", 0.0), 0.2);
+  EXPECT_DOUBLE_EQ(Samples[0]->as<EnergySampleRecord>().Watts, 0.1);
+  EXPECT_DOUBLE_EQ(Samples[1]->as<EnergySampleRecord>().Watts, 0.2);
 }
 
 //===----------------------------------------------------------------------===//

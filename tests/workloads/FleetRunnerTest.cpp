@@ -240,16 +240,17 @@ TEST(FleetRunnerTest, ControlCharactersRoundTripThroughEveryArtifact) {
 
   // A telemetry log line: escaped on export, decoded on import.
   TelemetryLog Log;
-  Log.append(TelemetryEventKind::Fault, TimePoint::origin(),
-             {{"plan", Name}, {"ctl\x1f", std::string("\b\f\r\\\"")}});
+  Log.append(TimePoint::origin(),
+             FaultEventRecord{Name, "inject", "\b\f\r\\\"", 0.0});
   std::string Jsonl = Log.toJsonl();
   ASSERT_TRUE(json::parse(Jsonl, &Error)) << Error;
   size_t Skipped = 0;
   TelemetryLog Parsed = TelemetryLog::fromJsonl(Jsonl, &Skipped);
   EXPECT_EQ(Skipped, 0u);
   ASSERT_EQ(Parsed.records().size(), 1u);
-  EXPECT_EQ(Parsed.records()[0].stringOr("plan", ""), Name);
-  EXPECT_EQ(Parsed.records()[0].stringOr("ctl\x1f", ""), "\b\f\r\\\"");
+  EXPECT_EQ(Parsed.records()[0].as<FaultEventRecord>().Fault, Name);
+  EXPECT_EQ(Parsed.records()[0].as<FaultEventRecord>().Detail,
+            "\b\f\r\\\"");
   EXPECT_EQ(Parsed.toJsonl(), Jsonl);
 }
 

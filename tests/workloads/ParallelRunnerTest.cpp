@@ -366,12 +366,7 @@ TEST(ParallelRunnerTest, SchedTelemetryRecordsLandInSharedHub) {
   ASSERT_EQ(SchedRecords.size(), Configs.size() + 1);
   size_t Batches = 0;
   for (const TelemetryRecord *R : SchedRecords)
-    for (const TelemetryField &F : R->Fields)
-      if (F.Key == "event") {
-        const std::string *Event = std::get_if<std::string>(&F.Value);
-        if (Event && *Event == "batch")
-          ++Batches;
-      }
+    Batches += R->get<SchedBatchRecord>() != nullptr;
   EXPECT_EQ(Batches, 1u);
 }
 
@@ -383,10 +378,8 @@ TEST(ParallelRunnerTest, MergePreservesAlertBypassOnCappedSharedHub) {
   // byte-identically.
   auto Hook = [](size_t I, const ExperimentResult &, Telemetry &T) {
     TimePoint Ts = TimePoint::origin() + Duration::milliseconds(int64_t(I));
-    T.log().append(TelemetryEventKind::Alert, Ts,
-                   {{"detector", std::string("test")}, {"run", int64_t(I)}});
-    T.log().append(TelemetryEventKind::CounterSample, Ts,
-                   {{"track", std::string("bulk")}, {"value", double(I)}});
+    T.log().append(Ts, AlertRecord{"test", 0.0, 0.0, 0.0, 0, int64_t(I)});
+    T.log().append(Ts, CounterSampleRecord{"bulk", double(I)});
   };
   auto AlertJsonl = [](const TelemetryLog &Log) {
     std::string Out;

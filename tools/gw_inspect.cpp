@@ -103,14 +103,15 @@ int cmdFaults(const TelemetryLog &Log) {
   size_t StrayInjections = 0;
   for (const TelemetryRecord &R : Log.records()) {
     LastTs = std::max(LastTs, double(R.Ts.nanos()) / 1e3);
-    if (R.Kind != TelemetryEventKind::Fault)
+    const FaultEventRecord *F = R.get<FaultEventRecord>();
+    if (!F)
       continue;
-    std::string Family = R.stringOr("fault", "?");
-    std::string Phase = R.stringOr("phase", "");
+    const std::string &Family = F->Fault;
+    const std::string &Phase = F->Phase;
     if (Phase == "begin") {
       FaultWindow W;
       W.Family = Family;
-      W.Detail = R.stringOr("detail", "");
+      W.Detail = F->Detail;
       W.BeginUs = double(R.Ts.nanos()) / 1e3;
       W.Open = true;
       OpenByFamily[Family] = Windows.size();
@@ -315,13 +316,12 @@ int cmdPath(const TelemetryLog &Log, int64_t FrameId, int64_t RootId) {
 }
 
 void printAlert(const TelemetryRecord &R) {
+  const AlertRecord &A = R.as<AlertRecord>();
   std::printf("  %10.3f s  %-16s value %10.3f  baseline %10.3f  "
               "score %7.2f  %s  n=%lld\n",
-              R.Ts.nanos() / 1e9, R.stringOr("detector", "?").c_str(),
-              R.numberOr("value", 0.0), R.numberOr("baseline", 0.0),
-              R.numberOr("score", 0.0),
-              R.numberOr("dir", 0.0) > 0 ? "up  " : "down",
-              static_cast<long long>(R.numberOr("n", 0.0)));
+              R.Ts.nanos() / 1e9, A.Detector.c_str(), A.Value, A.Baseline,
+              A.Score, A.Dir > 0 ? "up  " : "down",
+              static_cast<long long>(A.N));
 }
 
 /// Replays the detectors over the log and checks the regenerated alert
